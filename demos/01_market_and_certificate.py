@@ -14,9 +14,9 @@ import numpy as np
 from refequil import (
     FactorDistribution,
     Market,
+    ScenarioTree,
     TablePriceModel,
     build_eex_model,
-    build_tree,
     check_uniform_no_arbitrage,
     estimate_hoelder_constant,
     hoelder_extend,
@@ -25,7 +25,7 @@ from refequil.market import tree_rows
 
 # two periods of a fair +-1 coin
 coin = FactorDistribution.from_atoms([(1.0, 0.5), (-1.0, 0.5)])
-tree = build_tree([coin, coin])
+tree = ScenarioTree([coin, coin])
 print(f"{len(tree.nodes)} nodes, {len(tree.leaves)} leaves")
 
 # price increments: half of the latest factor move
@@ -45,7 +45,7 @@ for row in rows[:4]:
 
 # a skewed market moves the level to the thinner tail mass
 skewed = FactorDistribution.from_atoms([(1.0, 0.9), (-1.0, 0.1)])
-cert = check_uniform_no_arbitrage(build_tree([skewed]), prices)
+cert = check_uniform_no_arbitrage(ScenarioTree([skewed]), prices)
 print("skewed level (down-mass binds):", cert.alpha_star)
 
 # drift/volatility variant with an a-priori level: tails of the factor law

@@ -19,13 +19,13 @@ from refequil import (
     ArctanGainLoss,
     ExponentialUtility,
     ReferenceDistribution,
+    ScenarioTree,
     Strategy,
     TablePriceModel,
+    TerminalValue,
     best_response,
     build_envelope_stack,
-    build_tree,
     solve_one_step,
-    terminal_value,
 )
 
 prefs = Preferences(ExponentialUtility(1.0, c_u=0.05),
@@ -33,7 +33,7 @@ prefs = Preferences(ExponentialUtility(1.0, c_u=0.05),
 
 # symmetric two-period market: the response to any reference is zero
 coin = FactorDistribution.from_atoms([(1.0, 0.5), (-1.0, 0.5)])
-tree = build_tree([coin, coin])
+tree = ScenarioTree([coin, coin])
 market = Market.assemble(tree, TablePriceModel(100.0, 0.5, 1.0,
                                                func=lambda h: 0.5 * h[-1]))
 psi, values = best_response(market, prefs,
@@ -47,12 +47,12 @@ print("optimal value at the root:",
 # wealth: the comparison is linear there and the optimizer has the
 # closed form log(p / (1 - p)) / a
 p, a = 0.7, 1.3
-skewed = build_tree([FactorDistribution.from_atoms([(0.5, p),
-                                                    (-0.5, 1.0 - p)])])
+skewed = ScenarioTree([FactorDistribution.from_atoms([(0.5, p),
+                                                      (-0.5, 1.0 - p)])])
 prices = TablePriceModel(1.0, 0.5, 1.0, func=lambda h: h[-1])
 far_reference = ReferenceDistribution.degenerate(500.0)
-vt = terminal_value(Preferences(ExponentialUtility(a, c_u=0.05),
-                                ArctanGainLoss.tight(0.25)), far_reference)
+vt = TerminalValue(Preferences(ExponentialUtility(a, c_u=0.05),
+                               ArctanGainLoss.tight(0.25)), far_reference)
 solution = solve_one_step(vt, prices, skewed.root, x=0.3, bracket=200.0)
 print("solver:", solution.position,
       " closed form:", math.log(p / (1.0 - p)) / a,

@@ -17,7 +17,7 @@ from refequil import (
     evaluate_self_value,
     find_equilibria,
     iterate_fixed_point,
-    reference_distribution,
+    terminal_wealth_law,
 )
 from refequil.config import fixture_path, load_config
 
@@ -36,7 +36,7 @@ print("equilibrium positions:", report.strategy.positions)
 print("self value:", report.value)
 
 # the reference its terminal wealth generates
-law = reference_distribution(market.tree, market.prices, report.strategy, x0)
+law = terminal_wealth_law(market.tree, market.prices, report.strategy, x0)
 print("reference atoms:", law.atoms())
 
 # multistart search with deduplication and preferred selection

@@ -10,11 +10,11 @@ guarantees.
 from .bestresponse import (
     OneStepSolution,
     Strategy,
+    TerminalValue,
     best_response,
-    gamma_big,
-    gamma_small,
+    one_step_objective,
     solve_one_step,
-    terminal_value,
+    terminal_wealth_law,
     value_recursion,
 )
 from .equilibrium import (
@@ -25,7 +25,6 @@ from .equilibrium import (
     evaluate_self_value,
     find_equilibria,
     iterate_fixed_point,
-    reference_distribution,
 )
 from .market import (
     FactorDistribution,
@@ -37,7 +36,6 @@ from .market import (
     DriftVolPriceModel,
     WealthPath,
     build_eex_model,
-    build_tree,
     check_uniform_no_arbitrage,
     estimate_hoelder_constant,
     hoelder_extend,
@@ -51,13 +49,13 @@ from .preferences import (
     ReferenceDistribution,
     StageEnvelopes,
     TabulatedUtility,
+    TerminalEnvelopes,
     Utility,
     build_envelope_stack,
     fold_hoelder,
     propagate_envelopes,
     satisfaction,
     strategy_bound,
-    terminal_envelopes,
     validate_preferences,
 )
 from .verify import CheckReport, run_suite

@@ -24,6 +24,7 @@ from .preferences import (
     ReferenceDistribution,
     StageEnvelopes,
     build_envelope_stack,
+    satisfaction,
 )
 
 
@@ -111,45 +112,26 @@ class Strategy:
 # one-step objective and its derivative
 # ---------------------------------------------------------------------------
 
-def gamma_big(v_next, prices: PriceModel, node: TreeNode, x: float,
-              h: float) -> float:
-    """Expected next-stage value of holding ``h`` at ``node`` with wealth x."""
+def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
+                       h: float) -> tuple[float, float, float]:
+    """Value, position derivative and curvature of the one-step objective.
+
+    Holding ``h`` at ``node`` with wealth ``x`` gives the expected
+    next-stage value Gamma(h) = E v(x + h f), its derivative
+    gamma(h) = E v'(x + h f) f and d gamma / dh = E v''(x + h f) f^2, which
+    is strictly negative on certified models.
+    """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    total = 0.0
+    big = small = slope = 0.0
     for child in node.children:
         f = prices.increment(child)
-        total += child.edge_prob * v_next.evaluate(child, x + h * f)[0]
-    return total
-
-
-def gamma_small(v_next, prices: PriceModel, node: TreeNode, x: float,
-                h: float) -> float:
-    """Derivative of the one-step objective in the position."""
-    if node.is_terminal:
-        raise SolveError("the one-step objective needs a non-terminal node")
-    total = 0.0
-    for child in node.children:
-        f = prices.increment(child)
-        total += child.edge_prob * v_next.evaluate(child, x + h * f)[1] * f
-    return total
-
-
-def _gamma_with_slope(v_next, prices, node, x, h) -> tuple[float, float]:
-    g = 0.0
-    slope = 0.0
-    for child in node.children:
-        f = prices.increment(child)
-        _, v1, v2 = v_next.evaluate(child, x + h * f)
-        g += child.edge_prob * v1 * f
-        slope += child.edge_prob * v2 * f * f
-    return g, slope
-
-
-def gamma_small_slope(v_next, prices: PriceModel, node: TreeNode, x: float,
-                      h: float) -> float:
-    """d(gamma_small)/dh; strictly negative on certified models."""
-    return _gamma_with_slope(v_next, prices, node, x, h)[1]
+        v, v1, v2 = v_next.evaluate(child, x + h * f)
+        p = child.edge_prob
+        big += p * v
+        small += p * v1 * f
+        slope += p * v2 * f * f
+    return big, small, slope
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +179,7 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     target = min(foc_tolerance * 1e-3, foc_tolerance)
 
     def g(h: float) -> tuple[float, float]:
-        return _gamma_with_slope(v_next, prices, node, x, h)
+        return one_step_objective(v_next, prices, node, x, h)[1:]
 
     evals = 0
     if initial is not None and abs(initial) < bracket and initial != 0.0:
@@ -303,20 +285,13 @@ class TerminalValue:
         self.reference = reference
         self._ref_u = np.asarray(preferences.utility.u(reference.wealths),
                                  dtype=float)
-        self._probs = reference.probs
 
     def evaluate(self, node: TreeNode | None, x: float
                  ) -> tuple[float, float, float]:
-        u = self.preferences.utility
-        nu = self.preferences.gain_loss
-        ux = float(u.u(float(x)))
-        dux = float(u.du(float(x)))
-        d2ux = float(u.d2u(float(x)))
-        gaps = ux - self._ref_u
-        value = ux + float(np.dot(self._probs, nu.nu(gaps)))
-        factor = 1.0 + float(np.dot(self._probs, nu.dnu(gaps)))
-        curve = float(np.dot(self._probs, nu.d2nu(gaps)))
-        return (value, dux * factor, d2ux * factor + dux * dux * curve)
+        return satisfaction(self.preferences.utility,
+                            self.preferences.gain_loss, float(x),
+                            self.reference, derivatives=True,
+                            ref_u=self._ref_u)
 
 
 class RecursiveValue:
@@ -389,8 +364,9 @@ class RecursiveValue:
 class GridValue:
     """Grid-cached stage value with monotone-cubic interpolation.
 
-    An accelerator behind the same evaluator interface; its values must be
-    spot-checked against the exact backing (see ``value_recursion``).
+    An accelerator behind the same evaluator interface.  Its values are
+    interpolated, not checked against the exact backing, and wealths
+    outside the grid are extrapolated silently.
     """
 
     def __init__(self, exact: RecursiveValue, nodes: Sequence[TreeNode],
@@ -411,12 +387,6 @@ class GridValue:
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
         v, v1, v2 = self._interp[node.id]
         return float(v(x)), float(v1(x)), float(v2(x))
-
-
-def terminal_value(preferences: Preferences,
-                   reference: ReferenceDistribution) -> TerminalValue:
-    """Stage-T evaluator for the given reference law."""
-    return TerminalValue(preferences, reference)
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
@@ -488,7 +458,7 @@ def best_response(market: Market, preferences: Preferences,
                                      prices.c_f, prices.chi, tree.horizon)
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
     values = value_recursion(tree, prices,
-                             terminal_value(preferences, reference), stack,
+                             TerminalValue(preferences, reference), stack,
                              foc_tolerance, backing=backing,
                              grid_points=grid_points, x0=x0, warm=warm)
     positions: dict[int, float] = {}

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bestresponse import Strategy, best_response
-from .config import ConfigError, RunConfig, load_config
+from .config import CertificationError, ConfigError, RunConfig, load_config
 from .equilibrium import certify_equilibrium, evaluate_self_value, find_equilibria
 from .market import tree_rows
 from .preferences import (
@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed-point residual tolerance")
         p.add_argument("--max-iters", type=int, default=None)
         p.add_argument("--starts", type=int, default=None)
-        p.add_argument("--backing", choices=("exact", "grid"), default=None)
-        p.add_argument("--grid-points", type=int, default=None)
         p.add_argument("--foc-tol", type=float, default=None)
 
     p_solve = sub.add_parser("solve", help="search for personal equilibria")
@@ -68,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_br)
     p_br.add_argument("--reference", required=True,
                       help="strategy CSV (node_id, depth, position)")
+    p_br.add_argument("--backing", choices=("exact", "grid"), default=None)
+    p_br.add_argument("--grid-points", type=int, default=None)
 
     p_cert = sub.add_parser("certify", help="certify a candidate equilibrium")
     common(p_cert)
@@ -96,8 +96,8 @@ def _overrides(args: argparse.Namespace) -> dict:
         "tolerance": args.tol,
         "max_iterations": getattr(args, "max_iters", None),
         "starts": args.starts,
-        "backing": args.backing,
-        "grid_points": args.grid_points,
+        "backing": getattr(args, "backing", None),
+        "grid_points": getattr(args, "grid_points", None),
         "foc_tolerance": getattr(args, "foc_tol", None),
     }
 
@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except CertificationError as exc:
+        print(f"market certification failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     gate = _gate(config)
     if gate != EXIT_OK:
         return gate

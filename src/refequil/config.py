@@ -21,10 +21,11 @@ from .equilibrium import EquilibriumConfig
 from .market import (
     FactorDistribution,
     Market,
+    MarketError,
     PriceModel,
+    ScenarioTree,
     TablePriceModel,
     build_eex_model,
-    build_tree,
     check_uniform_no_arbitrage,
 )
 from .preferences import (
@@ -39,6 +40,10 @@ from .preferences import (
 
 class ConfigError(ValueError):
     """Raised when a configuration file cannot be parsed or validated."""
+
+
+class CertificationError(ValueError):
+    """Raised when a drift/vol market fails its a-priori certificate."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def _build_market(section: dict) -> Market:
     variant = _require(price, "variant", "market.price")
     s0 = float(price.get("s0", 100.0))
     if variant == "table":
-        tree = build_tree(factors)
+        tree = ScenarioTree(factors)
         table = {}
         for key, value in _require(price, "increments", "market.price").items():
             path = tuple(int(k) for k in key.split("/")) if key else ()
@@ -137,13 +142,16 @@ def _build_market(section: dict) -> Market:
               in enumerate(_require(price, "mu", "market.price"))]
         sigma = [_coefficient(sg, "sigma", factors, t + 1) for t, sg
                  in enumerate(_require(price, "sigma", "market.price"))]
-        model, certificate = build_eex_model(
-            mu, sigma, factors,
-            beta=float(_require(price, "beta", "market.price")),
-            c=float(_require(price, "c", "market.price")),
-            C=float(_require(price, "C", "market.price")),
-            s0=s0, delta=float(price.get("delta", 1.0)))
-        return Market(build_tree(factors), model, certificate)
+        try:
+            model, certificate = build_eex_model(
+                mu, sigma, factors,
+                beta=float(_require(price, "beta", "market.price")),
+                c=float(_require(price, "c", "market.price")),
+                C=float(_require(price, "C", "market.price")),
+                s0=s0, delta=float(price.get("delta", 1.0)))
+        except MarketError as exc:
+            raise CertificationError(str(exc)) from exc
+        return Market(ScenarioTree(factors), model, certificate)
     raise ConfigError(f"unknown price variant {variant!r}")
 
 
@@ -182,7 +190,7 @@ def _build_solver(spec: dict) -> EquilibriumConfig:
     kwargs = {k: spec[k] for k in known if k in spec and spec[k] is not None}
     try:
         return EquilibriumConfig(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver configuration: {exc}") from exc
 
 
@@ -191,9 +199,12 @@ def load_config(path: str | Path,
     """Parse and validate a run configuration file.
 
     ``overrides`` replaces top-level or solver entries (used by the CLI
-    flags).  Raises :class:`ConfigError` on any parse or schema problem;
-    market certification and preference validation are the caller's
-    responsibility (they carry their own exit codes).
+    flags).  Raises :class:`ConfigError` on any parse or schema problem,
+    including values of the wrong type or out of range, and
+    :class:`CertificationError` when a drift/vol market fails the
+    conditions its builder certifies.  Certification of table markets and
+    preference validation are the caller's responsibility (they carry
+    their own exit codes).
     """
     path = Path(path)
     try:
@@ -202,28 +213,34 @@ def load_config(path: str | Path,
         raise ConfigError(f"configuration file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    if overrides:
-        raw = _merged(raw, overrides)
-
-    market = _build_market(_require(raw, "market", "configuration"))
-    prefs_spec = _require(raw, "preferences", "configuration")
-    preferences = Preferences(
-        _build_utility(_require(prefs_spec, "utility", "preferences")),
-        _build_gain_loss(_require(prefs_spec, "gain_loss", "preferences")))
-    solver_spec = dict(raw.get("solver", {}))
-    solver = _build_solver(solver_spec)
-    output = raw.get("output", {})
-    return RunConfig(
-        market=market,
-        preferences=preferences,
-        solver=solver,
-        initial_capital=float(raw.get("initial_capital", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        output_dir=Path(output.get("directory", "out")),
-        backing=str(solver_spec.get("backing", "exact")),
-        grid_points=int(solver_spec.get("grid_points", 129)),
-        raw=raw,
-    )
+    try:
+        if overrides:
+            raw = _merged(raw, overrides)
+        market = _build_market(_require(raw, "market", "configuration"))
+        prefs_spec = _require(raw, "preferences", "configuration")
+        preferences = Preferences(
+            _build_utility(_require(prefs_spec, "utility", "preferences")),
+            _build_gain_loss(_require(prefs_spec, "gain_loss",
+                                      "preferences")))
+        solver_spec = dict(raw.get("solver", {}))
+        solver = _build_solver(solver_spec)
+        output = raw.get("output", {})
+        return RunConfig(
+            market=market,
+            preferences=preferences,
+            solver=solver,
+            initial_capital=float(raw.get("initial_capital", 0.0)),
+            seed=int(raw.get("seed", 0)),
+            output_dir=Path(output.get("directory", "out")),
+            backing=str(solver_spec.get("backing", "exact")),
+            grid_points=int(solver_spec.get("grid_points", 129)),
+            raw=raw,
+        )
+    except (ConfigError, CertificationError):
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        # a value of the wrong JSON type or out of range for its field
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _merged(raw: dict, overrides: dict) -> dict:

@@ -24,20 +24,13 @@ from .preferences import (
     Preferences,
     ReferenceDistribution,
     build_envelope_stack,
+    satisfaction,
 )
 
 #: resolution of self-value comparisons (exact double sums of unit-scale terms)
 VALUE_TOL = 1e-12
-
-
-def reference_distribution(tree, prices, strategy, x0: float
-                           ) -> ReferenceDistribution:
-    """Law of the independent terminal-wealth copy generated by a strategy.
-
-    Atoms are (leaf wealth, path probability) with equal wealths merged;
-    exact on the finite tree.
-    """
-    return terminal_wealth_law(tree, prices, strategy, x0)
+#: gap entries per oracle row block (8 MB of float64)
+_ORACLE_BLOCK = 1 << 20
 
 
 def evaluate_self_value(market: Market, preferences: Preferences,
@@ -48,13 +41,9 @@ def evaluate_self_value(market: Market, preferences: Preferences,
     """
     tree, prices = market.tree, market.prices
     law = terminal_wealth_law(tree, prices, strategy, x0)
-    u = preferences.utility
-    nu = preferences.gain_loss
-    wealths = law.wealths
-    utilities = u.u(wealths)
-    gaps = utilities[:, None] - utilities[None, :]
-    inner = nu.nu(gaps) @ law.probs
-    return float(np.dot(law.probs, utilities + inner))
+    values = satisfaction(preferences.utility, preferences.gain_loss,
+                          law.wealths, law)
+    return float(np.dot(law.probs, values))
 
 
 @dataclass(frozen=True)
@@ -195,14 +184,13 @@ def _oracle_sweep(market: Market, preferences: Preferences,
             leaf_wealth[:, j] += positions[:, index[node.parent.id]] * f
             node = node.parent
     probs = np.asarray([leaf.prob for leaf in tree.leaves])
-    u = preferences.utility
-    nu = preferences.gain_loss
-    ref_u = u.u(reference.wealths)
-    wealth_u = u.u(leaf_wealth)
-    inner = np.zeros_like(wealth_u)
-    for b_u, q in zip(ref_u, reference.probs):
-        inner += q * nu.nu(wealth_u - b_u)
-    values = (wealth_u + inner) @ probs
+    # row blocks bound the (strategies, leaves, atoms) gap array of the
+    # kernel; each row's sum is independent of the blocking
+    rows = max(1, _ORACLE_BLOCK // (len(tree.leaves) * len(reference)))
+    values = np.concatenate([
+        satisfaction(preferences.utility, preferences.gain_loss,
+                     leaf_wealth[k:k + rows], reference)
+        for k in range(0, len(leaf_wealth), rows)]) @ probs
     k = int(np.argmax(values))
     best_positions = {node.id: float(positions[k, index[node.id]])
                       for node in interior}

@@ -197,11 +197,6 @@ class ScenarioTree:
         return node
 
 
-def build_tree(distributions: Sequence[FactorDistribution]) -> ScenarioTree:
-    """Materialise the product filtration of independent finite factors."""
-    return ScenarioTree(distributions)
-
-
 # ---------------------------------------------------------------------------
 # price models
 # ---------------------------------------------------------------------------
@@ -424,7 +419,7 @@ def build_eex_model(mu: Sequence[Callable | float],
     c_f = 5.0 * C * (1.0 + c_eps)
     model = DriftVolPriceModel(s0, mu, sigma, delta, c, C, c_f)
 
-    tree = build_tree(factor_dists)
+    tree = ScenarioTree(factor_dists)
     node_alphas: dict[int, float] = {}
     for node in tree.interior:
         t = node.depth

@@ -289,33 +289,43 @@ class ReferenceDistribution:
         return list(zip(self.wealths.tolist(), self.probs.tolist()))
 
 
-def satisfaction(utility: Utility, gain_loss: GainLoss, x: float,
-                 reference: ReferenceDistribution) -> float:
+def satisfaction(utility: Utility, gain_loss: GainLoss, x,
+                 reference: ReferenceDistribution, derivatives: bool = False,
+                 ref_u=None):
     """Overall satisfaction from wealth ``x`` against a reference law.
 
-    Direct utility plus the expected gain-loss comparison of utilities; the
-    expectation over the finitely supported reference is an exact sum.
+    Direct utility plus the expected gain-loss comparison of utilities,
+    U(x) + sum_j q_j nu(U(x) - U(b_j)); the expectation over the finitely
+    supported reference is an exact sum.  ``x`` is a float or an array of
+    any shape (evaluated elementwise).  With ``derivatives`` the result is
+    the triple (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu'').
+    ``ref_u`` passes precomputed reference utilities U(b_j).
     """
-    ux = utility.u(x)
-    gaps = ux - utility.u(reference.wealths)
-    return float(ux + np.dot(reference.probs, gain_loss.nu(gaps)))
-
-
-def satisfaction_d1(utility: Utility, gain_loss: GainLoss, x: float,
-                    reference: ReferenceDistribution) -> float:
-    """d/dx of satisfaction: U'(x) (1 + E[nu'(U(x) - U(B))])."""
-    gaps = utility.u(x) - utility.u(reference.wealths)
-    factor = 1.0 + np.dot(reference.probs, gain_loss.dnu(gaps))
-    return float(utility.du(x) * factor)
-
-
-def satisfaction_d2(utility: Utility, gain_loss: GainLoss, x: float,
-                    reference: ReferenceDistribution) -> float:
-    """Second derivative of satisfaction in x (exact sum)."""
-    gaps = utility.u(x) - utility.u(reference.wealths)
-    factor = 1.0 + np.dot(reference.probs, gain_loss.dnu(gaps))
-    curve = np.dot(reference.probs, gain_loss.d2nu(gaps))
-    return float(utility.d2u(x) * factor + utility.du(x) ** 2 * curve)
+    if ref_u is None:
+        ref_u = utility.u(reference.wealths)
+    probs = reference.probs
+    if type(x) is float:
+        # scalar fast path: the terminal evaluator calls this per probe
+        ux = float(utility.u(x))
+        gaps = ux - ref_u
+        value = ux + float(np.dot(probs, gain_loss.nu(gaps)))
+        if not derivatives:
+            return value
+        dux = float(utility.du(x))
+        d2ux = float(utility.d2u(x))
+        factor = 1.0 + float(np.dot(probs, gain_loss.dnu(gaps)))
+        curve = float(np.dot(probs, gain_loss.d2nu(gaps)))
+        return value, dux * factor, d2ux * factor + dux * dux * curve
+    ux = np.asarray(utility.u(x), dtype=float)
+    gaps = ux[..., None] - ref_u
+    value = ux + gain_loss.nu(gaps) @ probs
+    if not derivatives:
+        return value
+    dux = np.asarray(utility.du(x), dtype=float)
+    d2ux = np.asarray(utility.d2u(x), dtype=float)
+    factor = 1.0 + gain_loss.dnu(gaps) @ probs
+    curve = gain_loss.d2nu(gaps) @ probs
+    return value, dux * factor, d2ux * factor + dux * dux * curve
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +577,6 @@ class PropagatedEnvelopes(StageEnvelopes):
         return out
 
 
-def terminal_envelopes(preferences: Preferences,
-                       chi: float = 1.0) -> TerminalEnvelopes:
-    """Stage-T envelope bundle of the satisfaction value function."""
-    return TerminalEnvelopes(preferences, chi)
-
-
 def propagate_envelopes(prev: StageEnvelopes, alpha: float, c_f: float,
                         chi: float | None = None,
                         x_grid: Sequence[float] | None = None,
@@ -624,7 +628,7 @@ def build_envelope_stack(preferences: Preferences, alpha: float, c_f: float,
     scans are endpoint-inclusive and the scanned families are
     tail-monotone, so the resolution mainly affects interior detail.
     """
-    stack: list[StageEnvelopes] = [terminal_envelopes(preferences, chi)]
+    stack: list[StageEnvelopes] = [TerminalEnvelopes(preferences, chi)]
     for step in range(horizon):
         points = scan_points if step == 0 else deep_scan_points
         stack.append(propagate_envelopes(stack[-1], alpha, c_f,
@@ -846,10 +850,9 @@ def _elasticity_probe(utility: Utility, gain_loss: GainLoss,
     if pos.size == 0:
         return CheckOutcome("elasticity_probe", False, None,
                             "probe grid has no positive points")
-    values = np.asarray([satisfaction(utility, gain_loss, float(y), reference)
-                         for y in pos]) - shift
-    slopes = np.asarray([satisfaction_d1(utility, gain_loss, float(y),
-                                         reference) for y in pos])
+    values, slopes, _ = satisfaction(utility, gain_loss, pos, reference,
+                                     derivatives=True)
+    values = values - shift
     ok = pos * slopes < 0.5 * values
     holds_beyond = np.logical_and.accumulate(ok[::-1])[::-1]
     if not holds_beyond.any():

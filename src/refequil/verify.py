@@ -19,8 +19,7 @@ from .bestresponse import (
     RecursiveValue,
     Strategy,
     best_response,
-    gamma_big,
-    gamma_small_slope,
+    one_step_objective,
 )
 from .equilibrium import (
     VALUE_TOL,
@@ -251,8 +250,8 @@ def _check_curvature_floor(s: _Session) -> CheckReport:
             node, x = s.states[idx]
             cap = min(float(brackets[k]), 3.0)
             h = float(s.rng.uniform(-cap, cap))
-            slope = gamma_small_slope(s.values[depth + 1], s.prices, node,
-                                      x, h)
+            slope = one_step_objective(s.values[depth + 1], s.prices, node,
+                                       x, h)[2]
             count += 1
             margin = -slope - float(floors[k])
             if margin < worst:
@@ -337,7 +336,8 @@ def _check_dominance(s: _Session) -> CheckReport:
     states = s.states[: max(1, s.samples // 4)]
     for node, x in states:
         v = s.stage_value(node.depth).evaluate(node, x)[0]
-        zero = gamma_big(s.values[node.depth + 1], s.prices, node, x, 0.0)
+        zero = one_step_objective(s.values[node.depth + 1], s.prices, node,
+                                  x, 0.0)[0]
         margin = v - zero
         if margin < worst:
             worst, witness = margin, _fmt_witness(node=node.id, x=x)

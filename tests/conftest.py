@@ -5,8 +5,8 @@ from refequil.bestresponse import Strategy
 from refequil.market import (
     FactorDistribution,
     Market,
+    ScenarioTree,
     TablePriceModel,
-    build_tree,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -27,7 +27,7 @@ def last_coordinate_scaler(scale: float):
 @pytest.fixture(scope="session")
 def symmetric_market() -> Market:
     """Zero-drift T=2 binomial: increments +-0.5, certified at alpha 0.5."""
-    tree = build_tree([fair_coin(), fair_coin()])
+    tree = ScenarioTree([fair_coin(), fair_coin()])
     prices = TablePriceModel(100.0, 0.5, 1.0,
                              func=last_coordinate_scaler(0.5))
     return Market.assemble(tree, prices)
@@ -51,7 +51,7 @@ def symmetric_stack(symmetric_market, desk_prefs):
 def skewed_market() -> Market:
     """T=1 two-point market with up-probability 0.7 and unit spread."""
     dist = FactorDistribution.from_atoms([(0.5, 0.7), (-0.5, 0.3)])
-    tree = build_tree([dist])
+    tree = ScenarioTree([dist])
     prices = TablePriceModel(10.0, 0.5, 1.0,
                              func=last_coordinate_scaler(1.0))
     return Market.assemble(tree, prices)
@@ -84,7 +84,7 @@ def random_certified_instance(rng: np.random.Generator, horizon: int,
         p_up = float(rng.uniform(0.25, 0.45))
         atoms = [(move, p_up), (0.0, p_mid), (-move, 1.0 - p_up - p_mid)]
     dists = [FactorDistribution.from_atoms(atoms) for _ in range(horizon)]
-    tree = build_tree(dists)
+    tree = ScenarioTree(dists)
 
     scale = float(rng.uniform(0.3, 0.8))
     drifts = rng.uniform(-0.25, 0.25, size=horizon) * scale * move

@@ -15,9 +15,9 @@ import pytest
 
 from refequil.bestresponse import (
     Strategy,
+    TerminalValue,
     best_response,
     solve_one_step,
-    terminal_value,
 )
 from refequil.cli import main
 from refequil.config import fixture_path, load_config
@@ -29,8 +29,8 @@ from refequil.equilibrium import (
 )
 from refequil.market import (
     FactorDistribution,
+    ScenarioTree,
     TablePriceModel,
-    build_tree,
     hoelder_extend,
 )
 from refequil.preferences import (
@@ -220,11 +220,11 @@ def test_criterion_1_symmetric_fixed_point(tmp_path):
 def test_criterion_2_closed_form_best_response():
     p, a = 0.7, 1.3
     dist = FactorDistribution.from_atoms([(0.5, p), (-0.5, 1.0 - p)])
-    tree = build_tree([dist])
+    tree = ScenarioTree([dist])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=lambda e: e[-1])
     prefs = Preferences(ExponentialUtility(a, c_u=0.05),
                         ArctanGainLoss.tight(0.25))
-    vt = terminal_value(prefs, ReferenceDistribution.degenerate(500.0))
+    vt = TerminalValue(prefs, ReferenceDistribution.degenerate(500.0))
     started = time.perf_counter()
     sol = solve_one_step(vt, prices, tree.root, 0.3, bracket=200.0)
     elapsed = time.perf_counter() - started

@@ -7,12 +7,10 @@ from refequil.bestresponse import (
     GridValue,
     SolveError,
     Strategy,
+    TerminalValue,
     best_response,
-    gamma_big,
-    gamma_small,
-    gamma_small_slope,
+    one_step_objective,
     solve_one_step,
-    terminal_value,
     terminal_wealth_law,
     value_recursion,
 )
@@ -20,8 +18,8 @@ from refequil.market import (
     FactorDistribution,
     Market,
     MarketError,
+    ScenarioTree,
     TablePriceModel,
-    build_tree,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -45,7 +43,7 @@ class PlainExponential:
 
 @pytest.fixture(scope="module")
 def one_step_market():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(0.5))
     return Market.assemble(tree, prices)
 
@@ -59,54 +57,60 @@ def test_gamma_big_zero_position(one_step_market):
     v = PlainExponential()
     expected = sum(c.edge_prob * v.evaluate(c, 0.3)[0]
                    for c in tree.root.children)
-    assert gamma_big(v, prices, tree.root, 0.3, 0.0) == pytest.approx(expected)
+    got = one_step_objective(v, prices, tree.root, 0.3, 0.0)[0]
+    assert got == pytest.approx(expected)
 
 
 def test_gamma_big_matches_cosh_value(one_step_market):
     tree, prices = one_step_market.tree, one_step_market.prices
-    got = gamma_big(PlainExponential(), prices, tree.root, 0.0, 1.0)
+    got = one_step_objective(PlainExponential(), prices, tree.root, 0.0,
+                             1.0)[0]
     assert got == pytest.approx(-math.cosh(0.5), abs=1e-14)
 
 
 def test_gamma_big_respects_satisfaction_cap(one_step_market, desk_prefs):
     tree, prices = one_step_market.tree, one_step_market.prices
     ref = ReferenceDistribution([(0.4, 0.5), (-0.4, 0.5)])
-    vt = terminal_value(desk_prefs, ref)
+    vt = TerminalValue(desk_prefs, ref)
     cap = desk_prefs.satisfaction_cap
     for h in (-2.0, 0.0, 1.0, 5.0):
-        assert gamma_big(vt, prices, tree.root, 0.1, h) <= cap
+        assert one_step_objective(vt, prices, tree.root, 0.1, h)[0] <= cap
 
 
 def test_gamma_big_rejects_terminal_node(one_step_market):
     tree, prices = one_step_market.tree, one_step_market.prices
     with pytest.raises(SolveError):
-        gamma_big(PlainExponential(), prices, tree.leaves[0], 0.0, 0.0)
+        one_step_objective(PlainExponential(), prices, tree.leaves[0], 0.0,
+                           0.0)
 
 
 def test_gamma_small_vanishes_at_zero_for_symmetric_market(one_step_market):
     tree, prices = one_step_market.tree, one_step_market.prices
-    assert gamma_small(PlainExponential(), prices, tree.root, 0.2, 0.0) == 0.0
+    _, got, _ = one_step_objective(PlainExponential(), prices, tree.root,
+                                   0.2, 0.0)
+    assert got == 0.0
 
 
 def test_gamma_small_is_derivative_of_gamma_big(one_step_market, desk_prefs):
     tree, prices = one_step_market.tree, one_step_market.prices
     ref = ReferenceDistribution([(0.0, 0.3), (0.5, 0.7)])
-    vt = terminal_value(desk_prefs, ref)
+    vt = TerminalValue(desk_prefs, ref)
     step = 1e-6
     for x, h in ((0.0, 0.0), (0.4, 0.8), (-0.5, -1.2)):
-        fd = (gamma_big(vt, prices, tree.root, x, h + step)
-              - gamma_big(vt, prices, tree.root, x, h - step)) / (2 * step)
-        got = gamma_small(vt, prices, tree.root, x, h)
+        up = one_step_objective(vt, prices, tree.root, x, h + step)[0]
+        down = one_step_objective(vt, prices, tree.root, x, h - step)[0]
+        fd = (up - down) / (2 * step)
+        got = one_step_objective(vt, prices, tree.root, x, h)[1]
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_gamma_small_sign_change_over_bracket(one_step_market, desk_prefs,
                                               skewed_stack):
     tree, prices = one_step_market.tree, one_step_market.prices
-    vt = terminal_value(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
     k = float(skewed_stack[0].position_bound(0.0))
-    assert gamma_small(vt, prices, tree.root, 0.0, -k) >= 0.0
-    assert gamma_small(vt, prices, tree.root, 0.0, k) <= 0.0
+    assert one_step_objective(vt, prices, tree.root, 0.0, -k)[1] >= 0.0
+    assert one_step_objective(vt, prices, tree.root, 0.0, k)[1] <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ def test_gamma_small_sign_change_over_bracket(one_step_market, desk_prefs,
 
 def test_solver_returns_zero_for_symmetric_foc(one_step_market, desk_prefs):
     tree, prices = one_step_market.tree, one_step_market.prices
-    vt = terminal_value(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
     sol = solve_one_step(vt, prices, tree.root, 0.0, bracket=10.0)
     assert sol.position == 0.0
     assert sol.residual == 0.0
@@ -127,11 +131,11 @@ def test_solver_matches_closed_form(p, a):
     # with a reference beyond every reachable wealth, the comparison stays
     # on the linear branch and the optimizer has the exponential closed form
     dist = FactorDistribution.from_atoms([(0.5, p), (-0.5, 1.0 - p)])
-    tree = build_tree([dist])
+    tree = ScenarioTree([dist])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(1.0))
     prefs = Preferences(ExponentialUtility(a, c_u=0.05),
                         ArctanGainLoss.tight(0.25))
-    vt = terminal_value(prefs, ReferenceDistribution.degenerate(500.0))
+    vt = TerminalValue(prefs, ReferenceDistribution.degenerate(500.0))
     sol = solve_one_step(vt, prices, tree.root, 0.3, bracket=200.0)
     assert sol.position == pytest.approx(math.log(p / (1 - p)) / a, abs=1e-8)
     assert sol.residual <= 1e-10
@@ -139,8 +143,8 @@ def test_solver_matches_closed_form(p, a):
 
 def test_solver_warm_start_agrees_with_cold(skewed_market, desk_prefs):
     tree, prices = skewed_market.tree, skewed_market.prices
-    vt = terminal_value(desk_prefs, ReferenceDistribution([(0.3, 0.4),
-                                                           (-0.2, 0.6)]))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
+                                                          (-0.2, 0.6)]))
     cold = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0)
     warm = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
                           initial=cold.position + 1e-4)
@@ -150,7 +154,7 @@ def test_solver_warm_start_agrees_with_cold(skewed_market, desk_prefs):
 
 def test_solver_rejects_degenerate_bracket(one_step_market, desk_prefs):
     tree, prices = one_step_market.tree, one_step_market.prices
-    vt = terminal_value(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
     with pytest.raises(SolveError, match="bracket"):
         solve_one_step(vt, prices, tree.root, 0.0, bracket=0.0)
 
@@ -158,9 +162,9 @@ def test_solver_rejects_degenerate_bracket(one_step_market, desk_prefs):
 def test_solver_flags_one_sided_objective(desk_prefs):
     # increments all positive: the derivative keeps one sign and the solver
     # must clamp and flag instead of fabricating a root
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=lambda e: 0.25)
-    vt = terminal_value(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
     sol = solve_one_step(vt, prices, tree.root, 0.0, bracket=4.0)
     assert sol.clamped
     assert abs(sol.position) == pytest.approx(4.0)
@@ -174,7 +178,7 @@ def test_optimizer_stays_inside_position_bound():
         stack = build_envelope_stack(prefs, market.certificate.alpha_star,
                                      market.prices.c_f, market.prices.chi,
                                      market.horizon)
-        vt = terminal_value(prefs, ReferenceDistribution.degenerate(x0))
+        vt = TerminalValue(prefs, ReferenceDistribution.degenerate(x0))
         values = value_recursion(market.tree, market.prices, vt, stack)
         for node in market.tree.interior:
             x = x0 + float(rng.uniform(-1.0, 1.0))
@@ -189,7 +193,7 @@ def test_optimizer_stays_inside_position_bound():
 # ---------------------------------------------------------------------------
 
 def test_terminal_value_at_degenerate_reference(desk_prefs):
-    vt = terminal_value(desk_prefs, ReferenceDistribution.degenerate(1.2))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(1.2))
     v, v1, v2 = vt.evaluate(None, 1.2)
     assert v == pytest.approx(float(desk_prefs.utility.u(1.2)), abs=1e-15)
     assert v1 > 0.0 and v2 < 0.0
@@ -197,7 +201,7 @@ def test_terminal_value_at_degenerate_reference(desk_prefs):
 
 def test_terminal_derivatives_match_finite_differences(desk_prefs):
     ref = ReferenceDistribution([(0.0, 0.2), (0.7, 0.5), (-0.4, 0.3)])
-    vt = terminal_value(desk_prefs, ref)
+    vt = TerminalValue(desk_prefs, ref)
     step = 1e-5
     for x in (-1.0, 0.0, 0.9, 2.5):
         v, v1, v2 = vt.evaluate(None, x)
@@ -217,7 +221,7 @@ def test_terminal_value_bounded_by_cap(desk_prefs):
         probs[-1] = 1.0 - math.fsum(probs[:-1])
         ref = ReferenceDistribution(zip(wealths, probs))
         x = float(rng.uniform(-3, 3))
-        assert terminal_value(desk_prefs, ref).evaluate(None, x)[0] <= cap
+        assert TerminalValue(desk_prefs, ref).evaluate(None, x)[0] <= cap
 
 
 def test_one_period_recursion_collapses_to_single_solve(one_step_market,
@@ -225,11 +229,11 @@ def test_one_period_recursion_collapses_to_single_solve(one_step_market,
                                                         skewed_stack):
     tree, prices = one_step_market.tree, one_step_market.prices
     ref = ReferenceDistribution([(0.2, 0.5), (-0.2, 0.5)])
-    vt = terminal_value(desk_prefs, ref)
+    vt = TerminalValue(desk_prefs, ref)
     values = value_recursion(tree, prices, vt, skewed_stack)
     x = 0.15
     sol = values[0].solution(tree.root, x)
-    direct = gamma_big(vt, prices, tree.root, x, sol.position)
+    direct = one_step_objective(vt, prices, tree.root, x, sol.position)[0]
     assert values[0].evaluate(tree.root, x)[0] == pytest.approx(direct,
                                                                 abs=1e-14)
 
@@ -238,15 +242,16 @@ def test_value_dominates_zero_position(symmetric_market, desk_prefs,
                                        symmetric_stack):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution([(0.5, 0.4), (-0.5, 0.6)])
-    values = value_recursion(tree, prices, terminal_value(desk_prefs, ref),
+    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
                              symmetric_stack)
     rng = np.random.default_rng(5)
     for _ in range(25):
         node = tree.interior[int(rng.integers(0, len(tree.interior)))]
         x = float(rng.uniform(-1.5, 1.5))
         v = values[node.depth].evaluate(node, x)[0]
-        assert v >= gamma_big(values[node.depth + 1], prices, node, x, 0.0) \
-            - 1e-12
+        zero = one_step_objective(values[node.depth + 1], prices, node, x,
+                                  0.0)[0]
+        assert v >= zero - 1e-12
 
 
 def test_envelope_derivative_matches_finite_difference(symmetric_market,
@@ -254,7 +259,7 @@ def test_envelope_derivative_matches_finite_difference(symmetric_market,
                                                        symmetric_stack):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution([(0.4, 0.3), (0.0, 0.4), (-0.6, 0.3)])
-    values = value_recursion(tree, prices, terminal_value(desk_prefs, ref),
+    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
                              symmetric_stack)
     rng = np.random.default_rng(9)
     step = 1e-5
@@ -272,7 +277,7 @@ def test_curvature_floor_at_sampled_positions(symmetric_market, desk_prefs,
                                               symmetric_stack):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution.degenerate(0.0)
-    values = value_recursion(tree, prices, terminal_value(desk_prefs, ref),
+    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
                              symmetric_stack)
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -280,7 +285,8 @@ def test_curvature_floor_at_sampled_positions(symmetric_market, desk_prefs,
         x = float(rng.uniform(-1.0, 1.0))
         k = min(float(symmetric_stack[node.depth].position_bound(x)), 3.0)
         h = float(rng.uniform(-k, k))
-        slope = gamma_small_slope(values[node.depth + 1], prices, node, x, h)
+        slope = one_step_objective(values[node.depth + 1], prices, node, x,
+                                   h)[2]
         stage = symmetric_stack[node.depth]
         floor = prices.c_f ** 2 * float(stage.curve_floor(x))
         # the floor may saturate to zero far down the stack; its log form
@@ -293,7 +299,7 @@ def test_grid_backing_agrees_with_exact(symmetric_market, desk_prefs,
                                         symmetric_stack):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution([(0.3, 0.5), (-0.3, 0.5)])
-    vt = terminal_value(desk_prefs, ref)
+    vt = TerminalValue(desk_prefs, ref)
     exact = value_recursion(tree, prices, vt, symmetric_stack)
     grid = value_recursion(tree, prices, vt, symmetric_stack, backing="grid",
                            grid_points=161, grid_radius=2.0)
@@ -310,8 +316,8 @@ def test_value_recursion_rejects_unknown_backing(symmetric_market, desk_prefs,
                                                  symmetric_stack):
     with pytest.raises(SolveError, match="backing"):
         value_recursion(symmetric_market.tree, symmetric_market.prices,
-                        terminal_value(desk_prefs,
-                                       ReferenceDistribution.degenerate(0.0)),
+                        TerminalValue(desk_prefs,
+                                      ReferenceDistribution.degenerate(0.0)),
                         symmetric_stack, backing="magic")
 
 
@@ -381,7 +387,7 @@ def test_best_response_continuity_under_reference_perturbation(
 
 
 def test_best_response_refuses_uncertified_market(desk_prefs):
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     bad = Market.assemble(tree, TablePriceModel(1.0, 0.5, 1.0,
                                                 func=lambda e: 0.3))
     with pytest.raises(MarketError, match="not certified"):

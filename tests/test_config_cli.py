@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from refequil.cli import main
+from refequil.cli import build_parser, main
 from refequil.config import ConfigError, bundled_fixtures, fixture_path, load_config
 
 
@@ -63,8 +63,8 @@ def test_parse_errors(tmp_path):
         load_config(partial)
 
 
-def _patch_fixture(tmp_path, mutate) -> str:
-    raw = json.loads(fixture_path("symmetric_t2").read_text())
+def _patch_fixture(tmp_path, mutate, fixture="symmetric_t2") -> str:
+    raw = json.loads(fixture_path(fixture).read_text())
     mutate(raw)
     out = tmp_path / "config.json"
     out.write_text(json.dumps(raw))
@@ -121,6 +121,49 @@ def test_exit_code_preference_failure(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out",
                  str(tmp_path / "x")]) == 4
     assert "preference validation failed" in capsys.readouterr().err
+
+
+def _assign(value, *keys):
+    def mutate(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        raw[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("fixture,mutate,code,message", [
+    ("symmetric_t2", _assign(1.0, "market", "factors", 0, 0), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign("half", "solver", "damping"), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign("x", "preferences", "utility", "a"), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign(-1, "preferences", "utility", "a"), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign(5, "output"), 2, "configuration error"),
+    ("asymmetric_eex_t2", _assign(0.9, "market", "price", "beta"), 3,
+     "market certification failed"),
+], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
+        "output_number", "eex_tail_beta"])
+def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
+                                     message):
+    cfg = _patch_fixture(tmp_path, mutate, fixture)
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["certify", "--candidate", "c.csv"], ["verify"], ["report"]],
+    ids=["solve", "certify", "verify", "report"])
+@pytest.mark.parametrize("flag", [["--backing", "grid"],
+                                  ["--grid-points", "3"]],
+                         ids=["backing", "grid_points"])
+def test_grid_flags_only_on_best_response(symmetric_cfg, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command, "--config", str(symmetric_cfg),
+                                   *flag])
+    assert exc.value.code == 2
 
 
 def test_verify_command_passes_and_writes_csv(symmetric_cfg, tmp_path):

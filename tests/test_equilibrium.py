@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from refequil.bestresponse import Strategy, best_response
+from refequil.bestresponse import Strategy, best_response, terminal_wealth_law
 from refequil.equilibrium import (
     EquilibriumConfig,
     certify_equilibrium,
     evaluate_self_value,
     find_equilibria,
     iterate_fixed_point,
-    reference_distribution,
 )
 
 from conftest import zero_strategy
@@ -21,25 +20,25 @@ from conftest import zero_strategy
 # ---------------------------------------------------------------------------
 
 def test_zero_strategy_reference_is_degenerate(symmetric_market):
-    ref = reference_distribution(symmetric_market.tree,
-                                 symmetric_market.prices,
-                                 zero_strategy(symmetric_market), 1.7)
+    ref = terminal_wealth_law(symmetric_market.tree,
+                              symmetric_market.prices,
+                              zero_strategy(symmetric_market), 1.7)
     assert ref.atoms() == [(1.7, 1.0)]
 
 
 def test_one_period_unit_strategy_reference(skewed_market):
-    ref = reference_distribution(skewed_market.tree, skewed_market.prices,
-                                 Strategy.constant(skewed_market.tree, 1.0),
-                                 0.0)
+    ref = terminal_wealth_law(skewed_market.tree, skewed_market.prices,
+                              Strategy.constant(skewed_market.tree, 1.0),
+                              0.0)
     assert ref.atoms() == [(-0.5, pytest.approx(0.3)),
                            (0.5, pytest.approx(0.7))]
 
 
 def test_two_period_reference_merges_middle_paths(symmetric_market):
-    ref = reference_distribution(symmetric_market.tree,
-                                 symmetric_market.prices,
-                                 Strategy.constant(symmetric_market.tree, 1.0),
-                                 0.0)
+    ref = terminal_wealth_law(symmetric_market.tree,
+                              symmetric_market.prices,
+                              Strategy.constant(symmetric_market.tree, 1.0),
+                              0.0)
     assert [(w, pytest.approx(q)) for w, q in ref.atoms()] == \
         [(-1.0, pytest.approx(0.25)), (0.0, pytest.approx(0.5)),
          (1.0, pytest.approx(0.25))]
@@ -59,13 +58,13 @@ def test_self_value_of_zero_strategy_is_direct_utility(symmetric_market,
 def test_self_value_four_term_hand_sum():
     # T=1 fair +-0.5 with unit position: exact double sum over the two
     # terminal wealths and the two reference atoms, written out by hand
-    from refequil.market import (FactorDistribution, Market, TablePriceModel,
-                                 build_tree)
+    from refequil.market import (FactorDistribution, Market, ScenarioTree,
+                                 TablePriceModel)
     from refequil.preferences import (ArctanGainLoss, ExponentialUtility,
                                       Preferences)
 
     dist = FactorDistribution.from_atoms([(0.5, 0.5), (-0.5, 0.5)])
-    tree = build_tree([dist])
+    tree = ScenarioTree([dist])
     market = Market.assemble(tree, TablePriceModel(1.0, 0.5, 1.0,
                                                    func=lambda e: e[-1]))
     prefs = Preferences(ExponentialUtility(1.0, c_u=1.0),

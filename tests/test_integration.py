@@ -9,8 +9,8 @@ from refequil.equilibrium import EquilibriumConfig, find_equilibria
 from refequil.market import (
     FactorDistribution,
     Market,
+    ScenarioTree,
     TablePriceModel,
-    build_tree,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -30,7 +30,7 @@ def test_vector_factor_market_end_to_end():
     # the second only widens the history geometry
     dist = FactorDistribution.from_atoms([
         ((1.0, 0.5), 0.45), ((-1.0, 0.5), 0.45), ((0.0, -1.0), 0.1)])
-    tree = build_tree([dist, dist])
+    tree = ScenarioTree([dist, dist])
     assert tree.nodes[1].point.shape == (2,)
     assert tree.leaves[0].point.shape == (4,)
     prices = TablePriceModel(10.0, 0.5, 1.0,

@@ -10,9 +10,9 @@ from refequil.market import (
     FactorDistribution,
     Market,
     MarketError,
+    ScenarioTree,
     TablePriceModel,
     build_eex_model,
-    build_tree,
     check_uniform_no_arbitrage,
     estimate_hoelder_constant,
     hoelder_extend,
@@ -28,21 +28,21 @@ from conftest import fair_coin, last_coordinate_scaler
 # ---------------------------------------------------------------------------
 
 def test_one_period_fair_coin_tree():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     assert len(tree.levels[0]) == 1
     assert len(tree.leaves) == 2
     assert [leaf.prob for leaf in tree.leaves] == [0.5, 0.5]
 
 
 def test_two_period_fair_coin_tree():
-    tree = build_tree([fair_coin(), fair_coin()])
+    tree = ScenarioTree([fair_coin(), fair_coin()])
     assert len(tree.leaves) == 4
     assert all(leaf.prob == 0.25 for leaf in tree.leaves)
 
 
 def test_three_atom_product_probabilities():
     dist = FactorDistribution.from_atoms([(1.0, 0.3), (0.0, 0.3), (-1.0, 0.4)])
-    tree = build_tree([dist, dist])
+    tree = ScenarioTree([dist, dist])
     assert len(tree.leaves) == 9
     # independent oracle: enumerate all pairwise products
     expected = sorted(p * q for p, q in
@@ -54,7 +54,7 @@ def test_three_atom_product_probabilities():
 
 def test_tree_rejects_empty_and_bad_probabilities():
     with pytest.raises(MarketError):
-        build_tree([])
+        ScenarioTree([])
     with pytest.raises(MarketError):
         FactorDistribution.from_atoms([(1.0, 0.5), (-1.0, 0.4)])
 
@@ -71,7 +71,7 @@ def test_factor_needs_two_atoms_and_bound():
 # ---------------------------------------------------------------------------
 
 def test_no_arbitrage_symmetric_two_point():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(0.5))
     cert = check_uniform_no_arbitrage(tree, prices)
     assert cert.certified
@@ -80,14 +80,14 @@ def test_no_arbitrage_symmetric_two_point():
 
 def test_no_arbitrage_down_mass_binds():
     dist = FactorDistribution.from_atoms([(1.0, 0.9), (-1.0, 0.1)])
-    tree = build_tree([dist])
+    tree = ScenarioTree([dist])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(0.5))
     cert = check_uniform_no_arbitrage(tree, prices)
     assert cert.alpha_star == 0.1
 
 
 def test_no_arbitrage_violated_by_one_sided_increments():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=lambda e: 0.3)
     cert = check_uniform_no_arbitrage(tree, prices)
     assert not cert.certified
@@ -121,7 +121,7 @@ def test_eex_zero_drift_certificate():
                                   beta=0.4, c=1.0, C=1.0)
     assert cert.certified
     assert cert.alpha_star == 0.4
-    tree = build_tree([three_point()])
+    tree = ScenarioTree([three_point()])
     incs = sorted(model.increment(c) for c in tree.root.children)
     assert incs == pytest.approx([-2.5, 0.0, 2.5])
     # the a-priori level is confirmed by the exact scan
@@ -132,7 +132,7 @@ def test_eex_zero_drift_certificate():
 def test_eex_with_drift_keeps_level():
     model, cert = build_eex_model([0.1], [1.0], [three_point()],
                                   beta=0.4, c=1.0, C=1.1)
-    tree = build_tree([three_point()])
+    tree = ScenarioTree([three_point()])
     incs = sorted(model.increment(c) for c in tree.root.children)
     assert incs == pytest.approx([-2.4, 0.1, 2.6])
     assert cert.alpha_star == 0.4
@@ -237,7 +237,7 @@ def test_zero_strategy_keeps_capital(symmetric_market):
 
 
 def test_one_step_wealth_arithmetic():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(0.5))
     path = wealth(tree, prices, {tree.root.id: 2.0}, 10.0)
     assert sorted(path.node_wealth[leaf.id] for leaf in tree.leaves) == \
@@ -261,7 +261,7 @@ def test_wealth_missing_node_raises(symmetric_market):
 @given(h1=st.floats(-5, 5), h2=st.floats(-5, 5), g1=st.floats(-5, 5),
        g2=st.floats(-5, 5), x0=st.floats(-3, 3))
 def test_wealth_is_linear_in_the_strategy(h1, h2, g1, g2, x0):
-    tree = build_tree([fair_coin(), fair_coin()])
+    tree = ScenarioTree([fair_coin(), fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=last_coordinate_scaler(0.5))
     ids = [n.id for n in tree.interior]
     phi = {ids[0]: h1, ids[1]: h2, ids[2]: g1}
@@ -282,7 +282,7 @@ def test_wealth_is_linear_in_the_strategy(h1, h2, g1, g2, x0):
 
 def test_market_assembly_and_gate(symmetric_market):
     symmetric_market.require_certified()
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     bad = Market.assemble(tree, TablePriceModel(1.0, 0.5, 1.0,
                                                 func=lambda e: 0.25))
     with pytest.raises(MarketError, match="not certified"):
@@ -303,7 +303,7 @@ def test_tree_rows_schema(symmetric_market):
 
 
 def test_table_price_model_requires_full_table():
-    tree = build_tree([fair_coin()])
+    tree = ScenarioTree([fair_coin()])
     model = TablePriceModel(1.0, 1.0, 1.0, table={(0,): 0.5})
     with pytest.raises(MarketError, match="no increment"):
         check_uniform_no_arbitrage(tree, model)

@@ -13,13 +13,12 @@ from refequil.preferences import (
     Preferences,
     ReferenceDistribution,
     TabulatedUtility,
+    TerminalEnvelopes,
     build_envelope_stack,
     fold_hoelder,
     propagate_envelopes,
     satisfaction,
-    satisfaction_d1,
     strategy_bound,
-    terminal_envelopes,
     validate_preferences,
 )
 
@@ -80,8 +79,22 @@ def test_satisfaction_derivative_sandwich_fd():
               - satisfaction(EXP_U, WIDE_NU, x - step, ref)) / (2 * step)
         du = float(EXP_U.du(x))
         assert du * (1 - 1e-4) <= fd <= 3.0 * du * (1 + 1e-4)
-        analytic = satisfaction_d1(EXP_U, WIDE_NU, x, ref)
+        analytic = satisfaction(EXP_U, WIDE_NU, x, ref, derivatives=True)[1]
         assert fd == pytest.approx(analytic, rel=1e-4)
+
+
+def test_satisfaction_array_path_matches_scalar_path():
+    # the array path sums over the atoms in another order than the scalar
+    # path, so the two agree to a few ulps of the three-term sums
+    ref = ReferenceDistribution([(-0.4, 0.25), (0.1, 0.35), (0.9, 0.4)])
+    xs = np.linspace(-3.0, 4.0, 24).reshape(4, 6)
+    assert satisfaction(EXP_U, WIDE_NU, xs, ref).shape == xs.shape
+    arrays = satisfaction(EXP_U, WIDE_NU, xs, ref, derivatives=True)
+    for k, x in np.ndenumerate(xs):
+        scalars = satisfaction(EXP_U, WIDE_NU, float(x), ref,
+                               derivatives=True)
+        for got, want in zip(arrays, scalars):
+            assert got[k] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +127,7 @@ def test_tight_scale_balances_value_and_curvature_bounds():
 # ---------------------------------------------------------------------------
 
 def test_terminal_envelope_values():
-    term = terminal_envelopes(PREFS, chi=1.0)
+    term = TerminalEnvelopes(PREFS, chi=1.0)
     assert term.value_floor(0.0) == pytest.approx(-5.0)
     assert term.slope_floor(0.0) == pytest.approx(1.0)
     assert term.slope_cap(0.0) == pytest.approx(3.0)
@@ -127,7 +140,7 @@ def test_terminal_envelope_values():
 
 
 def test_position_bound_matches_hand_formula():
-    term = terminal_envelopes(PREFS, chi=1.0)
+    term = TerminalEnvelopes(PREFS, chi=1.0)
     stage = propagate_envelopes(term, alpha=0.5, c_f=1.0, x_grid=[0.0])
     assert stage.position_bound(0.0) == pytest.approx(28.0 + 8.0 * math.pi,
                                                       rel=1e-12)
@@ -161,7 +174,7 @@ def test_envelope_families_positive_in_log_space(desk_prefs):
 
 
 def test_wealth_window_brackets_centre():
-    term = terminal_envelopes(PREFS, chi=1.0)
+    term = TerminalEnvelopes(PREFS, chi=1.0)
     stage = propagate_envelopes(term, alpha=0.5, c_f=1.0)
     lo, hi = stage.wealth_window(0.4)
     assert lo < 0.4 < hi
@@ -172,13 +185,13 @@ def test_wealth_window_brackets_centre():
 def test_propagation_rejects_convex_utility():
     x = np.linspace(-2.0, 2.0, 41)
     convex = TabulatedUtility(x, x ** 2, 2 * x, np.full_like(x, 2.0), c_u=9.0)
-    term = terminal_envelopes(Preferences(convex, WIDE_NU), chi=1.0)
+    term = TerminalEnvelopes(Preferences(convex, WIDE_NU), chi=1.0)
     with pytest.raises(EnvelopeError, match="curvature floor"):
         propagate_envelopes(term, alpha=0.5, c_f=1.0, x_grid=[0.0])
 
 
 def test_propagation_rejects_bad_alpha_and_cf():
-    term = terminal_envelopes(PREFS, chi=1.0)
+    term = TerminalEnvelopes(PREFS, chi=1.0)
     with pytest.raises(EnvelopeError):
         propagate_envelopes(term, alpha=0.0, c_f=1.0)
     with pytest.raises(EnvelopeError):
@@ -303,7 +316,7 @@ def test_envelope_rows_schema():
 
 
 def test_propagation_checks_exponent_against_price_modulus():
-    term = terminal_envelopes(PREFS, chi=0.5)
+    term = TerminalEnvelopes(PREFS, chi=0.5)
     with pytest.raises(EnvelopeError, match="price exponent"):
         propagate_envelopes(term, alpha=0.5, c_f=1.0, chi=0.25)
     stage = propagate_envelopes(term, alpha=0.5, c_f=1.0, chi=0.5)

@@ -1,7 +1,7 @@
 import pytest
 
 from refequil.equilibrium import EquilibriumConfig
-from refequil.market import Market, TablePriceModel, build_tree
+from refequil.market import Market, ScenarioTree, TablePriceModel
 from refequil.verify import (
     INVARIANT_COVERAGE,
     SUITES,
@@ -53,7 +53,7 @@ def test_understated_modulus_is_caught(desk_prefs):
     # increments +-0.5 at history distance 2 with exponent 1/2 need a
     # constant of at least 1/2^0.5; 0.6 understates it while the uniform
     # bound stays valid, so only the modulus check trips
-    tree = build_tree([fair_coin(), fair_coin()])
+    tree = ScenarioTree([fair_coin(), fair_coin()])
     prices = TablePriceModel(1.0, 0.6, 0.5, func=last_coordinate_scaler(0.5))
     market = Market.assemble(tree, prices)
     market.require_certified()
