@@ -18,7 +18,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .market import Market, PriceModel, ScenarioTree, TreeNode, wealth
+from .market import (
+    ChildEdges,
+    Market,
+    PriceModel,
+    ScenarioTree,
+    TreeNode,
+    child_edges,
+    edge_table,
+    wealth,
+)
 from .preferences import (
     Preferences,
     ReferenceDistribution,
@@ -123,11 +132,28 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
+    return _objective(v_next, child_edges(prices, node), x, h)
+
+
+def _child_values(v_next, edges: ChildEdges, x: float, h: float
+                  ) -> list[tuple[float, float, float]]:
+    """Next-stage (v, v', v'') at every child's wealth ``x + h f``.
+
+    A terminal next stage is evaluated once over all children; any other
+    evaluator is asked child by child.
+    """
+    wealths = [x + h * f for f in edges.increments]
+    if isinstance(v_next, TerminalValue):
+        return v_next.evaluate(edges.children, wealths)
+    return [v_next.evaluate(child, w)
+            for child, w in zip(edges.children, wealths)]
+
+
+def _objective(v_next, edges: ChildEdges, x: float, h: float
+               ) -> tuple[float, float, float]:
     big = small = slope = 0.0
-    for child in node.children:
-        f = prices.increment(child)
-        v, v1, v2 = v_next.evaluate(child, x + h * f)
-        p = child.edge_prob
+    for (v, v1, v2), f, p in zip(_child_values(v_next, edges, x, h),
+                                 edges.increments, edges.probs):
         big += p * v
         small += p * v1 * f
         slope += p * v2 * f * f
@@ -150,6 +176,9 @@ class OneStepSolution:
     #: cannot happen on a certified model; the returned position is the
     #: better bracket endpoint
     clamped: bool = False
+    #: set when the safeguarded Newton loop used up ``max_iterations``
+    #: without meeting its target; the returned position is the best iterate
+    exhausted: bool = False
 
 
 def _sign(value: float) -> int:
@@ -163,7 +192,8 @@ def _sign(value: float) -> int:
 def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
                    bracket: float, foc_tolerance: float = 1e-10,
                    max_iterations: int = 100,
-                   initial: float | None = None) -> OneStepSolution:
+                   initial: float | None = None,
+                   edges: ChildEdges | None = None) -> OneStepSolution:
     """Unique maximizer of the one-step objective at ``(node, x)``.
 
     The first-order condition is strictly decreasing in the position, so a
@@ -173,13 +203,18 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     far below ``foc_tolerance`` as double precision allows.  ``initial``
     seeds a short unsafeguarded Newton burst (worth it when a nearby
     problem was just solved); the bracketed flow is the fallback.
+    ``edges`` passes the node's row of a precomputed :func:`edge_table`.
     """
     if not bracket > 0.0:
         raise SolveError(f"degenerate position bracket {bracket!r}")
+    if node.is_terminal:
+        raise SolveError("the one-step objective needs a non-terminal node")
+    if edges is None:
+        edges = child_edges(prices, node)
     target = min(foc_tolerance * 1e-3, foc_tolerance)
 
     def g(h: float) -> tuple[float, float]:
-        return one_step_objective(v_next, prices, node, x, h)[1:]
+        return _objective(v_next, edges, x, h)[1:]
 
     evals = 0
     if initial is not None and abs(initial) < bracket and initial != 0.0:
@@ -263,6 +298,9 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
             h = newton
         else:
             h = 0.5 * (lo + hi)
+    else:
+        return OneStepSolution(best_h, best_res, (-bracket, bracket), evals,
+                               exhausted=True)
     return OneStepSolution(best_h, best_res, (-bracket, bracket), evals)
 
 
@@ -275,6 +313,8 @@ class TerminalValue:
 
     Independent of the history; the evaluator returns the value and its
     first two derivatives in wealth as exact sums over the reference atoms.
+    A list of wealths (the children of one node) gives a list of triples
+    from one kernel call, each equal to its single-wealth evaluation.
     """
 
     stage: int | None = None
@@ -286,10 +326,11 @@ class TerminalValue:
         self._ref_u = np.asarray(preferences.utility.u(reference.wealths),
                                  dtype=float)
 
-    def evaluate(self, node: TreeNode | None, x: float
-                 ) -> tuple[float, float, float]:
+    def evaluate(self, node: TreeNode | Sequence[TreeNode] | None,
+                 x: float | list[float]):
         return satisfaction(self.preferences.utility,
-                            self.preferences.gain_loss, float(x),
+                            self.preferences.gain_loss,
+                            x if type(x) is list else float(x),
                             self.reference, derivatives=True,
                             ref_u=self._ref_u)
 
@@ -308,7 +349,8 @@ class RecursiveValue:
     def __init__(self, prices: PriceModel, next_value,
                  bracket_fn: Callable[[float], float],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
-                 warm: dict[int, float] | None = None) -> None:
+                 warm: dict[int, float] | None = None,
+                 edges: dict[int, ChildEdges] | None = None) -> None:
         self.prices = prices
         self.next_value = next_value
         self.bracket_fn = bracket_fn
@@ -316,8 +358,16 @@ class RecursiveValue:
         self.stage = stage
         #: last optimizer per node, shared across rebuilds to seed Newton
         self.warm = warm if warm is not None else {}
+        #: :func:`edge_table` rows, filled on first use when not passed
+        self.edges = edges if edges is not None else {}
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
+
+    def _edges(self, node: TreeNode) -> ChildEdges:
+        row = self.edges.get(node.id)
+        if row is None:
+            row = self.edges[node.id] = child_edges(self.prices, node)
+        return row
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
         key = (node.id, float(x))
@@ -326,7 +376,8 @@ class RecursiveValue:
             hit = solve_one_step(self.next_value, self.prices, node, x,
                                  float(self.bracket_fn(x)),
                                  self.foc_tolerance,
-                                 initial=self.warm.get(node.id))
+                                 initial=self.warm.get(node.id),
+                                 edges=self._edges(node))
             self._solutions[key] = hit
             self.warm[node.id] = hit.position
         return hit
@@ -337,15 +388,15 @@ class RecursiveValue:
         if hit is not None:
             return hit
         h = self.solution(node, x).position
+        edges = self._edges(node)
         value = 0.0
         slope = 0.0
         dgam_dx = 0.0
         dgam_dh = 0.0
         triples = []
-        for child in node.children:
-            f = self.prices.increment(child)
-            v, v1, v2 = self.next_value.evaluate(child, x + h * f)
-            p = child.edge_prob
+        for (v, v1, v2), f, p in zip(
+                _child_values(self.next_value, edges, x, h),
+                edges.increments, edges.probs):
             value += p * v
             slope += p * v1
             dgam_dx += p * v2 * f
@@ -397,16 +448,21 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     grid_points: int = 129,
                     grid_radius: float | None = None,
                     x0: float = 0.0,
-                    warm: dict[int, float] | None = None) -> list:
+                    warm: dict[int, float] | None = None,
+                    edges: dict[int, ChildEdges] | None = None) -> list:
     """Evaluators for stages 0..T (index = stage).
 
     ``backing='exact'`` chains on-demand recursion (the ground truth);
     ``backing='grid'`` caches each stage on a per-node wealth grid spanning
     ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
     one-step problems exactly; only next-stage evaluations interpolate.
+    Every stage reads one :func:`edge_table` (``edges``, built here when not
+    passed).
     """
     if backing not in ("exact", "grid"):
         raise SolveError(f"unknown backing {backing!r}")
+    if edges is None:
+        edges = edge_table(tree, prices)
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
     if backing == "grid":
@@ -417,7 +473,7 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     for t in range(tree.horizon - 1, -1, -1):
         exact = RecursiveValue(prices, values[t + 1],
                                stack[t].position_bound, foc_tolerance,
-                               stage=t, warm=warm)
+                               stage=t, warm=warm, edges=edges)
         if backing == "grid":
             values[t] = GridValue(exact, tree.levels[t], x_grid)
         else:
@@ -457,10 +513,12 @@ def best_response(market: Market, preferences: Preferences,
                                      market.certificate.alpha_star,
                                      prices.c_f, prices.chi, tree.horizon)
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
+    edges = edge_table(tree, prices)
     values = value_recursion(tree, prices,
                              TerminalValue(preferences, reference), stack,
                              foc_tolerance, backing=backing,
-                             grid_points=grid_points, x0=x0, warm=warm)
+                             grid_points=grid_points, x0=x0, warm=warm,
+                             edges=edges)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
@@ -471,6 +529,7 @@ def best_response(market: Market, preferences: Preferences,
         else:
             sol = stage_value.solution(node, x)
         positions[node.id] = sol.position
-        for child in node.children:
-            node_wealth[child.id] = x + sol.position * prices.increment(child)
+        row = edges[node.id]
+        for child, f in zip(row.children, row.increments):
+            node_wealth[child.id] = x + sol.position * f
     return Strategy(positions), values

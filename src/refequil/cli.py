@@ -277,7 +277,8 @@ def _cmd_report(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, _overrides(args))
+        config = load_config(args.config, _overrides(args),
+                             grid_settings=args.command == "best-response")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_PARSE

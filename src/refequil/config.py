@@ -180,11 +180,15 @@ def _build_gain_loss(spec: dict) -> GainLoss:
     raise ConfigError(f"unknown gain-loss family {family!r}")
 
 
+#: solver keys read only by the ``best-response`` command
+GRID_KEYS = ("backing", "grid_points")
+
+
 def _build_solver(spec: dict) -> EquilibriumConfig:
     known = {"damping", "tolerance", "max_iterations", "starts",
              "start_radius", "foc_tolerance", "oracle_resolution",
              "oracle_cap", "oracle_radius", "dedup_factor"}
-    unknown = set(spec) - known - {"backing", "grid_points"}
+    unknown = set(spec) - known - set(GRID_KEYS)
     if unknown:
         raise ConfigError(f"unknown solver keys {sorted(unknown)}")
     kwargs = {k: spec[k] for k in known if k in spec and spec[k] is not None}
@@ -195,12 +199,15 @@ def _build_solver(spec: dict) -> EquilibriumConfig:
 
 
 def load_config(path: str | Path,
-                overrides: dict | None = None) -> RunConfig:
+                overrides: dict | None = None,
+                grid_settings: bool = True) -> RunConfig:
     """Parse and validate a run configuration file.
 
     ``overrides`` replaces top-level or solver entries (used by the CLI
-    flags).  Raises :class:`ConfigError` on any parse or schema problem,
-    including values of the wrong type or out of range, and
+    flags).  With ``grid_settings`` false, a solver block that sets one of
+    :data:`GRID_KEYS` is an error (for commands that never read them).
+    Raises :class:`ConfigError` on any parse or schema problem, including
+    values of the wrong type or out of range, and
     :class:`CertificationError` when a drift/vol market fails the
     conditions its builder certifies.  Certification of table markets and
     preference validation are the caller's responsibility (they carry
@@ -224,6 +231,11 @@ def load_config(path: str | Path,
                                       "preferences")))
         solver_spec = dict(raw.get("solver", {}))
         solver = _build_solver(solver_spec)
+        if not grid_settings:
+            stray = [k for k in GRID_KEYS if solver_spec.get(k) is not None]
+            if stray:
+                raise ConfigError(f"solver keys {stray} apply only to the "
+                                  "best-response command")
         output = raw.get("output", {})
         return RunConfig(
             market=market,

@@ -532,6 +532,38 @@ def estimate_hoelder_constant(f: Callable[[float | Sequence[float]], float],
 
 
 # ---------------------------------------------------------------------------
+# per-tree edge table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChildEdges:
+    """The edges out of one interior node, in child order."""
+
+    children: tuple[TreeNode, ...]
+    #: price increment carried by the edge into each child
+    increments: tuple[float, ...]
+    #: conditional probability of each child
+    probs: tuple[float, ...]
+
+
+def child_edges(prices: PriceModel, node: TreeNode) -> ChildEdges:
+    """Children, increments and edge probabilities of one node."""
+    children = tuple(node.children)
+    return ChildEdges(children, tuple(prices.increment(c) for c in children),
+                      tuple(c.edge_prob for c in children))
+
+
+def edge_table(tree: ScenarioTree, prices: PriceModel
+               ) -> dict[int, ChildEdges]:
+    """:func:`child_edges` of every interior node, keyed by node id.
+
+    Built once per solve so that the recursion reads each edge's increment
+    instead of recomputing it at every probe.
+    """
+    return {node.id: child_edges(prices, node) for node in tree.interior}
+
+
+# ---------------------------------------------------------------------------
 # wealth accounting
 # ---------------------------------------------------------------------------
 

@@ -296,26 +296,38 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
 
     Direct utility plus the expected gain-loss comparison of utilities,
     U(x) + sum_j q_j nu(U(x) - U(b_j)); the expectation over the finitely
-    supported reference is an exact sum.  ``x`` is a float or an array of
-    any shape (evaluated elementwise).  With ``derivatives`` the result is
-    the triple (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu'').
-    ``ref_u`` passes precomputed reference utilities U(b_j).
+    supported reference is an exact sum.  ``x`` is a float, a list of
+    floats (one result per element) or an array of any shape (evaluated
+    elementwise).  With ``derivatives`` the result is the triple
+    (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu'').  ``ref_u`` passes
+    precomputed reference utilities U(b_j).
     """
     if ref_u is None:
         ref_u = utility.u(reference.wealths)
     probs = reference.probs
-    if type(x) is float:
-        # scalar fast path: the terminal evaluator calls this per probe
-        ux = float(utility.u(x))
-        gaps = ux - ref_u
-        value = ux + float(np.dot(probs, gain_loss.nu(gaps)))
-        if not derivatives:
-            return value
-        dux = float(utility.du(x))
-        d2ux = float(utility.d2u(x))
-        factor = 1.0 + float(np.dot(probs, gain_loss.dnu(gaps)))
-        curve = float(np.dot(probs, gain_loss.d2nu(gaps)))
-        return value, dux * factor, d2ux * factor + dux * dux * curve
+    if type(x) is float or type(x) is list:
+        # scalar fast path; the terminal evaluator passes the wealths of a
+        # node's children as one list.  U, U', U'' take the utility's scalar
+        # path per element and each row of the (elements x atoms) gap matrix
+        # is reduced on its own, so an element of a list equals the float
+        # call bit for bit.
+        batch = [float(w) for w in x] if type(x) is list else [x]
+        ux = [float(utility.u(w)) for w in batch]
+        gaps = np.subtract.outer(ux, ref_u)
+        values = [u + float(np.dot(probs, row))
+                  for u, row in zip(ux, gain_loss.nu(gaps))]
+        if derivatives:
+            triples = []
+            for w, value, dnu_row, d2nu_row in zip(
+                    batch, values, gain_loss.dnu(gaps), gain_loss.d2nu(gaps)):
+                dux = float(utility.du(w))
+                d2ux = float(utility.d2u(w))
+                factor = 1.0 + float(np.dot(probs, dnu_row))
+                curve = float(np.dot(probs, d2nu_row))
+                triples.append((value, dux * factor,
+                                d2ux * factor + dux * dux * curve))
+            values = triples
+        return values if type(x) is list else values[0]
     ux = np.asarray(utility.u(x), dtype=float)
     gaps = ux[..., None] - ref_u
     value = ux + gain_loss.nu(gaps) @ probs
@@ -766,14 +778,18 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
         raise PreferenceError("the probe grid needs at least 3 points")
     checks: list[CheckOutcome] = []
 
-    du = np.asarray(utility.du(grid), dtype=float)
-    d2u = np.asarray(utility.d2u(grid), dtype=float)
+    # signs are read in log space, where U' and U'' do not underflow: U' > 0
+    # (U'' < 0) exactly where log U' (log -U'') is a number above -inf
+    with np.errstate(invalid="ignore"):
+        flat = ~(np.asarray(utility.log_du(grid), dtype=float) > -np.inf)
+        convex = ~(np.asarray(utility.log_neg_d2u(grid), dtype=float)
+                   > -np.inf)
     uvals = np.asarray(utility.u(grid), dtype=float)
-    checks.append(CheckOutcome("utility_increasing", bool(np.all(du > 0.0)),
-                               _first_failure(grid, du <= 0.0)))
+    checks.append(CheckOutcome("utility_increasing", bool(not np.any(flat)),
+                               _first_failure(grid, flat)))
     checks.append(CheckOutcome("utility_strictly_concave",
-                               bool(np.all(d2u < 0.0)),
-                               _first_failure(grid, d2u >= 0.0)))
+                               bool(not np.any(convex)),
+                               _first_failure(grid, convex)))
     checks.append(CheckOutcome("utility_bounded",
                                bool(np.all(uvals <= utility.c_u)),
                                _first_failure(grid, uvals > utility.c_u)))

@@ -58,7 +58,7 @@ def test_gamma_big_zero_position(one_step_market):
     expected = sum(c.edge_prob * v.evaluate(c, 0.3)[0]
                    for c in tree.root.children)
     got = one_step_objective(v, prices, tree.root, 0.3, 0.0)[0]
-    assert got == pytest.approx(expected)
+    assert got == expected
 
 
 def test_gamma_big_matches_cosh_value(one_step_market):
@@ -82,6 +82,33 @@ def test_gamma_big_rejects_terminal_node(one_step_market):
     with pytest.raises(SolveError):
         one_step_objective(PlainExponential(), prices, tree.leaves[0], 0.0,
                            0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_objective_equals_per_child_terminal_sum(seed):
+    # the objective evaluates a terminal next stage once over all children;
+    # each sum must equal the child-by-child evaluation bit for bit
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, 1 + seed % 3,
+                                                  2 + seed % 2)
+    tree, prices = market.tree, market.prices
+    reference = Strategy({n.id: float(rng.uniform(-1.0, 1.0))
+                          for n in tree.interior})
+    vt = TerminalValue(prefs, terminal_wealth_law(tree, prices, reference,
+                                                  x0))
+    for node in tree.levels[-2]:
+        x = x0 + float(rng.uniform(-1.0, 1.0))
+        h = float(rng.uniform(-2.0, 2.0))
+        big = small = slope = 0.0
+        for child in node.children:
+            f = prices.increment(child)
+            v, v1, v2 = vt.evaluate(child, x + h * f)
+            p = child.edge_prob
+            big += p * v
+            small += p * v1 * f
+            slope += p * v2 * f * f
+        assert one_step_objective(vt, prices, node, x, h) == (big, small,
+                                                              slope)
 
 
 def test_gamma_small_vanishes_at_zero_for_symmetric_market(one_step_market):
@@ -150,6 +177,18 @@ def test_solver_warm_start_agrees_with_cold(skewed_market, desk_prefs):
                           initial=cold.position + 1e-4)
     assert warm.position == pytest.approx(cold.position, abs=1e-10)
     assert warm.iterations <= cold.iterations
+
+
+def test_solver_flags_exhausted_iteration_budget(skewed_market, desk_prefs):
+    tree, prices = skewed_market.tree, skewed_market.prices
+    vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
+                                                          (-0.2, 0.6)]))
+    short = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
+                           max_iterations=1)
+    full = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0)
+    assert short.exhausted
+    assert short.residual > full.residual
+    assert not full.exhausted
 
 
 def test_solver_rejects_degenerate_bracket(one_step_market, desk_prefs):

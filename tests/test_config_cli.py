@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from refequil.cli import build_parser, main
 from refequil.config import ConfigError, bundled_fixtures, fixture_path, load_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,35 @@ def test_grid_flags_only_on_best_response(symmetric_cfg, command, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["certify", "--candidate", "c.csv"], ["verify"], ["report"]],
+    ids=["solve", "certify", "verify", "report"])
+@pytest.mark.parametrize("key,value", [("backing", "grid"),
+                                       ("grid_points", 3)],
+                         ids=["backing", "grid_points"])
+def test_grid_solver_keys_only_on_best_response(tmp_path, capsys, command,
+                                                key, value):
+    cfg = _patch_fixture(tmp_path, _assign(value, "solver", key))
+    assert main([*command, "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
+def test_best_response_reads_grid_solver_keys(tmp_path):
+    def mutate(raw):
+        raw["solver"].update({"backing": "grid", "grid_points": 101})
+    cfg = _patch_fixture(tmp_path, mutate)
+    config = load_config(cfg)
+    assert (config.backing, config.grid_points) == ("grid", 101)
+    reference = tmp_path / "zero.csv"
+    reference.write_text("node_id,depth,position\n" + "".join(
+        f"{node.id},{node.depth},0.0\n"
+        for node in config.market.tree.interior))
+    assert main(["best-response", "--config", cfg, "--out",
+                 str(tmp_path / "br"), "--reference", str(reference)]) == 0
+
+
 def test_verify_command_passes_and_writes_csv(symmetric_cfg, tmp_path):
     out = tmp_path / "v"
     code = main(["verify", "--config", str(symmetric_cfg), "--seed", "3",
@@ -222,9 +254,10 @@ def test_report_command_replays_summary(symmetric_cfg, tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "refequil.cli", "--help"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
 

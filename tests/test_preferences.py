@@ -97,6 +97,20 @@ def test_satisfaction_array_path_matches_scalar_path():
             assert got[k] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 1.0)),
+                      min_size=1, max_size=200),
+       xs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4),
+       derivatives=st.booleans())
+def test_satisfaction_list_path_matches_float_path(atoms, xs, derivatives):
+    total = math.fsum(q for _, q in atoms)
+    ref = ReferenceDistribution([(w, q / total) for w, q in atoms])
+    batch = satisfaction(EXP_U, WIDE_NU, list(xs), ref, derivatives)
+    assert len(batch) == len(xs)
+    for got, x in zip(batch, xs):
+        assert got == satisfaction(EXP_U, WIDE_NU, x, ref, derivatives)
+
+
 # ---------------------------------------------------------------------------
 # gain-loss family structure
 # ---------------------------------------------------------------------------
@@ -225,6 +239,25 @@ class _SteepGainLoss(ArctanGainLoss):
     def dnu(self, x):
         base = np.asarray(super().dnu(x))
         return np.where(np.asarray(x) > 0.0, 1.5 * self.k_minus, base)
+
+
+def test_validator_passes_exponential_utility_at_large_capital():
+    # U' and U'' underflow to 0 far right of the origin; the sign checks
+    # read them in log space (the CLI probe grid at capital 800)
+    grid = np.linspace(-5.0, 860.0, 801)
+    assert float(EXP_U.du(grid[-1])) == 0.0
+    report = validate_preferences(EXP_U, WIDE_NU, grid)
+    assert report.passed, [c.name for c in report.failed()]
+
+
+def test_validator_flags_convex_utility():
+    x = np.linspace(-2.0, 2.0, 41)
+    convex = TabulatedUtility(x, x ** 2 - 9.0, 2 * x, np.full_like(x, 2.0),
+                              c_u=9.0)
+    report = validate_preferences(convex, WIDE_NU, np.linspace(-1.5, 1.5, 31))
+    failed = {c.name for c in report.failed()}
+    assert "utility_strictly_concave" in failed
+    assert "utility_increasing" in failed
 
 
 def test_validator_flags_slope_violation():
