@@ -348,9 +348,9 @@ class RecursiveValue:
 
     def __init__(self, prices: PriceModel, next_value,
                  bracket_fn: Callable[[float], float],
+                 edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
-                 warm: dict[int, float] | None = None,
-                 edges: dict[int, ChildEdges] | None = None) -> None:
+                 warm: dict[int, float] | None = None) -> None:
         self.prices = prices
         self.next_value = next_value
         self.bracket_fn = bracket_fn
@@ -358,16 +358,10 @@ class RecursiveValue:
         self.stage = stage
         #: last optimizer per node, shared across rebuilds to seed Newton
         self.warm = warm if warm is not None else {}
-        #: :func:`edge_table` rows, filled on first use when not passed
-        self.edges = edges if edges is not None else {}
+        #: the tree's :func:`edge_table`
+        self.edges = edges
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
-
-    def _edges(self, node: TreeNode) -> ChildEdges:
-        row = self.edges.get(node.id)
-        if row is None:
-            row = self.edges[node.id] = child_edges(self.prices, node)
-        return row
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
         key = (node.id, float(x))
@@ -377,7 +371,7 @@ class RecursiveValue:
                                  float(self.bracket_fn(x)),
                                  self.foc_tolerance,
                                  initial=self.warm.get(node.id),
-                                 edges=self._edges(node))
+                                 edges=self.edges[node.id])
             self._solutions[key] = hit
             self.warm[node.id] = hit.position
         return hit
@@ -388,7 +382,7 @@ class RecursiveValue:
         if hit is not None:
             return hit
         h = self.solution(node, x).position
-        edges = self._edges(node)
+        edges = self.edges[node.id]
         value = 0.0
         slope = 0.0
         dgam_dx = 0.0
@@ -448,21 +442,18 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     grid_points: int = 129,
                     grid_radius: float | None = None,
                     x0: float = 0.0,
-                    warm: dict[int, float] | None = None,
-                    edges: dict[int, ChildEdges] | None = None) -> list:
+                    warm: dict[int, float] | None = None) -> list:
     """Evaluators for stages 0..T (index = stage).
 
     ``backing='exact'`` chains on-demand recursion (the ground truth);
     ``backing='grid'`` caches each stage on a per-node wealth grid spanning
     ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
     one-step problems exactly; only next-stage evaluations interpolate.
-    Every stage reads one :func:`edge_table` (``edges``, built here when not
-    passed).
+    Every stage reads one :func:`edge_table` built here.
     """
     if backing not in ("exact", "grid"):
         raise SolveError(f"unknown backing {backing!r}")
-    if edges is None:
-        edges = edge_table(tree, prices)
+    edges = edge_table(tree, prices)
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
     if backing == "grid":
@@ -472,8 +463,8 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
                              int(grid_points))
     for t in range(tree.horizon - 1, -1, -1):
         exact = RecursiveValue(prices, values[t + 1],
-                               stack[t].position_bound, foc_tolerance,
-                               stage=t, warm=warm, edges=edges)
+                               stack[t].position_bound, edges, foc_tolerance,
+                               stage=t, warm=warm)
         if backing == "grid":
             values[t] = GridValue(exact, tree.levels[t], x_grid)
         else:
@@ -513,12 +504,10 @@ def best_response(market: Market, preferences: Preferences,
                                      market.certificate.alpha_star,
                                      prices.c_f, prices.chi, tree.horizon)
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
-    edges = edge_table(tree, prices)
     values = value_recursion(tree, prices,
                              TerminalValue(preferences, reference), stack,
                              foc_tolerance, backing=backing,
-                             grid_points=grid_points, x0=x0, warm=warm,
-                             edges=edges)
+                             grid_points=grid_points, x0=x0, warm=warm)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
@@ -529,7 +518,6 @@ def best_response(market: Market, preferences: Preferences,
         else:
             sol = stage_value.solution(node, x)
         positions[node.id] = sol.position
-        row = edges[node.id]
-        for child, f in zip(row.children, row.increments):
-            node_wealth[child.id] = x + sol.position * f
+        for child in node.children:
+            node_wealth[child.id] = x + sol.position * prices.increment(child)
     return Strategy(positions), values

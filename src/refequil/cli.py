@@ -6,7 +6,8 @@ equilibrium certification of a candidate), ``verify`` (invariant suites)
 and ``report`` (re-render a previous run's summary).
 
 Exit codes: 0 success; 1 the command's own criterion failed (no start
-converged / a check failed / certification failed); 2 configuration parse
+converged / a check failed / certification failed) or a solve raised
+``SolveError``; 2 configuration parse
 or validation error; 3 market certification failure; 4 preference
 validation failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bestresponse import Strategy, best_response
+from .bestresponse import SolveError, Strategy, best_response
 from .config import CertificationError, ConfigError, RunConfig, load_config
 from .equilibrium import certify_equilibrium, evaluate_self_value, find_equilibria
 from .market import tree_rows
@@ -288,6 +289,14 @@ def main(argv: list[str] | None = None) -> int:
     gate = _gate(config)
     if gate != EXIT_OK:
         return gate
+    try:
+        return _dispatch(args, config)
+    except SolveError as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+
+
+def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     if args.command == "solve":
         return _cmd_solve(config, args.trace)
     if args.command == "best-response":

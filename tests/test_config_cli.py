@@ -126,6 +126,17 @@ def test_exit_code_preference_failure(tmp_path, capsys):
     assert "preference validation failed" in capsys.readouterr().err
 
 
+def test_solve_error_exits_cleanly_at_large_capital(tmp_path, capsys):
+    # exp utility underflows to 0 at this wealth, so the one-step objective
+    # is flat; the CLI reports the SolveError instead of a traceback
+    cfg = _patch_fixture(tmp_path, _assign(800.0, "initial_capital"))
+    assert main(["solve", "--config", cfg, "--seed", "7", "--out",
+                 str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "solve failed: flat first-order condition" in err
+    assert "Traceback" not in err
+
+
 def _assign(value, *keys):
     def mutate(raw):
         for key in keys[:-1]:

@@ -109,6 +109,21 @@ def test_satisfaction_list_path_matches_float_path(atoms, xs, derivatives):
     assert len(batch) == len(xs)
     for got, x in zip(batch, xs):
         assert got == satisfaction(EXP_U, WIDE_NU, x, ref, derivatives)
+        assert got == _per_atom_satisfaction(x, ref, derivatives)
+
+
+def _per_atom_satisfaction(x, ref, derivatives):
+    # the single-wealth kernel written out on a 1-D gap vector, each sum
+    # reduced by np.dot; the batched path must reproduce it bit for bit
+    ux = float(EXP_U.u(x))
+    gaps = ux - EXP_U.u(ref.wealths)
+    value = ux + float(np.dot(ref.probs, WIDE_NU.nu(gaps)))
+    if not derivatives:
+        return value
+    dux, d2ux = float(EXP_U.du(x)), float(EXP_U.d2u(x))
+    factor = 1.0 + float(np.dot(ref.probs, WIDE_NU.dnu(gaps)))
+    curve = float(np.dot(ref.probs, WIDE_NU.d2nu(gaps)))
+    return value, dux * factor, d2ux * factor + dux * dux * curve
 
 
 # ---------------------------------------------------------------------------
