@@ -9,6 +9,7 @@ guarantees.
 
 from .bestresponse import (
     OneStepSolution,
+    SolveStats,
     Strategy,
     TerminalValue,
     best_response,

@@ -5,6 +5,15 @@ first-order condition with a safeguarded Newton iteration), the backward
 value recursion with exact envelope derivatives, and the forward pass that
 turns the stage optimizers into a node-indexed strategy.
 
+The Newton iteration is one coroutine (``_newton``) that yields probe
+positions, so a stage can run all of its pending one-step problems in
+lockstep rounds: each round asks the next stage once, through
+``evaluate_many``, for the children of every problem at its probe.  A
+terminal next stage then costs one satisfaction-kernel call per round
+instead of one per probe.  The rounds are exact: ``evaluate_many(pairs)``
+returns, memoizes and warm-starts exactly as evaluating the pairs one by
+one, depth first, would.
+
 Evaluators are pure in (node, wealth); their memo tables are private per
 solve instance, so distinct solves never share mutable state.  Grid caches
 are filled at construction and read-only afterwards.
@@ -13,7 +22,7 @@ are filled at construction and read-only afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -132,28 +141,35 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    return _objective(v_next, child_edges(prices, node), x, h)
+    edges = child_edges(prices, node)
+    return _objective(_evaluate_pairs(v_next, _probe_pairs(edges, x, h)),
+                      edges)
 
 
-def _child_values(v_next, edges: ChildEdges, x: float, h: float
-                  ) -> list[tuple[float, float, float]]:
-    """Next-stage (v, v', v'') at every child's wealth ``x + h f``.
+def _probe_pairs(edges: ChildEdges, x: float, h: float
+                 ) -> list[tuple[TreeNode, float]]:
+    """Every child with its wealth ``x + h f`` after holding ``h``."""
+    return [(child, x + h * f)
+            for child, f in zip(edges.children, edges.increments)]
 
-    A terminal next stage is evaluated once over all children; any other
-    evaluator is asked child by child.
+
+def _evaluate_pairs(v_next, pairs: Sequence[tuple[TreeNode, float]]
+                    ) -> list[tuple[float, float, float]]:
+    """Next-stage (v, v', v'') at every (node, wealth) pair.
+
+    Evaluators of this module answer through one ``evaluate_many`` call; any
+    other object with ``evaluate(node, x)`` is asked pair by pair.
     """
-    wealths = [x + h * f for f in edges.increments]
-    if isinstance(v_next, TerminalValue):
-        return v_next.evaluate(edges.children, wealths)
-    return [v_next.evaluate(child, w)
-            for child, w in zip(edges.children, wealths)]
+    many = getattr(v_next, "evaluate_many", None)
+    if many is not None:
+        return many(pairs)
+    return [v_next.evaluate(node, x) for node, x in pairs]
 
 
-def _objective(v_next, edges: ChildEdges, x: float, h: float
-               ) -> tuple[float, float, float]:
+def _objective(triples: Sequence[tuple[float, float, float]],
+               edges: ChildEdges) -> tuple[float, float, float]:
     big = small = slope = 0.0
-    for (v, v1, v2), f, p in zip(_child_values(v_next, edges, x, h),
-                                 edges.increments, edges.probs):
+    for (v, v1, v2), f, p in zip(triples, edges.increments, edges.probs):
         big += p * v
         small += p * v1 * f
         slope += p * v2 * f * f
@@ -189,38 +205,28 @@ def _sign(value: float) -> int:
     return 0
 
 
-def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
-                   bracket: float, foc_tolerance: float = 1e-10,
-                   max_iterations: int = 100,
-                   initial: float | None = None,
-                   edges: ChildEdges | None = None) -> OneStepSolution:
-    """Unique maximizer of the one-step objective at ``(node, x)``.
+def _newton(node: TreeNode, x: float, bracket: float,
+            foc_tolerance: float = 1e-10, max_iterations: int = 100,
+            initial: float | None = None):
+    """The safeguarded Newton iteration of :func:`solve_one_step`.
 
-    The first-order condition is strictly decreasing in the position, so a
-    sign-change interval inside ``[-bracket, bracket]`` pins the root; the
-    interval is located by doubling outward from the origin and the root is
-    polished by Newton steps safeguarded with bisection.  The target is as
-    far below ``foc_tolerance`` as double precision allows.  ``initial``
-    seeds a short unsafeguarded Newton burst (worth it when a nearby
-    problem was just solved); the bracketed flow is the fallback.
-    ``edges`` passes the node's row of a precomputed :func:`edge_table`.
+    A generator: it yields each probe position ``h``, expects
+    ``(gamma(h), d gamma / dh)`` sent back, and returns the
+    :class:`OneStepSolution`.  It reads nothing else, so a driver may probe
+    any number of such problems together.  The guards on the bracket and
+    the node raise before the first probe.
     """
     if not bracket > 0.0:
         raise SolveError(f"degenerate position bracket {bracket!r}")
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    if edges is None:
-        edges = child_edges(prices, node)
     target = min(foc_tolerance * 1e-3, foc_tolerance)
-
-    def g(h: float) -> tuple[float, float]:
-        return _objective(v_next, edges, x, h)[1:]
 
     evals = 0
     if initial is not None and abs(initial) < bracket and initial != 0.0:
         h, previous = float(initial), math.inf
         for _ in range(8):
-            g_h, s_h = g(h)
+            g_h, s_h = yield h
             evals += 1
             if not (math.isfinite(g_h) and math.isfinite(s_h) and s_h < 0.0):
                 break
@@ -235,7 +241,7 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
                 break
             h = step
 
-    g0, _ = g(0.0)
+    g0, _ = yield 0.0
     evals += 1
     if abs(g0) <= target or g0 == 0.0:
         return OneStepSolution(0.0, abs(g0), (-bracket, bracket), evals)
@@ -247,7 +253,7 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     probe = direction * min(1.0, bracket)
     far = None
     while far is None:
-        g_probe, _ = g(probe)
+        g_probe, _ = yield probe
         evals += 1
         if math.isnan(g_probe):
             probe *= 0.5
@@ -277,7 +283,7 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     h = 0.5 * (lo + hi)
     best_h, best_res = 0.0, abs(g0)
     for _ in range(max_iterations):
-        g_h, s_h = g(h)
+        g_h, s_h = yield h
         evals += 1
         if math.isfinite(g_h) and abs(g_h) < best_res:
             best_h, best_res = h, abs(g_h)
@@ -304,17 +310,75 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     return OneStepSolution(best_h, best_res, (-bracket, bracket), evals)
 
 
+def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
+                   bracket: float, foc_tolerance: float = 1e-10,
+                   max_iterations: int = 100,
+                   initial: float | None = None,
+                   edges: ChildEdges | None = None) -> OneStepSolution:
+    """Unique maximizer of the one-step objective at ``(node, x)``.
+
+    The first-order condition is strictly decreasing in the position, so a
+    sign-change interval inside ``[-bracket, bracket]`` pins the root; the
+    interval is located by doubling outward from the origin and the root is
+    polished by Newton steps safeguarded with bisection.  The target is as
+    far below ``foc_tolerance`` as double precision allows.  ``initial``
+    seeds a short unsafeguarded Newton burst (worth it when a nearby
+    problem was just solved); the bracketed flow is the fallback.
+    ``edges`` passes the node's row of a precomputed :func:`edge_table`.
+    """
+    newton = _newton(node, x, bracket, foc_tolerance, max_iterations,
+                     initial)
+    h = next(newton)
+    if edges is None:
+        edges = child_edges(prices, node)
+    try:
+        while True:
+            triples = _evaluate_pairs(v_next, _probe_pairs(edges, x, h))
+            h = newton.send(_objective(triples, edges)[1:])
+    except StopIteration as done:
+        return done.value
+
+
 # ---------------------------------------------------------------------------
 # value functions
 # ---------------------------------------------------------------------------
+
+@dataclass
+class SolveStats:
+    """Work counters shared by the stages of one value recursion."""
+
+    #: one-step problems solved
+    solves: int = 0
+    #: first-order-condition evaluations over all solves
+    foc_evals: int = 0
+    #: requests answered from a memo without a new solve
+    memo_hits: int = 0
+    #: solutions flagged ``clamped``
+    clamped: int = 0
+    #: solutions flagged ``exhausted``
+    exhausted: int = 0
+    #: largest first-order-condition residual of any solution
+    max_residual: float = 0.0
+    #: one-step problems solved, per stage
+    stage_solves: dict = field(default_factory=dict)
+
+    def record(self, solution: OneStepSolution, stage: int | None) -> None:
+        self.solves += 1
+        self.stage_solves[stage] = self.stage_solves.get(stage, 0) + 1
+        self.foc_evals += solution.iterations
+        self.clamped += solution.clamped
+        self.exhausted += solution.exhausted
+        self.max_residual = max(self.max_residual, solution.residual)
+
 
 class TerminalValue:
     """Stage-T value: expected satisfaction against a fixed reference law.
 
     Independent of the history; the evaluator returns the value and its
     first two derivatives in wealth as exact sums over the reference atoms.
-    A list of wealths (the children of one node) gives a list of triples
-    from one kernel call, each equal to its single-wealth evaluation.
+    A list of wealths gives a list of triples from one kernel call, each
+    equal to its single-wealth evaluation; ``evaluate_many`` makes that
+    call over all of its pairs.
     """
 
     stage: int | None = None
@@ -334,6 +398,25 @@ class TerminalValue:
                             self.reference, derivatives=True,
                             ref_u=self._ref_u)
 
+    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
+                      ) -> list[tuple[float, float, float]]:
+        return self.evaluate([node for node, _ in pairs],
+                             [x for _, x in pairs])
+
+
+class _Lane:
+    """One pending (node, x) problem of a lockstep run."""
+
+    __slots__ = ("node", "x", "edges", "newton", "h")
+
+    def __init__(self, node: TreeNode, x: float, edges: ChildEdges,
+                 newton, h: float) -> None:
+        self.node, self.x, self.edges = node, x, edges
+        #: the running :func:`_newton`, or None once the lane is solved
+        self.newton = newton
+        #: the next probe, or the optimizer once solved
+        self.h = h
+
 
 class RecursiveValue:
     """Stage-t value backed by on-demand exact recursion.
@@ -344,13 +427,26 @@ class RecursiveValue:
     next-stage slope at the optimizer, the second combines the expected
     curvature with the optimizer's wealth sensitivity (implicit function
     rule on the first-order condition).
+
+    ``evaluate_many`` solves its pending problems in lockstep rounds: each
+    round gathers the children of every unsolved problem at its next probe
+    (or of a solved one at its optimizer) and asks the next stage for all
+    of them in one ``evaluate_many`` call, so a terminal next stage costs
+    one kernel call per round.  The results, the memos and the ``warm``
+    seeds equal those of evaluating the pairs one by one: a node's
+    problems run in successive waves in request order, a repeated pair is
+    solved once, and every sum accumulates in child order.
+
+    ``bracket_fn`` maps a wealth, or an array of wealths (one call per
+    wave), to the radius of the optimizer bracket.
     """
 
     def __init__(self, prices: PriceModel, next_value,
-                 bracket_fn: Callable[[float], float],
+                 bracket_fn: Callable[..., float | np.ndarray],
                  edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
-                 warm: dict[int, float] | None = None) -> None:
+                 warm: dict[int, float] | None = None,
+                 stats: SolveStats | None = None) -> None:
         self.prices = prices
         self.next_value = next_value
         self.bracket_fn = bracket_fn
@@ -360,50 +456,113 @@ class RecursiveValue:
         self.warm = warm if warm is not None else {}
         #: the tree's :func:`edge_table`
         self.edges = edges
+        self.stats = stats if stats is not None else SolveStats()
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
         key = (node.id, float(x))
         hit = self._solutions.get(key)
-        if hit is None:
-            hit = solve_one_step(self.next_value, self.prices, node, x,
-                                 float(self.bracket_fn(x)),
-                                 self.foc_tolerance,
-                                 initial=self.warm.get(node.id),
-                                 edges=self.edges[node.id])
-            self._solutions[key] = hit
-            self.warm[node.id] = hit.position
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit
+        hit = solve_one_step(self.next_value, self.prices, node, x,
+                             float(self.bracket_fn(x)), self.foc_tolerance,
+                             initial=self.warm.get(node.id),
+                             edges=self.edges.get(node.id))
+        self._store(key, hit)
         return hit
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
-        key = (node.id, float(x))
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        h = self.solution(node, x).position
-        edges = self.edges[node.id]
+        return self.evaluate_many([(node, x)])[0]
+
+    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
+                      ) -> list[tuple[float, float, float]]:
+        keys = [(node.id, float(x)) for node, x in pairs]
+        waves: list[list[tuple[TreeNode, float]]] = []
+        queued: dict[int, int] = {}
+        seen = set()
+        for (node, _), key in zip(pairs, keys):
+            if key in self._values or key in seen:
+                self.stats.memo_hits += 1
+                continue
+            seen.add(key)
+            wave = queued.get(node.id, 0)
+            queued[node.id] = wave + 1
+            if wave == len(waves):
+                waves.append([])
+            waves[wave].append((node, key[1]))
+        for wave in waves:
+            self._run(wave)
+        return [self._values[key] for key in keys]
+
+    def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
+        """Solve and evaluate one wave of distinct nodes in lockstep."""
+        fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
+        # one bracket call per wave; equal to the scalar calls bit for bit
+        brackets = iter(np.broadcast_to(self.bracket_fn(np.array(fresh)),
+                                        (len(fresh),)).tolist()
+                        if fresh else ())
+        lanes = []
+        for node, x in wave:
+            solved = self._solutions.get((node.id, x))
+            if solved is None:
+                newton = _newton(node, x, next(brackets), self.foc_tolerance,
+                                 initial=self.warm.get(node.id))
+                h = next(newton)
+            else:
+                self.stats.memo_hits += 1
+                newton, h = None, solved.position
+            lanes.append(_Lane(node, x, self.edges[node.id], newton, h))
+        while lanes:
+            requests = []
+            for lane in lanes:
+                requests += _probe_pairs(lane.edges, lane.x, lane.h)
+            triples = _evaluate_pairs(self.next_value, requests)
+            live, start = [], 0
+            for lane in lanes:
+                stop = start + len(lane.edges.children)
+                rows, start = triples[start:stop], stop
+                if lane.newton is None:
+                    self._values[(lane.node.id, lane.x)] = self._envelope(
+                        lane.node, lane.edges, rows)
+                    continue
+                try:
+                    lane.h = lane.newton.send(_objective(rows, lane.edges)[1:])
+                except StopIteration as done:
+                    self._store((lane.node.id, lane.x), done.value)
+                    lane.newton, lane.h = None, done.value.position
+                live.append(lane)
+            lanes = live
+
+    def _store(self, key: tuple[int, float], solution: OneStepSolution
+               ) -> None:
+        self._solutions[key] = solution
+        self.warm[key[0]] = solution.position
+        self.stats.record(solution, self.stage)
+
+    @staticmethod
+    def _envelope(node: TreeNode, edges: ChildEdges,
+                  triples: Sequence[tuple[float, float, float]]
+                  ) -> tuple[float, float, float]:
+        """(v, v', v'') from the next-stage values at the optimizer."""
         value = 0.0
         slope = 0.0
         dgam_dx = 0.0
         dgam_dh = 0.0
-        triples = []
-        for (v, v1, v2), f, p in zip(
-                _child_values(self.next_value, edges, x, h),
-                edges.increments, edges.probs):
+        terms = []
+        for (v, v1, v2), f, p in zip(triples, edges.increments, edges.probs):
             value += p * v
             slope += p * v1
             dgam_dx += p * v2 * f
             dgam_dh += p * v2 * f * f
-            triples.append((p, v2, f))
+            terms.append((p, v2, f))
         if dgam_dh == 0.0:
             raise SolveError(f"flat first-order condition at node {node.id}; "
                              "the increment law is degenerate")
         dh_dx = -dgam_dx / dgam_dh
-        curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in triples)
-        hit = (value, slope, curve)
-        self._values[key] = hit
-        return hit
+        curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in terms)
+        return value, slope, curve
 
 
 class GridValue:
@@ -420,18 +579,24 @@ class GridValue:
 
         self.exact = exact
         self.stage = exact.stage
+        self.stats = exact.stats
         self.x_grid = np.asarray(x_grid, dtype=float)
         self._interp: dict[int, tuple] = {}
-        for node in nodes:
-            triples = [exact.evaluate(node, float(x)) for x in self.x_grid]
-            arr = np.asarray(triples)
+        triples = exact.evaluate_many([(node, float(x)) for node in nodes
+                                       for x in self.x_grid])
+        arr = np.asarray(triples).reshape(len(nodes), self.x_grid.size, 3)
+        for node, rows in zip(nodes, arr):
             self._interp[node.id] = tuple(
-                PchipInterpolator(self.x_grid, arr[:, k], extrapolate=True)
+                PchipInterpolator(self.x_grid, rows[:, k], extrapolate=True)
                 for k in range(3))
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
         v, v1, v2 = self._interp[node.id]
         return float(v(x)), float(v1(x)), float(v2(x))
+
+    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
+                      ) -> list[tuple[float, float, float]]:
+        return [self.evaluate(node, x) for node, x in pairs]
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
@@ -449,11 +614,13 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     ``backing='grid'`` caches each stage on a per-node wealth grid spanning
     ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
     one-step problems exactly; only next-stage evaluations interpolate.
-    Every stage reads one :func:`edge_table` built here.
+    Every stage reads one :func:`edge_table` built here and counts its work
+    in one :class:`SolveStats` (``values[t].stats`` for t < T).
     """
     if backing not in ("exact", "grid"):
         raise SolveError(f"unknown backing {backing!r}")
     edges = edge_table(tree, prices)
+    stats = SolveStats()
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
     if backing == "grid":
@@ -464,7 +631,7 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     for t in range(tree.horizon - 1, -1, -1):
         exact = RecursiveValue(prices, values[t + 1],
                                stack[t].position_bound, edges, foc_tolerance,
-                               stage=t, warm=warm)
+                               stage=t, warm=warm, stats=stats)
         if backing == "grid":
             values[t] = GridValue(exact, tree.levels[t], x_grid)
         else:

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refequil.bestresponse import (
     GridValue,
+    OneStepSolution,
+    RecursiveValue,
     SolveError,
+    SolveStats,
     Strategy,
     TerminalValue,
     best_response,
@@ -20,6 +25,7 @@ from refequil.market import (
     MarketError,
     ScenarioTree,
     TablePriceModel,
+    edge_table,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -463,3 +469,241 @@ def test_strategy_ball_membership(symmetric_market):
 def test_strategy_rejects_non_finite_positions():
     with pytest.raises(SolveError):
         Strategy({0: math.inf})
+
+
+# ---------------------------------------------------------------------------
+# lockstep rounds against the depth-first recursion
+# ---------------------------------------------------------------------------
+
+class PerPair:
+    """A terminal value asked one wealth at a time."""
+
+    def __init__(self, terminal):
+        self.terminal = terminal
+
+    def evaluate(self, node, x):
+        return self.terminal.evaluate(node, x)
+
+
+class DepthFirstValue:
+    """The exact recursion one node and one probe at a time, as a reference.
+
+    Every probe of every solve evaluates the next stage child by child, so
+    each node sees its requests in depth-first order.
+    """
+
+    def __init__(self, prices, next_value, bracket_fn, warm, counts):
+        self.prices, self.next_value = prices, next_value
+        self.bracket_fn, self.warm, self.counts = bracket_fn, warm, counts
+        self.solutions, self.values = {}, {}
+
+    def solution(self, node, x):
+        key = (node.id, float(x))
+        if key not in self.solutions:
+            sol = solve_one_step(self.next_value, self.prices, node, x,
+                                 float(self.bracket_fn(x)),
+                                 initial=self.warm.get(node.id))
+            self.solutions[key] = sol
+            self.warm[node.id] = sol.position
+            self.counts[0] += 1
+            self.counts[1] += sol.iterations
+        return self.solutions[key]
+
+    def evaluate(self, node, x):
+        key = (node.id, float(x))
+        if key not in self.values:
+            h = self.solution(node, x).position
+            value = slope = dgam_dx = dgam_dh = 0.0
+            terms = []
+            for child in node.children:
+                f, p = self.prices.increment(child), child.edge_prob
+                v, v1, v2 = self.next_value.evaluate(child, x + h * f)
+                value += p * v
+                slope += p * v1
+                dgam_dx += p * v2 * f
+                dgam_dh += p * v2 * f * f
+                terms.append((p, v2, f))
+            dh_dx = -dgam_dx / dgam_dh
+            curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in terms)
+            self.values[key] = (value, slope, curve)
+        return self.values[key]
+
+
+def depth_first_values(market, prefs, law, stack, warm, counts):
+    values = [PerPair(TerminalValue(prefs, law))]
+    for t in range(market.horizon - 1, -1, -1):
+        values.insert(0, DepthFirstValue(market.prices, values[0],
+                                         stack[t].position_bound, warm,
+                                         counts))
+    return values
+
+
+def _lockstep_instance(seed, horizon, atoms):
+    rng = np.random.default_rng([seed, horizon, atoms])
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi,
+                                 horizon)
+    reference = Strategy({n.id: float(rng.uniform(-1.0, 1.0))
+                          for n in market.tree.interior})
+    return market, prefs, x0, stack, reference
+
+
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_lockstep_matches_depth_first_reference(horizon, atoms):
+    market, prefs, x0, stack, reference = _lockstep_instance(5, horizon,
+                                                             atoms)
+    tree, prices = market.tree, market.prices
+    warm = {}
+    psi, values = best_response(market, prefs, reference, x0, stack=stack,
+                                warm=warm)
+    root = values[0].evaluate(tree.root, x0)
+
+    law = terminal_wealth_law(tree, prices, reference, x0)
+    ref_warm, counts = {}, [0, 0]
+    ref_values = depth_first_values(market, prefs, law, stack, ref_warm,
+                                    counts)
+    positions, wealth = {}, {tree.root.id: x0}
+    for node in tree.interior:
+        x = wealth[node.id]
+        positions[node.id] = h = ref_values[node.depth].solution(node,
+                                                                 x).position
+        for child in node.children:
+            wealth[child.id] = x + h * prices.increment(child)
+
+    assert psi.positions == positions
+    assert root == ref_values[0].evaluate(tree.root, x0)
+    assert warm == ref_warm
+    stats = values[0].stats
+    assert (stats.solves, stats.foc_evals) == tuple(counts)
+
+
+_MANY = _lockstep_instance(11, 3, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stage=st.integers(0, 1),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                      min_size=1, max_size=7))
+def test_evaluate_many_equals_one_by_one(stage, picks):
+    market, prefs, x0, stack, reference = _MANY
+    tree, prices = market.tree, market.prices
+    law = terminal_wealth_law(tree, prices, reference, x0)
+    level = tree.levels[stage]
+    pairs = [(level[i % len(level)], x0 + 0.4 * (j - 1)) for i, j in picks]
+
+    def recursion(warm):
+        return value_recursion(tree, prices, TerminalValue(prefs, law),
+                               stack, warm=warm)
+
+    many_warm, one_warm, ref_warm = {}, {}, {}
+    many, one = recursion(many_warm), recursion(one_warm)
+    ref = depth_first_values(market, prefs, law, stack, ref_warm, [0, 0])
+    got = many[stage].evaluate_many(pairs)
+    assert got == [one[stage].evaluate(node, x) for node, x in pairs]
+    assert got == [ref[stage].evaluate(node, x) for node, x in pairs]
+    assert many_warm == one_warm == ref_warm
+    for a, b in zip(many[:-1], one[:-1]):
+        assert a._values == b._values
+        assert a._solutions == b._solutions
+    assert many[0].stats == one[0].stats
+
+
+def test_position_bound_array_equals_scalar():
+    # each lockstep wave asks the bracket once over an array of wealths;
+    # the solver's outputs depend on it matching the scalar call exactly
+    rng = np.random.default_rng(17)
+    for horizon, atoms in ((2, 2), (3, 3), (4, 3)):
+        market, _, x0, stack, _ = _lockstep_instance(int(rng.integers(99)),
+                                                     horizon, atoms)
+        for stage in stack[:-1]:
+            xs = x0 + rng.uniform(-6.0, 6.0, 600)
+            assert stage.position_bound(xs).tolist() == [
+                stage.position_bound(float(x)) for x in xs]
+
+
+def test_terminal_calls_below_last_stage_solves(monkeypatch):
+    # one kernel call per lockstep round: a per-probe engine makes at
+    # least one call per stage-(T-1) solve
+    market, prefs, x0, stack, reference = _lockstep_instance(3, 3, 3)
+    calls = []
+    evaluate = TerminalValue.evaluate
+
+    def counted(self, node, x):
+        calls.append(1)
+        return evaluate(self, node, x)
+
+    monkeypatch.setattr(TerminalValue, "evaluate", counted)
+    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    last = values[0].stats.stage_solves[market.horizon - 1]
+    assert 0 < len(calls) < last
+
+
+def test_solve_stats_are_shared_and_consistent():
+    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 3)
+    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    stats = values[0].stats
+    assert all(v.stats is stats for v in values[:-1])
+    assert stats.solves == sum(stats.stage_solves.values())
+    assert stats.stage_solves[0] == 1
+    assert stats.foc_evals >= stats.solves
+    assert stats.memo_hits > 0
+    assert stats.clamped == stats.exhausted == 0
+    assert 0.0 <= stats.max_residual <= 1e-10
+
+
+def test_solve_stats_record_flags():
+    stats = SolveStats()
+    stats.record(OneStepSolution(0.5, 1e-3, (-1.0, 1.0), 4, exhausted=True),
+                 2)
+    stats.record(OneStepSolution(1.0, 2e-3, (-1.0, 1.0), 3, clamped=True), 2)
+    assert (stats.solves, stats.foc_evals, stats.clamped,
+            stats.exhausted) == (2, 7, 1, 1)
+    assert stats.max_residual == 2e-3
+    assert stats.stage_solves == {2: 2}
+
+
+def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):
+    return RecursiveValue(market.prices, next_value, bracket,
+                          edge_table(market.tree, market.prices), stage=0)
+
+
+def test_lane_rejects_non_positive_bracket(skewed_market, desk_prefs):
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    value = _lane_value(skewed_market, vt, bracket=lambda x: 0.0 * x)
+    with pytest.raises(SolveError, match="degenerate position bracket"):
+        value.evaluate(skewed_market.tree.root, 0.1)
+    assert value._values == {} and value._solutions == {}
+    assert value.warm == {} and value.stats.solves == 0
+
+
+def test_lane_rejects_terminal_node(skewed_market, desk_prefs):
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    value = _lane_value(skewed_market, vt)
+    with pytest.raises(SolveError, match="non-terminal"):
+        value.evaluate(skewed_market.tree.leaves[0], 0.1)
+
+
+def test_lane_rejects_non_finite_foc(skewed_market):
+    class FiniteAtStart:
+        # finite only at the starting wealth: every probe away is NaN
+        def evaluate(self, node, x):
+            return (-1.0, 1.0, -1.0) if x == 0.3 else (math.nan,) * 3
+
+    value = _lane_value(skewed_market, FiniteAtStart())
+    with pytest.raises(SolveError, match="not finite"):
+        value.evaluate(skewed_market.tree.root, 0.3)
+    assert value._values == {} and value._solutions == {}
+
+
+def test_lane_rejects_flat_foc(desk_prefs):
+    tree = ScenarioTree([fair_coin()])
+    market = Market.assemble(tree, TablePriceModel(1.0, 0.5, 1.0,
+                                                   func=lambda e: 0.0))
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    value = _lane_value(market, vt)
+    with pytest.raises(SolveError, match="flat first-order condition"):
+        value.evaluate(tree.root, 0.1)
+    assert value._values == {}
+

@@ -100,7 +100,7 @@ def test_satisfaction_array_path_matches_scalar_path():
 @settings(max_examples=60, deadline=None)
 @given(atoms=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 1.0)),
                       min_size=1, max_size=200),
-       xs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4),
+       xs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=128),
        derivatives=st.booleans())
 def test_satisfaction_list_path_matches_float_path(atoms, xs, derivatives):
     total = math.fsum(q for _, q in atoms)
