@@ -390,8 +390,7 @@ class TerminalValue:
         self._ref_u = np.asarray(preferences.utility.u(reference.wealths),
                                  dtype=float)
 
-    def evaluate(self, node: TreeNode | Sequence[TreeNode] | None,
-                 x: float | list[float]):
+    def evaluate(self, node: TreeNode | None, x: float | list[float]):
         return satisfaction(self.preferences.utility,
                             self.preferences.gain_loss,
                             x if type(x) is list else float(x),
@@ -400,8 +399,7 @@ class TerminalValue:
 
     def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
                       ) -> list[tuple[float, float, float]]:
-        return self.evaluate([node for node, _ in pairs],
-                             [x for _, x in pairs])
+        return self.evaluate(None, [x for _, x in pairs])
 
 
 class _Lane:

@@ -206,14 +206,16 @@ def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
     value = values[0].evaluate(market.tree.root, config.initial_capital)[0]
     print(f"optimal value: {value!r}")
 
+    # one batch per stage; tree.interior lists the stages in order, so the
+    # rows keep their order and the requests that of one-by-one evaluation
     dump_rows = []
     xs = np.linspace(config.initial_capital - 2.0,
-                     config.initial_capital + 2.0, 21)
-    for node in market.tree.interior:
-        for x in xs:
-            v, v1, v2 = values[node.depth].evaluate(node, float(x))
-            dump_rows.append([node.id, repr(float(x)), repr(v), repr(v1),
-                              repr(v2)])
+                     config.initial_capital + 2.0, 21).tolist()
+    for depth, nodes in enumerate(market.tree.levels[:-1]):
+        pairs = [(node, x) for node in nodes for x in xs]
+        for (node, x), (v, v1, v2) in zip(pairs,
+                                          values[depth].evaluate_many(pairs)):
+            dump_rows.append([node.id, repr(x), repr(v), repr(v1), repr(v2)])
     _write_csv(out / "value_function.csv",
                ["node_id", "x", "value", "dvalue", "d2value"], dump_rows)
     return EXIT_OK

@@ -66,6 +66,14 @@ class Utility:
     def d2u(self, x):
         raise NotImplementedError
 
+    def scalar_terms(self, xs: Sequence[float]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, U', U'' at each wealth of ``xs`` as three float64 arrays, each
+        element equal bit for bit to the scalar methods at that wealth."""
+        return (np.array([float(self.u(float(w))) for w in xs], dtype=float),
+                np.array([float(self.du(float(w))) for w in xs], dtype=float),
+                np.array([float(self.d2u(float(w))) for w in xs], dtype=float))
+
     def log_du(self, x):
         with np.errstate(divide="ignore"):
             return np.log(self.du(x))
@@ -108,6 +116,20 @@ class ExponentialUtility(Utility):
     def d2u(self, x):
         return -self.a ** 2 * self._exp(-self.a * x) if type(x) is float \
             else -self.a ** 2 * self._exp(-self.a * np.asarray(x, dtype=float))
+
+    def scalar_terms(self, xs):
+        # one math.exp per wealth, as the scalar methods take: np.exp may
+        # round differently in the last bit.  Only a batch with an
+        # overflowing exponential goes through _exp's overflow rule.  The
+        # products below are the scalar methods' own roundings.
+        neg_a = -self.a
+        try:
+            e = np.array([math.exp(neg_a * w) for w in xs], dtype=float)
+        except OverflowError:
+            e = np.array([self._exp(neg_a * float(w)) for w in xs],
+                         dtype=float)
+        with np.errstate(over="ignore"):
+            return -e, self.a * e, -self.a ** 2 * e
 
     def log_du(self, x):
         return math.log(self.a) - self.a * np.asarray(x, dtype=float)
@@ -178,6 +200,11 @@ class GainLoss:
     def d2nu(self, x):
         raise NotImplementedError
 
+    def terms(self, x):
+        """(nu, nu', nu'') at ``x`` from one call, equal to the three
+        separate calls bit for bit."""
+        return self.nu(x), self.dnu(x), self.d2nu(x)
+
 
 class ArctanGainLoss(GainLoss):
     """k-linear losses glued twice differentiably to a bounded arctan gain arm.
@@ -222,6 +249,22 @@ class ArctanGainLoss(GainLoss):
         # the gain-arm curvature decays to 0; an infinite gap is its limit
         gains = np.where(np.isinf(x), 0.0, gains)
         return np.where(x > 0.0, gains, 0.0)
+
+    def terms(self, x):
+        # the three methods' expressions with x / scale, 1 + (x / scale)^2
+        # and the gain mask formed once
+        x = np.asarray(x, dtype=float)
+        k, s = self.k_minus, self.scale
+        gain = x > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = x / s
+            q = 1.0 + r ** 2
+            nu = np.where(gain, k * s * np.arctan(r), k * x)
+            dnu = np.where(gain, k / q, k)
+            curve = -2.0 * k * x / s ** 2 / q ** 2
+        # an infinite gap takes the curvature's limit 0, as in d2nu
+        d2nu = np.where(gain & (x < math.inf), curve, 0.0)
+        return nu, dnu, d2nu
 
     @classmethod
     def tight(cls, k_minus: float) -> "ArctanGainLoss":
@@ -301,33 +344,34 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     elementwise).  With ``derivatives`` the result is the triple
     (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu'').  ``ref_u`` passes
     precomputed reference utilities U(b_j).
+
+    A float or a list (the terminal evaluator sends all wealths of a
+    lockstep round as one list) takes a fixed number of numpy calls for any
+    length, and every element equals the float call bit for bit: U, U', U''
+    come from :meth:`Utility.scalar_terms`, the gain-loss terms from one
+    :meth:`GainLoss.terms` call on the (elements x atoms) gap matrix, and
+    every row is reduced by its own dot product (:func:`_row_dots`).  An
+    array sums over the atoms in one matrix-vector product instead, which
+    may differ from the float call in the last bits.
     """
     if ref_u is None:
         ref_u = utility.u(reference.wealths)
     probs = reference.probs
     if type(x) is float or type(x) is list:
-        # scalar fast path; the terminal evaluator passes the wealths of a
-        # node's children as one list.  U, U', U'' take the utility's scalar
-        # path per element and each row of the (elements x atoms) gap matrix
-        # is reduced on its own, so an element of a list equals the float
-        # call bit for bit.
-        batch = [float(w) for w in x] if type(x) is list else [x]
-        ux = [float(utility.u(w)) for w in batch]
-        gaps = np.subtract.outer(ux, ref_u)
-        values = [u + float(np.dot(probs, row))
-                  for u, row in zip(ux, gain_loss.nu(gaps))]
-        if derivatives:
-            triples = []
-            for w, value, dnu_row, d2nu_row in zip(
-                    batch, values, gain_loss.dnu(gaps), gain_loss.d2nu(gaps)):
-                dux = float(utility.du(w))
-                d2ux = float(utility.d2u(w))
-                factor = 1.0 + float(np.dot(probs, dnu_row))
-                curve = float(np.dot(probs, d2nu_row))
-                triples.append((value, dux * factor,
-                                d2ux * factor + dux * dux * curve))
-            values = triples
-        return values if type(x) is list else values[0]
+        ux, dux, d2ux = utility.scalar_terms(x if type(x) is list else [x])
+        gaps = ux[:, None] - ref_u
+        with np.errstate(over="ignore", invalid="ignore"):
+            if derivatives:
+                nu, dnu, d2nu = gain_loss.terms(gaps)
+                factor = 1.0 + _row_dots(dnu, probs)
+                curve = _row_dots(d2nu, probs)
+                results = list(zip(
+                    (ux + _row_dots(nu, probs)).tolist(),
+                    (dux * factor).tolist(),
+                    (d2ux * factor + dux * dux * curve).tolist()))
+            else:
+                results = (ux + _row_dots(gain_loss.nu(gaps), probs)).tolist()
+        return results if type(x) is list else results[0]
     ux = np.asarray(utility.u(x), dtype=float)
     gaps = ux[..., None] - ref_u
     value = ux + gain_loss.nu(gaps) @ probs
@@ -338,6 +382,16 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     factor = 1.0 + gain_loss.dnu(gaps) @ probs
     curve = gain_loss.d2nu(gaps) @ probs
     return value, dux * factor, d2ux * factor + dux * dux * curve
+
+
+def _row_dots(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.dot(probs, row)`` for every row, from one stacked call.
+
+    Each (1 x n)(n x 1) product of the stack runs the same dot kernel as
+    ``np.dot`` on the row, so the sums are equal bit for bit; a
+    matrix-vector product (``rows @ probs``) may order them differently.
+    """
+    return np.matmul(rows[:, None, :], probs[:, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

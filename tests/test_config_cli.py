@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from refequil.bestresponse import Strategy, best_response
 from refequil.cli import build_parser, main
 from refequil.config import ConfigError, bundled_fixtures, fixture_path, load_config
 
@@ -285,6 +287,41 @@ def test_best_response_with_grid_backing(symmetric_cfg, tmp_path):
     with (out / "best_response.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert all(abs(float(r["position"])) <= 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("backing", ["exact", "grid"])
+def test_value_dump_equals_one_by_one_evaluation(tmp_path, backing):
+    # the dump asks each stage once for all of its rows; the file must equal
+    # asking row by row, the way memos and warm seeds build up included
+    cfg = fixture_path("asymmetric_eex_t2")
+    config = load_config(cfg)
+    tree = config.market.tree
+    positions = {node.id: 0.25 * (node.id % 3 - 1) for node in tree.interior}
+    reference = tmp_path / "reference.csv"
+    reference.write_text("node_id,depth,position\n" + "".join(
+        f"{node.id},{node.depth},{positions[node.id]!r}\n"
+        for node in tree.interior))
+    out = tmp_path / "br"
+    assert main(["best-response", "--config", str(cfg), "--out", str(out),
+                 "--reference", str(reference), "--backing", backing,
+                 "--grid-points", "33"]) == 0
+
+    x0 = config.initial_capital
+    _, values = best_response(config.market, config.preferences,
+                              Strategy(positions), x0,
+                              foc_tolerance=config.solver.foc_tolerance,
+                              backing=backing, grid_points=33)
+    values[0].evaluate(tree.root, x0)
+    expected = []
+    for node in tree.interior:
+        for x in np.linspace(x0 - 2.0, x0 + 2.0, 21):
+            triple = values[node.depth].evaluate(node, float(x))
+            expected.append([str(node.id), repr(float(x)),
+                             *map(repr, triple)])
+    with (out / "value_function.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["node_id", "x", "value", "dvalue", "d2value"]
+    assert rows[1:] == expected
 
 
 def test_verify_cli_on_drift_vol_fixture(tmp_path):

@@ -14,6 +14,7 @@ from refequil.preferences import (
     ReferenceDistribution,
     TabulatedUtility,
     TerminalEnvelopes,
+    _row_dots,
     build_envelope_stack,
     fold_hoelder,
     propagate_envelopes,
@@ -25,6 +26,10 @@ from refequil.preferences import (
 EXP_U = ExponentialUtility(1.0, c_u=1.0)
 WIDE_NU = ArctanGainLoss(2.0, 1.0)
 PREFS = Preferences(EXP_U, WIDE_NU)
+#: knots of -exp(-x) on [-4, 4]; wealths beyond them extrapolate
+_KNOTS = np.linspace(-4.0, 4.0, 9)
+TAB_U = TabulatedUtility(_KNOTS, -np.exp(-_KNOTS), np.exp(-_KNOTS),
+                         -np.exp(-_KNOTS), c_u=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,29 +106,102 @@ def test_satisfaction_array_path_matches_scalar_path():
 @given(atoms=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 1.0)),
                       min_size=1, max_size=200),
        xs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=128),
-       derivatives=st.booleans())
-def test_satisfaction_list_path_matches_float_path(atoms, xs, derivatives):
+       derivatives=st.booleans(),
+       utility=st.sampled_from([EXP_U, TAB_U]))
+def test_satisfaction_list_path_matches_float_path(atoms, xs, derivatives,
+                                                   utility):
+    # repr compares non-finite results too
     total = math.fsum(q for _, q in atoms)
     ref = ReferenceDistribution([(w, q / total) for w, q in atoms])
-    batch = satisfaction(EXP_U, WIDE_NU, list(xs), ref, derivatives)
+    batch = satisfaction(utility, WIDE_NU, list(xs), ref, derivatives)
     assert len(batch) == len(xs)
     for got, x in zip(batch, xs):
-        assert got == satisfaction(EXP_U, WIDE_NU, x, ref, derivatives)
-        assert got == _per_atom_satisfaction(x, ref, derivatives)
+        assert repr(got) == repr(satisfaction(utility, WIDE_NU, x, ref,
+                                              derivatives))
+        assert repr(got) == repr(_per_atom_satisfaction(utility, x, ref,
+                                                        derivatives))
 
 
-def _per_atom_satisfaction(x, ref, derivatives):
+def _per_atom_satisfaction(utility, x, ref, derivatives):
     # the single-wealth kernel written out on a 1-D gap vector, each sum
     # reduced by np.dot; the batched path must reproduce it bit for bit
-    ux = float(EXP_U.u(x))
-    gaps = ux - EXP_U.u(ref.wealths)
+    ux = float(utility.u(x))
+    gaps = ux - utility.u(ref.wealths)
     value = ux + float(np.dot(ref.probs, WIDE_NU.nu(gaps)))
     if not derivatives:
         return value
-    dux, d2ux = float(EXP_U.du(x)), float(EXP_U.d2u(x))
+    dux, d2ux = float(utility.du(x)), float(utility.d2u(x))
     factor = 1.0 + float(np.dot(ref.probs, WIDE_NU.dnu(gaps)))
     curve = float(np.dot(ref.probs, WIDE_NU.d2nu(gaps)))
     return value, dux * factor, d2ux * factor + dux * dux * curve
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), atoms=st.integers(1, 800),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_dots_equal_per_row_dot(rows, atoms, seed):
+    # the list path reduces all rows in one stacked call; every row must
+    # equal its own np.dot, across the BLAS kernel's unrolled body and tail
+    rng = np.random.default_rng(seed)
+    matrix = (rng.standard_normal((rows, atoms))
+              * 10.0 ** rng.uniform(-3.0, 3.0, (rows, atoms)))
+    probs = rng.uniform(0.01, 1.0, atoms)
+    probs /= probs.sum()
+    got = _row_dots(matrix, probs)
+    assert got.shape == (rows,)
+    assert got.tolist() == [float(np.dot(probs, row)) for row in matrix]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_EDGE_WEALTHS = [-1e308, -800.0, -710.0, -709.0, -1.0, -0.0, 0.0, 5e-324,
+                 1.0, 709.0, 745.0, 800.0, 1e308, math.inf, -math.inf]
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(0.01, 5.0),
+       xs=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                   max_size=40))
+def test_exponential_scalar_terms_equal_scalar_methods(a, xs):
+    # includes wealths where exp(-a x) overflows to inf (a x < -709.78),
+    # where a * exp(-a x) overflows although exp(-a x) does not, and where
+    # it underflows to 0
+    utility = ExponentialUtility(a)
+    xs = xs + _EDGE_WEALTHS + [-700.0 / a, -709.0 / a]
+    terms = utility.scalar_terms(xs)
+    assert all(t.dtype == np.float64 and t.shape == (len(xs),)
+               for t in terms)
+    for method, got in zip((utility.u, utility.du, utility.d2u), terms):
+        assert _bits(got) == _bits([method(float(x)) for x in xs])
+
+
+def test_tabulated_scalar_terms_equal_scalar_methods():
+    xs = np.concatenate([np.linspace(-4.0, 4.0, 33), _KNOTS,
+                         [-9.0, -4.5, 4.5, 12.0]]).tolist()
+    terms = TAB_U.scalar_terms(xs)
+    for method, got in zip((TAB_U.u, TAB_U.du, TAB_U.d2u), terms):
+        assert _bits(got) == _bits([float(method(x)) for x in xs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.floats(0.01, 5.0), scale=st.floats(0.05, 5.0),
+       xs=st.lists(st.one_of(
+           st.floats(allow_nan=True, allow_infinity=True),
+           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308,
+                            -1e308, math.inf, -math.inf])),
+           min_size=1, max_size=60))
+def test_gain_loss_terms_equal_separate_calls(k, scale, xs):
+    gain_loss = ArctanGainLoss(k, scale)
+    gaps = np.asarray(xs, dtype=float)
+    for x in (gaps, gaps.reshape(1, -1), gaps[0]):
+        nu, dnu, d2nu = gain_loss.terms(x)
+        # nu and dnu warn on overflowing gaps; terms is silent
+        with np.errstate(over="ignore"):
+            assert _bits(nu) == _bits(gain_loss.nu(x))
+            assert _bits(dnu) == _bits(gain_loss.dnu(x))
+        assert _bits(d2nu) == _bits(gain_loss.d2nu(x))
 
 
 # ---------------------------------------------------------------------------
