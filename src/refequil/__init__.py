@@ -46,6 +46,7 @@ from .preferences import (
     ArctanGainLoss,
     ExponentialUtility,
     GainLoss,
+    LogFamilies,
     Preferences,
     ReferenceDistribution,
     StageEnvelopes,

@@ -357,6 +357,8 @@ class SolveStats:
     clamped: int = 0
     #: solutions flagged ``exhausted``
     exhausted: int = 0
+    #: solutions whose certified bracket is infinite
+    unbounded: int = 0
     #: largest first-order-condition residual of any solution
     max_residual: float = 0.0
     #: one-step problems solved, per stage
@@ -368,6 +370,7 @@ class SolveStats:
         self.foc_evals += solution.iterations
         self.clamped += solution.clamped
         self.exhausted += solution.exhausted
+        self.unbounded += math.isinf(solution.bracket[1])
         self.max_residual = max(self.max_residual, solution.residual)
 
 

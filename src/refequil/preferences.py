@@ -9,8 +9,9 @@ backward recursion.
 The envelope constants grow doubly exponentially with the number of
 backward steps, so all strictly positive envelope quantities are computed
 and stored in *log space*; the linear-space accessors materialise them with
-saturating under/overflow (0.0 / inf), which keeps every certified
-inequality valid.
+saturating under/overflow (0.0 / inf).  On deep stacks the log forms
+themselves saturate to +-inf, never to NaN.  Saturated bounds keep every
+certified inequality valid.
 
 Preference objects and envelope stages are immutable once built and may
 be evaluated concurrently.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -404,6 +405,41 @@ def _clamped_window(lo, hi):
     return lo, hi
 
 
+class LogFamilies(NamedTuple):
+    """The log-space envelope families of one stage at the same wealths.
+
+    Every field has the shape of the wealths.  A record asked for without
+    its scanned families (:meth:`StageEnvelopes.log_families`) leaves the
+    last four fields None.
+    """
+
+    slope_floor: np.ndarray
+    slope_cap: np.ndarray
+    curve_floor: np.ndarray | None = None
+    curve_cap: np.ndarray | None = None
+    past_coeff: np.ndarray | None = None
+    #: Hoelder coefficient of the one-step optimizer in the history (-inf
+    #: at the terminal stage, which holds no position)
+    position_past_coeff: np.ndarray | None = None
+
+
+def _family(field: str, log: bool):
+    """Accessor of one field of :meth:`StageEnvelopes.log_families`; the
+    linear one exponentiates it with saturation."""
+    scanned = field not in ("slope_floor", "slope_cap")
+
+    def accessor(self, x):
+        x = np.asarray(x, dtype=float)
+        out = getattr(self.log_families(x, scanned), field)
+        if not log:
+            with np.errstate(over="ignore"):
+                out = np.exp(out)
+        return out if x.ndim else float(out)
+
+    accessor.__name__ = ("log_" if log else "") + field
+    return accessor
+
+
 class StageEnvelopes:
     """Envelope functions of one stage's value function.
 
@@ -414,14 +450,17 @@ class StageEnvelopes:
     ``exponent``.  Stages produced by :func:`propagate_envelopes`
     additionally expose the optimization-step quantities
     ``position_bound`` (the bracket containing the one-step optimizer),
-    ``wealth_window`` (the wealth interval it can reach), the objective
-    coefficient and ``position_past_coeff`` (Hoelder coefficient of the
-    optimizer in the history at exponent / 2... half the stage exponent of
-    the stage being optimized).
+    ``wealth_window`` (the wealth interval it can reach) and
+    ``position_past_coeff`` (the Hoelder coefficient of the optimizer in
+    the history, at the exponent of the stage being optimized).
 
-    All positive families are evaluated in log space (``log_*`` methods);
-    the linear accessors exponentiate with saturation.  Every method
-    accepts scalars or arrays.
+    Every positive family comes from one record in log space:
+    ``log_families(x, scanned=True)`` gives a :class:`LogFamilies` at the
+    wealths ``x`` (an array); with ``scanned`` False only the two slope
+    families, which need no window scan and cost a few operations per
+    stage, are filled.  Each ``log_*`` accessor picks one field of it and
+    each linear accessor exponentiates that field with saturation.  A
+    scalar gives a float, an array an array of its shape.
     """
 
     is_terminal = True
@@ -432,45 +471,18 @@ class StageEnvelopes:
         #: Hoelder exponent of the stage value in the history
         self.exponent = exponent
 
-    # log-space primitives ---------------------------------------------------
-    def value_floor(self, x):
-        raise NotImplementedError
-
-    def log_slope_floor(self, x):
-        raise NotImplementedError
-
-    def log_slope_cap(self, x):
-        raise NotImplementedError
-
-    def log_curve_floor(self, x):
-        raise NotImplementedError
-
-    def log_curve_cap(self, x):
-        raise NotImplementedError
-
-    def log_past_coeff(self, x):
-        raise NotImplementedError
-
-    # linear accessors -------------------------------------------------------
-    def _exp(self, logs):
-        with np.errstate(over="ignore"):
-            out = np.exp(logs)
-        return out if np.ndim(logs) else float(out)
-
-    def slope_floor(self, x):
-        return self._exp(self.log_slope_floor(x))
-
-    def slope_cap(self, x):
-        return self._exp(self.log_slope_cap(x))
-
-    def curve_floor(self, x):
-        return self._exp(self.log_curve_floor(x))
-
-    def curve_cap(self, x):
-        return self._exp(self.log_curve_cap(x))
-
-    def past_coeff(self, x):
-        return self._exp(self.log_past_coeff(x))
+    log_slope_floor = _family("slope_floor", log=True)
+    log_slope_cap = _family("slope_cap", log=True)
+    log_curve_floor = _family("curve_floor", log=True)
+    log_curve_cap = _family("curve_cap", log=True)
+    log_past_coeff = _family("past_coeff", log=True)
+    log_position_past_coeff = _family("position_past_coeff", log=True)
+    slope_floor = _family("slope_floor", log=False)
+    slope_cap = _family("slope_cap", log=False)
+    curve_floor = _family("curve_floor", log=False)
+    curve_cap = _family("curve_cap", log=False)
+    past_coeff = _family("past_coeff", log=False)
+    position_past_coeff = _family("position_past_coeff", log=False)
 
 
 class TerminalEnvelopes(StageEnvelopes):
@@ -492,23 +504,19 @@ class TerminalEnvelopes(StageEnvelopes):
         u = self.preferences.utility
         return (1.0 + self._k) * u.u(x) - self._k * u.c_u
 
-    def log_slope_floor(self, x):
-        return self.preferences.utility.log_du(x)
-
-    def log_slope_cap(self, x):
-        return self._log1k + self.preferences.utility.log_du(x)
-
-    def log_curve_floor(self, x):
-        return self.preferences.utility.log_neg_d2u(x)
-
-    def log_curve_cap(self, x):
+    def log_families(self, x, scanned: bool = True) -> LogFamilies:
         u = self.preferences.utility
-        return np.logaddexp(
-            self._log1k + u.log_neg_d2u(x),
-            math.log(self.preferences.gain_loss.c_nu) + 2.0 * u.log_du(x))
-
-    def log_past_coeff(self, x):
-        return np.full_like(np.asarray(x, dtype=float), -np.inf)
+        log_du = u.log_du(x)
+        if not scanned:
+            return LogFamilies(log_du, self._log1k + log_du)
+        log_d2u = u.log_neg_d2u(x)
+        zero = np.full(np.shape(log_du), -np.inf)
+        return LogFamilies(
+            log_du, self._log1k + log_du, log_d2u,
+            np.logaddexp(self._log1k + log_d2u,
+                         math.log(self.preferences.gain_loss.c_nu)
+                         + 2.0 * log_du),
+            zero, zero)
 
 
 class PropagatedEnvelopes(StageEnvelopes):
@@ -535,6 +543,10 @@ class PropagatedEnvelopes(StageEnvelopes):
     def position_bound(self, x):
         """Bracket radius containing the one-step optimizer at wealth x."""
         x = np.asarray(x, dtype=float)
+        if self._log_j0 == -np.inf:
+            # a zero slope floor at 0 certifies no bracket; below, its term
+            # would meet log|x| = inf as -inf + inf
+            return np.full(x.shape, np.inf) if x.ndim else math.inf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             abs_i = np.abs(self.prev.value_floor(x))
             log_num = np.logaddexp(self._log_2cap, np.log(abs_i))
@@ -554,93 +566,74 @@ class PropagatedEnvelopes(StageEnvelopes):
             lo, hi = _clamped_window(x - half, x + half)
         return (lo, hi) if x.ndim else (float(lo), float(hi))
 
-    #: scans are chunked so nested evaluations stay within ~tens of MB
-    _SCAN_CHUNK = 1 << 21
+    #: wealths per previous-stage call of a window scan; nested scans hold
+    #: one chunk per stage, so this bounds their memory
+    _SCAN_CHUNK = 1 << 18
 
-    def _scan(self, log_fn, x, reduce_fn):
-        """reduce log_fn over the wealth window of each x on a sub-grid."""
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).ravel()
-        lo, hi = self.wealth_window(flat)
-        lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-        ticks = np.linspace(0.0, 1.0, self.scan_points)
-        rows = max(1, self._SCAN_CHUNK // self.scan_points)
-        pieces = []
-        for k in range(0, flat.size, rows):
-            sl = slice(k, min(k + rows, flat.size))
-            grid = lo[sl, None] + ticks[None, :] * (hi - lo)[sl, None]
-            vals = np.asarray(log_fn(grid.ravel())).reshape(grid.shape)
-            pieces.append(reduce_fn(vals, axis=1))
-        out = np.concatenate(pieces)
-        if x.ndim == 0:
-            return float(out[0])
-        return out.reshape(x.shape)
-
-    # -- propagated envelope families ------------------------------------------
     def value_floor(self, x):
         return self.prev.value_floor(x)
 
-    def log_slope_floor(self, x):
+    def log_families(self, x, scanned: bool = True) -> LogFamilies:
+        """The previous stage's families over each wealth window, reduced.
+
+        The slope floor (cap) is the previous stage's at the upper (lower)
+        end of the window, which an infinite bracket puts at +inf (-inf).
+        The other families come from five extrema over a ``scan_points``
+        sub-grid of the window (endpoints included): the minimum curvature
+        floor and the maximum curvature cap, history coefficient, slope cap
+        and |value floor|, all read from one previous-stage record per
+        chunk of windows.
+        """
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift = self.position_bound(x) * self.c_f
-        return self.prev.log_slope_floor(x + shift)
+        flat = x.reshape(-1)
+        n = flat.size
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k = self.position_bound(flat)
+            half = k * self.c_f
+            finite = half < np.inf
+            ends = np.concatenate([np.where(finite, flat + half, np.inf),
+                                   np.where(finite, flat - half, -np.inf)])
+            at_ends = self.prev.log_families(ends, scanned=False)
+            families = [at_ends.slope_floor[:n], at_ends.slope_cap[n:]]
+            if not scanned:
+                return LogFamilies(*(f.reshape(x.shape) for f in families))
 
-    def log_slope_cap(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift = self.position_bound(x) * self.c_f
-        return self.prev.log_slope_cap(x - shift)
+            lo, hi = _clamped_window(flat - half, flat + half)
+            ticks = np.linspace(0.0, 1.0, self.scan_points)
+            rows = max(1, self._SCAN_CHUNK // self.scan_points)
+            pieces = []
+            for start in range(0, n, rows):
+                sl = slice(start, min(start + rows, n))
+                grid = lo[sl, None] + ticks[None, :] * (hi - lo)[sl, None]
+                shape, points = grid.shape, grid.ravel()
+                logs = self.prev.log_families(points)
+                abs_i = np.abs(self.prev.value_floor(points))
+                pieces.append((logs.curve_floor.reshape(shape).min(axis=1),
+                               logs.curve_cap.reshape(shape).max(axis=1),
+                               logs.past_coeff.reshape(shape).max(axis=1),
+                               logs.slope_cap.reshape(shape).max(axis=1),
+                               abs_i.reshape(shape).max(axis=1)))
+            inf_l, sup_l, sup_cv, sup_j, sup_abs_i = (
+                np.concatenate(column) for column in zip(*pieces))
 
-    def log_curve_floor(self, x):
-        scanned = self._scan(self.prev.log_curve_floor, x, np.min)
-        return 3.0 * self._log_alpha - 2.0 * self._log_cf + scanned
-
-    def log_curve_cap(self, x):
-        sup_l = self._scan(self.prev.log_curve_cap, x, np.max)
-        return sup_l + np.logaddexp(0.0, sup_l - self.log_curve_floor(x))
-
-    def log_objective_coeff(self, x):
-        """Hoelder coefficient of the one-step objective in the history."""
-        x = np.asarray(x, dtype=float)
-        sup_cv = self._scan(self.prev.log_past_coeff, x, np.max)
-        sup_j = self._scan(self.prev.log_slope_cap, x, np.max)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            sup_abs_i = np.log(self._scan(
-                lambda y: np.abs(self.prev.value_floor(y)), x, np.max))
-            log_k = np.log(self.position_bound(x))
-        out = np.logaddexp(LOG2 + sup_cv,
-                           LOG2 + sup_j + log_k + self._log_cf)
-        out = np.logaddexp(out, self._log_2cap)
-        out = np.logaddexp(out, LOG2 + sup_abs_i)
-        return out
-
-    def log_position_past_coeff(self, x):
-        """Hoelder coefficient of the one-step optimizer in the history."""
-        x = np.asarray(x, dtype=float)
-        half_gap = 0.5 * (self.log_objective_coeff(x)
-                          - self.log_curve_floor(x))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_k = np.log(self.position_bound(x))
-        out = np.logaddexp(log_k, LOG2 - self._log_cf + half_gap)
-        return out if x.ndim else float(out)
-
-    def position_past_coeff(self, x):
-        return self._exp(self.log_position_past_coeff(x))
-
-    def log_past_coeff(self, x):
-        x = np.asarray(x, dtype=float)
-        sup_cv = self._scan(self.prev.log_past_coeff, x, np.max)
-        sup_j = self._scan(self.prev.log_slope_cap, x, np.max)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_k = np.log(self.position_bound(x))
-            log_reach = np.logaddexp(log_k, self.log_position_past_coeff(x))
-            log_abs_i = np.log(np.abs(self.value_floor(x)))
-        out = np.logaddexp(LOG3 + sup_cv,
-                           LOG3 + sup_j + self._log_cf + log_reach)
-        out = np.logaddexp(out, self._log_2cap)
-        out = np.logaddexp(out, LOG2 + log_abs_i)
-        return out
+            log_k = np.log(k)
+            curve_floor = 3.0 * self._log_alpha - 2.0 * self._log_cf + inf_l
+            curve_cap = sup_l + np.logaddexp(0.0, sup_l - curve_floor)
+            # Hoelder coefficient of the one-step objective in the history
+            objective = np.logaddexp(LOG2 + sup_cv,
+                                     LOG2 + sup_j + log_k + self._log_cf)
+            objective = np.logaddexp(objective, self._log_2cap)
+            objective = np.logaddexp(objective, LOG2 + np.log(sup_abs_i))
+            position_past = np.logaddexp(
+                log_k, LOG2 - self._log_cf + 0.5 * (objective - curve_floor))
+            past = np.logaddexp(LOG3 + sup_cv,
+                                LOG3 + sup_j + self._log_cf
+                                + np.logaddexp(log_k, position_past))
+            past = np.logaddexp(past, self._log_2cap)
+            past = np.logaddexp(
+                past, LOG2 + np.log(np.abs(self.value_floor(flat))))
+        families += [curve_floor, curve_cap, past, position_past]
+        return LogFamilies(*(f.reshape(x.shape) for f in families))
 
 
 def propagate_envelopes(prev: StageEnvelopes, alpha: float, c_f: float,
@@ -743,23 +736,16 @@ def envelope_rows(stack: Sequence[StageEnvelopes],
     rows: list[list] = []
     grid = np.asarray(list(x_grid), dtype=float)
     for t, stage in enumerate(stack):
-        with np.errstate(over="ignore", invalid="ignore"):
-            j = np.asarray(stage.slope_floor(grid))
-            cap_j = np.asarray(stage.slope_cap(grid))
-            lo = np.asarray(stage.curve_floor(grid))
-            hi = np.asarray(stage.curve_cap(grid))
-            cv = np.asarray(stage.past_coeff(grid))
-            if stage.is_terminal:
-                k = ch = None
-            else:
-                k = np.asarray(stage.position_bound(grid))
-                ch = np.asarray(stage.position_past_coeff(grid))
+        with np.errstate(over="ignore"):
+            j, cap_j, lo, hi, cv, ch = (
+                np.exp(f) for f in stage.log_families(grid))
+        k = None if stage.is_terminal else stage.position_bound(grid)
         for i, x in enumerate(grid):
             rows.append([t, repr(float(x)),
                          "" if k is None else repr(float(k[i])),
                          repr(float(j[i])), repr(float(cap_j[i])),
                          repr(float(lo[i])), repr(float(hi[i])),
-                         "" if ch is None else repr(float(ch[i])),
+                         "" if k is None else repr(float(ch[i])),
                          repr(float(cv[i]))])
     return header, rows
 

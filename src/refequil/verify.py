@@ -30,6 +30,7 @@ from .equilibrium import (
 )
 from .market import Market
 from .preferences import (
+    LogFamilies,
     Preferences,
     ReferenceDistribution,
     build_envelope_stack,
@@ -175,15 +176,14 @@ class _Session:
             stack=self.stack, foc_tolerance=config.foc_tolerance)
         #: one master sample, shared by the per-state checks
         self.states = self.sample_states(self.samples)
-        self._by_depth: dict[int, tuple[list[int], np.ndarray]] = {}
+        by_depth: dict[int, tuple[list[int], list[float]]] = {}
         for idx, (node, x) in enumerate(self.states):
-            self._by_depth.setdefault(node.depth, ([], []))
-        for idx, (node, x) in enumerate(self.states):
-            self._by_depth[node.depth][0].append(idx)
-            self._by_depth[node.depth][1].append(x)
+            ids, xs = by_depth.setdefault(node.depth, ([], []))
+            ids.append(idx)
+            xs.append(x)
         self._by_depth = {d: (ids, np.asarray(xs))
-                          for d, (ids, xs) in self._by_depth.items()}
-        self._env_cache: dict[tuple[int, str], np.ndarray] = {}
+                          for d, (ids, xs) in by_depth.items()}
+        self._env_cache: dict[int, LogFamilies] = {}
 
     def sample_states(self, count: int) -> list[tuple]:
         interior = self.tree.interior
@@ -196,14 +196,15 @@ class _Session:
         return self._by_depth.items()
 
     def env_family(self, depth: int, name: str) -> np.ndarray:
-        """Envelope family values on the master sample of one depth."""
-        key = (depth, name)
-        if key not in self._env_cache:
-            _, xs = self._by_depth[depth]
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._env_cache[key] = np.asarray(
-                    getattr(self.stack[depth], name)(xs), dtype=float)
-        return self._env_cache[key]
+        """Envelope family values on the master sample of one depth; the
+        log families come from one record per depth."""
+        _, xs = self._by_depth[depth]
+        if name not in LogFamilies._fields:  # a closed form
+            return getattr(self.stack[depth], name)(xs)
+        if depth not in self._env_cache:
+            self._env_cache[depth] = self.stack[depth].log_families(xs)
+        with np.errstate(over="ignore"):
+            return np.exp(getattr(self._env_cache[depth], name))
 
     def stage_value(self, depth: int) -> RecursiveValue:
         return self.values[depth]
@@ -425,20 +426,14 @@ def _check_envelope_positivity(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     count = 0
     for t, stage in enumerate(s.stack[:-1]):
-        floors = [stage.log_slope_floor(xs), stage.log_curve_floor(xs)]
-        caps = [stage.log_slope_cap(xs), stage.log_curve_cap(xs),
-                stage.log_position_past_coeff(xs), stage.log_past_coeff(xs)]
+        logs = stage.log_families(xs)
         count += len(xs)
-        for arr in floors:
-            arr = np.asarray(arr)
+        for name in ("slope_floor", "curve_floor", "slope_cap", "curve_cap",
+                     "position_past_coeff", "past_coeff"):
+            arr = getattr(logs, name)
             bad = np.isnan(arr)
-            if bool(np.any(bad)) and worst > -1.0:
-                worst = -1.0
-                witness = _fmt_witness(stage=t,
-                                       x=float(xs[int(np.argmax(bad))]))
-        for arr in caps:
-            arr = np.asarray(arr)
-            bad = np.isnan(arr) | np.isneginf(arr)
+            if not name.endswith("floor"):
+                bad |= np.isneginf(arr)
             if bool(np.any(bad)) and worst > -1.0:
                 worst = -1.0
                 witness = _fmt_witness(stage=t,
@@ -494,9 +489,8 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
         stage = s.stack[t]
         value = s.stage_value(t)
         xs = np.asarray([pairs[k][3] for k in idxs])
-        with np.errstate(over="ignore", invalid="ignore"):
-            h_logs = np.asarray(stage.log_position_past_coeff(xs))
-            v_logs = np.asarray(stage.log_past_coeff(xs))
+        logs = stage.log_families(xs)
+        h_logs, v_logs = logs.position_past_coeff, logs.past_coeff
         for pos, k in enumerate(idxs):
             _, a, b, x = pairs[k]
             dist = a.distance(b)

@@ -19,6 +19,7 @@ from refequil.bestresponse import (
     terminal_wealth_law,
     value_recursion,
 )
+from refequil.config import fixture_path, load_config
 from refequil.market import (
     FactorDistribution,
     Market,
@@ -662,6 +663,43 @@ def test_solve_stats_record_flags():
             stats.exhausted) == (2, 7, 1, 1)
     assert stats.max_residual == 2e-3
     assert stats.stage_solves == {2: 2}
+    assert stats.unbounded == 0
+    stats.record(OneStepSolution(0.0, 0.0, (-math.inf, math.inf), 1), 0)
+    assert stats.unbounded == 1
+
+
+def _cold_best_response(seed, horizon, atoms):
+    market, prefs, x0 = random_certified_instance(
+        np.random.default_rng(seed), horizon, atoms)
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi,
+                                 horizon)
+    _, values = best_response(market, prefs,
+                              Strategy.constant(market.tree, 0.0), x0,
+                              stack=stack)
+    return stack, x0, values[0].stats
+
+
+def test_solve_stats_count_unbounded_brackets():
+    stack, x0, stats = _cold_best_response(1, 3, 2)
+    assert stack[0].position_bound(x0) == math.inf
+    assert stats.unbounded > 0
+    config = load_config(fixture_path("symmetric_t2"))
+    _, values = best_response(config.market, config.preferences,
+                              Strategy.constant(config.market.tree, 0.0),
+                              config.initial_capital)
+    assert values[0].stats.solves > 0
+    assert values[0].stats.unbounded == 0
+
+
+def test_deep_cold_best_response_saturates_without_nan():
+    # at T = 6 the slope floor at 0 saturates to 0 at the deep stages; the
+    # brackets above it must saturate to inf, not NaN
+    stack, x0, stats = _cold_best_response(1, 6, 2)
+    assert stack[0].position_bound(x0) == math.inf
+    assert stats.clamped == stats.exhausted == 0
+    assert stats.unbounded > 0
+    assert stats.max_residual <= 1e-10
 
 
 def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):

@@ -5,23 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refequil.config import fixture_path, load_config
 from refequil.preferences import (
+    LOG2,
+    LOG3,
     ArctanGainLoss,
     EnvelopeError,
     ExponentialUtility,
     PreferenceError,
     Preferences,
+    PropagatedEnvelopes,
     ReferenceDistribution,
     TabulatedUtility,
     TerminalEnvelopes,
     _row_dots,
     build_envelope_stack,
+    envelope_rows,
     fold_hoelder,
     propagate_envelopes,
     satisfaction,
     strategy_bound,
     validate_preferences,
 )
+
+from conftest import random_certified_instance
 
 EXP_U = ExponentialUtility(1.0, c_u=1.0)
 WIDE_NU = ArctanGainLoss(2.0, 1.0)
@@ -267,17 +274,239 @@ def test_value_floor_propagates_identically():
         assert np.allclose(stage.value_floor(xs), stack[-1].value_floor(xs))
 
 
+def _random_stack(seed, horizon, atoms, **scan_points):
+    """Envelope stack and capital of one random certified instance."""
+    market, prefs, x0 = random_certified_instance(
+        np.random.default_rng(seed), horizon, atoms)
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi,
+                                 horizon, **scan_points)
+    return stack, x0
+
+
+def _assert_no_nan(logs, where):
+    for name, vals in logs._asdict().items():
+        assert vals is None or not np.any(np.isnan(vals)), (where, name)
+
+
 def test_envelope_families_positive_in_log_space(desk_prefs):
+    # saturated families may reach +-inf, never NaN.  On random stacks up
+    # to T = 8: position_bound and the unscanned slope families at every
+    # stage, every family at the last two propagated stages (a stage-0
+    # record of a T = 8 stack reads 64**7 * 512 wealths per wealth), and
+    # every family at every stage of a coarse copy of the stack, whose
+    # brackets and slope families are the full stack's
     stack = build_envelope_stack(desk_prefs, alpha=0.5, c_f=0.5, chi=1.0,
                                  horizon=2)
-    xs = np.linspace(-1.5, 1.5, 7)
-    for stage in stack[:-1]:
-        for name in ("log_slope_floor", "log_slope_cap", "log_curve_floor",
-                     "log_curve_cap", "log_position_past_coeff",
-                     "log_past_coeff"):
-            vals = np.asarray(getattr(stage, name)(xs))
-            assert not np.any(np.isnan(vals)), name
-        assert np.all(np.asarray(stage.position_bound(xs)) > 0.0)
+    cases = [(stack, stack, np.linspace(-1.5, 1.5, 7))]
+    for horizon in range(1, 9):
+        for atoms in (2, 3):
+            full, x0 = _random_stack(1, horizon, atoms)
+            coarse, _ = _random_stack(1, horizon, atoms, scan_points=5,
+                                      deep_scan_points=3)
+            cases.append((full, coarse, x0 + np.linspace(-3.0, 3.0, 7)))
+    for full, coarse, xs in cases:
+        horizon = len(full) - 1
+        for t, stage in enumerate(full[:-1]):
+            assert np.all(stage.position_bound(xs) > 0.0), (horizon, t)
+            _assert_no_nan(stage.log_families(xs, scanned=False),
+                           (horizon, t))
+        for t in range(max(0, horizon - 2), horizon):
+            _assert_no_nan(full[t].log_families(xs), (horizon, t))
+        extreme = np.array([-np.inf, -1e300, 1e300, np.inf])
+        for t, stage in enumerate(coarse[:-1]):
+            assert np.array_equal(stage.position_bound(xs),
+                                  full[t].position_bound(xs))
+            _assert_no_nan(stage.log_families(xs), (horizon, t, "coarse"))
+            assert not np.any(np.isnan(stage.position_bound(extreme)))
+            _assert_no_nan(stage.log_families(extreme), (horizon, t, "far"))
+
+
+# the per-family recursion the one-record engine replaced, kept as the
+# reference: every family scans the previous stage's families one at a time
+
+class PerFamilyTerminal:
+    def __init__(self, stage):
+        self.stage = stage
+        self.utility = stage.preferences.utility
+
+    def log_slope_floor(self, x):
+        return self.utility.log_du(x)
+
+    def log_slope_cap(self, x):
+        return self.stage._log1k + self.utility.log_du(x)
+
+    def log_curve_floor(self, x):
+        return self.utility.log_neg_d2u(x)
+
+    def log_curve_cap(self, x):
+        return np.logaddexp(
+            self.stage._log1k + self.utility.log_neg_d2u(x),
+            math.log(self.stage.preferences.gain_loss.c_nu)
+            + 2.0 * self.utility.log_du(x))
+
+    def log_past_coeff(self, x):
+        return np.full_like(np.asarray(x, dtype=float), -np.inf)
+
+
+class PerFamilyPropagated:
+    """position_bound, wealth_window and value_floor are the stage's own."""
+
+    def __init__(self, stage):
+        self.stage = stage
+        self.prev = per_family(stage.prev)
+
+    def _scan(self, log_fn, x, reduce_fn):
+        x = np.asarray(x, dtype=float)
+        flat = np.atleast_1d(x).ravel()
+        lo, hi = self.stage.wealth_window(flat)
+        lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+        ticks = np.linspace(0.0, 1.0, self.stage.scan_points)
+        rows = max(1, (1 << 21) // self.stage.scan_points)
+        pieces = []
+        for k in range(0, flat.size, rows):
+            sl = slice(k, min(k + rows, flat.size))
+            grid = lo[sl, None] + ticks[None, :] * (hi - lo)[sl, None]
+            vals = np.asarray(log_fn(grid.ravel())).reshape(grid.shape)
+            pieces.append(reduce_fn(vals, axis=1))
+        out = np.concatenate(pieces)
+        if x.ndim == 0:
+            return float(out[0])
+        return out.reshape(x.shape)
+
+    def log_slope_floor(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = self.stage.position_bound(x) * self.stage.c_f
+        return self.prev.log_slope_floor(x + shift)
+
+    def log_slope_cap(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = self.stage.position_bound(x) * self.stage.c_f
+        return self.prev.log_slope_cap(x - shift)
+
+    def log_curve_floor(self, x):
+        s = self.stage
+        scanned = self._scan(self.prev.log_curve_floor, x, np.min)
+        return 3.0 * s._log_alpha - 2.0 * s._log_cf + scanned
+
+    def log_curve_cap(self, x):
+        sup_l = self._scan(self.prev.log_curve_cap, x, np.max)
+        return sup_l + np.logaddexp(0.0, sup_l - self.log_curve_floor(x))
+
+    def log_objective_coeff(self, x):
+        s = self.stage
+        x = np.asarray(x, dtype=float)
+        sup_cv = self._scan(self.prev.log_past_coeff, x, np.max)
+        sup_j = self._scan(self.prev.log_slope_cap, x, np.max)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sup_abs_i = np.log(self._scan(
+                lambda y: np.abs(s.prev.value_floor(y)), x, np.max))
+            log_k = np.log(s.position_bound(x))
+        out = np.logaddexp(LOG2 + sup_cv, LOG2 + sup_j + log_k + s._log_cf)
+        out = np.logaddexp(out, s._log_2cap)
+        out = np.logaddexp(out, LOG2 + sup_abs_i)
+        return out
+
+    def log_position_past_coeff(self, x):
+        s = self.stage
+        x = np.asarray(x, dtype=float)
+        half_gap = 0.5 * (self.log_objective_coeff(x)
+                          - self.log_curve_floor(x))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_k = np.log(s.position_bound(x))
+        out = np.logaddexp(log_k, LOG2 - s._log_cf + half_gap)
+        return out if x.ndim else float(out)
+
+    def log_past_coeff(self, x):
+        s = self.stage
+        x = np.asarray(x, dtype=float)
+        sup_cv = self._scan(self.prev.log_past_coeff, x, np.max)
+        sup_j = self._scan(self.prev.log_slope_cap, x, np.max)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_k = np.log(s.position_bound(x))
+            log_reach = np.logaddexp(log_k, self.log_position_past_coeff(x))
+            log_abs_i = np.log(np.abs(s.value_floor(x)))
+        out = np.logaddexp(LOG3 + sup_cv,
+                           LOG3 + sup_j + s._log_cf + log_reach)
+        out = np.logaddexp(out, s._log_2cap)
+        out = np.logaddexp(out, LOG2 + log_abs_i)
+        return out
+
+
+def per_family(stage):
+    if stage.is_terminal:
+        return PerFamilyTerminal(stage)
+    return PerFamilyPropagated(stage)
+
+
+FAMILIES = ("slope_floor", "slope_cap", "curve_floor", "curve_cap",
+            "past_coeff", "position_past_coeff")
+
+
+@pytest.mark.parametrize("chunk", [PropagatedEnvelopes._SCAN_CHUNK, 1 << 14])
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3)])
+def test_log_families_equal_per_family_reference(horizon, atoms, chunk,
+                                                 monkeypatch):
+    # equal bit for bit, whatever the chunking of the scans; a scalar
+    # gives a float and an array an array of its shape.  At T = 3 the
+    # deep scans are coarse: the reference's repeated scans take ~10 s at
+    # full resolution.
+    monkeypatch.setattr(PropagatedEnvelopes, "_SCAN_CHUNK", chunk)
+    coarse = {"deep_scan_points": 16} if horizon == 3 else {}
+    stack, x0 = _random_stack(horizon * 10 + atoms, horizon, atoms, **coarse)
+    inputs = (x0 + 0.7, x0 + np.array([[-1.5, 0.0], [0.4, 2.5]]))
+    for stage in stack:
+        ref = per_family(stage)
+        for name in FAMILIES:
+            if not hasattr(ref, "log_" + name):
+                continue
+            for x in inputs:
+                want = getattr(ref, "log_" + name)(x)
+                with np.errstate(over="ignore"):
+                    want_linear = np.exp(want)
+                for got, expected in ((getattr(stage, "log_" + name)(x), want),
+                                      (getattr(stage, name)(x), want_linear)):
+                    if np.ndim(x) == 0:
+                        assert type(got) is float and np.ndim(expected) == 0
+                        assert got == float(expected), (stage.exponent, name)
+                    else:
+                        assert type(got) is np.ndarray
+                        assert got.shape == np.shape(expected) == x.shape
+                        assert np.array_equal(got, expected), name
+    assert stack[-1].log_position_past_coeff(x0) == -math.inf
+
+
+def test_envelope_rows_scan_each_window_grid_once(monkeypatch):
+    # stage t's record reads one window grid per wealth from stage t + 1,
+    # and so on down to the terminal stage; the slope families read the
+    # two window ends per wealth, unscanned
+    config = load_config(fixture_path("stress_t3"))
+    market, x0 = config.market, config.initial_capital
+    stack = build_envelope_stack(config.preferences,
+                                 market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi,
+                                 market.horizon)
+    wealths = {True: 0, False: 0}
+    log_families = TerminalEnvelopes.log_families
+
+    def counted(self, x, scanned=True):
+        wealths[scanned] += np.size(x)
+        return log_families(self, x, scanned)
+
+    monkeypatch.setattr(TerminalEnvelopes, "log_families", counted)
+    grid = np.linspace(x0 - 2.0, x0 + 2.0, 9)
+    envelope_rows(stack, grid)
+    points = [stage.scan_points for stage in stack[:-1]]
+    horizon, n = len(points), grid.size
+    assert wealths[True] == sum(n * math.prod(points[t:])
+                                for t in range(horizon + 1))
+    assert wealths[False] == sum(2 ** (horizon - u) * n
+                                 * math.prod(points[t:u])
+                                 for t in range(horizon)
+                                 for u in range(t, horizon))
 
 
 def test_wealth_window_brackets_centre():
