@@ -8,11 +8,12 @@ turns the stage optimizers into a node-indexed strategy.
 The Newton iteration is one coroutine (``_newton``) that yields probe
 positions, so a stage can run all of its pending one-step problems in
 lockstep rounds: each round asks the next stage once, through
-``evaluate_many``, for the children of every problem at its probe.  A
-terminal next stage then costs one satisfaction-kernel call per round
-instead of one per probe.  The rounds are exact: ``evaluate_many(pairs)``
-returns, memoizes and warm-starts exactly as evaluating the pairs one by
-one, depth first, would.
+``evaluate_many(nodes, xs)``, for the columns (v, v', v'') at the children
+of every problem at its probe, so a terminal next stage costs one
+satisfaction-kernel call per round.  A solve that stops at the probe just
+evaluated takes its envelope from that probe's columns.  The rounds are
+exact: ``evaluate_many`` returns, memoizes and warm-starts exactly as
+evaluating the pairs one by one, depth first, would.
 
 Evaluators are pure in (node, wealth); their memo tables are private per
 solve instance, so distinct solves never share mutable state.  Grid caches
@@ -141,38 +142,20 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    edges = child_edges(prices, node)
-    return _objective(_evaluate_pairs(v_next, _probe_pairs(edges, x, h)),
-                      edges)
+    return _probe(v_next, child_edges(prices, node), x, h)
 
 
-def _probe_pairs(edges: ChildEdges, x: float, h: float
-                 ) -> list[tuple[TreeNode, float]]:
-    """Every child with its wealth ``x + h f`` after holding ``h``."""
-    return [(child, x + h * f)
-            for child, f in zip(edges.children, edges.increments)]
-
-
-def _evaluate_pairs(v_next, pairs: Sequence[tuple[TreeNode, float]]
-                    ) -> list[tuple[float, float, float]]:
-    """Next-stage (v, v', v'') at every (node, wealth) pair.
-
-    Evaluators of this module answer through one ``evaluate_many`` call; any
-    other object with ``evaluate(node, x)`` is asked pair by pair.
-    """
-    many = getattr(v_next, "evaluate_many", None)
-    if many is not None:
-        return many(pairs)
-    return [v_next.evaluate(node, x) for node, x in pairs]
-
-
-def _objective(triples: Sequence[tuple[float, float, float]],
-               edges: ChildEdges) -> tuple[float, float, float]:
+def _probe(v_next, edges: ChildEdges, x: float, h: float
+           ) -> tuple[float, float, float]:
+    """:func:`one_step_objective` from one ``evaluate_many`` call over the
+    children, summed in child order."""
+    v, v1, v2 = v_next.evaluate_many(edges.children,
+                                     [x + h * f for f in edges.increments])
     big = small = slope = 0.0
-    for (v, v1, v2), f, p in zip(triples, edges.increments, edges.probs):
-        big += p * v
-        small += p * v1 * f
-        slope += p * v2 * f * f
+    for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
+        big += p * a
+        small += p * a1 * f
+        slope += p * a2 * f * f
     return big, small, slope
 
 
@@ -333,8 +316,7 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
         edges = child_edges(prices, node)
     try:
         while True:
-            triples = _evaluate_pairs(v_next, _probe_pairs(edges, x, h))
-            h = newton.send(_objective(triples, edges)[1:])
+            h = newton.send(_probe(v_next, edges, x, h)[1:])
     except StopIteration as done:
         return done.value
 
@@ -379,9 +361,9 @@ class TerminalValue:
 
     Independent of the history; the evaluator returns the value and its
     first two derivatives in wealth as exact sums over the reference atoms.
-    A list of wealths gives a list of triples from one kernel call, each
-    equal to its single-wealth evaluation; ``evaluate_many`` makes that
-    call over all of its pairs.
+    A list of wealths gives the three columns (v, v', v'') from one kernel
+    call, each element equal to its single-wealth evaluation;
+    ``evaluate_many`` makes that call over all of its wealths.
     """
 
     stage: int | None = None
@@ -400,23 +382,9 @@ class TerminalValue:
                             self.reference, derivatives=True,
                             ref_u=self._ref_u)
 
-    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
-                      ) -> list[tuple[float, float, float]]:
-        return self.evaluate(None, [x for _, x in pairs])
-
-
-class _Lane:
-    """One pending (node, x) problem of a lockstep run."""
-
-    __slots__ = ("node", "x", "edges", "newton", "h")
-
-    def __init__(self, node: TreeNode, x: float, edges: ChildEdges,
-                 newton, h: float) -> None:
-        self.node, self.x, self.edges = node, x, edges
-        #: the running :func:`_newton`, or None once the lane is solved
-        self.newton = newton
-        #: the next probe, or the optimizer once solved
-        self.h = h
+    def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
+                      ) -> tuple[list[float], list[float], list[float]]:
+        return self.evaluate(None, list(xs))
 
 
 class RecursiveValue:
@@ -429,12 +397,14 @@ class RecursiveValue:
     curvature with the optimizer's wealth sensitivity (implicit function
     rule on the first-order condition).
 
-    ``evaluate_many`` solves its pending problems in lockstep rounds: each
-    round gathers the children of every unsolved problem at its next probe
-    (or of a solved one at its optimizer) and asks the next stage for all
-    of them in one ``evaluate_many`` call, so a terminal next stage costs
-    one kernel call per round.  The results, the memos and the ``warm``
-    seeds equal those of evaluating the pairs one by one: a node's
+    ``evaluate_many(nodes, xs)`` returns the columns (v, v', v'') and solves
+    its pending problems in lockstep rounds: each round gathers the
+    children of every unsolved problem at its next probe (or of a solved
+    one at its optimizer) and asks the next stage for all of them in one
+    ``evaluate_many`` call, so a terminal next stage costs one kernel call
+    per round.  A solve that stops at the probe just evaluated takes its
+    envelope from that round's columns.  The results, the memos and the
+    ``warm`` seeds equal those of evaluating the pairs one by one: a node's
     problems run in successive waves in request order, a repeated pair is
     solved once, and every sum accumulates in child order.
 
@@ -475,15 +445,16 @@ class RecursiveValue:
         return hit
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
-        return self.evaluate_many([(node, x)])[0]
+        v, v1, v2 = self.evaluate_many([node], [x])
+        return v[0], v1[0], v2[0]
 
-    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
-                      ) -> list[tuple[float, float, float]]:
-        keys = [(node.id, float(x)) for node, x in pairs]
+    def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
+                      ) -> tuple[Sequence[float], ...]:
+        keys = [(node.id, float(x)) for node, x in zip(nodes, xs)]
         waves: list[list[tuple[TreeNode, float]]] = []
         queued: dict[int, int] = {}
         seen = set()
-        for (node, _), key in zip(pairs, keys):
+        for node, key in zip(nodes, keys):
             if key in self._values or key in seen:
                 self.stats.memo_hits += 1
                 continue
@@ -495,10 +466,13 @@ class RecursiveValue:
             waves[wave].append((node, key[1]))
         for wave in waves:
             self._run(wave)
-        return [self._values[key] for key in keys]
+        return tuple(zip(*[self._values[key] for key in keys])) or ((), (), ())
 
     def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
-        """Solve and evaluate one wave of distinct nodes in lockstep."""
+        """Solve and evaluate one wave of distinct nodes in lockstep.
+
+        A lane is ``(node, x, edges, newton, h)``: the running :func:`_newton`
+        and its next probe, or None and an optimizer still to be evaluated."""
         fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
         # one bracket call per wave; equal to the scalar calls bit for bit
         brackets = iter(np.broadcast_to(self.bracket_fn(np.array(fresh)),
@@ -510,30 +484,39 @@ class RecursiveValue:
             if solved is None:
                 newton = _newton(node, x, next(brackets), self.foc_tolerance,
                                  initial=self.warm.get(node.id))
-                h = next(newton)
+                h = next(newton)  # the node guards raise here
             else:
                 self.stats.memo_hits += 1
                 newton, h = None, solved.position
-            lanes.append(_Lane(node, x, self.edges[node.id], newton, h))
+            lanes.append((node, x, self.edges[node.id], newton, h))
         while lanes:
-            requests = []
-            for lane in lanes:
-                requests += _probe_pairs(lane.edges, lane.x, lane.h)
-            triples = _evaluate_pairs(self.next_value, requests)
-            live, start = [], 0
-            for lane in lanes:
-                stop = start + len(lane.edges.children)
-                rows, start = triples[start:stop], stop
-                if lane.newton is None:
-                    self._values[(lane.node.id, lane.x)] = self._envelope(
-                        lane.node, lane.edges, rows)
-                    continue
-                try:
-                    lane.h = lane.newton.send(_objective(rows, lane.edges)[1:])
-                except StopIteration as done:
-                    self._store((lane.node.id, lane.x), done.value)
-                    lane.newton, lane.h = None, done.value.position
-                live.append(lane)
+            v, v1, v2 = self.next_value.evaluate_many(
+                [c for lane in lanes for c in lane[2].children],
+                [x + h * f for _, x, edges, _, h in lanes
+                 for f in edges.increments])
+            live, stop = [], 0
+            for node, x, edges, newton, h in lanes:
+                start = stop
+                stop += len(edges.increments)
+                if newton is not None:
+                    small = slope = 0.0
+                    for a1, a2, f, p in zip(v1[start:stop], v2[start:stop],
+                                            edges.increments, edges.probs):
+                        small += p * a1 * f
+                        slope += p * a2 * f * f
+                    try:
+                        live.append((node, x, edges, newton,
+                                     newton.send((small, slope))))
+                        continue
+                    except StopIteration as done:
+                        solution = done.value
+                    self._store((node.id, x), solution)
+                    if solution.position.hex() != h.hex():
+                        # the best iterate is an earlier probe
+                        live.append((node, x, edges, None, solution.position))
+                        continue
+                self._values[(node.id, x)] = self._envelope(
+                    node, edges, v[start:stop], v1[start:stop], v2[start:stop])
             lanes = live
 
     def _store(self, key: tuple[int, float], solution: OneStepSolution
@@ -543,26 +526,23 @@ class RecursiveValue:
         self.stats.record(solution, self.stage)
 
     @staticmethod
-    def _envelope(node: TreeNode, edges: ChildEdges,
-                  triples: Sequence[tuple[float, float, float]]
+    def _envelope(node: TreeNode, edges: ChildEdges, v: Sequence[float],
+                  v1: Sequence[float], v2: Sequence[float]
                   ) -> tuple[float, float, float]:
-        """(v, v', v'') from the next-stage values at the optimizer."""
-        value = 0.0
-        slope = 0.0
-        dgam_dx = 0.0
-        dgam_dh = 0.0
-        terms = []
-        for (v, v1, v2), f, p in zip(triples, edges.increments, edges.probs):
-            value += p * v
-            slope += p * v1
-            dgam_dx += p * v2 * f
-            dgam_dh += p * v2 * f * f
-            terms.append((p, v2, f))
+        """(v, v', v'') from the next-stage columns at the optimizer."""
+        value = slope = dgam_dx = dgam_dh = 0.0
+        for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
+            value += p * a
+            slope += p * a1
+            dgam_dx += p * a2 * f
+            dgam_dh += p * a2 * f * f
         if dgam_dh == 0.0:
             raise SolveError(f"flat first-order condition at node {node.id}; "
                              "the increment law is degenerate")
         dh_dx = -dgam_dx / dgam_dh
-        curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in terms)
+        curve = math.fsum(p * a2 * (1.0 + f * dh_dx)
+                          for a2, f, p in zip(v2, edges.increments,
+                                              edges.probs))
         return value, slope, curve
 
 
@@ -579,25 +559,38 @@ class GridValue:
         from scipy.interpolate import PchipInterpolator
 
         self.exact = exact
+        #: one-step solves stay exact
+        self.solution = exact.solution
         self.stage = exact.stage
         self.stats = exact.stats
         self.x_grid = np.asarray(x_grid, dtype=float)
-        self._interp: dict[int, tuple] = {}
-        triples = exact.evaluate_many([(node, float(x)) for node in nodes
-                                       for x in self.x_grid])
-        arr = np.asarray(triples).reshape(len(nodes), self.x_grid.size, 3)
-        for node, rows in zip(nodes, arr):
-            self._interp[node.id] = tuple(
-                PchipInterpolator(self.x_grid, rows[:, k], extrapolate=True)
-                for k in range(3))
+        grid = self.x_grid.tolist()
+        columns = np.asarray(exact.evaluate_many(
+            [node for node in nodes for _ in grid], grid * len(nodes)))
+        columns = columns.reshape(3, len(nodes), self.x_grid.size)
+        self._interp: dict[int, tuple] = {
+            node.id: tuple(PchipInterpolator(self.x_grid, column[i],
+                                             extrapolate=True)
+                           for column in columns)
+            for i, node in enumerate(nodes)}
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
-        v, v1, v2 = self._interp[node.id]
-        return float(v(x)), float(v1(x)), float(v2(x))
+        v, v1, v2 = self.evaluate_many([node], [x])
+        return v[0], v1[0], v2[0]
 
-    def evaluate_many(self, pairs: Sequence[tuple[TreeNode, float]]
-                      ) -> list[tuple[float, float, float]]:
-        return [self.evaluate(node, x) for node, x in pairs]
+    def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
+                      ) -> tuple[list[float], ...]:
+        """Columns (v, v', v''); each node's interpolants see all of its
+        wealths in one call."""
+        groups: dict[int, list[int]] = {}
+        for i, node in enumerate(nodes):
+            groups.setdefault(node.id, []).append(i)
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty((3, xs.size))
+        for node_id, index in groups.items():
+            for row, interp in zip(out, self._interp[node_id]):
+                row[index] = interp(xs[index])
+        return tuple(out.tolist())
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
@@ -676,16 +669,14 @@ def best_response(market: Market, preferences: Preferences,
                              TerminalValue(preferences, reference), stack,
                              foc_tolerance, backing=backing,
                              grid_points=grid_points, x0=x0, warm=warm)
+    edges = edge_table(tree, prices)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
         x = node_wealth[node.id]
-        stage_value = values[node.depth]
-        if isinstance(stage_value, GridValue):
-            sol = stage_value.exact.solution(node, x)
-        else:
-            sol = stage_value.solution(node, x)
+        sol = values[node.depth].solution(node, x)
         positions[node.id] = sol.position
-        for child in node.children:
-            node_wealth[child.id] = x + sol.position * prices.increment(child)
+        row = edges[node.id]
+        for child, f in zip(row.children, row.increments):
+            node_wealth[child.id] = x + sol.position * f
     return Strategy(positions), values

@@ -212,9 +212,9 @@ def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
     xs = np.linspace(config.initial_capital - 2.0,
                      config.initial_capital + 2.0, 21).tolist()
     for depth, nodes in enumerate(market.tree.levels[:-1]):
-        pairs = [(node, x) for node in nodes for x in xs]
-        for (node, x), (v, v1, v2) in zip(pairs,
-                                          values[depth].evaluate_many(pairs)):
+        row_nodes = [node for node in nodes for _ in xs]
+        columns = values[depth].evaluate_many(row_nodes, xs * len(nodes))
+        for node, x, v, v1, v2 in zip(row_nodes, xs * len(nodes), *columns):
             dump_rows.append([node.id, repr(x), repr(v), repr(v1), repr(v2)])
     _write_csv(out / "value_function.csv",
                ["node_id", "x", "value", "dvalue", "d2value"], dump_rows)

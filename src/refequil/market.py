@@ -219,6 +219,8 @@ class PriceModel:
         self.s0 = float(s0)
         self.c_f = float(c_f)
         self.chi = float(chi)
+        #: (tree, table) of the last :func:`edge_table` call
+        self._edges: tuple[ScenarioTree | None, dict] = (None, {})
 
     def increment(self, node: TreeNode) -> float:
         raise NotImplementedError
@@ -557,10 +559,13 @@ def edge_table(tree: ScenarioTree, prices: PriceModel
                ) -> dict[int, ChildEdges]:
     """:func:`child_edges` of every interior node, keyed by node id.
 
-    Built once per solve so that the recursion reads each edge's increment
-    instead of recomputing it at every probe.
+    Built once per market and kept on the price model, whose increments
+    are fixed at construction; callers must not modify it.
     """
-    return {node.id: child_edges(prices, node) for node in tree.interior}
+    if prices._edges[0] is not tree:
+        prices._edges = (tree, {node.id: child_edges(prices, node)
+                                for node in tree.interior})
+    return prices._edges[1]
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +604,14 @@ def wealth(tree: ScenarioTree, prices: PriceModel, positions,
     ``positions`` maps non-terminal node ids to positions (a plain mapping
     or a Strategy).
     """
+    edges = edge_table(tree, prices)
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
         h = _position_at(positions, node)
         w = node_wealth[node.id]
-        for child in node.children:
-            node_wealth[child.id] = w + h * prices.increment(child)
+        row = edges[node.id]
+        for child, f in zip(row.children, row.increments):
+            node_wealth[child.id] = w + h * f
     return WealthPath(float(x0), node_wealth)
 
 

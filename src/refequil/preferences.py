@@ -343,8 +343,9 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     supported reference is an exact sum.  ``x`` is a float, a list of
     floats (one result per element) or an array of any shape (evaluated
     elementwise).  With ``derivatives`` the result is the triple
-    (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu'').  ``ref_u`` passes
-    precomputed reference utilities U(b_j).
+    (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu''); for a list or an
+    array each member of the triple is a column, a list or an array shaped
+    like ``x``.  ``ref_u`` passes precomputed reference utilities U(b_j).
 
     A float or a list (the terminal evaluator sends all wealths of a
     lockstep round as one list) takes a fixed number of numpy calls for any
@@ -362,17 +363,16 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
         ux, dux, d2ux = utility.scalar_terms(x if type(x) is list else [x])
         gaps = ux[:, None] - ref_u
         with np.errstate(over="ignore", invalid="ignore"):
-            if derivatives:
-                nu, dnu, d2nu = gain_loss.terms(gaps)
-                factor = 1.0 + _row_dots(dnu, probs)
-                curve = _row_dots(d2nu, probs)
-                results = list(zip(
-                    (ux + _row_dots(nu, probs)).tolist(),
-                    (dux * factor).tolist(),
-                    (d2ux * factor + dux * dux * curve).tolist()))
-            else:
-                results = (ux + _row_dots(gain_loss.nu(gaps), probs)).tolist()
-        return results if type(x) is list else results[0]
+            if not derivatives:
+                values = (ux + _row_dots(gain_loss.nu(gaps), probs)).tolist()
+                return values if type(x) is list else values[0]
+            nu, dnu, d2nu = gain_loss.terms(gaps)
+            factor = 1.0 + _row_dots(dnu, probs)
+            curve = _row_dots(d2nu, probs)
+            columns = ((ux + _row_dots(nu, probs)).tolist(),
+                       (dux * factor).tolist(),
+                       (d2ux * factor + dux * dux * curve).tolist())
+        return columns if type(x) is list else tuple(c[0] for c in columns)
     ux = np.asarray(utility.u(x), dtype=float)
     gaps = ux[..., None] - ref_u
     value = ux + gain_loss.nu(gaps) @ probs
@@ -547,14 +547,13 @@ class PropagatedEnvelopes(StageEnvelopes):
             # a zero slope floor at 0 certifies no bracket; below, its term
             # would meet log|x| = inf as -inf + inf
             return np.full(x.shape, np.inf) if x.ndim else math.inf
+        abs_x = np.abs(x)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             abs_i = np.abs(self.prev.value_floor(x))
             log_num = np.logaddexp(self._log_2cap, np.log(abs_i))
-            with np.errstate(divide="ignore"):
-                log_x = np.log(np.abs(x))
-            log_num = np.logaddexp(log_num,
-                                   self._log_j0 + self._log_alpha + log_x)
-            out = (np.abs(x) / self.alpha
+            log_num = np.logaddexp(log_num, self._log_j0 + self._log_alpha
+                                   + np.log(abs_x))
+            out = (abs_x / self.alpha
                    + np.exp(log_num - self._log_j0 - 2.0 * self._log_alpha))
         return out if x.ndim else float(out)
 

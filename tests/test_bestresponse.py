@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,7 +41,16 @@ from refequil.preferences import (
 from conftest import fair_coin, last_coordinate_scaler, random_certified_instance
 
 
-class PlainExponential:
+class PairByPair:
+    """A next-stage double: ``evaluate_many`` asks ``evaluate`` one pair at
+    a time, in request order, and returns the columns (v, v', v'')."""
+
+    def evaluate_many(self, nodes, xs):
+        rows = [self.evaluate(node, x) for node, x in zip(nodes, xs)]
+        return tuple(list(column) for column in zip(*rows))
+
+
+class PlainExponential(PairByPair):
     """Reference-free exponential next-stage value, for the worked examples."""
 
     def evaluate(self, node, x):
@@ -358,6 +368,22 @@ def test_grid_backing_agrees_with_exact(symmetric_market, desk_prefs,
     assert isinstance(grid[0], GridValue)
 
 
+def test_grid_columns_equal_scalar_interpolation(symmetric_market,
+                                                 desk_prefs, symmetric_stack):
+    # evaluate_many groups the wealths of each node into one interpolant
+    # call; every element must equal the interpolant at that wealth alone
+    tree, prices = symmetric_market.tree, symmetric_market.prices
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.1))
+    grid = value_recursion(tree, prices, vt, symmetric_stack, backing="grid",
+                           grid_points=33)
+    nodes = tree.levels[1] * 2
+    xs = np.linspace(-3.0, 3.0, len(nodes)).tolist()
+    got = list(zip(*grid[1].evaluate_many(nodes, xs)))
+    assert got == [tuple(float(f(x)) for f in grid[1]._interp[node.id])
+                   for node, x in zip(nodes, xs)]
+    assert got == [grid[1].evaluate(node, x) for node, x in zip(nodes, xs)]
+
+
 def test_value_recursion_rejects_unknown_backing(symmetric_market, desk_prefs,
                                                  symmetric_stack):
     with pytest.raises(SolveError, match="backing"):
@@ -476,7 +502,7 @@ def test_strategy_rejects_non_finite_positions():
 # lockstep rounds against the depth-first recursion
 # ---------------------------------------------------------------------------
 
-class PerPair:
+class PerPair(PairByPair):
     """A terminal value asked one wealth at a time."""
 
     def __init__(self, terminal):
@@ -486,7 +512,7 @@ class PerPair:
         return self.terminal.evaluate(node, x)
 
 
-class DepthFirstValue:
+class DepthFirstValue(PairByPair):
     """The exact recursion one node and one probe at a time, as a reference.
 
     Every probe of every solve evaluates the next stage child by child, so
@@ -601,7 +627,8 @@ def test_evaluate_many_equals_one_by_one(stage, picks):
     many_warm, one_warm, ref_warm = {}, {}, {}
     many, one = recursion(many_warm), recursion(one_warm)
     ref = depth_first_values(market, prefs, law, stack, ref_warm, [0, 0])
-    got = many[stage].evaluate_many(pairs)
+    got = list(zip(*many[stage].evaluate_many([n for n, _ in pairs],
+                                              [x for _, x in pairs])))
     assert got == [one[stage].evaluate(node, x) for node, x in pairs]
     assert got == [ref[stage].evaluate(node, x) for node, x in pairs]
     assert many_warm == one_warm == ref_warm
@@ -639,6 +666,92 @@ def test_terminal_calls_below_last_stage_solves(monkeypatch):
     _, values = best_response(market, prefs, reference, x0, stack=stack)
     last = values[0].stats.stage_solves[market.horizon - 1]
     assert 0 < len(calls) < last
+
+
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_terminal_sees_only_probe_wealths(horizon, atoms, monkeypatch):
+    # every solve that stops at its last probe takes its envelope from that
+    # probe's columns: the terminal stage is asked for the children of FOC
+    # probes only, and for the optimizer's children once
+    market, prefs, x0, stack, reference = _lockstep_instance(5, horizon,
+                                                             atoms)
+    asked = Counter()
+    many = TerminalValue.evaluate_many
+
+    def recorded(self, nodes, xs):
+        asked.update(zip((node.id for node in nodes), xs))
+        return many(self, nodes, xs)
+
+    monkeypatch.setattr(TerminalValue, "evaluate_many", recorded)
+    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    assert values[0].stats.exhausted == 0
+    last = values[horizon - 1]
+    edges = edge_table(market.tree, market.prices)
+    assert sum(asked.values()) == atoms * sum(
+        solution.iterations for solution in last._solutions.values())
+    for (node_id, x), solution in last._solutions.items():
+        row = edges[node_id]
+        for child, f in zip(row.children, row.increments):
+            assert asked[(child.id, x + solution.position * f)] == 1
+
+
+def test_stop_before_last_probe_asks_again_at_optimizer(one_step_market):
+    # a double whose FOC is +1 below h = 0.3 and -4 above it, with a
+    # non-negative slope: bisection closes in on 0.3 while the best residual
+    # stays the one at h = 0, so the solve stops away from its last probe
+    # and the envelope needs one more round at the optimizer
+    tree, prices = one_step_market.tree, one_step_market.prices
+    up = next(c for c in tree.root.children if prices.increment(c) > 0.0)
+    asked = Counter()
+
+    class StepFoc(PairByPair):
+        def evaluate(self, node, x):
+            asked[(node.id, x)] += 1
+            if node.id != up.id:
+                return (0.0, 0.0, 1.0)
+            return (0.0, 4.0 if x < 0.3 + 0.5 * 0.3 else -16.0, 1.0)
+
+    bracket = lambda x: 4.0 + 0.0 * x  # noqa: E731
+    value = RecursiveValue(prices, StepFoc(), bracket,
+                           edge_table(tree, prices), stage=0)
+    got = value.evaluate(tree.root, 0.3)
+    solution = value.solution(tree.root, 0.3)
+    assert solution.position == 0.0
+    assert not (solution.exhausted or solution.clamped)
+    assert solution.iterations > 2
+    assert asked[(up.id, 0.3)] == 2
+
+    reference = DepthFirstValue(prices, StepFoc(), bracket, {}, [0, 0])
+    assert got == reference.evaluate(tree.root, 0.3)
+    assert value._solutions == reference.solutions
+
+
+def test_edge_table_is_built_once_per_market(desk_prefs):
+    # the recursion, the forward pass and the wealth roll-forward of every
+    # best response on a market read one edge table
+    calls = []
+
+    def increment(history):
+        calls.append(1)
+        return 0.5 * history[-1]
+
+    tree = ScenarioTree([fair_coin(), fair_coin()])
+    prices = TablePriceModel(1.0, 0.5, 1.0, func=increment)
+    market = Market.assemble(tree, prices)
+    table = edge_table(tree, prices)
+    for row in table.values():
+        assert row.increments == tuple(prices.increment(c)
+                                       for c in row.children)
+    calls.clear()
+    for h in (0.0, 0.3):
+        best_response(market, desk_prefs, Strategy.constant(tree, h), 0.1)
+    terminal_wealth_law(tree, prices, Strategy.constant(tree, 0.2), 0.1)
+    assert edge_table(tree, prices) is table
+    assert calls == []
+    other = ScenarioTree([fair_coin(), fair_coin()])
+    assert edge_table(other, prices) is not table
+    assert calls
 
 
 def test_solve_stats_are_shared_and_consistent():
@@ -724,7 +837,7 @@ def test_lane_rejects_terminal_node(skewed_market, desk_prefs):
 
 
 def test_lane_rejects_non_finite_foc(skewed_market):
-    class FiniteAtStart:
+    class FiniteAtStart(PairByPair):
         # finite only at the starting wealth: every probe away is NaN
         def evaluate(self, node, x):
             return (-1.0, 1.0, -1.0) if x == 0.3 else (math.nan,) * 3
