@@ -575,22 +575,13 @@ class GridValue:
             for i, node in enumerate(nodes)}
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
-        v, v1, v2 = self.evaluate_many([node], [x])
-        return v[0], v1[0], v2[0]
+        v, v1, v2 = self._interp[node.id]
+        return float(v(x)), float(v1(x)), float(v2(x))
 
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[list[float], ...]:
-        """Columns (v, v', v''); each node's interpolants see all of its
-        wealths in one call."""
-        groups: dict[int, list[int]] = {}
-        for i, node in enumerate(nodes):
-            groups.setdefault(node.id, []).append(i)
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty((3, xs.size))
-        for node_id, index in groups.items():
-            for row, interp in zip(out, self._interp[node_id]):
-                row[index] = interp(xs[index])
-        return tuple(out.tolist())
+        rows = [self.evaluate(node, x) for node, x in zip(nodes, xs)]
+        return tuple(map(list, zip(*rows))) or ([], [], [])
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,

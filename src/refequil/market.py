@@ -219,11 +219,22 @@ class PriceModel:
         self.s0 = float(s0)
         self.c_f = float(c_f)
         self.chi = float(chi)
-        #: (tree, table) of the last :func:`edge_table` call
+        #: (tree, table) of the last :meth:`edges` call
         self._edges: tuple[ScenarioTree | None, dict] = (None, {})
 
     def increment(self, node: TreeNode) -> float:
         raise NotImplementedError
+
+    def edges(self, tree: ScenarioTree) -> dict[int, ChildEdges]:
+        """:func:`child_edges` of every interior node, keyed by node id.
+
+        Built once per tree, since the increments are fixed at
+        construction; callers share the table and must not modify it.
+        """
+        if self._edges[0] is not tree:
+            self._edges = (tree, {node.id: child_edges(self, node)
+                                  for node in tree.interior})
+        return self._edges[1]
 
     def validate_bounds(self, tree: ScenarioTree) -> None:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
@@ -557,15 +568,8 @@ def child_edges(prices: PriceModel, node: TreeNode) -> ChildEdges:
 
 def edge_table(tree: ScenarioTree, prices: PriceModel
                ) -> dict[int, ChildEdges]:
-    """:func:`child_edges` of every interior node, keyed by node id.
-
-    Built once per market and kept on the price model, whose increments
-    are fixed at construction; callers must not modify it.
-    """
-    if prices._edges[0] is not tree:
-        prices._edges = (tree, {node.id: child_edges(prices, node)
-                                for node in tree.interior})
-    return prices._edges[1]
+    """The shared edge table of ``tree``: :meth:`PriceModel.edges`."""
+    return prices.edges(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -368,22 +368,6 @@ def test_grid_backing_agrees_with_exact(symmetric_market, desk_prefs,
     assert isinstance(grid[0], GridValue)
 
 
-def test_grid_columns_equal_scalar_interpolation(symmetric_market,
-                                                 desk_prefs, symmetric_stack):
-    # evaluate_many groups the wealths of each node into one interpolant
-    # call; every element must equal the interpolant at that wealth alone
-    tree, prices = symmetric_market.tree, symmetric_market.prices
-    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.1))
-    grid = value_recursion(tree, prices, vt, symmetric_stack, backing="grid",
-                           grid_points=33)
-    nodes = tree.levels[1] * 2
-    xs = np.linspace(-3.0, 3.0, len(nodes)).tolist()
-    got = list(zip(*grid[1].evaluate_many(nodes, xs)))
-    assert got == [tuple(float(f(x)) for f in grid[1]._interp[node.id])
-                   for node, x in zip(nodes, xs)]
-    assert got == [grid[1].evaluate(node, x) for node, x in zip(nodes, xs)]
-
-
 def test_value_recursion_rejects_unknown_backing(symmetric_market, desk_prefs,
                                                  symmetric_stack):
     with pytest.raises(SolveError, match="backing"):
