@@ -15,9 +15,13 @@ evaluated takes its envelope from that probe's columns.  The rounds are
 exact: ``evaluate_many`` returns, memoizes and warm-starts exactly as
 evaluating the pairs one by one, depth first, would.
 
-Evaluators are pure in (node, wealth); their memo tables are private per
-solve instance, so distinct solves never share mutable state.  Grid caches
-are filled at construction and read-only afterwards.
+Evaluators are pure in (node, wealth).  Their solution and value memos
+are private to one value recursion.  Two tables may be shared by the best
+responses of one Picard run: ``warm`` (the last optimizer per node, which
+seeds Newton) and the bracket memo (``brackets``: per stage, wealth to
+optimizer bracket).  A bracket depends on the stage and the wealth only,
+never on the reference law, so a memoized one equals a fresh one bit for
+bit.  Grid caches are filled at construction and read-only afterwards.
 """
 
 from __future__ import annotations
@@ -343,6 +347,8 @@ class SolveStats:
     unbounded: int = 0
     #: largest first-order-condition residual of any solution
     max_residual: float = 0.0
+    #: wealths whose optimizer bracket was computed (not read from a memo)
+    brackets: int = 0
     #: one-step problems solved, per stage
     stage_solves: dict = field(default_factory=dict)
 
@@ -408,8 +414,11 @@ class RecursiveValue:
     problems run in successive waves in request order, a repeated pair is
     solved once, and every sum accumulates in child order.
 
-    ``bracket_fn`` maps a wealth, or an array of wealths (one call per
-    wave), to the radius of the optimizer bracket.
+    ``bracket_fn`` maps a wealth, or an array of wealths, to the radius of
+    the optimizer bracket.  Without a ``brackets`` memo each wave makes one
+    call over its fresh wealths.  With one (a dict from wealth to radius,
+    kept by the caller across recursions of the same stage) only the
+    wealths missing from it are computed, in one call, and stored.
     """
 
     def __init__(self, prices: PriceModel, next_value,
@@ -417,7 +426,8 @@ class RecursiveValue:
                  edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
                  warm: dict[int, float] | None = None,
-                 stats: SolveStats | None = None) -> None:
+                 stats: SolveStats | None = None,
+                 brackets: dict[float, float] | None = None) -> None:
         self.prices = prices
         self.next_value = next_value
         self.bracket_fn = bracket_fn
@@ -428,6 +438,8 @@ class RecursiveValue:
         #: the tree's :func:`edge_table`
         self.edges = edges
         self.stats = stats if stats is not None else SolveStats()
+        #: optimizer bracket per wealth, shared across rebuilds, or None
+        self.brackets = brackets
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
@@ -438,7 +450,7 @@ class RecursiveValue:
             self.stats.memo_hits += 1
             return hit
         hit = solve_one_step(self.next_value, self.prices, node, x,
-                             float(self.bracket_fn(x)), self.foc_tolerance,
+                             self._brackets([key[1]])[0], self.foc_tolerance,
                              initial=self.warm.get(node.id),
                              edges=self.edges.get(node.id))
         self._store(key, hit)
@@ -473,11 +485,8 @@ class RecursiveValue:
 
         A lane is ``(node, x, edges, newton, h)``: the running :func:`_newton`
         and its next probe, or None and an optimizer still to be evaluated."""
-        fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
-        # one bracket call per wave; equal to the scalar calls bit for bit
-        brackets = iter(np.broadcast_to(self.bracket_fn(np.array(fresh)),
-                                        (len(fresh),)).tolist()
-                        if fresh else ())
+        brackets = iter(self._brackets(
+            [x for node, x in wave if (node.id, x) not in self._solutions]))
         lanes = []
         for node, x in wave:
             solved = self._solutions.get((node.id, x))
@@ -518,6 +527,20 @@ class RecursiveValue:
                 self._values[(node.id, x)] = self._envelope(
                     node, edges, v[start:stop], v1[start:stop], v2[start:stop])
             lanes = live
+
+    def _brackets(self, xs: list[float]) -> list[float]:
+        """Bracket radii at ``xs`` from at most one ``bracket_fn`` call,
+        which is equal to the scalar calls bit for bit."""
+        memo = self.brackets
+        missing = xs if memo is None else list(
+            dict.fromkeys(x for x in xs if x not in memo))
+        self.stats.brackets += len(missing)
+        radii = np.broadcast_to(self.bracket_fn(np.array(missing)),
+                                (len(missing),)).tolist() if missing else []
+        if memo is None:
+            return radii
+        memo.update(zip(missing, radii))
+        return [memo[x] for x in xs]
 
     def _store(self, key: tuple[int, float], solution: OneStepSolution
                ) -> None:
@@ -592,7 +615,9 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     grid_points: int = 129,
                     grid_radius: float | None = None,
                     x0: float = 0.0,
-                    warm: dict[int, float] | None = None) -> list:
+                    warm: dict[int, float] | None = None,
+                    brackets: dict[int, dict[float, float]] | None = None,
+                    ) -> list:
     """Evaluators for stages 0..T (index = stage).
 
     ``backing='exact'`` chains on-demand recursion (the ground truth);
@@ -600,7 +625,9 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
     one-step problems exactly; only next-stage evaluations interpolate.
     Every stage reads one :func:`edge_table` built here and counts its work
-    in one :class:`SolveStats` (``values[t].stats`` for t < T).
+    in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
+    and ``brackets`` (stage to that stage's bracket memo, filled here) may
+    be shared with other recursions on the same tree and envelope stack.
     """
     if backing not in ("exact", "grid"):
         raise SolveError(f"unknown backing {backing!r}")
@@ -616,7 +643,9 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     for t in range(tree.horizon - 1, -1, -1):
         exact = RecursiveValue(prices, values[t + 1],
                                stack[t].position_bound, edges, foc_tolerance,
-                               stage=t, warm=warm, stats=stats)
+                               stage=t, warm=warm, stats=stats,
+                               brackets=None if brackets is None
+                               else brackets.setdefault(t, {}))
         if backing == "grid":
             values[t] = GridValue(exact, tree.levels[t], x_grid)
         else:
@@ -641,13 +670,16 @@ def best_response(market: Market, preferences: Preferences,
                   foc_tolerance: float = 1e-10,
                   backing: str = "exact", grid_points: int = 129,
                   warm: dict[int, float] | None = None,
+                  brackets: dict[int, dict[float, float]] | None = None,
                   ) -> tuple[Strategy, list]:
     """Optimal strategy against the reference generated by another strategy.
 
     Builds the reference law from the reference strategy's terminal wealth,
     runs the backward recursion, then substitutes forward from the root.
     Returns the strategy and the stage evaluators (stage 0 holds the
-    optimal value at ``x0``).
+    optimal value at ``x0``).  ``warm`` and ``brackets`` are the tables a
+    Picard run shares between its best responses (see
+    :func:`value_recursion`); they must belong to this market and ``stack``.
     """
     market.require_certified()
     tree, prices = market.tree, market.prices
@@ -659,7 +691,8 @@ def best_response(market: Market, preferences: Preferences,
     values = value_recursion(tree, prices,
                              TerminalValue(preferences, reference), stack,
                              foc_tolerance, backing=backing,
-                             grid_points=grid_points, x0=x0, warm=warm)
+                             grid_points=grid_points, x0=x0, warm=warm,
+                             brackets=brackets)
     edges = edge_table(tree, prices)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}

@@ -10,6 +10,7 @@ Sections: ``market`` (factor atoms per period and the price variant),
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,7 +84,9 @@ def _coefficient(spec: Any, name: str, factors=None, period: int = 0):
     """A per-period drift/vol coefficient.
 
     Accepts a bare number (constant), a polynomial in the summed history,
-    or a table keyed by the history path (atom indices joined by '/').
+    or a table keyed by the history path (atom indices joined by '/').  A
+    table matches each history coordinate to the atom of that value (the
+    first such atom); a coordinate that is no atom is an error.
     """
     if isinstance(spec, (int, float)):
         return float(spec)
@@ -101,14 +104,19 @@ def _coefficient(spec: Any, name: str, factors=None, period: int = 0):
     if kind == "table":
         values = {key: float(v)
                   for key, v in _require(spec, "values", name).items()}
-        atom_values = [[float(v[0]) for v in dist.values]
-                       for dist in factors[: period - 1]] if factors else []
+        atom_index = [{float(v[0]): str(k)
+                       for k, v in reversed(list(enumerate(dist.values)))}
+                      for dist in factors[: period - 1]] if factors else []
 
         def lookup(history: np.ndarray) -> float:
             path = []
-            for coords, atoms in zip(history, atom_values):
-                gaps = [abs(float(coords) - a) for a in atoms]
-                path.append(str(int(np.argmin(gaps))))
+            for t, (coord, atoms) in enumerate(zip(history, atom_index), 1):
+                try:
+                    path.append(atoms[float(coord)])
+                except KeyError:
+                    raise ConfigError(f"{name}: history coordinate "
+                                      f"{float(coord)!r} of period {t} is "
+                                      "not an atom") from None
             key = "/".join(path)
             try:
                 return values[key]
@@ -138,10 +146,15 @@ def _build_market(section: dict) -> Market:
         certificate = check_uniform_no_arbitrage(tree, model)
         return Market(tree, model, certificate)
     if variant == "drift_vol":
-        mu = [_coefficient(m, "mu", factors, t + 1) for t, m
-              in enumerate(_require(price, "mu", "market.price"))]
-        sigma = [_coefficient(sg, "sigma", factors, t + 1) for t, sg
-                 in enumerate(_require(price, "sigma", "market.price"))]
+        coefficients = {}
+        for name in ("mu", "sigma"):
+            specs = _require(price, name, "market.price")
+            if not isinstance(specs, list) or len(specs) != len(factors):
+                raise ConfigError(f"market.price.{name} needs one entry per "
+                                  f"period ({len(factors)})")
+            coefficients[name] = [_coefficient(spec, name, factors, t + 1)
+                                  for t, spec in enumerate(specs)]
+        mu, sigma = coefficients["mu"], coefficients["sigma"]
         try:
             model, certificate = build_eex_model(
                 mu, sigma, factors,
@@ -236,12 +249,15 @@ def load_config(path: str | Path,
             if stray:
                 raise ConfigError(f"solver keys {stray} apply only to the "
                                   "best-response command")
+        initial_capital = float(raw.get("initial_capital", 0.0))
+        if not math.isfinite(initial_capital):
+            raise ConfigError("initial_capital must be finite")
         output = raw.get("output", {})
         return RunConfig(
             market=market,
             preferences=preferences,
             solver=solver,
-            initial_capital=float(raw.get("initial_capital", 0.0)),
+            initial_capital=initial_capital,
             seed=int(raw.get("seed", 0)),
             output_dir=Path(output.get("directory", "out")),
             backing=str(solver_spec.get("backing", "exact")),
@@ -250,7 +266,7 @@ def load_config(path: str | Path,
         )
     except (ConfigError, CertificationError):
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a value of the wrong JSON type or out of range for its field
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

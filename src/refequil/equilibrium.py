@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bestresponse import Strategy, best_response, terminal_wealth_law
-from .market import Market
+from .market import Market, node_increments
 from .preferences import (
     Preferences,
     ReferenceDistribution,
@@ -119,7 +119,9 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
 
     Stops once the sup-norm residual reaches the tolerance or the iteration
     budget runs out; always returns the lowest-residual iterate seen, with
-    the converged flag telling the two outcomes apart.
+    the converged flag telling the two outcomes apart.  The run's best
+    responses share warm starts and a memo of optimizer brackets, which
+    depend on the wealth and the stage only.
     """
     market.require_certified()
     if stack is None:
@@ -130,11 +132,12 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     iterations = 0
     converged = False
     warm: dict[int, float] = {}
+    brackets: dict[int, dict[float, float]] = {}
     for _ in range(config.max_iterations):
         response, _ = best_response(market, preferences, current, x0,
                                     stack=stack,
                                     foc_tolerance=config.foc_tolerance,
-                                    warm=warm)
+                                    warm=warm, brackets=brackets)
         iterations += 1
         residual = response.sup_distance(current)
         trace.append(residual)
@@ -167,7 +170,7 @@ def _oracle_sweep(market: Market, preferences: Preferences,
                   reference: ReferenceDistribution, x0: float,
                   radius: float, resolution: int, cap: int):
     """Best self-value over the full grid of strategies, or None if too big."""
-    tree, prices = market.tree, market.prices
+    tree = market.tree
     interior = tree.interior
     combos = resolution ** len(interior)
     if combos > cap:
@@ -176,12 +179,13 @@ def _oracle_sweep(market: Market, preferences: Preferences,
     mesh = np.meshgrid(*grids, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=-1)  # (combos, N)
     index = {node.id: k for k, node in enumerate(interior)}
+    incs = node_increments(tree, market.prices)
     leaf_wealth = np.full((positions.shape[0], len(tree.leaves)), float(x0))
     for j, leaf in enumerate(tree.leaves):
         node = leaf
         while node.depth > 0:
-            f = prices.increment(node)
-            leaf_wealth[:, j] += positions[:, index[node.parent.id]] * f
+            leaf_wealth[:, j] += (positions[:, index[node.parent.id]]
+                                  * incs[node.id])
             node = node.parent
     probs = np.asarray([leaf.prob for leaf in tree.leaves])
     # row blocks bound the (strategies, leaves, atoms) gap array of the

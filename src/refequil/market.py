@@ -238,10 +238,9 @@ class PriceModel:
 
     def validate_bounds(self, tree: ScenarioTree) -> None:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
-        for node in tree.nodes[1:]:
-            f = self.increment(node)
+        for node_id, f in node_increments(tree, self).items():
             if abs(f) > self.c_f + 1e-12:
-                raise MarketError(f"increment {f!r} at node {node.id} exceeds "
+                raise MarketError(f"increment {f!r} at node {node_id} exceeds "
                                   f"the stated bound c_f={self.c_f}")
 
     def price(self, node: TreeNode) -> float:
@@ -385,10 +384,10 @@ def check_uniform_no_arbitrage(tree: ScenarioTree,
     node_alphas: dict[int, float] = {}
     alpha_star = 1.0
     violating = None
+    edges = prices.edges(tree)
     for node in tree.interior:
-        incs = [prices.increment(c) for c in node.children]
-        probs = [c.edge_prob for c in node.children]
-        a = _node_alpha(incs, probs)
+        row = edges[node.id]
+        a = _node_alpha(row.increments, row.probs)
         node_alphas[node.id] = a
         if a <= 0.0 and violating is None:
             violating = node.id
@@ -572,6 +571,14 @@ def edge_table(tree: ScenarioTree, prices: PriceModel
     return prices.edges(tree)
 
 
+def node_increments(tree: ScenarioTree, prices: PriceModel
+                    ) -> dict[int, float]:
+    """The increment of the edge into every node of depth >= 1, keyed by
+    node id (breadth first), read from the edge table."""
+    return {child.id: f for row in prices.edges(tree).values()
+            for child, f in zip(row.children, row.increments)}
+
+
 # ---------------------------------------------------------------------------
 # wealth accounting
 # ---------------------------------------------------------------------------
@@ -654,11 +661,12 @@ def tree_rows(tree: ScenarioTree, prices: PriceModel | None = None,
     root), per-node alpha (empty at terminal nodes).
     """
     header = ["node_id", "depth", "path", "probability", "increment", "alpha"]
+    incs = {} if prices is None else node_increments(tree, prices)
     rows = []
     for node in tree.nodes:
         inc = ""
-        if prices is not None and node.depth > 0:
-            inc = repr(prices.increment(node))
+        if node.id in incs:
+            inc = repr(incs[node.id])
         alpha = ""
         if certificate is not None and node.id in certificate.node_alphas:
             alpha = repr(certificate.node_alphas[node.id])

@@ -88,9 +88,11 @@ class ExponentialUtility(Utility):
     """U(x) = -exp(-a x), a > 0; bounded above by any positive constant."""
 
     def __init__(self, a: float, c_u: float = 1.0) -> None:
-        if a <= 0.0:
-            raise PreferenceError("the risk-aversion parameter must be positive")
-        if c_u <= 0.0:
+        # U'' needs a^2 as a finite double
+        if not (a > 0.0 and math.isfinite(a * a)):
+            raise PreferenceError("the risk-aversion parameter must be "
+                                  "positive, with a finite square")
+        if not 0.0 < c_u < math.inf:
             raise PreferenceError("the upper bound c_u must be positive")
         self.a = float(a)
         self.c_u = float(c_u)
@@ -156,7 +158,7 @@ class TabulatedUtility(Utility):
             raise PreferenceError("need at least 4 knots")
         if np.any(np.diff(x_arr) <= 0.0):
             raise PreferenceError("knots must be strictly increasing")
-        if c_u <= 0.0:
+        if not 0.0 < c_u < math.inf:
             raise PreferenceError("the upper bound c_u must be positive")
         self._u = PchipInterpolator(x_arr, np.asarray(u, float),
                                     extrapolate=True)
@@ -218,9 +220,9 @@ class ArctanGainLoss(GainLoss):
     """
 
     def __init__(self, k_minus: float, scale: float = 1.0) -> None:
-        if k_minus <= 0.0:
+        if not 0.0 < k_minus < math.inf:
             raise PreferenceError("the loss slope k_minus must be positive")
-        if scale <= 0.0:
+        if not 0.0 < scale < math.inf:
             raise PreferenceError("the gain-arm scale must be positive")
         self.k_minus = float(k_minus)
         self.scale = float(scale)
@@ -239,7 +241,9 @@ class ArctanGainLoss(GainLoss):
 
     def dnu(self, x):
         x = np.asarray(x, dtype=float)
-        gains = self.k_minus / (1.0 + (x / self.scale) ** 2)
+        with np.errstate(over="ignore"):
+            # a huge gap takes the slope's limit 0, as in terms
+            gains = self.k_minus / (1.0 + (x / self.scale) ** 2)
         return np.where(x > 0.0, gains, self.k_minus)
 
     def d2nu(self, x):
@@ -566,8 +570,10 @@ class PropagatedEnvelopes(StageEnvelopes):
         return (lo, hi) if x.ndim else (float(lo), float(hi))
 
     #: wealths per previous-stage call of a window scan; nested scans hold
-    #: one chunk per stage, so this bounds their memory
-    _SCAN_CHUNK = 1 << 18
+    #: one chunk per stage, so this bounds their memory, and at 2^15 each
+    #: float64 array of a chunk (256 KiB) stays in cache.  The families do
+    #: not depend on it.
+    _SCAN_CHUNK = 1 << 15
 
     def value_floor(self, x):
         return self.prev.value_floor(x)

@@ -28,7 +28,7 @@ from .equilibrium import (
     find_equilibria,
     iterate_fixed_point,
 )
-from .market import Market
+from .market import Market, node_increments
 from .preferences import (
     LogFamilies,
     Preferences,
@@ -511,6 +511,7 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
 def _check_price_modulus(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     count = 0
+    incs = node_increments(s.tree, s.prices)
     for t in range(1, s.tree.horizon + 1):
         level = s.tree.levels[t]
         for i, a in enumerate(level):
@@ -519,7 +520,7 @@ def _check_price_modulus(s: _Session) -> CheckReport:
                 if dist == 0.0:
                     continue
                 count += 1
-                gap = abs(s.prices.increment(a) - s.prices.increment(b))
+                gap = abs(incs[a.id] - incs[b.id])
                 margin = s.prices.c_f * dist ** s.prices.chi - gap
                 if margin < worst:
                     worst, witness = margin, _fmt_witness(a=a.id, b=b.id)
@@ -531,11 +532,13 @@ def _check_no_arbitrage(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     alpha = s.market.certificate.alpha_star
     count = 0
+    edges = s.prices.edges(s.tree)
     for node in s.tree.interior:
-        up = math.fsum(c.edge_prob for c in node.children
-                       if s.prices.increment(c) >= alpha)
-        down = math.fsum(c.edge_prob for c in node.children
-                         if s.prices.increment(c) <= -alpha)
+        row = edges[node.id]
+        up = math.fsum(p for f, p in zip(row.increments, row.probs)
+                       if f >= alpha)
+        down = math.fsum(p for f, p in zip(row.increments, row.probs)
+                         if f <= -alpha)
         count += 1
         margin = min(up - alpha, down - alpha)
         if margin < worst:
@@ -595,12 +598,17 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
 
     limits = []
     for damping in (0.25, 0.5, 1.0):
-        sub = EquilibriumConfig(damping=damping, tolerance=cfg.tolerance,
-                                max_iterations=cfg.max_iterations,
-                                starts=1, foc_tolerance=cfg.foc_tolerance)
-        rep = iterate_fixed_point(s.market, s.preferences, sub,
-                                  Strategy.constant(s.tree, 0.0), s.x0,
-                                  stack=s.stack)
+        if damping == cfg.damping:
+            # the search's first run: the zero start under these settings
+            rep = eqs.reports[0]
+        else:
+            sub = EquilibriumConfig(damping=damping, tolerance=cfg.tolerance,
+                                    max_iterations=cfg.max_iterations,
+                                    starts=1,
+                                    foc_tolerance=cfg.foc_tolerance)
+            rep = iterate_fixed_point(s.market, s.preferences, sub,
+                                      Strategy.constant(s.tree, 0.0), s.x0,
+                                      stack=s.stack)
         if rep.converged:
             limits.append(rep.strategy)
     if len(limits) >= 2:

@@ -1,12 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refequil.bestresponse import Strategy, best_response
 from refequil.cli import build_parser, main
@@ -159,8 +166,16 @@ def _assign(value, *keys):
     ("symmetric_t2", _assign(5, "output"), 2, "configuration error"),
     ("asymmetric_eex_t2", _assign(0.9, "market", "price", "beta"), 3,
      "market certification failed"),
+    ("symmetric_t2", _assign(1.4e154, "preferences", "utility", "a"), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign(math.inf, "initial_capital"), 2,
+     "configuration error"),
+    ("symmetric_t2", _assign(math.inf, "seed"), 2, "configuration error"),
+    ("asymmetric_eex_t2", _assign([1.0], "market", "price", "sigma"), 2,
+     "configuration error"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
-        "output_number", "eex_tail_beta"])
+        "output_number", "eex_tail_beta", "utility_square_overflows",
+        "capital_infinite", "seed_infinite", "sigma_short"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
@@ -348,3 +363,68 @@ def test_tabulated_drift_coefficients(tmp_path):
         -0.1 + 1.0 * -2.5)
     assert config.market.prices.increment(up_child) == pytest.approx(
         0.1 + 1.0 * 2.5)
+
+
+def test_table_coefficient_matches_atoms_exactly(tmp_path):
+    # a history coordinate is looked up by its atom value; one that is no
+    # atom has no tabulated path, rather than that of the nearest atom
+    cfg = _patch_fixture(tmp_path, lambda raw: raw["market"]["price"].update(
+        mu=[0.1, {"type": "table",
+                  "values": {"0": -0.1, "1": 0.0, "2": 0.1}}]),
+        fixture="asymmetric_eex_t2")
+    config = load_config(cfg)
+    mu = config.market.prices.mu[1]
+    atoms = [v for (v,) in config.market.tree.distributions[0].values]
+    assert [mu(np.array([a])) for a in atoms] == [-0.1, 0.0, 0.1]
+    for coord in (atoms[0] + 1e-9, 0.3 * atoms[0]):
+        with pytest.raises(ConfigError, match="not an atom"):
+            mu(np.array([coord]))
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for k, value in enumerate(node):
+            yield from _leaf_paths(value, path + (k,))
+    else:
+        yield path
+
+
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.floats(-5.0, 5.0), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(fixture=st.sampled_from(bundled_fixtures()), data=st.data())
+def test_config_fuzz_exits_with_documented_code(fixture, data):
+    # one leaf of a bundled fixture mutated or deleted: config load and
+    # the gates end in a documented exit code, never in a traceback.  The
+    # command runs under Python's default warning filter, as the CLI does:
+    # numpy's overflow warnings on absurd magnitudes (k_minus = 1e308)
+    # print and do not raise.
+    raw = json.loads(fixture_path(fixture).read_text())
+    path = data.draw(st.sampled_from(list(_leaf_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_FUZZ_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            code = main(["report", "--config", str(cfg), "--out",
+                         str(Path(tmp) / "out")])
+    assert code in range(5), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -300,3 +300,51 @@ def test_config_validation():
         EquilibriumConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         EquilibriumConfig(starts=0)
+
+
+def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
+    # a bracket depends on the stage and the wealth only, so a run whose
+    # best responses share a bracket memo equals one computing every
+    # bracket afresh, and computes fewer
+    from dataclasses import replace
+
+    import refequil.equilibrium as equilibrium
+    from refequil.preferences import build_envelope_stack
+
+    from conftest import random_certified_instance
+
+    rng = np.random.default_rng(23)
+    market, prefs, x0 = random_certified_instance(rng, 3, 3)
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi, 3)
+    start = Strategy({node.id: float(rng.uniform(-1.0, 1.0))
+                      for node in market.tree.interior})
+    runs = []
+    for memo in (True, False):
+        responses, stats = [], []
+
+        def traced(*args, brackets, **kwargs):
+            response, values = best_response(
+                *args, brackets=brackets if memo else None, **kwargs)
+            responses.append(response.positions)
+            stats.append(values[0].stats)
+            return response, values
+
+        monkeypatch.setattr(equilibrium, "best_response", traced)
+        report = iterate_fixed_point(market, prefs,
+                                     EquilibriumConfig(max_iterations=12),
+                                     start, x0, stack=stack)
+        runs.append((report, responses, stats))
+    (memo, memo_responses, memo_stats), (fresh, fresh_responses,
+                                         fresh_stats) = runs
+    assert memo.strategy.positions == fresh.strategy.positions
+    assert (memo.residual, memo.value, memo.iterations, memo.converged,
+            memo.residual_trace) == (fresh.residual, fresh.value,
+                                     fresh.iterations, fresh.converged,
+                                     fresh.residual_trace)
+    assert memo_responses == fresh_responses
+    assert ([replace(s, brackets=0) for s in memo_stats]
+            == [replace(s, brackets=0) for s in fresh_stats])
+    assert memo.iterations == len(memo_stats) > 2
+    assert (sum(s.brackets for s in memo_stats)
+            < sum(s.brackets for s in fresh_stats))

@@ -449,7 +449,8 @@ FAMILIES = ("slope_floor", "slope_cap", "curve_floor", "curve_cap",
             "past_coeff", "position_past_coeff")
 
 
-@pytest.mark.parametrize("chunk", [PropagatedEnvelopes._SCAN_CHUNK, 1 << 14])
+@pytest.mark.parametrize("chunk", [1 << 18, PropagatedEnvelopes._SCAN_CHUNK,
+                                   1 << 14])
 @pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
                                            (3, 2), (3, 3)])
 def test_log_families_equal_per_family_reference(horizon, atoms, chunk,

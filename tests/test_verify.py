@@ -93,3 +93,51 @@ def test_report_rows_schema(symmetric_market, desk_prefs, symmetric_stack):
                       "witness"]
     assert rows[0][0] == "foc_residual"
     assert rows[0][3] is True
+
+
+@pytest.mark.parametrize("fixture", ["symmetric_t2", "asymmetric_eex_t2"])
+@pytest.mark.parametrize("damping,runs", [(0.5, 2), (0.3, 3)])
+def test_damping_invariance_reuses_the_zero_start_run(fixture, damping, runs,
+                                                      monkeypatch):
+    # the search's zero start at the configured damping is the damping
+    # run at that damping, so verify takes it from the search
+    import refequil.verify as verify
+    from refequil.bestresponse import Strategy
+    from refequil.config import fixture_path, load_config
+    from refequil.equilibrium import find_equilibria, iterate_fixed_point
+    from refequil.preferences import build_envelope_stack
+
+    config = load_config(fixture_path(fixture))
+    market, prefs, x0 = (config.market, config.preferences,
+                         config.initial_capital)
+    cfg = EquilibriumConfig(damping=damping, starts=2, max_iterations=60)
+    searches, dampings = [], []
+
+    def find(*args, **kwargs):
+        searches.append(find_equilibria(*args, **kwargs))
+        return searches[-1]
+
+    def iterate(market_, prefs_, sub, *args, **kwargs):
+        dampings.append(sub.damping)
+        return iterate_fixed_point(market_, prefs_, sub, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_equilibria", find)
+    monkeypatch.setattr(verify, "iterate_fixed_point", iterate)
+    reports = run_suite(market, prefs, x0, suite="equilibrium", samples=8,
+                        seed=4, config=cfg)
+    assert all(r.passed for r in reports)
+    assert len(dampings) == runs
+    assert damping not in dampings
+    zero = searches[0].reports[0]
+    fresh = iterate_fixed_point(
+        market, prefs, EquilibriumConfig(damping=damping, starts=1,
+                                         max_iterations=60),
+        Strategy.constant(market.tree, 0.0), x0,
+        stack=build_envelope_stack(
+            prefs, market.certificate.alpha_star, market.prices.c_f,
+            market.prices.chi, market.horizon))
+    assert zero.strategy.positions == fresh.strategy.positions
+    assert (zero.residual, zero.value, zero.iterations, zero.converged,
+            zero.start_id, zero.residual_trace) == (
+        fresh.residual, fresh.value, fresh.iterations, fresh.converged,
+        fresh.start_id, fresh.residual_trace)
