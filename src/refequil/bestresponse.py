@@ -15,6 +15,18 @@ evaluated takes its envelope from that probe's columns.  The rounds are
 exact: ``evaluate_many`` returns, memoizes and warm-starts exactly as
 evaluating the pairs one by one, depth first, would.
 
+The recursion is written as steps: generators that run a next stage that
+is an exact recursion in place (``yield from``) and pass each request to
+any other stage (the terminal stage, a grid stage, a test double) up to
+their driver as ``(evaluator, nodes, xs)``, receiving its columns back.  :func:`run_steps` drives one of
+them alone and answers each request with ``evaluate_many``; the
+synchronous ``evaluate_many``, ``solution``, :func:`solve_one_step` and
+:func:`best_response` are that driver over their steps.
+:func:`run_lockstep` drives many together, such as the starts of a
+multistart search: each round, the terminal requests that share their
+preferences and atom count take one kernel call, with one reference row
+per wealth, and every run receives the columns it would receive alone.
+
 Evaluators are pure in (node, wealth).  Their solution and value memos
 are private to one value recursion.  Two tables may be shared by the best
 responses of one Picard run: ``warm`` (the last optimizer per node, which
@@ -146,15 +158,17 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    return _probe(v_next, child_edges(prices, node), x, h)
+    return run_steps(_probe_steps(v_next, child_edges(prices, node), x, h))
 
 
-def _probe(v_next, edges: ChildEdges, x: float, h: float
-           ) -> tuple[float, float, float]:
-    """:func:`one_step_objective` from one ``evaluate_many`` call over the
-    children, summed in child order."""
-    v, v1, v2 = v_next.evaluate_many(edges.children,
-                                     [x + h * f for f in edges.increments])
+def _probe_steps(v_next, edges: ChildEdges, x: float, h: float):
+    """:func:`one_step_objective` as steps, from one ask of the next stage
+    over the children, summed in child order."""
+    xs = [x + h * f for f in edges.increments]
+    if isinstance(v_next, RecursiveValue):
+        v, v1, v2 = yield from v_next.evaluate_steps(edges.children, xs)
+    else:
+        v, v1, v2 = yield v_next, edges.children, xs
     big = small = slope = 0.0
     for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
         big += p * a
@@ -313,6 +327,16 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     problem was just solved); the bracketed flow is the fallback.
     ``edges`` passes the node's row of a precomputed :func:`edge_table`.
     """
+    return run_steps(_solve_steps(v_next, prices, node, x, bracket,
+                                  foc_tolerance, max_iterations, initial,
+                                  edges))
+
+
+def _solve_steps(v_next, prices: PriceModel, node: TreeNode, x: float,
+                 bracket: float, foc_tolerance: float = 1e-10,
+                 max_iterations: int = 100, initial: float | None = None,
+                 edges: ChildEdges | None = None):
+    """:func:`solve_one_step` as steps."""
     newton = _newton(node, x, bracket, foc_tolerance, max_iterations,
                      initial)
     h = next(newton)
@@ -320,9 +344,82 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
         edges = child_edges(prices, node)
     try:
         while True:
-            h = newton.send(_probe(v_next, edges, x, h)[1:])
+            _, small, slope = yield from _probe_steps(v_next, edges, x, h)
+            h = newton.send((small, slope))
     except StopIteration as done:
         return done.value
+
+
+# ---------------------------------------------------------------------------
+# steps and their drivers
+# ---------------------------------------------------------------------------
+
+def run_steps(steps):
+    """Drive one step generator alone: each request is answered by one
+    ``evaluate_many`` call of its evaluator.  Returns the generator's
+    value."""
+    try:
+        evaluator, nodes, xs = next(steps)
+        while True:
+            evaluator, nodes, xs = steps.send(
+                evaluator.evaluate_many(nodes, xs))
+    except StopIteration as done:
+        return done.value
+
+
+def run_lockstep(runs: Sequence) -> list:
+    """Drive step generators together, one round at a time.
+
+    Each round answers every pending request.  Requests to terminal stages
+    with the same preferences and atom count share one kernel call
+    (:func:`_terminal_columns`); any other request is one ``evaluate_many``
+    call.  Every run receives exactly the columns it would receive alone,
+    so its result equals :func:`run_steps` on it; only the runs' requests
+    interleave.  Returns the results in order.  When runs raise, the
+    exception of the lowest-index one is raised once the runs before it
+    have finished, as running them one after another would; the runs
+    after it are dropped.
+    """
+    results: list = [None] * len(runs)
+    requests: dict[int, tuple] = {}
+    failure: tuple[int, Exception] | None = None
+
+    def advance(k: int, send) -> bool:
+        """One step of run ``k``; False once it has raised."""
+        nonlocal failure
+        try:
+            requests[k] = send()
+        except StopIteration as done:
+            results[k] = done.value
+        except Exception as exc:  # raised below, in run order
+            failure = (k, exc)
+            return False
+        return True
+
+    for k, run in enumerate(runs):
+        if not advance(k, run.__next__):
+            break
+    while requests:
+        current, requests = requests, {}
+        groups: dict = {}
+        for k, (evaluator, _, _) in current.items():
+            if type(evaluator) is TerminalValue:
+                key = (evaluator.preferences, len(evaluator.reference))
+                groups.setdefault(key, []).append(k)
+        merged = {}
+        for members in groups.values():
+            if len(members) > 1:
+                merged.update(zip(members, _terminal_columns(
+                    [current[k] for k in members])))
+        for k in sorted(current):
+            evaluator, nodes, xs = current[k]
+            if not advance(k, lambda: runs[k].send(
+                    merged[k] if k in merged
+                    else evaluator.evaluate_many(nodes, xs))):
+                break
+    if failure is not None:
+        raise failure[1]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +490,27 @@ class TerminalValue:
         return self.evaluate(None, list(xs))
 
 
+def _terminal_columns(requests: Sequence[tuple]) -> list[tuple]:
+    """The columns of several terminal requests ``(terminal, nodes, xs)``
+    whose terminals share their preferences and atom count, from one kernel
+    call with one reference row per wealth; each equals the request's own
+    ``evaluate_many`` bit for bit."""
+    counts = [len(xs) for _, _, xs in requests]
+    ref_u = np.repeat(np.array([t._ref_u for t, _, _ in requests]), counts,
+                      axis=0)
+    probs = np.repeat(np.array([t.reference.probs for t, _, _ in requests]),
+                      counts, axis=0)
+    preferences = requests[0][0].preferences
+    columns = satisfaction(preferences.utility, preferences.gain_loss,
+                           [x for _, _, xs in requests for x in xs], None,
+                           derivatives=True, ref_u=ref_u, probs=probs)
+    out, stop = [], 0
+    for count in counts:
+        start, stop = stop, stop + count
+        out.append(tuple(column[start:stop] for column in columns))
+    return out
+
+
 class RecursiveValue:
     """Stage-t value backed by on-demand exact recursion.
 
@@ -444,15 +562,20 @@ class RecursiveValue:
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
+        return run_steps(self.solution_steps(node, x))
+
+    def solution_steps(self, node: TreeNode, x: float):
+        """:meth:`solution` as steps."""
         key = (node.id, float(x))
         hit = self._solutions.get(key)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
-        hit = solve_one_step(self.next_value, self.prices, node, x,
-                             self._brackets([key[1]])[0], self.foc_tolerance,
-                             initial=self.warm.get(node.id),
-                             edges=self.edges.get(node.id))
+        hit = yield from _solve_steps(self.next_value, self.prices, node, x,
+                                      self._brackets([key[1]])[0],
+                                      self.foc_tolerance,
+                                      initial=self.warm.get(node.id),
+                                      edges=self.edges.get(node.id))
         self._store(key, hit)
         return hit
 
@@ -462,6 +585,10 @@ class RecursiveValue:
 
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[Sequence[float], ...]:
+        return run_steps(self.evaluate_steps(nodes, xs))
+
+    def evaluate_steps(self, nodes: Sequence[TreeNode], xs: Sequence[float]):
+        """:meth:`evaluate_many` as steps."""
         keys = [(node.id, float(x)) for node, x in zip(nodes, xs)]
         waves: list[list[tuple[TreeNode, float]]] = []
         queued: dict[int, int] = {}
@@ -477,11 +604,12 @@ class RecursiveValue:
                 waves.append([])
             waves[wave].append((node, key[1]))
         for wave in waves:
-            self._run(wave)
+            yield from self._run(wave)
         return tuple(zip(*[self._values[key] for key in keys])) or ((), (), ())
 
-    def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
-        """Solve and evaluate one wave of distinct nodes in lockstep.
+    def _run(self, wave: list[tuple[TreeNode, float]]):
+        """Solve and evaluate one wave of distinct nodes in lockstep, as
+        steps.
 
         A lane is ``(node, x, edges, newton, h)``: the running :func:`_newton`
         and its next probe, or None and an optimizer still to be evaluated."""
@@ -499,10 +627,14 @@ class RecursiveValue:
                 newton, h = None, solved.position
             lanes.append((node, x, self.edges[node.id], newton, h))
         while lanes:
-            v, v1, v2 = self.next_value.evaluate_many(
-                [c for lane in lanes for c in lane[2].children],
-                [x + h * f for _, x, edges, _, h in lanes
-                 for f in edges.increments])
+            nodes = [c for lane in lanes for c in lane[2].children]
+            xs = [x + h * f for _, x, edges, _, h in lanes
+                  for f in edges.increments]
+            if isinstance(self.next_value, RecursiveValue):
+                v, v1, v2 = yield from self.next_value.evaluate_steps(nodes,
+                                                                      xs)
+            else:
+                v, v1, v2 = yield self.next_value, nodes, xs
             live, stop = [], 0
             for node, x, edges, newton, h in lanes:
                 start = stop
@@ -584,6 +716,7 @@ class GridValue:
         self.exact = exact
         #: one-step solves stay exact
         self.solution = exact.solution
+        self.solution_steps = exact.solution_steps
         self.stage = exact.stage
         self.stats = exact.stats
         self.x_grid = np.asarray(x_grid, dtype=float)
@@ -681,6 +814,20 @@ def best_response(market: Market, preferences: Preferences,
     Picard run shares between its best responses (see
     :func:`value_recursion`); they must belong to this market and ``stack``.
     """
+    return run_steps(best_response_steps(
+        market, preferences, reference_strategy, x0, stack, foc_tolerance,
+        backing, grid_points, warm, brackets))
+
+
+def best_response_steps(market: Market, preferences: Preferences,
+                        reference_strategy, x0: float,
+                        stack: Sequence[StageEnvelopes] | None = None,
+                        foc_tolerance: float = 1e-10,
+                        backing: str = "exact", grid_points: int = 129,
+                        warm: dict[int, float] | None = None,
+                        brackets: dict[int, dict[float, float]] | None = None):
+    """:func:`best_response` as steps, so that :func:`run_lockstep` can run
+    many best responses with one terminal kernel call per round."""
     market.require_certified()
     tree, prices = market.tree, market.prices
     if stack is None:
@@ -698,7 +845,7 @@ def best_response(market: Market, preferences: Preferences,
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
         x = node_wealth[node.id]
-        sol = values[node.depth].solution(node, x)
+        sol = yield from values[node.depth].solution_steps(node, x)
         positions[node.id] = sol.position
         row = edges[node.id]
         for child, f in zip(row.children, row.increments):

@@ -7,9 +7,16 @@ analytically (the best-response residual) and, on small trees, against a
 brute-force grid oracle whose tolerance follows from the curvature
 envelope.
 
-Multistart runs are independent (each owns its iteration state and warm
-caches) and could execute in parallel; the search here runs them in a
-deterministic sequence so that equal seeds give equal reports.
+Multistart runs are independent: each owns its iteration state, warm
+seeds, bracket memo and work counters.  The search advances them in
+lockstep: every start that has not converged or run out of iterations
+takes its next best-response round in the same round as the others, and
+the terminal stage is the only point where a start waits for them, so that
+the starts' terminal requests of one round share one satisfaction-kernel
+call per atom count (:func:`~refequil.bestresponse.run_lockstep`).  Each
+report equals that of running the start alone through
+:func:`iterate_fixed_point`, and the starts' errors surface in start
+order, so equal seeds give equal reports.
 """
 
 from __future__ import annotations
@@ -18,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bestresponse import Strategy, best_response, terminal_wealth_law
+from .bestresponse import (
+    Strategy,
+    best_response,
+    best_response_steps,
+    run_lockstep,
+    terminal_wealth_law,
+)
 from .market import Market, node_increments
 from .preferences import (
     Preferences,
@@ -126,30 +139,67 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
+    warm: dict[int, float] = {}
+    brackets: dict[int, dict[float, float]] = {}
+    run = _picard(config, start)
+    current = next(run)
+    try:
+        while True:
+            response, _ = best_response(market, preferences, current, x0,
+                                        stack=stack,
+                                        foc_tolerance=config.foc_tolerance,
+                                        warm=warm, brackets=brackets)
+            current = run.send(response)
+    except StopIteration as done:
+        return _report(market, preferences, x0, start_id, done.value)
+
+
+def _picard_steps(market: Market, preferences: Preferences,
+                  config: EquilibriumConfig, start: Strategy, x0: float,
+                  stack, start_id: int):
+    """:func:`iterate_fixed_point` as steps (see :func:`run_lockstep`)."""
+    warm: dict[int, float] = {}
+    brackets: dict[int, dict[float, float]] = {}
+    run = _picard(config, start)
+    current = next(run)
+    try:
+        while True:
+            response, _ = yield from best_response_steps(
+                market, preferences, current, x0, stack=stack,
+                foc_tolerance=config.foc_tolerance, warm=warm,
+                brackets=brackets)
+            current = run.send(response)
+    except StopIteration as done:
+        return _report(market, preferences, x0, start_id, done.value)
+
+
+def _picard(config: EquilibriumConfig, start: Strategy):
+    """The damped Picard loop as a coroutine.
+
+    Yields each iterate, expects its best response sent back, and returns
+    ``(lowest residual, its iterate)``, the residual trace and the
+    converged flag.
+    """
     current = start
     best: tuple[float, Strategy] | None = None
     trace: list[float] = []
-    iterations = 0
-    converged = False
-    warm: dict[int, float] = {}
-    brackets: dict[int, dict[float, float]] = {}
     for _ in range(config.max_iterations):
-        response, _ = best_response(market, preferences, current, x0,
-                                    stack=stack,
-                                    foc_tolerance=config.foc_tolerance,
-                                    warm=warm, brackets=brackets)
-        iterations += 1
+        response = yield current
         residual = response.sup_distance(current)
         trace.append(residual)
         if best is None or residual < best[0]:
             best = (residual, current)
         if residual <= config.tolerance:
-            converged = True
-            break
+            return best, trace, True
         current = current.blend(response, config.damping)
-    residual, strategy = best
+    return best, trace, False
+
+
+def _report(market: Market, preferences: Preferences, x0: float,
+            start_id: int, outcome) -> EquilibriumReport:
+    (residual, strategy), trace, converged = outcome
     value = evaluate_self_value(market, preferences, strategy, x0)
-    return EquilibriumReport(strategy, residual, value, iterations,
+    return EquilibriumReport(strategy, residual, value, len(trace),
                              converged, start_id, tuple(trace))
 
 
@@ -250,6 +300,23 @@ def certify_equilibrium(market: Market, preferences: Preferences,
                                certified)
 
 
+def _starts(market: Market, config: EquilibriumConfig, x0: float,
+            seed: int, stack) -> list[Strategy]:
+    """The zero strategy, the explicit starts, then uniform draws."""
+    tree = market.tree
+    rng = np.random.default_rng(seed)
+    radius = config.start_radius
+    if radius is None:
+        radius = min(float(stack[0].position_bound(x0)), 50.0)
+    starts: list[Strategy] = [Strategy.constant(tree, 0.0)]
+    starts.extend(config.explicit_starts)
+    while len(starts) < max(config.starts, len(starts)):
+        draw = rng.uniform(-radius, radius, size=len(tree.interior))
+        starts.append(Strategy({node.id: float(h) for node, h
+                                in zip(tree.interior, draw)}))
+    return starts
+
+
 def find_equilibria(market: Market, preferences: Preferences,
                     config: EquilibriumConfig, x0: float,
                     seed: int = 0, stack=None) -> EquilibriumSet:
@@ -264,22 +331,11 @@ def find_equilibria(market: Market, preferences: Preferences,
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    tree = market.tree
-    rng = np.random.default_rng(seed)
-    radius = config.start_radius
-    if radius is None:
-        radius = min(float(stack[0].position_bound(x0)), 50.0)
-
-    starts: list[Strategy] = [Strategy.constant(tree, 0.0)]
-    starts.extend(config.explicit_starts)
-    while len(starts) < max(config.starts, len(starts)):
-        draw = rng.uniform(-radius, radius, size=len(tree.interior))
-        starts.append(Strategy({node.id: float(h) for node, h
-                                in zip(tree.interior, draw)}))
-
-    reports = [iterate_fixed_point(market, preferences, config, start, x0,
-                                   stack=stack, start_id=k)
-               for k, start in enumerate(starts)]
+    # the starts advance in lockstep and share one terminal kernel call per
+    # round; each report equals its own iterate_fixed_point run
+    reports = run_lockstep([
+        _picard_steps(market, preferences, config, start, x0, stack, k)
+        for k, start in enumerate(_starts(market, config, x0, seed, stack))])
 
     distinct: list[int] = []
     for k, report in enumerate(reports):

@@ -338,8 +338,8 @@ class ReferenceDistribution:
 
 
 def satisfaction(utility: Utility, gain_loss: GainLoss, x,
-                 reference: ReferenceDistribution, derivatives: bool = False,
-                 ref_u=None):
+                 reference: ReferenceDistribution | None,
+                 derivatives: bool = False, ref_u=None, probs=None):
     """Overall satisfaction from wealth ``x`` against a reference law.
 
     Direct utility plus the expected gain-loss comparison of utilities,
@@ -349,7 +349,11 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     elementwise).  With ``derivatives`` the result is the triple
     (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu''); for a list or an
     array each member of the triple is a column, a list or an array shaped
-    like ``x``.  ``ref_u`` passes precomputed reference utilities U(b_j).
+    like ``x``.  ``ref_u`` and ``probs`` pass precomputed reference
+    utilities U(b_j) and atom probabilities q_j in place of ``reference``.
+    On the list path they may also be (elements x atoms) rows, one
+    reference per element, with every row equal bit for bit to the call
+    against its own reference alone.
 
     A float or a list (the terminal evaluator sends all wealths of a
     lockstep round as one list) takes a fixed number of numpy calls for any
@@ -358,15 +362,17 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     :meth:`GainLoss.terms` call on the (elements x atoms) gap matrix, and
     every row is reduced by its own dot product (:func:`_row_dots`).  An
     array sums over the atoms in one matrix-vector product instead, which
-    may differ from the float call in the last bits.
+    may differ from the float call in the last bits.  Gaps between
+    overflowed utilities (inf - inf) are NaN and raise no warning.
     """
     if ref_u is None:
         ref_u = utility.u(reference.wealths)
-    probs = reference.probs
+    if probs is None:
+        probs = reference.probs
     if type(x) is float or type(x) is list:
         ux, dux, d2ux = utility.scalar_terms(x if type(x) is list else [x])
-        gaps = ux[:, None] - ref_u
         with np.errstate(over="ignore", invalid="ignore"):
+            gaps = ux[:, None] - ref_u
             if not derivatives:
                 values = (ux + _row_dots(gain_loss.nu(gaps), probs)).tolist()
                 return values if type(x) is list else values[0]
@@ -378,25 +384,27 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
                        (d2ux * factor + dux * dux * curve).tolist())
         return columns if type(x) is list else tuple(c[0] for c in columns)
     ux = np.asarray(utility.u(x), dtype=float)
-    gaps = ux[..., None] - ref_u
-    value = ux + gain_loss.nu(gaps) @ probs
-    if not derivatives:
-        return value
-    dux = np.asarray(utility.du(x), dtype=float)
-    d2ux = np.asarray(utility.d2u(x), dtype=float)
-    factor = 1.0 + gain_loss.dnu(gaps) @ probs
-    curve = gain_loss.d2nu(gaps) @ probs
-    return value, dux * factor, d2ux * factor + dux * dux * curve
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = ux[..., None] - ref_u
+        value = ux + gain_loss.nu(gaps) @ probs
+        if not derivatives:
+            return value
+        dux = np.asarray(utility.du(x), dtype=float)
+        d2ux = np.asarray(utility.d2u(x), dtype=float)
+        factor = 1.0 + gain_loss.dnu(gaps) @ probs
+        curve = gain_loss.d2nu(gaps) @ probs
+        return value, dux * factor, d2ux * factor + dux * dux * curve
 
 
 def _row_dots(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """``np.dot(probs, row)`` for every row, from one stacked call.
+    """``np.dot(probs, row)`` for every row, from one stacked call;
+    ``probs`` is one vector or one row per row of ``rows``.
 
     Each (1 x n)(n x 1) product of the stack runs the same dot kernel as
     ``np.dot`` on the row, so the sums are equal bit for bit; a
     matrix-vector product (``rows @ probs``) may order them differently.
     """
-    return np.matmul(rows[:, None, :], probs[:, None])[:, 0, 0]
+    return np.matmul(rows[:, None, :], probs[..., None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +813,10 @@ def _first_failure(grid, mask) -> float | None:
     return float(grid[idx[0]]) if idx.size else None
 
 
+# the gate's arithmetic overflows on absurd inputs (k_minus = 1e308: the
+# loss arm k x on the probe grid); its checks fail on the non-finite values
+# instead of numpy printing warnings
+@np.errstate(over="ignore", invalid="ignore")
 def validate_preferences(utility: Utility, gain_loss: GainLoss,
                          probe_grid: Sequence[float],
                          elasticity_reference: ReferenceDistribution | None = None,
@@ -844,7 +856,8 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
                                0.0 if nu0 != 0.0 else None))
     neg = grid[grid <= 0.0]
     nu_neg = np.asarray(gain_loss.nu(neg), dtype=float)
-    linear_bad = nu_neg != gain_loss.k_minus * neg
+    # an overflowed loss arm is no linear branch
+    linear_bad = ~np.isfinite(nu_neg) | (nu_neg != gain_loss.k_minus * neg)
     checks.append(CheckOutcome("gain_loss_linear_losses",
                                bool(not np.any(linear_bad)),
                                _first_failure(neg, linear_bad)))
@@ -877,7 +890,8 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
         gaps = np.abs(nu_vals[:: max(1, grid.size // 64)]
                       - float(gain_loss.nu(xi)))
         allowed = gain_loss.k_minus * np.abs(sample - xi) + 1e-12
-        bad = gaps > allowed
+        # a NaN gap (inf - inf) fails
+        bad = ~(gaps <= allowed)
         if np.any(bad):
             lip_ok, lip_witness = False, float(xi)
             break

@@ -19,7 +19,9 @@ from .bestresponse import (
     RecursiveValue,
     Strategy,
     best_response,
+    best_response_steps,
     one_step_objective,
+    run_lockstep,
 )
 from .equilibrium import (
     VALUE_TOL,
@@ -569,10 +571,12 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
 
     worst, wit = math.inf, ""
     converged = eqs.converged_reports
-    for rep in converged:
-        again, _ = best_response(s.market, s.preferences, rep.strategy, s.x0,
-                                 stack=s.stack,
-                                 foc_tolerance=cfg.foc_tolerance)
+    # one cold best response per converged report, run as one lockstep batch
+    responses = run_lockstep([
+        best_response_steps(s.market, s.preferences, rep.strategy, s.x0,
+                            stack=s.stack, foc_tolerance=cfg.foc_tolerance)
+        for rep in converged])
+    for rep, (again, _) in zip(converged, responses):
         margin = cfg.tolerance - again.sup_distance(rep.strategy)
         if margin < worst:
             worst, wit = margin, _fmt_witness(start=rep.start_id)

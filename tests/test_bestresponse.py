@@ -15,7 +15,9 @@ from refequil.bestresponse import (
     Strategy,
     TerminalValue,
     best_response,
+    best_response_steps,
     one_step_objective,
+    run_lockstep,
     solve_one_step,
     terminal_wealth_law,
     value_recursion,
@@ -620,6 +622,45 @@ def test_evaluate_many_equals_one_by_one(stage, picks):
         assert a._values == b._values
         assert a._solutions == b._solutions
     assert many[0].stats == one[0].stats
+
+
+@pytest.mark.parametrize("backing", ["exact", "grid"])
+def test_lockstep_best_responses_equal_single_runs(backing, monkeypatch):
+    # references with 1, 2 and more atoms: the terminal requests of equal
+    # atom counts share kernel calls, the rest run alone; every best
+    # response equals its own run, and there are fewer kernel calls
+    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+    tree = market.tree
+    references = [Strategy.constant(tree, 0.0), reference,
+                  reference.shift(0.25), Strategy.constant(tree, 0.5),
+                  reference.shift(-0.5)]
+    calls = Counter()
+    phase = ["lockstep"]
+    kernel = TerminalValue.evaluate_many
+
+    def counted(self, nodes, xs):
+        calls[phase[0]] += 1
+        return kernel(self, nodes, xs)
+
+    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
+
+    def steps(ref):
+        return best_response_steps(market, prefs, ref, x0, stack=stack,
+                                   backing=backing, grid_points=9)
+
+    together = run_lockstep([steps(ref) for ref in references])
+    phase[0] = "alone"
+    alone = [best_response(market, prefs, ref, x0, stack=stack,
+                           backing=backing, grid_points=9)
+             for ref in references]
+    for (psi, values), (ref_psi, ref_values) in zip(together, alone):
+        assert psi.positions == ref_psi.positions
+        assert values[0].stats == ref_values[0].stats
+        assert (values[0].evaluate(tree.root, x0)
+                == ref_values[0].evaluate(tree.root, x0))
+    if backing == "exact":
+        # merged calls bypass evaluate_many
+        assert calls["lockstep"] < calls["alone"]
 
 
 def test_position_bound_array_equals_scalar():

@@ -146,6 +146,46 @@ def test_solve_error_exits_cleanly_at_large_capital(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _main_recording_warnings(argv):
+    # the CLI runs under Python's default warning filter, which prints
+    # numpy's RuntimeWarnings; here every one of them is recorded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(argv)
+    return code, [w for w in caught if w.category is RuntimeWarning]
+
+
+def test_solve_error_at_overflowing_utility_prints_one_line(tmp_path,
+                                                            capsys):
+    # U = -exp(-a x) overflows to -inf at a x = -712, so gaps between
+    # utilities are inf - inf; the kernel forms them without a warning and
+    # the solve fails with its documented exit code and message alone
+    cfg = _patch_fixture(tmp_path, _assign(-712.0, "initial_capital"))
+    code, caught = _main_recording_warnings(["solve", "--config", cfg,
+                                             "--seed", "7", "--out",
+                                             str(tmp_path / "x")])
+    assert (code, caught) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: the first-order condition is not "
+                          "finite")
+    assert err.count("\n") == 1
+
+
+def test_preference_gate_rejects_overflowing_loss_slope_quietly(tmp_path,
+                                                               capsys):
+    # k_minus = 1e308 overflows the loss arm k x on the gate's grid: the
+    # gate fails (exit 4) on the non-finite values, without numpy warnings
+    cfg = _patch_fixture(tmp_path, _assign(1e308, "preferences",
+                                           "gain_loss", "k_minus"))
+    code, caught = _main_recording_warnings(["solve", "--config", cfg,
+                                             "--out", str(tmp_path / "x")])
+    assert (code, caught) == (4, [])
+    err = capsys.readouterr().err
+    assert err.startswith("preference validation failed: "
+                          "gain_loss_linear_losses, gain_loss_lipschitz")
+    assert err.count("\n") == 1
+
+
 def _assign(value, *keys):
     def mutate(raw):
         for key in keys[:-1]:

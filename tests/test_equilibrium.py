@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from refequil.bestresponse import Strategy, best_response, terminal_wealth_law
+import refequil.bestresponse as bestresponse
+from refequil.bestresponse import (
+    SolveError,
+    SolveStats,
+    Strategy,
+    best_response,
+    terminal_wealth_law,
+)
+from refequil.config import fixture_path, load_config
 from refequil.equilibrium import (
     EquilibriumConfig,
+    _starts,
     certify_equilibrium,
     evaluate_self_value,
     find_equilibria,
     iterate_fixed_point,
 )
+from refequil.preferences import build_envelope_stack
 
-from conftest import zero_strategy
+from conftest import random_certified_instance, zero_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +358,128 @@ def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
     assert memo.iterations == len(memo_stats) > 2
     assert (sum(s.brackets for s in memo_stats)
             < sum(s.brackets for s in fresh_stats))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep search against its sequential reference
+# ---------------------------------------------------------------------------
+
+def sequential_search(market, prefs, config, x0, seed, stack):
+    """The search's starts run one after another, each through
+    iterate_fixed_point: the reference for the lockstep search."""
+    return [iterate_fixed_point(market, prefs, config, start, x0,
+                                stack=stack, start_id=k)
+            for k, start in enumerate(_starts(market, config, x0, seed,
+                                              stack))]
+
+
+def _fields(report):
+    return (report.strategy.positions, report.residual, report.value,
+            report.iterations, report.converged, report.start_id,
+            report.residual_trace)
+
+
+def _stack(market, prefs):
+    return build_envelope_stack(prefs, market.certificate.alpha_star,
+                                market.prices.c_f, market.prices.chi,
+                                market.horizon)
+
+
+def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
+    """Reports of both searches, and per search (kernel calls, one-step
+    solves, FOC evaluations)."""
+    stack = _stack(market, prefs)
+    work = [0, 0, 0]
+    kernel, record = bestresponse.satisfaction, SolveStats.record
+
+    def counted_kernel(*args, **kwargs):
+        work[0] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_record(self, solution, stage):
+        work[1] += 1
+        work[2] += solution.iterations
+        return record(self, solution, stage)
+
+    monkeypatch.setattr(bestresponse, "satisfaction", counted_kernel)
+    monkeypatch.setattr(SolveStats, "record", counted_record)
+    lockstep = find_equilibria(market, prefs, config, x0, seed=seed,
+                               stack=stack)
+    lockstep_work, work[:] = tuple(work), [0, 0, 0]
+    sequential = sequential_search(market, prefs, config, x0, seed, stack)
+    assert ([_fields(r) for r in lockstep.reports]
+            == [_fields(r) for r in sequential])
+    # the same solves; the terminal rounds of all starts merged
+    assert lockstep_work[1:] == tuple(work[1:])
+    assert lockstep_work[0] <= work[0]
+    return lockstep.reports, lockstep_work[0], work[0]
+
+
+@pytest.mark.parametrize("fixture,bound", [("asymmetric_eex_t2", 250),
+                                           ("symmetric_t2", 40),
+                                           ("stress_t3", None)])
+def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
+                                                      monkeypatch):
+    config = load_config(fixture_path(fixture))
+    reports, merged, alone = _compare_searches(
+        config.market, config.preferences, config.solver,
+        config.initial_capital, 7, monkeypatch)
+    assert any(r.converged for r in reports)
+    if bound is not None:
+        assert merged <= bound < alone
+
+
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3)])
+def test_lockstep_search_equals_sequential_on_random_trees(horizon, atoms,
+                                                           monkeypatch):
+    # an explicit start, random draws and a budget too small for most
+    # starts, so that runs of different lengths drop out of the lockstep
+    rng = np.random.default_rng([29, horizon, atoms])
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    explicit = Strategy({node.id: float(rng.uniform(-2.0, 2.0))
+                         for node in market.tree.interior})
+    config = EquilibriumConfig(starts=4, max_iterations=7,
+                               explicit_starts=(explicit,))
+    reports, _, _ = _compare_searches(market, prefs, config, x0, 3,
+                                      monkeypatch)
+    assert len(reports) == 4
+    assert any(not r.converged and r.iterations == 7 for r in reports)
+
+
+def test_lockstep_search_raises_the_lowest_failing_start(monkeypatch):
+    # a start fails when its best response raises; the search surfaces
+    # the error of the lowest-index failing start, as the sequence of runs
+    # does, even when a later start fails in an earlier round
+    market, prefs, x0 = random_certified_instance(
+        np.random.default_rng(41), 2, 2)
+    stack = _stack(market, prefs)
+    config = EquilibriumConfig(starts=5, max_iterations=6)
+    law = bestresponse.terminal_wealth_law
+    seen = []
+
+    def recording(tree, prices, strategy, x0_):
+        seen[-1].append(dict(strategy.positions))
+        return law(tree, prices, strategy, x0_)
+
+    monkeypatch.setattr(bestresponse, "terminal_wealth_law", recording)
+    for k, start in enumerate(_starts(market, config, x0, 3, stack)):
+        seen.append([])
+        iterate_fixed_point(market, prefs, config, start, x0, stack=stack,
+                            start_id=k)
+    marked = {}
+
+    def failing(tree, prices, strategy, x0_):
+        for k, positions in marked.items():
+            if strategy.positions == positions:
+                raise SolveError(f"start {k} failed")
+        return law(tree, prices, strategy, x0_)
+
+    monkeypatch.setattr(bestresponse, "terminal_wealth_law", failing)
+    for marks, failed in (({1: seen[1][3], 3: seen[3][0]}, 1),
+                          ({4: seen[4][0], 3: seen[3][2]}, 3)):
+        marked.clear()
+        marked.update(marks)
+        for search in (find_equilibria, sequential_search):
+            with pytest.raises(SolveError, match=f"start {failed} failed"):
+                search(market, prefs, config, x0, 3, stack)
