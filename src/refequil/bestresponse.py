@@ -162,7 +162,7 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
 
 
 def _probe_steps(v_next, edges: ChildEdges, x: float, h: float):
-    """:func:`one_step_objective` as steps, from one ask of the next stage
+    """:func:`one_step_objective` as steps, from the next stage's columns
     over the children, summed in child order."""
     xs = [x + h * f for f in edges.increments]
     if isinstance(v_next, RecursiveValue):

@@ -134,7 +134,9 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     budget runs out; always returns the lowest-residual iterate seen, with
     the converged flag telling the two outcomes apart.  The run's best
     responses share warm starts and a memo of optimizer brackets, which
-    depend on the wealth and the stage only.
+    depend on the wealth and the stage only.  :func:`find_equilibria` runs
+    the same loop (:func:`_picard`) for each start, in lockstep with the
+    other starts.
     """
     market.require_certified()
     if stack is None:

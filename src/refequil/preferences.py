@@ -891,8 +891,7 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
                       - float(gain_loss.nu(xi)))
         allowed = gain_loss.k_minus * np.abs(sample - xi) + 1e-12
         # a NaN gap (inf - inf) fails
-        bad = ~(gaps <= allowed)
-        if np.any(bad):
+        if not np.all(gaps <= allowed):
             lip_ok, lip_witness = False, float(xi)
             break
     checks.append(CheckOutcome("gain_loss_lipschitz", lip_ok, lip_witness))
