@@ -18,11 +18,11 @@ evaluating the pairs one by one, depth first, would.
 The recursion is written as steps: generators that run a next stage that
 is an exact recursion in place (``yield from``) and pass each request to
 any other stage (the terminal stage, a grid stage, a test double) up to
-their driver as ``(evaluator, nodes, xs)``, receiving its columns back.  :func:`run_steps` drives one of
-them alone and answers each request with ``evaluate_many``; the
-synchronous ``evaluate_many``, ``solution``, :func:`solve_one_step` and
-:func:`best_response` are that driver over their steps.
-:func:`run_lockstep` drives many together, such as the starts of a
+whoever runs them, as ``(evaluator, nodes, xs)``, receiving its columns
+back.  :func:`run_steps` runs one of them alone and answers each request
+with ``evaluate_many``; the synchronous ``evaluate_many``, ``solution``,
+:func:`solve_one_step` and :func:`best_response` run their steps that
+way.  :func:`run_lockstep` runs many together, such as the starts of a
 multistart search: each round, the terminal requests that share their
 preferences and atom count take one kernel call, with one reference row
 per wealth, and every run receives the columns it would receive alone.
@@ -351,11 +351,11 @@ def _solve_steps(v_next, prices: PriceModel, node: TreeNode, x: float,
 
 
 # ---------------------------------------------------------------------------
-# steps and their drivers
+# running steps
 # ---------------------------------------------------------------------------
 
 def run_steps(steps):
-    """Drive one step generator alone: each request is answered by one
+    """Run one step generator alone: each request is answered by one
     ``evaluate_many`` call of its evaluator.  Returns the generator's
     value."""
     try:
@@ -368,7 +368,7 @@ def run_steps(steps):
 
 
 def run_lockstep(runs: Sequence) -> list:
-    """Drive step generators together, one round at a time.
+    """Run step generators together, one round at a time.
 
     Each round answers every pending request.  Requests to terminal stages
     with the same preferences and atom count share one kernel call

@@ -84,6 +84,8 @@ class EquilibriumConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.starts < 1 and not self.explicit_starts:
             raise ValueError("at least one start is required")
 
@@ -333,8 +335,8 @@ def find_equilibria(market: Market, preferences: Preferences,
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    # the starts advance in lockstep and share one terminal kernel call per
-    # round; each report equals its own iterate_fixed_point run
+    # the starts advance in lockstep and share their terminal kernel calls
+    # round by round; each report equals its own iterate_fixed_point run
     reports = run_lockstep([
         _picard_steps(market, preferences, config, start, x0, stack, k)
         for k, start in enumerate(_starts(market, config, x0, seed, stack))])

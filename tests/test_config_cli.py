@@ -213,9 +213,12 @@ def _assign(value, *keys):
     ("symmetric_t2", _assign(math.inf, "seed"), 2, "configuration error"),
     ("asymmetric_eex_t2", _assign([1.0], "market", "price", "sigma"), 2,
      "configuration error"),
+    ("symmetric_t2", _assign(0, "solver", "max_iterations"), 2,
+     "configuration error"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
-        "capital_infinite", "seed_infinite", "sigma_short"])
+        "capital_infinite", "seed_infinite", "sigma_short",
+        "max_iterations_zero"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)

@@ -310,6 +310,8 @@ def test_config_validation():
         EquilibriumConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         EquilibriumConfig(starts=0)
+    with pytest.raises(ValueError):
+        EquilibriumConfig(max_iterations=0)
 
 
 def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
