@@ -19,13 +19,15 @@ The recursion is written as steps: generators that run a next stage that
 is an exact recursion in place (``yield from``) and pass each request to
 any other stage (the terminal stage, a grid stage, a test double) up to
 whoever runs them, as ``(evaluator, nodes, xs)``, receiving its columns
-back.  :func:`run_steps` runs one of them alone and answers each request
-with ``evaluate_many``; the synchronous ``evaluate_many``, ``solution``,
-:func:`solve_one_step` and :func:`best_response` run their steps that
-way.  :func:`run_lockstep` runs many together, such as the starts of a
-multistart search: each round, the terminal requests that share their
-preferences and atom count take one kernel call, with one reference row
-per wealth, and every run receives the columns it would receive alone.
+back.  :func:`run_lockstep` runs them: one alone for the synchronous
+``evaluate_many``, ``solution`` and :func:`best_response`, or many
+together, such as the starts of a multistart search.  Each round, the
+terminal requests that share their preferences and atom count take one
+kernel call, with one reference row per wealth, and every run receives
+the columns it would receive alone.  Every one-step problem of the
+recursion is solved in a lane of that loop, ``solution`` included;
+:func:`solve_one_step` drives the same ``_newton`` one problem and one
+probe at a time, through :func:`one_step_objective`.
 
 Evaluators are pure in (node, wealth).  Their solution and value memos
 are private to one value recursion.  Two tables may be shared by the best
@@ -51,7 +53,6 @@ from .market import (
     ScenarioTree,
     TreeNode,
     child_edges,
-    edge_table,
     wealth,
 )
 from .preferences import (
@@ -154,21 +155,14 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     Holding ``h`` at ``node`` with wealth ``x`` gives the expected
     next-stage value Gamma(h) = E v(x + h f), its derivative
     gamma(h) = E v'(x + h f) f and d gamma / dh = E v''(x + h f) f^2, which
-    is strictly negative on certified models.
+    is strictly negative on certified models.  The sums run over the next
+    stage's columns at the children, in child order.
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    return run_steps(_probe_steps(v_next, child_edges(prices, node), x, h))
-
-
-def _probe_steps(v_next, edges: ChildEdges, x: float, h: float):
-    """:func:`one_step_objective` as steps, from the next stage's columns
-    over the children, summed in child order."""
-    xs = [x + h * f for f in edges.increments]
-    if isinstance(v_next, RecursiveValue):
-        v, v1, v2 = yield from v_next.evaluate_steps(edges.children, xs)
-    else:
-        v, v1, v2 = yield v_next, edges.children, xs
+    edges = child_edges(prices, node)
+    v, v1, v2 = v_next.evaluate_many(
+        edges.children, [x + h * f for f in edges.increments])
     big = small = slope = 0.0
     for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
         big += p * a
@@ -314,8 +308,7 @@ def _newton(node: TreeNode, x: float, bracket: float,
 def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
                    bracket: float, foc_tolerance: float = 1e-10,
                    max_iterations: int = 100,
-                   initial: float | None = None,
-                   edges: ChildEdges | None = None) -> OneStepSolution:
+                   initial: float | None = None) -> OneStepSolution:
     """Unique maximizer of the one-step objective at ``(node, x)``.
 
     The first-order condition is strictly decreasing in the position, so a
@@ -325,26 +318,17 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     far below ``foc_tolerance`` as double precision allows.  ``initial``
     seeds a short unsafeguarded Newton burst (worth it when a nearby
     problem was just solved); the bracketed flow is the fallback.
-    ``edges`` passes the node's row of a precomputed :func:`edge_table`.
+
+    One problem, one probe at a time (:func:`one_step_objective`); the
+    value recursion solves its problems in lockstep lanes instead, with
+    the same Newton iteration and the same sums.
     """
-    return run_steps(_solve_steps(v_next, prices, node, x, bracket,
-                                  foc_tolerance, max_iterations, initial,
-                                  edges))
-
-
-def _solve_steps(v_next, prices: PriceModel, node: TreeNode, x: float,
-                 bracket: float, foc_tolerance: float = 1e-10,
-                 max_iterations: int = 100, initial: float | None = None,
-                 edges: ChildEdges | None = None):
-    """:func:`solve_one_step` as steps."""
     newton = _newton(node, x, bracket, foc_tolerance, max_iterations,
                      initial)
     h = next(newton)
-    if edges is None:
-        edges = child_edges(prices, node)
     try:
         while True:
-            _, small, slope = yield from _probe_steps(v_next, edges, x, h)
+            _, small, slope = one_step_objective(v_next, prices, node, x, h)
             h = newton.send((small, slope))
     except StopIteration as done:
         return done.value
@@ -354,19 +338,6 @@ def _solve_steps(v_next, prices: PriceModel, node: TreeNode, x: float,
 # running steps
 # ---------------------------------------------------------------------------
 
-def run_steps(steps):
-    """Run one step generator alone: each request is answered by one
-    ``evaluate_many`` call of its evaluator.  Returns the generator's
-    value."""
-    try:
-        evaluator, nodes, xs = next(steps)
-        while True:
-            evaluator, nodes, xs = steps.send(
-                evaluator.evaluate_many(nodes, xs))
-    except StopIteration as done:
-        return done.value
-
-
 def run_lockstep(runs: Sequence) -> list:
     """Run step generators together, one round at a time.
 
@@ -374,11 +345,11 @@ def run_lockstep(runs: Sequence) -> list:
     with the same preferences and atom count share one kernel call
     (:func:`_terminal_columns`); any other request is one ``evaluate_many``
     call.  Every run receives exactly the columns it would receive alone,
-    so its result equals :func:`run_steps` on it; only the runs' requests
-    interleave.  Returns the results in order.  When runs raise, the
-    exception of the lowest-index one is raised once the runs before it
-    have finished, as running them one after another would; the runs
-    after it are dropped.
+    so its result equals ``run_lockstep([run])[0]``, which is how the
+    synchronous API runs one; only the runs' requests interleave.  Returns
+    the results in order.  When runs raise, the exception of the
+    lowest-index one is raised once the runs before it have finished, as
+    running them one after another would; the runs after it are dropped.
     """
     results: list = [None] * len(runs)
     requests: dict[int, tuple] = {}
@@ -553,7 +524,7 @@ class RecursiveValue:
         self.stage = stage
         #: last optimizer per node, shared across rebuilds to seed Newton
         self.warm = warm if warm is not None else {}
-        #: the tree's :func:`edge_table`
+        #: the tree's edge table (:meth:`PriceModel.edges`)
         self.edges = edges
         self.stats = stats if stats is not None else SolveStats()
         #: optimizer bracket per wealth, shared across rebuilds, or None
@@ -562,22 +533,18 @@ class RecursiveValue:
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
-        return run_steps(self.solution_steps(node, x))
+        return run_lockstep([self.solution_steps(node, x)])[0]
 
     def solution_steps(self, node: TreeNode, x: float):
-        """:meth:`solution` as steps."""
+        """:meth:`solution` as steps: a one-lane wave, which also stores
+        the value at ``(node, x)``."""
         key = (node.id, float(x))
         hit = self._solutions.get(key)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
-        hit = yield from _solve_steps(self.next_value, self.prices, node, x,
-                                      self._brackets([key[1]])[0],
-                                      self.foc_tolerance,
-                                      initial=self.warm.get(node.id),
-                                      edges=self.edges.get(node.id))
-        self._store(key, hit)
-        return hit
+        yield from self._run([(node, key[1])])
+        return self._solutions[key]
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
         v, v1, v2 = self.evaluate_many([node], [x])
@@ -585,7 +552,7 @@ class RecursiveValue:
 
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[Sequence[float], ...]:
-        return run_steps(self.evaluate_steps(nodes, xs))
+        return run_lockstep([self.evaluate_steps(nodes, xs)])[0]
 
     def evaluate_steps(self, nodes: Sequence[TreeNode], xs: Sequence[float]):
         """:meth:`evaluate_many` as steps."""
@@ -757,14 +724,14 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     ``backing='grid'`` caches each stage on a per-node wealth grid spanning
     ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
     one-step problems exactly; only next-stage evaluations interpolate.
-    Every stage reads one :func:`edge_table` built here and counts its work
+    Every stage reads the market's edge table and counts its work
     in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
     and ``brackets`` (stage to that stage's bracket memo, filled here) may
     be shared with other recursions on the same tree and envelope stack.
     """
     if backing not in ("exact", "grid"):
         raise SolveError(f"unknown backing {backing!r}")
-    edges = edge_table(tree, prices)
+    edges = prices.edges(tree)
     stats = SolveStats()
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
@@ -814,9 +781,9 @@ def best_response(market: Market, preferences: Preferences,
     Picard run shares between its best responses (see
     :func:`value_recursion`); they must belong to this market and ``stack``.
     """
-    return run_steps(best_response_steps(
+    return run_lockstep([best_response_steps(
         market, preferences, reference_strategy, x0, stack, foc_tolerance,
-        backing, grid_points, warm, brackets))
+        backing, grid_points, warm, brackets)])[0]
 
 
 def best_response_steps(market: Market, preferences: Preferences,
@@ -840,7 +807,7 @@ def best_response_steps(market: Market, preferences: Preferences,
                              foc_tolerance, backing=backing,
                              grid_points=grid_points, x0=x0, warm=warm,
                              brackets=brackets)
-    edges = edge_table(tree, prices)
+    edges = prices.edges(tree)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:

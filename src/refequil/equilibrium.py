@@ -7,16 +7,17 @@ analytically (the best-response residual) and, on small trees, against a
 brute-force grid oracle whose tolerance follows from the curvature
 envelope.
 
-Multistart runs are independent: each owns its iteration state, warm
-seeds, bracket memo and work counters.  The search advances them in
-lockstep: every start that has not converged or run out of iterations
-takes its next best-response round in the same round as the others, and
-the terminal stage is the only point where a start waits for them, so that
-the starts' terminal requests of one round share one satisfaction-kernel
-call per atom count (:func:`~refequil.bestresponse.run_lockstep`).  Each
-report equals that of running the start alone through
-:func:`iterate_fixed_point`, and the starts' errors surface in start
-order, so equal seeds give equal reports.
+The damped Picard loop is one step generator (``_picard_steps``), run by
+:func:`~refequil.bestresponse.run_lockstep`: :func:`iterate_fixed_point`
+runs one alone.  Multistart runs are independent: each owns its iteration
+state, warm seeds, bracket memo and work counters.  The search advances
+them in lockstep: every start that has not converged or run out of
+iterations takes its next best-response round in the same round as the
+others, and the terminal stage is the only point where a start waits for
+them, so that the starts' terminal requests of one round share one
+satisfaction-kernel call per atom count.  Each report equals that of
+running the start alone through :func:`iterate_fixed_point`, and the
+starts' errors surface in start order, so equal seeds give equal reports.
 """
 
 from __future__ import annotations
@@ -136,26 +137,15 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     budget runs out; always returns the lowest-residual iterate seen, with
     the converged flag telling the two outcomes apart.  The run's best
     responses share warm starts and a memo of optimizer brackets, which
-    depend on the wealth and the stage only.  :func:`find_equilibria` runs
-    the same loop (:func:`_picard`) for each start, in lockstep with the
-    other starts.
+    depend on the wealth and the stage only.  The loop is
+    :func:`_picard_steps`, run alone here; :func:`find_equilibria` runs one
+    per start, in lockstep.
     """
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    warm: dict[int, float] = {}
-    brackets: dict[int, dict[float, float]] = {}
-    run = _picard(config, start)
-    current = next(run)
-    try:
-        while True:
-            response, _ = best_response(market, preferences, current, x0,
-                                        stack=stack,
-                                        foc_tolerance=config.foc_tolerance,
-                                        warm=warm, brackets=brackets)
-            current = run.send(response)
-    except StopIteration as done:
-        return _report(market, preferences, x0, start_id, done.value)
+    return run_lockstep([_picard_steps(market, preferences, config, start,
+                                       x0, stack, start_id)])[0]
 
 
 def _picard_steps(market: Market, preferences: Preferences,
@@ -164,44 +154,23 @@ def _picard_steps(market: Market, preferences: Preferences,
     """:func:`iterate_fixed_point` as steps (see :func:`run_lockstep`)."""
     warm: dict[int, float] = {}
     brackets: dict[int, dict[float, float]] = {}
-    run = _picard(config, start)
-    current = next(run)
-    try:
-        while True:
-            response, _ = yield from best_response_steps(
-                market, preferences, current, x0, stack=stack,
-                foc_tolerance=config.foc_tolerance, warm=warm,
-                brackets=brackets)
-            current = run.send(response)
-    except StopIteration as done:
-        return _report(market, preferences, x0, start_id, done.value)
-
-
-def _picard(config: EquilibriumConfig, start: Strategy):
-    """The damped Picard loop as a coroutine.
-
-    Yields each iterate, expects its best response sent back, and returns
-    ``(lowest residual, its iterate)``, the residual trace and the
-    converged flag.
-    """
     current = start
     best: tuple[float, Strategy] | None = None
     trace: list[float] = []
+    converged = False
     for _ in range(config.max_iterations):
-        response = yield current
+        response, _ = yield from best_response_steps(
+            market, preferences, current, x0, stack=stack,
+            foc_tolerance=config.foc_tolerance, warm=warm, brackets=brackets)
         residual = response.sup_distance(current)
         trace.append(residual)
         if best is None or residual < best[0]:
             best = (residual, current)
         if residual <= config.tolerance:
-            return best, trace, True
+            converged = True
+            break
         current = current.blend(response, config.damping)
-    return best, trace, False
-
-
-def _report(market: Market, preferences: Preferences, x0: float,
-            start_id: int, outcome) -> EquilibriumReport:
-    (residual, strategy), trace, converged = outcome
+    residual, strategy = best
     value = evaluate_self_value(market, preferences, strategy, x0)
     return EquilibriumReport(strategy, residual, value, len(trace),
                              converged, start_id, tuple(trace))

@@ -190,12 +190,6 @@ class ScenarioTree:
     def factor_bound(self) -> float:
         return max(d.bound for d in self.distributions)
 
-    def node_by_path(self, path: Sequence[int]) -> TreeNode:
-        node = self.root
-        for k in path:
-            node = node.children[k]
-        return node
-
 
 # ---------------------------------------------------------------------------
 # price models
@@ -242,14 +236,6 @@ class PriceModel:
             if abs(f) > self.c_f + 1e-12:
                 raise MarketError(f"increment {f!r} at node {node_id} exceeds "
                                   f"the stated bound c_f={self.c_f}")
-
-    def price(self, node: TreeNode) -> float:
-        """Asset price along the history ending at ``node``."""
-        s = self.s0
-        while node.depth > 0:
-            s += self.increment(node)
-            node = node.parent
-        return s
 
 
 class TablePriceModel(PriceModel):
@@ -565,12 +551,6 @@ def child_edges(prices: PriceModel, node: TreeNode) -> ChildEdges:
                       tuple(c.edge_prob for c in children))
 
 
-def edge_table(tree: ScenarioTree, prices: PriceModel
-               ) -> dict[int, ChildEdges]:
-    """The shared edge table of ``tree``: :meth:`PriceModel.edges`."""
-    return prices.edges(tree)
-
-
 def node_increments(tree: ScenarioTree, prices: PriceModel
                     ) -> dict[int, float]:
     """The increment of the edge into every node of depth >= 1, keyed by
@@ -615,7 +595,7 @@ def wealth(tree: ScenarioTree, prices: PriceModel, positions,
     ``positions`` maps non-terminal node ids to positions (a plain mapping
     or a Strategy).
     """
-    edges = edge_table(tree, prices)
+    edges = prices.edges(tree)
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
         h = _position_at(positions, node)

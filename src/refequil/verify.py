@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .bestresponse import (
-    RecursiveValue,
     Strategy,
     best_response,
     best_response_steps,
@@ -194,9 +193,6 @@ class _Session:
                                         self.wealth_radius, size=count)
         return [(interior[i], float(x)) for i, x in zip(picks, xs)]
 
-    def depth_groups(self):
-        return self._by_depth.items()
-
     def env_family(self, depth: int, name: str) -> np.ndarray:
         """Envelope family values on the master sample of one depth; the
         log families come from one record per depth."""
@@ -208,9 +204,6 @@ class _Session:
         with np.errstate(over="ignore"):
             return np.exp(getattr(self._env_cache[depth], name))
 
-    def stage_value(self, depth: int) -> RecursiveValue:
-        return self.values[depth]
-
 
 # ---------------------------------------------------------------------------
 # individual checks
@@ -219,7 +212,7 @@ class _Session:
 def _check_foc(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     for node, x in s.states:
-        sol = s.stage_value(node.depth).solution(node, x)
+        sol = s.values[node.depth].solution(node, x)
         margin = s.config.foc_tolerance - sol.residual
         if margin < worst:
             worst, witness = margin, _fmt_witness(node=node.id, x=x,
@@ -229,12 +222,12 @@ def _check_foc(s: _Session) -> CheckReport:
 
 def _check_optimizer_bound(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
-    for depth, (ids, xs) in s.depth_groups():
+    for depth, (ids, xs) in s._by_depth.items():
         bounds = s.env_family(depth, "position_bound")
         coeffs = s.env_family(depth, "position_past_coeff")
         for k, idx in enumerate(ids):
             node, x = s.states[idx]
-            h = s.stage_value(depth).solution(node, x).position
+            h = s.values[depth].solution(node, x).position
             margin = min(float(bounds[k]) - abs(h), float(coeffs[k]) - abs(h))
             if margin < worst:
                 worst, witness = margin, _fmt_witness(node=node.id, x=x, h=h)
@@ -244,7 +237,7 @@ def _check_optimizer_bound(s: _Session) -> CheckReport:
 def _check_curvature_floor(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     count = 0
-    for depth, (ids, xs) in s.depth_groups():
+    for depth, (ids, xs) in s._by_depth.items():
         floors = s.prices.c_f ** 2 * s.env_family(depth, "curve_floor")
         brackets = s.env_family(depth, "position_bound")
         for k, idx in enumerate(ids):
@@ -265,11 +258,11 @@ def _check_curvature_floor(s: _Session) -> CheckReport:
 def _check_value_bounds(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     cap = s.preferences.satisfaction_cap
-    for depth, (ids, xs) in s.depth_groups():
+    for depth, (ids, xs) in s._by_depth.items():
         floors = s.env_family(depth, "value_floor")
         for k, idx in enumerate(ids):
             node, x = s.states[idx]
-            v = s.stage_value(depth).evaluate(node, x)[0]
+            v = s.values[depth].evaluate(node, x)[0]
             margin = min(v - float(floors[k]), cap - v)
             if margin < worst:
                 worst, witness = margin, _fmt_witness(node=node.id, x=x, v=v)
@@ -278,14 +271,14 @@ def _check_value_bounds(s: _Session) -> CheckReport:
 
 def _check_derivative_sandwich(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
-    for depth, (ids, xs) in s.depth_groups():
+    for depth, (ids, xs) in s._by_depth.items():
         j = s.env_family(depth, "slope_floor")
         J = s.env_family(depth, "slope_cap")
         lo = s.env_family(depth, "curve_floor")
         hi = s.env_family(depth, "curve_cap")
         for k, idx in enumerate(ids):
             node, x = s.states[idx]
-            _, v1, v2 = s.stage_value(depth).evaluate(node, x)
+            _, v1, v2 = s.values[depth].evaluate(node, x)
             margin = min(v1 - float(j[k]), float(J[k]) - v1,
                          (-v2) - float(lo[k]), float(hi[k]) - (-v2))
             if margin < worst:
@@ -299,7 +292,7 @@ def _fd_checks(s: _Session) -> list[CheckReport]:
     second_worst, second_wit = math.inf, ""
     states = s.states[: max(1, s.samples // 10)]
     for node, x in states:
-        value = s.stage_value(node.depth)
+        value = s.values[node.depth]
         v, v1, v2 = value.evaluate(node, x)
         up = value.evaluate(node, x + FD_STEP)
         down = value.evaluate(node, x - FD_STEP)
@@ -323,7 +316,7 @@ def _check_value_shape(s: _Session) -> CheckReport:
     nodes = s.tree.interior
     for node in nodes[: min(len(nodes), 8)]:
         xs = np.linspace(s.x0 - s.wealth_radius, s.x0 + s.wealth_radius, 9)
-        vals = [s.stage_value(node.depth).evaluate(node, float(x))[0]
+        vals = [s.values[node.depth].evaluate(node, float(x))[0]
                 for x in xs]
         first = np.diff(vals)
         second = np.diff(vals, 2)
@@ -338,7 +331,7 @@ def _check_dominance(s: _Session) -> CheckReport:
     worst, witness = math.inf, ""
     states = s.states[: max(1, s.samples // 4)]
     for node, x in states:
-        v = s.stage_value(node.depth).evaluate(node, x)[0]
+        v = s.values[node.depth].evaluate(node, x)[0]
         zero = one_step_objective(s.values[node.depth + 1], s.prices, node,
                                   x, 0.0)[0]
         margin = v - zero
@@ -489,7 +482,7 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
         by_stage.setdefault(t, []).append(k)
     for t, idxs in by_stage.items():
         stage = s.stack[t]
-        value = s.stage_value(t)
+        value = s.values[t]
         xs = np.asarray([pairs[k][3] for k in idxs])
         logs = stage.log_families(xs)
         h_logs, v_logs = logs.position_past_coeff, logs.past_coeff

@@ -29,7 +29,6 @@ from refequil.market import (
     MarketError,
     ScenarioTree,
     TablePriceModel,
-    edge_table,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -712,7 +711,7 @@ def test_terminal_sees_only_probe_wealths(horizon, atoms, monkeypatch):
     _, values = best_response(market, prefs, reference, x0, stack=stack)
     assert values[0].stats.exhausted == 0
     last = values[horizon - 1]
-    edges = edge_table(market.tree, market.prices)
+    edges = market.prices.edges(market.tree)
     assert sum(asked.values()) == atoms * sum(
         solution.iterations for solution in last._solutions.values())
     for (node_id, x), solution in last._solutions.items():
@@ -739,7 +738,7 @@ def test_stop_before_last_probe_asks_again_at_optimizer(one_step_market):
 
     bracket = lambda x: 4.0 + 0.0 * x  # noqa: E731
     value = RecursiveValue(prices, StepFoc(), bracket,
-                           edge_table(tree, prices), stage=0)
+                           prices.edges(tree), stage=0)
     got = value.evaluate(tree.root, 0.3)
     solution = value.solution(tree.root, 0.3)
     assert solution.position == 0.0
@@ -749,6 +748,39 @@ def test_stop_before_last_probe_asks_again_at_optimizer(one_step_market):
 
     reference = DepthFirstValue(prices, StepFoc(), bracket, {}, [0, 0])
     assert got == reference.evaluate(tree.root, 0.3)
+    assert value._solutions == reference.solutions
+
+
+def test_solution_stores_value_from_its_last_probe(skewed_market, desk_prefs,
+                                                   monkeypatch):
+    # solution() solves in a one-lane wave: a solve that stops at its last
+    # probe stores the envelope from that probe's columns, so a later
+    # evaluate at the same state is a memo hit that asks the next stage
+    # nothing more
+    tree, prices = skewed_market.tree, skewed_market.prices
+    vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
+                                                          (-0.2, 0.6)]))
+    calls = []
+    many = TerminalValue.evaluate_many
+
+    def counted(self, nodes, xs):
+        calls.append(list(xs))
+        return many(self, nodes, xs)
+
+    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
+    value = _lane_value(skewed_market, vt)
+    solution = value.solution(tree.root, 0.1)
+    assert not (solution.exhausted or solution.clamped)
+    assert solution.iterations > 2
+    assert len(calls) == solution.iterations
+    got = value.evaluate(tree.root, 0.1)
+    assert len(calls) == solution.iterations
+    assert value.stats.solves == 1 and value.stats.memo_hits == 1
+
+    monkeypatch.undo()
+    reference = DepthFirstValue(prices, PerPair(vt), lambda x: 4.0 + 0.0 * x,
+                                {}, [0, 0])
+    assert got == reference.evaluate(tree.root, 0.1)
     assert value._solutions == reference.solutions
 
 
@@ -764,7 +796,7 @@ def test_edge_table_is_built_once_per_market(desk_prefs):
     tree = ScenarioTree([fair_coin(), fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=increment)
     market = Market.assemble(tree, prices)
-    table = edge_table(tree, prices)
+    table = prices.edges(tree)
     for row in table.values():
         assert row.increments == tuple(prices.increment(c)
                                        for c in row.children)
@@ -772,10 +804,10 @@ def test_edge_table_is_built_once_per_market(desk_prefs):
     for h in (0.0, 0.3):
         best_response(market, desk_prefs, Strategy.constant(tree, h), 0.1)
     terminal_wealth_law(tree, prices, Strategy.constant(tree, 0.2), 0.1)
-    assert edge_table(tree, prices) is table
+    assert prices.edges(tree) is table
     assert calls == []
     other = ScenarioTree([fair_coin(), fair_coin()])
-    assert edge_table(other, prices) is not table
+    assert prices.edges(other) is not table
     assert calls
 
 
@@ -842,7 +874,7 @@ def test_deep_cold_best_response_saturates_without_nan():
 
 def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):
     return RecursiveValue(market.prices, next_value, bracket,
-                          edge_table(market.tree, market.prices), stage=0)
+                          market.prices.edges(market.tree), stage=0)
 
 
 def test_lane_rejects_non_positive_bracket(skewed_market, desk_prefs):

@@ -9,6 +9,7 @@ from refequil.bestresponse import (
     SolveStats,
     Strategy,
     best_response,
+    best_response_steps,
     terminal_wealth_law,
 )
 from refequil.config import fixture_path, load_config
@@ -336,13 +337,13 @@ def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
         responses, stats = [], []
 
         def traced(*args, brackets, **kwargs):
-            response, values = best_response(
+            response, values = yield from best_response_steps(
                 *args, brackets=brackets if memo else None, **kwargs)
             responses.append(response.positions)
             stats.append(values[0].stats)
             return response, values
 
-        monkeypatch.setattr(equilibrium, "best_response", traced)
+        monkeypatch.setattr(equilibrium, "best_response_steps", traced)
         report = iterate_fixed_point(market, prefs,
                                      EquilibriumConfig(max_iterations=12),
                                      start, x0, stack=stack)
