@@ -17,9 +17,9 @@ evaluating the pairs one by one, depth first, would.
 
 The recursion is written as steps: generators that run a next stage that
 is an exact recursion in place (``yield from``) and pass each request to
-any other stage (the terminal stage, a grid stage, a test double) up to
-whoever runs them, as ``(evaluator, nodes, xs)``, receiving its columns
-back.  :func:`run_lockstep` runs them: one alone for the synchronous
+any other stage (the terminal stage, a test double) up to whoever runs
+them, as ``(evaluator, nodes, xs)``, receiving its columns back.
+:func:`run_lockstep` runs them: one alone for the synchronous
 ``evaluate_many``, ``solution`` and :func:`best_response`, or many
 together, such as the starts of a multistart search.  Each round, the
 terminal requests that share their preferences and atom count take one
@@ -35,7 +35,7 @@ responses of one Picard run: ``warm`` (the last optimizer per node, which
 seeds Newton) and the bracket memo (``brackets``: per stage, wealth to
 optimizer bracket).  A bracket depends on the stage and the wealth only,
 never on the reference law, so a memoized one equals a fresh one bit for
-bit.  Grid caches are filled at construction and read-only afterwards.
+bit.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class Strategy:
     def __getitem__(self, node_id: int) -> float:
         return self.positions[node_id]
 
-    def covers(self, tree: ScenarioTree) -> bool:
-        return all(node.id in self.positions for node in tree.interior)
-
     def sup_distance(self, other: "Strategy") -> float:
         keys = self.positions.keys() | other.positions.keys()
         return max(abs(self.positions.get(k, 0.0) - other.positions.get(k, 0.0))
@@ -108,13 +105,6 @@ class Strategy:
         return Strategy({k: (1.0 - weight) * self.positions.get(k, 0.0)
                          + weight * other.positions.get(k, 0.0)
                          for k in keys})
-
-    def shift(self, delta: Mapping[int, float] | float) -> "Strategy":
-        if np.isscalar(delta):
-            return Strategy({k: h + float(delta)
-                             for k, h in self.positions.items()})
-        return Strategy({k: h + float(delta.get(k, 0.0))
-                         for k, h in self.positions.items()})
 
     def in_position_ball(self, tree: ScenarioTree, bound: float,
                          chi: float) -> bool:
@@ -668,88 +658,32 @@ class RecursiveValue:
         return value, slope, curve
 
 
-class GridValue:
-    """Grid-cached stage value with monotone-cubic interpolation.
-
-    An accelerator behind the same evaluator interface.  Its values are
-    interpolated, not checked against the exact backing, and wealths
-    outside the grid are extrapolated silently.
-    """
-
-    def __init__(self, exact: RecursiveValue, nodes: Sequence[TreeNode],
-                 x_grid: np.ndarray) -> None:
-        from scipy.interpolate import PchipInterpolator
-
-        self.exact = exact
-        #: one-step solves stay exact
-        self.solution = exact.solution
-        self.solution_steps = exact.solution_steps
-        self.stage = exact.stage
-        self.stats = exact.stats
-        self.x_grid = np.asarray(x_grid, dtype=float)
-        grid = self.x_grid.tolist()
-        columns = np.asarray(exact.evaluate_many(
-            [node for node in nodes for _ in grid], grid * len(nodes)))
-        columns = columns.reshape(3, len(nodes), self.x_grid.size)
-        self._interp: dict[int, tuple] = {
-            node.id: tuple(PchipInterpolator(self.x_grid, column[i],
-                                             extrapolate=True)
-                           for column in columns)
-            for i, node in enumerate(nodes)}
-
-    def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
-        v, v1, v2 = self._interp[node.id]
-        return float(v(x)), float(v1(x)), float(v2(x))
-
-    def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
-                      ) -> tuple[list[float], ...]:
-        rows = [self.evaluate(node, x) for node, x in zip(nodes, xs)]
-        return tuple(map(list, zip(*rows))) or ([], [], [])
-
-
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     terminal: TerminalValue,
                     stack: Sequence[StageEnvelopes],
                     foc_tolerance: float = 1e-10,
-                    backing: str = "exact",
-                    grid_points: int = 129,
-                    grid_radius: float | None = None,
-                    x0: float = 0.0,
                     warm: dict[int, float] | None = None,
                     brackets: dict[int, dict[float, float]] | None = None,
                     ) -> list:
-    """Evaluators for stages 0..T (index = stage).
+    """Evaluators for stages 0..T (index = stage), chained on-demand exact
+    recursions over the terminal stage.
 
-    ``backing='exact'`` chains on-demand recursion (the ground truth);
-    ``backing='grid'`` caches each stage on a per-node wealth grid spanning
-    ``x0 +- grid_radius`` and interpolates.  Grid stages still solve their
-    one-step problems exactly; only next-stage evaluations interpolate.
     Every stage reads the market's edge table and counts its work
     in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
     and ``brackets`` (stage to that stage's bracket memo, filled here) may
     be shared with other recursions on the same tree and envelope stack.
     """
-    if backing not in ("exact", "grid"):
-        raise SolveError(f"unknown backing {backing!r}")
     edges = prices.edges(tree)
     stats = SolveStats()
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
-    if backing == "grid":
-        if grid_radius is None:
-            grid_radius = 2.0 * tree.horizon * prices.c_f
-        x_grid = np.linspace(x0 - grid_radius, x0 + grid_radius,
-                             int(grid_points))
     for t in range(tree.horizon - 1, -1, -1):
-        exact = RecursiveValue(prices, values[t + 1],
-                               stack[t].position_bound, edges, foc_tolerance,
-                               stage=t, warm=warm, stats=stats,
-                               brackets=None if brackets is None
-                               else brackets.setdefault(t, {}))
-        if backing == "grid":
-            values[t] = GridValue(exact, tree.levels[t], x_grid)
-        else:
-            values[t] = exact
+        values[t] = RecursiveValue(prices, values[t + 1],
+                                   stack[t].position_bound, edges,
+                                   foc_tolerance, stage=t, warm=warm,
+                                   stats=stats,
+                                   brackets=None if brackets is None
+                                   else brackets.setdefault(t, {}))
     return values
 
 
@@ -768,7 +702,6 @@ def best_response(market: Market, preferences: Preferences,
                   reference_strategy, x0: float,
                   stack: Sequence[StageEnvelopes] | None = None,
                   foc_tolerance: float = 1e-10,
-                  backing: str = "exact", grid_points: int = 129,
                   warm: dict[int, float] | None = None,
                   brackets: dict[int, dict[float, float]] | None = None,
                   ) -> tuple[Strategy, list]:
@@ -783,14 +716,13 @@ def best_response(market: Market, preferences: Preferences,
     """
     return run_lockstep([best_response_steps(
         market, preferences, reference_strategy, x0, stack, foc_tolerance,
-        backing, grid_points, warm, brackets)])[0]
+        warm, brackets)])[0]
 
 
 def best_response_steps(market: Market, preferences: Preferences,
                         reference_strategy, x0: float,
                         stack: Sequence[StageEnvelopes] | None = None,
                         foc_tolerance: float = 1e-10,
-                        backing: str = "exact", grid_points: int = 129,
                         warm: dict[int, float] | None = None,
                         brackets: dict[int, dict[float, float]] | None = None):
     """:func:`best_response` as steps, so that :func:`run_lockstep` can run
@@ -804,9 +736,7 @@ def best_response_steps(market: Market, preferences: Preferences,
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
     values = value_recursion(tree, prices,
                              TerminalValue(preferences, reference), stack,
-                             foc_tolerance, backing=backing,
-                             grid_points=grid_points, x0=x0, warm=warm,
-                             brackets=brackets)
+                             foc_tolerance, warm=warm, brackets=brackets)
     edges = prices.edges(tree)
     positions: dict[int, float] = {}
     node_wealth = {tree.root.id: float(x0)}

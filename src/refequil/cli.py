@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from .bestresponse import SolveError, Strategy, best_response
 from .config import CertificationError, ConfigError, RunConfig, load_config
 from .equilibrium import certify_equilibrium, evaluate_self_value, find_equilibria
-from .market import tree_rows
+from .market import ScenarioTree, tree_rows
 from .preferences import (
     build_envelope_stack,
     envelope_rows,
@@ -67,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_br)
     p_br.add_argument("--reference", required=True,
                       help="strategy CSV (node_id, depth, position)")
-    p_br.add_argument("--backing", choices=("exact", "grid"), default=None)
-    p_br.add_argument("--grid-points", type=int, default=None)
 
     p_cert = sub.add_parser("certify", help="certify a candidate equilibrium")
     common(p_cert)
@@ -97,8 +96,6 @@ def _overrides(args: argparse.Namespace) -> dict:
         "tolerance": args.tol,
         "max_iterations": getattr(args, "max_iters", None),
         "starts": args.starts,
-        "backing": getattr(args, "backing", None),
-        "grid_points": getattr(args, "grid_points", None),
         "foc_tolerance": getattr(args, "foc_tol", None),
     }
 
@@ -111,11 +108,38 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _read_strategy(path: str) -> Strategy:
-    positions = {}
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            positions[int(row["node_id"])] = float(row["position"])
+def _read_strategy(path: str, tree: ScenarioTree) -> Strategy:
+    """A strategy CSV that gives one finite position to every interior
+    node of ``tree`` and to nothing else; raises :class:`ConfigError`."""
+    positions: dict[int, float] = {}
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    node_id = int(row["node_id"])
+                    position = float(row["position"])
+                except (KeyError, TypeError, ValueError):
+                    raise ConfigError(f"{where}: a row needs an integer "
+                                      "node_id and a numeric position"
+                                      ) from None
+                if not math.isfinite(position):
+                    raise ConfigError(f"{where}: position {position!r} is "
+                                      "not finite")
+                if node_id in positions:
+                    raise ConfigError(f"{where}: duplicate node id {node_id}")
+                positions[node_id] = position
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read strategy {path}: {exc}") from exc
+    interior = {node.id for node in tree.interior}
+    missing = sorted(interior - positions.keys())
+    if missing:
+        raise ConfigError(f"{path}: no position for interior nodes {missing}")
+    stray = sorted(positions.keys() - interior)
+    if stray:
+        raise ConfigError(f"{path}: node ids {stray} are not interior nodes "
+                          "of the tree")
     return Strategy(positions)
 
 
@@ -195,11 +219,10 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
 
 def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
     market, prefs = config.market, config.preferences
-    reference = _read_strategy(reference_path)
+    reference = _read_strategy(reference_path, market.tree)
     response, values = best_response(
         market, prefs, reference, config.initial_capital,
-        foc_tolerance=config.solver.foc_tolerance, backing=config.backing,
-        grid_points=config.grid_points)
+        foc_tolerance=config.solver.foc_tolerance)
     out = config.output_dir
     _write_csv(out / "best_response.csv", ["node_id", "depth", "position"],
                response.rows(market.tree))
@@ -224,7 +247,7 @@ def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
 def _cmd_certify(config: RunConfig, candidate_path: str,
                  resolution: int | None) -> int:
     market, prefs = config.market, config.preferences
-    candidate = _read_strategy(candidate_path)
+    candidate = _read_strategy(candidate_path, market.tree)
     report = certify_equilibrium(
         market, prefs, candidate, config.initial_capital,
         grid_resolution=resolution or config.solver.oracle_resolution,
@@ -280,8 +303,7 @@ def _cmd_report(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, _overrides(args),
-                             grid_settings=args.command == "best-response")
+        config = load_config(args.config, _overrides(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -293,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         return gate
     try:
         return _dispatch(args, config)
+    except ConfigError as exc:  # a malformed strategy CSV
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except SolveError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_FAILED

@@ -57,8 +57,6 @@ class RunConfig:
     initial_capital: float
     seed: int
     output_dir: Path
-    backing: str = "exact"
-    grid_points: int = 129
     raw: dict = field(default_factory=dict, repr=False)
 
 
@@ -193,15 +191,11 @@ def _build_gain_loss(spec: dict) -> GainLoss:
     raise ConfigError(f"unknown gain-loss family {family!r}")
 
 
-#: solver keys read only by the ``best-response`` command
-GRID_KEYS = ("backing", "grid_points")
-
-
 def _build_solver(spec: dict) -> EquilibriumConfig:
     known = {"damping", "tolerance", "max_iterations", "starts",
              "start_radius", "foc_tolerance", "oracle_resolution",
              "oracle_cap", "oracle_radius", "dedup_factor"}
-    unknown = set(spec) - known - set(GRID_KEYS)
+    unknown = set(spec) - known
     if unknown:
         raise ConfigError(f"unknown solver keys {sorted(unknown)}")
     kwargs = {k: spec[k] for k in known if k in spec and spec[k] is not None}
@@ -212,15 +206,12 @@ def _build_solver(spec: dict) -> EquilibriumConfig:
 
 
 def load_config(path: str | Path,
-                overrides: dict | None = None,
-                grid_settings: bool = True) -> RunConfig:
+                overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
     ``overrides`` replaces top-level or solver entries (used by the CLI
-    flags).  With ``grid_settings`` false, a solver block that sets one of
-    :data:`GRID_KEYS` is an error (for commands that never read them).
-    Raises :class:`ConfigError` on any parse or schema problem, including
-    values of the wrong type or out of range, and
+    flags).  Raises :class:`ConfigError` on any parse or schema problem,
+    including values of the wrong type or out of range, and
     :class:`CertificationError` when a drift/vol market fails the
     conditions its builder certifies.  Certification of table markets and
     preference validation are the caller's responsibility (they carry
@@ -242,13 +233,7 @@ def load_config(path: str | Path,
             _build_utility(_require(prefs_spec, "utility", "preferences")),
             _build_gain_loss(_require(prefs_spec, "gain_loss",
                                       "preferences")))
-        solver_spec = dict(raw.get("solver", {}))
-        solver = _build_solver(solver_spec)
-        if not grid_settings:
-            stray = [k for k in GRID_KEYS if solver_spec.get(k) is not None]
-            if stray:
-                raise ConfigError(f"solver keys {stray} apply only to the "
-                                  "best-response command")
+        solver = _build_solver(dict(raw.get("solver", {})))
         initial_capital = float(raw.get("initial_capital", 0.0))
         if not math.isfinite(initial_capital):
             raise ConfigError("initial_capital must be finite")
@@ -260,8 +245,6 @@ def load_config(path: str | Path,
             initial_capital=initial_capital,
             seed=int(raw.get("seed", 0)),
             output_dir=Path(output.get("directory", "out")),
-            backing=str(solver_spec.get("backing", "exact")),
-            grid_points=int(solver_spec.get("grid_points", 129)),
             raw=raw,
         )
     except (ConfigError, CertificationError):
@@ -277,7 +260,7 @@ def _merged(raw: dict, overrides: dict) -> dict:
         if value is None:
             continue
         if key in ("damping", "tolerance", "max_iterations", "starts",
-                   "foc_tolerance", "backing", "grid_points"):
+                   "foc_tolerance"):
             out.setdefault("solver", {})[key] = value
         elif key == "output_directory":
             out.setdefault("output", {})["directory"] = value

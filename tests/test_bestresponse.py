@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refequil.bestresponse import (
-    GridValue,
     OneStepSolution,
     RecursiveValue,
     SolveError,
@@ -352,32 +351,6 @@ def test_curvature_floor_at_sampled_positions(symmetric_market, desk_prefs,
         assert not math.isnan(float(stage.log_curve_floor(x)))
 
 
-def test_grid_backing_agrees_with_exact(symmetric_market, desk_prefs,
-                                        symmetric_stack):
-    tree, prices = symmetric_market.tree, symmetric_market.prices
-    ref = ReferenceDistribution([(0.3, 0.5), (-0.3, 0.5)])
-    vt = TerminalValue(desk_prefs, ref)
-    exact = value_recursion(tree, prices, vt, symmetric_stack)
-    grid = value_recursion(tree, prices, vt, symmetric_stack, backing="grid",
-                           grid_points=161, grid_radius=2.0)
-    for node, x in ((tree.root, 0.17), (tree.interior[1], -0.42),
-                    (tree.interior[2], 0.9)):
-        ve = exact[node.depth].evaluate(node, x)
-        vg = grid[node.depth].evaluate(node, x)
-        assert vg[0] == pytest.approx(ve[0], abs=1e-5)
-        assert vg[1] == pytest.approx(ve[1], rel=1e-4)
-    assert isinstance(grid[0], GridValue)
-
-
-def test_value_recursion_rejects_unknown_backing(symmetric_market, desk_prefs,
-                                                 symmetric_stack):
-    with pytest.raises(SolveError, match="backing"):
-        value_recursion(symmetric_market.tree, symmetric_market.prices,
-                        TerminalValue(desk_prefs,
-                                      ReferenceDistribution.degenerate(0.0)),
-                        symmetric_stack, backing="magic")
-
-
 # ---------------------------------------------------------------------------
 # the best response
 # ---------------------------------------------------------------------------
@@ -462,7 +435,7 @@ def test_strategy_blend_and_distance(symmetric_market):
     mid = a.blend(b, 0.5)
     assert all(h == 2.0 for h in mid.positions.values())
     assert a.sup_distance(b) == 2.0
-    assert a.covers(tree)
+    assert a.positions.keys() == {node.id for node in tree.interior}
 
 
 def test_strategy_ball_membership(symmetric_market):
@@ -623,16 +596,18 @@ def test_evaluate_many_equals_one_by_one(stage, picks):
     assert many[0].stats == one[0].stats
 
 
-@pytest.mark.parametrize("backing", ["exact", "grid"])
-def test_lockstep_best_responses_equal_single_runs(backing, monkeypatch):
+def test_lockstep_best_responses_equal_single_runs(monkeypatch):
     # references with 1, 2 and more atoms: the terminal requests of equal
     # atom counts share kernel calls, the rest run alone; every best
     # response equals its own run, and there are fewer kernel calls
     market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
     tree = market.tree
     references = [Strategy.constant(tree, 0.0), reference,
-                  reference.shift(0.25), Strategy.constant(tree, 0.5),
-                  reference.shift(-0.5)]
+                  Strategy({k: h + 0.25
+                            for k, h in reference.positions.items()}),
+                  Strategy.constant(tree, 0.5),
+                  Strategy({k: h - 0.5
+                            for k, h in reference.positions.items()})]
     calls = Counter()
     phase = ["lockstep"]
     kernel = TerminalValue.evaluate_many
@@ -644,22 +619,19 @@ def test_lockstep_best_responses_equal_single_runs(backing, monkeypatch):
     monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
 
     def steps(ref):
-        return best_response_steps(market, prefs, ref, x0, stack=stack,
-                                   backing=backing, grid_points=9)
+        return best_response_steps(market, prefs, ref, x0, stack=stack)
 
     together = run_lockstep([steps(ref) for ref in references])
     phase[0] = "alone"
-    alone = [best_response(market, prefs, ref, x0, stack=stack,
-                           backing=backing, grid_points=9)
+    alone = [best_response(market, prefs, ref, x0, stack=stack)
              for ref in references]
     for (psi, values), (ref_psi, ref_values) in zip(together, alone):
         assert psi.positions == ref_psi.positions
         assert values[0].stats == ref_values[0].stats
         assert (values[0].evaluate(tree.root, x0)
                 == ref_values[0].evaluate(tree.root, x0))
-    if backing == "exact":
-        # merged calls bypass evaluate_many
-        assert calls["lockstep"] < calls["alone"]
+    # merged calls bypass evaluate_many
+    assert calls["lockstep"] < calls["alone"]
 
 
 def test_position_bound_array_equals_scalar():

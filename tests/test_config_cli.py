@@ -39,7 +39,6 @@ def test_load_symmetric_fixture(symmetric_cfg):
     assert config.initial_capital == 0.0
     assert config.seed == 7
     assert config.solver.damping == 0.5
-    assert config.backing == "exact"
 
 
 def test_load_eex_fixture_builds_certificate():
@@ -227,46 +226,34 @@ def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["solve"], ["certify", "--candidate", "c.csv"], ["verify"], ["report"]],
-    ids=["solve", "certify", "verify", "report"])
+EVERY_COMMAND = pytest.mark.parametrize("command", [
+    ["solve"], ["best-response", "--reference", "r.csv"],
+    ["certify", "--candidate", "c.csv"], ["verify"], ["report"]],
+    ids=["solve", "best-response", "certify", "verify", "report"])
+
+
+@EVERY_COMMAND
 @pytest.mark.parametrize("flag", [["--backing", "grid"],
                                   ["--grid-points", "3"]],
                          ids=["backing", "grid_points"])
-def test_grid_flags_only_on_best_response(symmetric_cfg, command, flag):
+def test_grid_flags_rejected_by_every_command(symmetric_cfg, command, flag):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([*command, "--config", str(symmetric_cfg),
                                    *flag])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
-    ["solve"], ["certify", "--candidate", "c.csv"], ["verify"], ["report"]],
-    ids=["solve", "certify", "verify", "report"])
+@EVERY_COMMAND
 @pytest.mark.parametrize("key,value", [("backing", "grid"),
                                        ("grid_points", 3)],
                          ids=["backing", "grid_points"])
-def test_grid_solver_keys_only_on_best_response(tmp_path, capsys, command,
-                                                key, value):
+def test_grid_solver_keys_rejected_by_every_command(tmp_path, capsys, command,
+                                                    key, value):
     cfg = _patch_fixture(tmp_path, _assign(value, "solver", key))
     assert main([*command, "--config", cfg, "--out",
                  str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
-
-
-def test_best_response_reads_grid_solver_keys(tmp_path):
-    def mutate(raw):
-        raw["solver"].update({"backing": "grid", "grid_points": 101})
-    cfg = _patch_fixture(tmp_path, mutate)
-    config = load_config(cfg)
-    assert (config.backing, config.grid_points) == ("grid", 101)
-    reference = tmp_path / "zero.csv"
-    reference.write_text("node_id,depth,position\n" + "".join(
-        f"{node.id},{node.depth},0.0\n"
-        for node in config.market.tree.interior))
-    assert main(["best-response", "--config", cfg, "--out",
-                 str(tmp_path / "br"), "--reference", str(reference)]) == 0
 
 
 def test_verify_command_passes_and_writes_csv(symmetric_cfg, tmp_path):
@@ -312,6 +299,41 @@ def test_certify_rejects_bad_candidate(symmetric_cfg, tmp_path):
                  "--resolution", "21"]) == 1
 
 
+@pytest.mark.parametrize("command,flag,written", [
+    ("certify", "--candidate", "certification.csv"),
+    ("best-response", "--reference", "best_response.csv")],
+    ids=["certify", "best-response"])
+@pytest.mark.parametrize("edit,message", [
+    (None, "cannot read strategy"),
+    (lambda rows: [rows[0].replace(",0.0", ",half")] + rows[1:],
+     "numeric position"),
+    (lambda rows: rows[:1] + [rows[1].replace(",0.0", ",nan")] + rows[2:],
+     "not finite"),
+    (lambda rows: rows + rows[-1:], "duplicate node id"),
+    (lambda rows: rows[:-1], "no position for interior nodes"),
+    (lambda rows: rows + ["99,1,5.0"], "not interior nodes")],
+    ids=["missing_file", "non_numeric", "non_finite", "duplicate_id",
+         "missing_id", "stray_id"])
+def test_malformed_strategy_csv_exits_2(symmetric_cfg, tmp_path, capsys,
+                                        command, flag, written, edit,
+                                        message):
+    # the zero strategy is the symmetric fixture's equilibrium; each edit
+    # breaks its CSV in one way
+    tree = load_config(symmetric_cfg).market.tree
+    rows = [f"{node.id},{node.depth},0.0" for node in tree.interior]
+    strategy = tmp_path / "strategy.csv"
+    if edit is not None:
+        strategy.write_text("node_id,depth,position\n"
+                            + "".join(f"{row}\n" for row in edit(rows)))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(symmetric_cfg), "--out", str(out),
+                 flag, str(strategy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / written).exists()
+
+
 def test_report_command_replays_summary(symmetric_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(symmetric_cfg), "--seed", "7",
@@ -333,22 +355,7 @@ def test_console_entry_point_runs():
     assert "solve" in proc.stdout
 
 
-def test_best_response_with_grid_backing(symmetric_cfg, tmp_path):
-    out = tmp_path / "grid"
-    assert main(["solve", "--config", str(symmetric_cfg), "--seed", "7",
-                 "--out", str(out)]) == 0
-    code = main(["best-response", "--config", str(symmetric_cfg),
-                 "--out", str(out), "--backing", "grid",
-                 "--grid-points", "101",
-                 "--reference", str(out / "preferred.csv")])
-    assert code == 0
-    with (out / "best_response.csv").open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert all(abs(float(r["position"])) <= 1e-6 for r in rows)
-
-
-@pytest.mark.parametrize("backing", ["exact", "grid"])
-def test_value_dump_equals_one_by_one_evaluation(tmp_path, backing):
+def test_value_dump_equals_one_by_one_evaluation(tmp_path):
     # the dump asks each stage once for all of its rows; the file must equal
     # asking row by row, the way memos and warm seeds build up included
     cfg = fixture_path("asymmetric_eex_t2")
@@ -361,14 +368,12 @@ def test_value_dump_equals_one_by_one_evaluation(tmp_path, backing):
         for node in tree.interior))
     out = tmp_path / "br"
     assert main(["best-response", "--config", str(cfg), "--out", str(out),
-                 "--reference", str(reference), "--backing", backing,
-                 "--grid-points", "33"]) == 0
+                 "--reference", str(reference)]) == 0
 
     x0 = config.initial_capital
     _, values = best_response(config.market, config.preferences,
                               Strategy(positions), x0,
-                              foc_tolerance=config.solver.foc_tolerance,
-                              backing=backing, grid_points=33)
+                              foc_tolerance=config.solver.foc_tolerance)
     values[0].evaluate(tree.root, x0)
     expected = []
     for node in tree.interior:
