@@ -66,8 +66,8 @@ psi, values = best_response(skewed_market, prefs,
                             Strategy.constant(skewed, 0.0), x0=0.0,
                             stack=stack)
 root = skewed.root
-print("skewed-market response:", psi.positions[root.id])
+print("skewed-market response:", psi.at(root))
 v, dv, d2v = values[0].evaluate(root, 0.0)
 print("value / slope / curvature at the root:", v, dv, d2v)
 print("inside the certified bracket:",
-      abs(psi.positions[root.id]) <= stack[0].position_bound(0.0))
+      abs(psi.at(root)) <= stack[0].position_bound(0.0))

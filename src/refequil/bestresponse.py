@@ -41,8 +41,8 @@ bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,57 +73,55 @@ class SolveError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class Strategy:
-    """A position per non-terminal tree node."""
+    """A position per non-terminal tree node: one float64 vector indexed by
+    node id, as ids run breadth first (``tree.interior[k].id == k``).
 
-    def __init__(self, positions: Mapping[int, float]) -> None:
-        self.positions = {int(k): float(v) for k, v in positions.items()}
-        for h in self.positions.values():
-            if not math.isfinite(h):
-                raise SolveError("positions must be finite")
+    Built from a sequence, or a mapping whose keys are exactly ``0..n-1``;
+    every position must be finite.  :func:`wealth` checks the length.
+    """
+
+    def __init__(self, positions: Sequence[float] | Mapping[int, float]
+                 ) -> None:
+        if isinstance(positions, Mapping):
+            if set(positions) != set(range(len(positions))):
+                raise SolveError(f"node ids {list(positions)} are not 0..n-1")
+            positions = [positions[k] for k in range(len(positions))]
+        self.positions = np.array(positions, dtype=np.float64)
+        # builtins over tolist(), here and in the norms: a numpy reduction
+        # costs more than the whole list on the few positions of a tree
+        if self.positions.ndim != 1 or not all(
+                map(math.isfinite, self.positions.tolist())):
+            raise SolveError("positions must be one vector of finite values")
 
     @classmethod
     def constant(cls, tree: ScenarioTree, h: float) -> "Strategy":
-        return cls({node.id: h for node in tree.interior})
+        return cls(np.full(len(tree.interior), float(h)))
 
     def at(self, node: TreeNode) -> float:
-        return self.positions[node.id]
+        return float(self.positions[node.id])
 
     def __getitem__(self, node_id: int) -> float:
-        return self.positions[node_id]
+        return float(self.positions[node_id])
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def _paired(self, other: "Strategy") -> np.ndarray:
+        if other.positions.shape != self.positions.shape:
+            raise SolveError(f"strategies of {len(self)} and {len(other)} "
+                             "positions do not share a tree")
+        return other.positions
 
     def sup_distance(self, other: "Strategy") -> float:
-        keys = self.positions.keys() | other.positions.keys()
-        return max(abs(self.positions.get(k, 0.0) - other.positions.get(k, 0.0))
-                   for k in keys)
+        return max(np.abs(self.positions - self._paired(other)).tolist())
 
     def max_abs(self) -> float:
-        return max(abs(h) for h in self.positions.values())
+        return max(np.abs(self.positions).tolist())
 
     def blend(self, other: "Strategy", weight: float) -> "Strategy":
         """(1 - weight) * self + weight * other, node-wise."""
-        keys = self.positions.keys() | other.positions.keys()
-        return Strategy({k: (1.0 - weight) * self.positions.get(k, 0.0)
-                         + weight * other.positions.get(k, 0.0)
-                         for k in keys})
-
-    def in_position_ball(self, tree: ScenarioTree, bound: float,
-                         chi: float) -> bool:
-        """Membership in the bounded Hoelder strategy ball.
-
-        Positions at depth t (held for period t + 1) must be at most
-        ``bound`` in absolute value and have Hoelder modulus ``bound`` at
-        exponent chi / 2^(T - t) over same-depth node pairs.
-        """
-        if self.max_abs() > bound:
-            return False
-        for t, level in enumerate(tree.levels[:-1]):
-            exponent = chi / 2.0 ** (tree.horizon - t)
-            for i, node in enumerate(level):
-                for other in level[i + 1:]:
-                    gap = abs(self.at(node) - self.at(other))
-                    if gap > bound * node.distance(other) ** exponent + 1e-12:
-                        return False
-        return True
+        return Strategy((1.0 - weight) * self.positions
+                        + weight * self._paired(other))
 
     def rows(self, tree: ScenarioTree) -> list[list]:
         """CSV rows: node id, depth, position."""
@@ -738,7 +736,7 @@ def best_response_steps(market: Market, preferences: Preferences,
                              TerminalValue(preferences, reference), stack,
                              foc_tolerance, warm=warm, brackets=brackets)
     edges = prices.edges(tree)
-    positions: dict[int, float] = {}
+    positions = np.empty(len(edges))  # one row per interior node
     node_wealth = {tree.root.id: float(x0)}
     for node in tree.interior:
         x = node_wealth[node.id]

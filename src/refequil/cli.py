@@ -110,7 +110,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _read_strategy(path: str, tree: ScenarioTree) -> Strategy:
     """A strategy CSV that gives one finite position to every interior
-    node of ``tree`` and to nothing else; raises :class:`ConfigError`."""
+    node of ``tree`` and to nothing else, each row with its node's depth;
+    raises :class:`ConfigError`."""
     positions: dict[int, float] = {}
     try:
         with open(path, newline="") as handle:
@@ -119,11 +120,17 @@ def _read_strategy(path: str, tree: ScenarioTree) -> Strategy:
                 where = f"{path}, line {reader.line_num}"
                 try:
                     node_id = int(row["node_id"])
+                    depth = int(row["depth"])
                     position = float(row["position"])
                 except (KeyError, TypeError, ValueError):
                     raise ConfigError(f"{where}: a row needs an integer "
-                                      "node_id and a numeric position"
-                                      ) from None
+                                      "node_id and depth and a numeric "
+                                      "position") from None
+                if (0 <= node_id < len(tree.nodes)
+                        and tree.nodes[node_id].depth != depth):
+                    raise ConfigError(f"{where}: node {node_id} has depth "
+                                      f"{tree.nodes[node_id].depth}, not "
+                                      f"{depth}")
                 if not math.isfinite(position):
                     raise ConfigError(f"{where}: position {position!r} is "
                                       "not finite")

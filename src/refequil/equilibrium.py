@@ -201,14 +201,12 @@ def _oracle_sweep(market: Market, preferences: Preferences,
     grids = [np.linspace(-radius, radius, resolution) for _ in interior]
     mesh = np.meshgrid(*grids, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=-1)  # (combos, N)
-    index = {node.id: k for k, node in enumerate(interior)}
     incs = node_increments(tree, market.prices)
     leaf_wealth = np.full((positions.shape[0], len(tree.leaves)), float(x0))
     for j, leaf in enumerate(tree.leaves):
         node = leaf
         while node.depth > 0:
-            leaf_wealth[:, j] += (positions[:, index[node.parent.id]]
-                                  * incs[node.id])
+            leaf_wealth[:, j] += positions[:, node.parent.id] * incs[node.id]
             node = node.parent
     probs = np.asarray([leaf.prob for leaf in tree.leaves])
     # row blocks bound the (strategies, leaves, atoms) gap array of the
@@ -218,10 +216,7 @@ def _oracle_sweep(market: Market, preferences: Preferences,
         satisfaction(preferences.utility, preferences.gain_loss,
                      leaf_wealth[k:k + rows], reference)
         for k in range(0, len(leaf_wealth), rows)]) @ probs
-    k = int(np.argmax(values))
-    best_positions = {node.id: float(positions[k, index[node.id]])
-                      for node in interior}
-    return float(values[k]), Strategy(best_positions)
+    return float(np.max(values))
 
 
 def certify_equilibrium(market: Market, preferences: Preferences,
@@ -258,15 +253,14 @@ def certify_equilibrium(market: Market, preferences: Preferences,
     slack = 0.5 * curve_cap * spacing ** 2 * market.horizon
 
     reference = terminal_wealth_law(market.tree, market.prices, candidate, x0)
-    sweep = _oracle_sweep(market, preferences, reference, x0, radius,
-                          resolution, config.oracle_cap)
+    best_value = _oracle_sweep(market, preferences, reference, x0, radius,
+                               resolution, config.oracle_cap)
     self_value = evaluate_self_value(market, preferences, candidate, x0)
-    if sweep is None:
+    if best_value is None:
         certified = analytic <= config.tolerance
         return CertificationReport(analytic, None, None, True, resolution,
                                    certified,
                                    "grid too large; analytic check only")
-    best_value, _ = sweep
     margin = best_value - self_value
     certified = analytic <= config.tolerance and margin <= slack
     return CertificationReport(analytic, margin, slack, False, resolution,
@@ -284,9 +278,8 @@ def _starts(market: Market, config: EquilibriumConfig, x0: float,
     starts: list[Strategy] = [Strategy.constant(tree, 0.0)]
     starts.extend(config.explicit_starts)
     while len(starts) < max(config.starts, len(starts)):
-        draw = rng.uniform(-radius, radius, size=len(tree.interior))
-        starts.append(Strategy({node.id: float(h) for node, h
-                                in zip(tree.interior, draw)}))
+        starts.append(Strategy(rng.uniform(-radius, radius,
+                                           size=len(tree.interior))))
     return starts
 
 

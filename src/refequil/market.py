@@ -134,7 +134,9 @@ class ScenarioTree:
 
     ``levels[t]`` lists the nodes of depth ``t``; the root has depth 0,
     probability 1 and an empty path.  Path probabilities are products of
-    atom probabilities along the path.
+    atom probabilities along the path.  Node ids run breadth first from 0,
+    so ``nodes[k].id == k`` and ``interior[k].id == k``: a node id indexes
+    a strategy vector directly.
     """
 
     def __init__(self, distributions: Sequence[FactorDistribution]) -> None:
@@ -578,27 +580,22 @@ class WealthPath:
         return [(self.node_wealth[leaf.id], leaf.prob) for leaf in tree.leaves]
 
 
-def _position_at(positions, node: TreeNode) -> float:
-    getter = getattr(positions, "at", None)
-    if getter is not None:
-        return float(getter(node))
-    try:
-        return float(positions[node.id])
-    except KeyError:
-        raise MarketError(f"strategy is missing node {node.id}") from None
-
-
 def wealth(tree: ScenarioTree, prices: PriceModel, positions,
            x0: float) -> WealthPath:
     """Roll a strategy forward: W_t = W_{t-1} + h(parent) * increment.
 
-    ``positions`` maps non-terminal node ids to positions (a plain mapping
-    or a Strategy).
+    ``positions`` holds one position per interior node and is indexed by
+    node id: a Strategy, a vector, or a mapping with keys 0..n-1.
     """
+    interior = tree.interior
+    if len(positions) != len(interior):
+        raise MarketError(f"strategy gives {len(positions)} positions for "
+                          f"{len(interior)} interior nodes: missing nodes "
+                          "or stray positions")
     edges = prices.edges(tree)
     node_wealth = {tree.root.id: float(x0)}
-    for node in tree.interior:
-        h = _position_at(positions, node)
+    for node in interior:
+        h = float(positions[node.id])
         w = node_wealth[node.id]
         row = edges[node.id]
         for child, f in zip(row.children, row.increments):

@@ -168,10 +168,9 @@ class _Session:
                 self.tree.horizon * self.prices.c_f * self.position_scale,
                 _derivative_scale_radius(preferences.utility, x0))
         self.wealth_radius = float(wealth_radius)
-        draw = self.rng.uniform(-self.position_scale, self.position_scale,
-                                size=len(self.tree.interior))
-        self.reference_strategy = Strategy(
-            {node.id: float(h) for node, h in zip(self.tree.interior, draw)})
+        self.reference_strategy = Strategy(self.rng.uniform(
+            -self.position_scale, self.position_scale,
+            size=len(self.tree.interior)))
         self.response, self.values = best_response(
             market, preferences, self.reference_strategy, self.x0,
             stack=self.stack, foc_tolerance=config.foc_tolerance)
@@ -545,9 +544,7 @@ def _check_continuity(s: _Session) -> CheckReport:
     base = s.response
     bump = 1e-6
     signs = s.rng.choice([-1.0, 1.0], size=len(s.tree.interior))
-    perturbed = Strategy({node.id: s.reference_strategy.at(node)
-                          + bump * float(sig)
-                          for node, sig in zip(s.tree.interior, signs)})
+    perturbed = Strategy(s.reference_strategy.positions + bump * signs)
     moved, _ = best_response(s.market, s.preferences, perturbed, s.x0,
                              stack=s.stack,
                              foc_tolerance=s.config.foc_tolerance)

@@ -301,8 +301,7 @@ def test_criterion_7_best_response_continuity():
         for base in (Strategy.constant(market.tree, 0.0),
                      Strategy(base_positions)):
             signs = rng.choice([-1.0, 1.0], size=len(base_positions))
-            bumped = Strategy({nid: h + 1e-6 * float(s) for (nid, h), s
-                               in zip(base.positions.items(), signs)})
+            bumped = Strategy(base.positions + 1e-6 * signs)
             psi_a, _ = best_response(market, prefs, base, x0, stack=stack)
             psi_b, _ = best_response(market, prefs, bumped, x0, stack=stack)
             worst = max(worst, psi_a.sup_distance(psi_b))

@@ -311,9 +311,11 @@ def test_certify_rejects_bad_candidate(symmetric_cfg, tmp_path):
      "not finite"),
     (lambda rows: rows + rows[-1:], "duplicate node id"),
     (lambda rows: rows[:-1], "no position for interior nodes"),
-    (lambda rows: rows + ["99,1,5.0"], "not interior nodes")],
+    (lambda rows: rows + ["99,1,5.0"], "not interior nodes"),
+    (lambda rows: [row.split(",")[0] + ",7,0.0" for row in rows],
+     "has depth")],
     ids=["missing_file", "non_numeric", "non_finite", "duplicate_id",
-         "missing_id", "stray_id"])
+         "missing_id", "stray_id", "wrong_depth"])
 def test_malformed_strategy_csv_exits_2(symmetric_cfg, tmp_path, capsys,
                                         command, flag, written, edit,
                                         message):

@@ -21,6 +21,7 @@ from refequil.equilibrium import (
     find_equilibria,
     iterate_fixed_point,
 )
+from refequil.market import MarketError
 from refequil.preferences import build_envelope_stack
 
 from conftest import random_certified_instance, zero_strategy
@@ -219,6 +220,25 @@ def test_certify_skips_oversized_oracle(symmetric_market, desk_prefs,
     assert report.certified  # analytic residual alone still certifies
 
 
+def test_certify_and_best_response_reject_foreign_strategies():
+    # a strategy is a vector indexed by node id; one that does not match
+    # the tree raises instead of being certified or rolled forward
+    config = load_config(fixture_path("symmetric_t2"))
+    market, prefs = config.market, config.preferences
+    x0 = config.initial_capital
+    zero = {node.id: 0.0 for node in market.tree.interior}
+    assert certify_equilibrium(market, prefs, Strategy(zero), x0).certified
+    with pytest.raises(SolveError):
+        certify_equilibrium(market, prefs, Strategy({**zero, 99: 5.0}), x0)
+    with pytest.raises(SolveError):
+        Strategy({k: h for k, h in zero.items() if k != 1})
+    with pytest.raises(MarketError, match="missing node"):
+        certify_equilibrium(market, prefs, Strategy(list(zero.values())[:-1]),
+                            x0)
+    with pytest.raises(MarketError):
+        best_response(market, prefs, Strategy([0.0] * (len(zero) + 1)), x0)
+
+
 # ---------------------------------------------------------------------------
 # multistart search
 # ---------------------------------------------------------------------------
@@ -339,7 +359,7 @@ def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
         def traced(*args, brackets, **kwargs):
             response, values = yield from best_response_steps(
                 *args, brackets=brackets if memo else None, **kwargs)
-            responses.append(response.positions)
+            responses.append(response.positions.tolist())
             stats.append(values[0].stats)
             return response, values
 
@@ -350,7 +370,8 @@ def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
         runs.append((report, responses, stats))
     (memo, memo_responses, memo_stats), (fresh, fresh_responses,
                                          fresh_stats) = runs
-    assert memo.strategy.positions == fresh.strategy.positions
+    assert (memo.strategy.positions.tolist()
+            == fresh.strategy.positions.tolist())
     assert (memo.residual, memo.value, memo.iterations, memo.converged,
             memo.residual_trace) == (fresh.residual, fresh.value,
                                      fresh.iterations, fresh.converged,
@@ -377,7 +398,7 @@ def sequential_search(market, prefs, config, x0, seed, stack):
 
 
 def _fields(report):
-    return (report.strategy.positions, report.residual, report.value,
+    return (report.strategy.positions.tolist(), report.residual, report.value,
             report.iterations, report.converged, report.start_id,
             report.residual_trace)
 
@@ -462,7 +483,7 @@ def test_lockstep_search_raises_the_lowest_failing_start(monkeypatch):
     seen = []
 
     def recording(tree, prices, strategy, x0_):
-        seen[-1].append(dict(strategy.positions))
+        seen[-1].append(strategy.positions.tolist())
         return law(tree, prices, strategy, x0_)
 
     monkeypatch.setattr(bestresponse, "terminal_wealth_law", recording)
@@ -474,7 +495,7 @@ def test_lockstep_search_raises_the_lowest_failing_start(monkeypatch):
 
     def failing(tree, prices, strategy, x0_):
         for k, positions in marked.items():
-            if strategy.positions == positions:
+            if strategy.positions.tolist() == positions:
                 raise SolveError(f"start {k} failed")
         return law(tree, prices, strategy, x0_)
 

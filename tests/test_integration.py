@@ -46,7 +46,7 @@ def test_vector_factor_market_end_to_end():
     psi, values = best_response(market, prefs,
                                 Strategy.constant(tree, 0.3), 0.1,
                                 stack=stack)
-    assert psi.positions.keys() == {node.id for node in tree.interior}
+    assert psi.positions.shape == (len(tree.interior),)
     for node in tree.interior:
         sol = values[node.depth].solution(
             node, 0.1 if node.depth == 0 else 0.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refequil.config import fixture_path, load_config
 from refequil.market import (
     FactorDistribution,
     Market,
@@ -20,7 +21,11 @@ from refequil.market import (
     wealth,
 )
 
-from conftest import fair_coin, last_coordinate_scaler
+from conftest import (
+    fair_coin,
+    last_coordinate_scaler,
+    random_certified_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +37,27 @@ def test_one_period_fair_coin_tree():
     assert len(tree.levels[0]) == 1
     assert len(tree.leaves) == 2
     assert [leaf.prob for leaf in tree.leaves] == [0.5, 0.5]
+
+
+def test_node_ids_index_nodes_and_interior_breadth_first():
+    # a node id is the index of a strategy vector: ids run breadth first
+    # from 0, so nodes[k] and interior[k] both carry id k
+    trees = {name: load_config(fixture_path(name)).market.tree
+             for name in ("symmetric_t2", "asymmetric_eex_t2", "stress_t3")}
+    vector = FactorDistribution.from_atoms([
+        ((1.0, 0.5), 0.45), ((-1.0, 0.5), 0.45), ((0.0, -1.0), 0.1)])
+    trees["vector_factor"] = ScenarioTree([vector, vector])
+    rng = np.random.default_rng(17)
+    for horizon, atoms in ((1, 2), (2, 3), (3, 2), (4, 3)):
+        market, _, _ = random_certified_instance(rng, horizon, atoms)
+        trees[f"random_{horizon}_{atoms}"] = market.tree
+    for name, tree in trees.items():
+        assert [n.id for n in tree.nodes] == list(range(len(tree.nodes))), name
+        interior = tree.interior
+        assert [n.id for n in interior] == list(range(len(interior))), name
+        assert interior == tree.nodes[:len(interior)], name
+        assert [n.depth for n in tree.nodes] == sorted(
+            n.depth for n in tree.nodes), name
 
 
 def test_two_period_fair_coin_tree():

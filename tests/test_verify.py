@@ -136,7 +136,8 @@ def test_damping_invariance_reuses_the_zero_start_run(fixture, damping, runs,
         stack=build_envelope_stack(
             prefs, market.certificate.alpha_star, market.prices.c_f,
             market.prices.chi, market.horizon))
-    assert zero.strategy.positions == fresh.strategy.positions
+    assert (zero.strategy.positions.tolist()
+            == fresh.strategy.positions.tolist())
     assert (zero.residual, zero.value, zero.iterations, zero.converged,
             zero.start_id, zero.residual_trace) == (
         fresh.residual, fresh.value, fresh.iterations, fresh.converged,
