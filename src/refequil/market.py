@@ -161,6 +161,10 @@ class ScenarioTree:
                     next_frontier.append(node)
             self.levels.append(next_frontier)
             frontier = next_frontier
+        #: all non-terminal nodes, breadth first; shared by every caller,
+        #: who must not modify it
+        self.interior: list[TreeNode] = [n for level in self.levels[:-1]
+                                         for n in level]
         self._validate()
 
     def _validate(self) -> None:
@@ -182,11 +186,6 @@ class ScenarioTree:
     @property
     def leaves(self) -> list[TreeNode]:
         return self.levels[-1]
-
-    @property
-    def interior(self) -> list[TreeNode]:
-        """All non-terminal nodes, breadth first."""
-        return [n for level in self.levels[:-1] for n in level]
 
     @property
     def factor_bound(self) -> float:
@@ -595,7 +594,10 @@ def wealth(tree: ScenarioTree, prices: PriceModel, positions,
     edges = prices.edges(tree)
     node_wealth = {tree.root.id: float(x0)}
     for node in interior:
-        h = float(positions[node.id])
+        try:
+            h = float(positions[node.id])
+        except KeyError:
+            raise MarketError(f"strategy is missing node {node.id}") from None
         w = node_wealth[node.id]
         row = edges[node.id]
         for child, f in zip(row.children, row.increments):

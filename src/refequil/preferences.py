@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .market import PROB_TOL
 
@@ -57,6 +56,10 @@ class Utility:
     c_u: float
     #: value at +infinity, used by the asymptotic-elasticity probe
     upper_limit: float | None = None
+    #: every scanned terminal envelope family and the terminal |value
+    #: floor| are monotone decreasing in wealth, so their extrema over a
+    #: wealth window sit at its two ends
+    decreasing_terminal_families: bool = False
 
     def u(self, x):
         raise NotImplementedError
@@ -85,7 +88,15 @@ class Utility:
 
 
 class ExponentialUtility(Utility):
-    """U(x) = -exp(-a x), a > 0; bounded above by any positive constant."""
+    """U(x) = -exp(-a x), a > 0; bounded above by any positive constant.
+
+    Its terminal families are decreasing: log U' and log(-U'') are linear
+    with slope -a, the curvature cap is a logaddexp of two such terms and
+    the |value floor| (1 + k) exp(-a x) + k c_u (k the loss slope) falls
+    with x.
+    """
+
+    decreasing_terminal_families = True
 
     def __init__(self, a: float, c_u: float = 1.0) -> None:
         # U'' needs a^2 as a finite double
@@ -214,25 +225,28 @@ class ArctanGainLoss(GainLoss):
 
     nu(x) = k x for x <= 0 and k s atan(x / s) for x > 0.  The simplest C^2
     family meeting the whole contract; the certified bound c_nu is
-    max(k s pi / 2, sup |nu''|) with the curvature supremum located
-    numerically at construction (and inflated by 1e-6 relative so that
-    sampled curvatures never exceed it).
+    max(k s pi / 2, sup |nu''|).  On gains |nu''(x)| = (2k/s) u / (1 + u^2)^2
+    with u = x / s, which peaks at u = 1/sqrt(3) with the value
+    3 sqrt(3) k / (8 s).  The supremum is taken in closed form as the larger
+    of that formula and |nu''| evaluated at the peak (each may round one ulp
+    below the other), inflated by 1e-6 relative so that sampled curvatures
+    never exceed it.
     """
 
     def __init__(self, k_minus: float, scale: float = 1.0) -> None:
         if not 0.0 < k_minus < math.inf:
             raise PreferenceError("the loss slope k_minus must be positive")
-        if not 0.0 < scale < math.inf:
-            raise PreferenceError("the gain-arm scale must be positive")
+        # nu'' needs scale^2 as a finite double
+        if not (scale > 0.0 and math.isfinite(scale * scale)):
+            raise PreferenceError(f"the gain-arm scale must be positive, "
+                                  f"with a finite square (got {scale!r})")
         self.k_minus = float(k_minus)
         self.scale = float(scale)
-        res = minimize_scalar(lambda x: -abs(float(self.d2nu(x))),
-                              bounds=(0.0, 10.0 * self.scale),
-                              method="bounded",
-                              options={"xatol": 1e-12})
-        curvature_sup = -res.fun * (1.0 + 1e-6)
-        self.c_nu = max(self.k_minus * self.scale * math.pi / 2.0,
-                        curvature_sup)
+        k, s = self.k_minus, self.scale
+        curvature_sup = max(3.0 * math.sqrt(3.0) * k / (8.0 * s),
+                            abs(float(self.d2nu(s / math.sqrt(3.0))))
+                            ) * (1.0 + 1e-6)
+        self.c_nu = max(k * s * math.pi / 2.0, curvature_sup)
 
     def nu(self, x):
         x = np.asarray(x, dtype=float)
@@ -545,6 +559,11 @@ class PropagatedEnvelopes(StageEnvelopes):
         self.alpha = alpha
         self.c_f = c_f
         self.scan_points = int(scan_points)
+        decreasing = (prev.is_terminal and prev.preferences.utility
+                      .decreasing_terminal_families)
+        #: wealths read per window: its two ends over a terminal stage with
+        #: decreasing families, else the ``scan_points`` sub-grid
+        self.window_points = 2 if decreasing else self.scan_points
         self._log_alpha = math.log(alpha)
         self._log_cf = math.log(c_f)
         # slope floor of the stage being optimized, at 0 (enters the bracket)
@@ -591,11 +610,12 @@ class PropagatedEnvelopes(StageEnvelopes):
 
         The slope floor (cap) is the previous stage's at the upper (lower)
         end of the window, which an infinite bracket puts at +inf (-inf).
-        The other families come from five extrema over a ``scan_points``
+        The other families come from five extrema over a ``window_points``
         sub-grid of the window (endpoints included): the minimum curvature
         floor and the maximum curvature cap, history coefficient, slope cap
         and |value floor|, all read from one previous-stage record per
-        chunk of windows.
+        chunk of windows.  Over a terminal stage with decreasing families
+        the sub-grid is the two window ends, where those extrema sit.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
@@ -612,8 +632,8 @@ class PropagatedEnvelopes(StageEnvelopes):
                 return LogFamilies(*(f.reshape(x.shape) for f in families))
 
             lo, hi = _clamped_window(flat - half, flat + half)
-            ticks = np.linspace(0.0, 1.0, self.scan_points)
-            rows = max(1, self._SCAN_CHUNK // self.scan_points)
+            ticks = np.linspace(0.0, 1.0, self.window_points)
+            rows = max(1, self._SCAN_CHUNK // ticks.size)
             pieces = []
             for start in range(0, n, rows):
                 sl = slice(start, min(start + rows, n))
@@ -656,7 +676,10 @@ def propagate_envelopes(prev: StageEnvelopes, alpha: float, c_f: float,
     """One backward step of the envelope recursion.
 
     Interval suprema/infima are taken over a ``scan_points``-point uniform
-    sub-grid of the wealth window (endpoints included); the exponent halves.
+    sub-grid of the wealth window (endpoints included), or at the window's
+    two ends alone when ``prev`` is a terminal stage whose utility declares
+    decreasing terminal families (``Utility.decreasing_terminal_families``);
+    the exponent halves.
     ``chi`` (the price modulus exponent) is only a consistency witness: the
     chain must start from a terminal stage built at that exponent.  When
     ``x_grid`` is given the produced curvature floor is validated there: a
@@ -694,11 +717,13 @@ def build_envelope_stack(preferences: Preferences, alpha: float, c_f: float,
 
     ``stack[T]`` is the terminal bundle; ``stack[t]`` for t < T is produced
     by one propagation and bounds the optimizer held at depth-t nodes.  The
-    first propagation scans at ``scan_points`` (its windows are resolved
-    against closed-form terminal envelopes); deeper propagations scan at
-    ``deep_scan_points`` to keep the nested evaluation cost bounded.  The
-    scans are endpoint-inclusive and the scanned families are
-    tail-monotone, so the resolution mainly affects interior detail.
+    first propagation resolves its windows against closed-form terminal
+    envelopes: at the two window ends when the utility declares decreasing
+    terminal families (the exponential utility), else at ``scan_points``
+    points.  Deeper propagations scan at ``deep_scan_points`` to keep the
+    nested evaluation cost bounded.  The scans are endpoint-inclusive and
+    the scanned families are tail-monotone, so the resolution mainly
+    affects interior detail.
     """
     stack: list[StageEnvelopes] = [TerminalEnvelopes(preferences, chi)]
     for step in range(horizon):

@@ -214,10 +214,13 @@ def _assign(value, *keys):
      "configuration error"),
     ("symmetric_t2", _assign(0, "solver", "max_iterations"), 2,
      "configuration error"),
+    ("symmetric_t2", _assign(1e300, "preferences", "gain_loss", "s"), 2,
+     "the gain-arm scale must be positive, with a finite square "
+     "(got 1e+300)"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
         "capital_infinite", "seed_infinite", "sigma_short",
-        "max_iterations_zero"])
+        "max_iterations_zero", "gain_scale_square_overflows"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
@@ -355,6 +358,29 @@ def test_console_entry_point_runs():
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI loads no scipy module, and a
+    # tabulated utility still loads, through its lazy scipy.interpolate
+    xs = np.linspace(-6.0, 6.0, 25)
+    cfg = _patch_fixture(tmp_path, _assign(
+        {"family": "table", "x": xs.tolist(), "u": (-np.exp(-xs)).tolist(),
+         "du": np.exp(-xs).tolist(), "d2u": (-np.exp(-xs)).tolist(),
+         "c_u": 0.05}, "preferences", "utility"))
+    script = (
+        "import sys\n"
+        "import refequil.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from refequil.config import load_config\n"
+        f"utility = load_config({cfg!r}).preferences.utility\n"
+        "print(type(utility).__name__, float(utility.u(0.0)),\n"
+        "      'scipy.interpolate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "TabulatedUtility -1.0 True"]
 
 
 def test_value_dump_equals_one_by_one_evaluation(tmp_path):

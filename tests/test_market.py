@@ -283,6 +283,18 @@ def test_wealth_missing_node_raises(symmetric_market):
         wealth(tree, prices, {tree.root.id: 1.0}, 0.0)
 
 
+def test_wealth_mapping_with_stray_keys_names_missing_node(symmetric_market):
+    # the right number of positions, under the wrong node ids
+    tree, prices = symmetric_market.tree, symmetric_market.prices
+    with pytest.raises(MarketError, match="strategy is missing node 2"):
+        wealth(tree, prices, {0: 0.0, 1: 0.0, 5: 0.0}, 0.0)
+
+
+def test_interior_is_built_once(symmetric_market):
+    tree = symmetric_market.tree
+    assert tree.interior is tree.interior
+
+
 @settings(max_examples=40, deadline=None)
 @given(h1=st.floats(-5, 5), h2=st.floats(-5, 5), g1=st.floats(-5, 5),
        g2=st.floats(-5, 5), x0=st.floats(-3, 3))

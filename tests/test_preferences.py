@@ -285,6 +285,31 @@ def test_tight_scale_balances_value_and_curvature_bounds():
     assert curve_sup <= nu.c_nu * (1 + 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(1e-3, 1e2), scale=st.floats(1e-2, 1e2))
+def test_closed_form_curvature_bound_covers_dense_samples(k, scale):
+    nu = ArctanGainLoss(k, scale)
+    grid = np.linspace(0.0, 10.0 * scale, 100_000)
+    assert nu.c_nu >= float(np.max(np.abs(nu.d2nu(grid))))
+
+
+@pytest.mark.parametrize("fixture,c_nu", [
+    ("asymmetric_eex_t2", "0.10100812753967142"),
+    ("stress_t3", "0.08080650203173714"),
+    ("symmetric_t2", "0.2525203188491785"),
+])
+def test_fixture_curvature_bounds_pinned(fixture, c_nu):
+    # the values the numeric search of the gain arm's |nu''| gave
+    gain_loss = load_config(fixture_path(fixture)).preferences.gain_loss
+    assert repr(gain_loss.c_nu) == c_nu
+
+
+@pytest.mark.parametrize("scale", [1e300, math.inf, 0.0, -1.0])
+def test_arctan_rejects_scale_without_finite_square(scale):
+    with pytest.raises(PreferenceError, match="scale"):
+        ArctanGainLoss(1.0, scale)
+
+
 # ---------------------------------------------------------------------------
 # envelope constants
 # ---------------------------------------------------------------------------
@@ -529,13 +554,12 @@ def test_log_families_equal_per_family_reference(horizon, atoms, chunk,
     assert stack[-1].log_position_past_coeff(x0) == -math.inf
 
 
-def test_envelope_rows_scan_each_window_grid_once(monkeypatch):
+def _assert_scans_each_window_grid_once(preferences, market, x0,
+                                        monkeypatch):
     # stage t's record reads one window grid per wealth from stage t + 1,
     # and so on down to the terminal stage; the slope families read the
     # two window ends per wealth, unscanned
-    config = load_config(fixture_path("stress_t3"))
-    market, x0 = config.market, config.initial_capital
-    stack = build_envelope_stack(config.preferences,
+    stack = build_envelope_stack(preferences,
                                  market.certificate.alpha_star,
                                  market.prices.c_f, market.prices.chi,
                                  market.horizon)
@@ -549,7 +573,7 @@ def test_envelope_rows_scan_each_window_grid_once(monkeypatch):
     monkeypatch.setattr(TerminalEnvelopes, "log_families", counted)
     grid = np.linspace(x0 - 2.0, x0 + 2.0, 9)
     envelope_rows(stack, grid)
-    points = [stage.scan_points for stage in stack[:-1]]
+    points = [stage.window_points for stage in stack[:-1]]
     horizon, n = len(points), grid.size
     assert wealths[True] == sum(n * math.prod(points[t:])
                                 for t in range(horizon + 1))
@@ -557,6 +581,54 @@ def test_envelope_rows_scan_each_window_grid_once(monkeypatch):
                                  * math.prod(points[t:u])
                                  for t in range(horizon)
                                  for u in range(t, horizon))
+    return points
+
+
+def test_envelope_rows_scan_each_window_grid_once(monkeypatch):
+    # over the terminal stage an exponential utility's windows read their
+    # two ends
+    config = load_config(fixture_path("stress_t3"))
+    points = _assert_scans_each_window_grid_once(
+        config.preferences, config.market, config.initial_capital,
+        monkeypatch)
+    assert points == [64, 64, 2]
+
+
+def test_envelope_rows_scan_tabulated_windows_in_full(monkeypatch):
+    # a tabulated utility's PCHIP derivatives need not be monotone, so its
+    # windows read the full scan_points grid
+    config = load_config(fixture_path("symmetric_t2"))
+    utility = config.preferences.utility
+    x = np.linspace(-6.0, 6.0, 49)
+    table = TabulatedUtility(x, utility.u(x), utility.du(x), utility.d2u(x),
+                             c_u=utility.c_u)
+    points = _assert_scans_each_window_grid_once(
+        Preferences(table, config.preferences.gain_loss), config.market,
+        config.initial_capital, monkeypatch)
+    assert points == [64, 512]
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(0.05, 5.0), k=st.floats(0.01, 3.0),
+       c_u=st.floats(0.01, 2.0), lo=st.floats(-40.0, 40.0),
+       width=st.floats(1e-3, 40.0))
+def test_exponential_window_extrema_sit_at_window_ends(a, k, c_u, lo, width):
+    # the five window extrema of a propagation over the terminal stage,
+    # from the two window ends and from a 4,096-point scan of the window
+    utility = ExponentialUtility(a, c_u)
+    assert utility.decreasing_terminal_families
+    term = TerminalEnvelopes(Preferences(utility, ArctanGainLoss.tight(k)),
+                             chi=1.0)
+
+    def extrema(ticks):
+        points = lo + ticks * width
+        logs = term.log_families(points)
+        return (logs.curve_floor.min(), logs.curve_cap.max(),
+                logs.past_coeff.max(), logs.slope_cap.max(),
+                np.abs(term.value_floor(points)).max())
+
+    assert extrema(np.array([0.0, 1.0])) == extrema(
+        np.linspace(0.0, 1.0, 4096))
 
 
 def test_wealth_window_brackets_centre():
