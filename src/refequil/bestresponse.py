@@ -31,11 +31,12 @@ probe at a time, through :func:`one_step_objective`.
 
 Evaluators are pure in (node, wealth).  Their solution and value memos
 are private to one value recursion.  Two tables may be shared by the best
-responses of one Picard run: ``warm`` (the last optimizer per node, which
-seeds Newton) and the bracket memo (``brackets``: per stage, wealth to
-optimizer bracket).  A bracket depends on the stage and the wealth only,
-never on the reference law, so a memoized one equals a fresh one bit for
-bit.
+responses of one Picard run: ``warm`` (per node, the wealth, optimizer and
+optimizer slope dh*/dx of its last solve, which seed Newton on the tangent,
+see :func:`tangent_seed`) and the bracket memo (``brackets``: per stage,
+wealth to optimizer bracket).  A bracket depends on the stage and the
+wealth only, never on the reference law, so a memoized one equals a fresh
+one bit for bit.
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ class OneStepSolution:
     #: set when the safeguarded Newton loop used up ``max_iterations``
     #: without meeting its target; the returned position is the best iterate
     exhausted: bool = False
+    #: set when the seeded Newton burst met the target, so the bracketed
+    #: flow did not run
+    seeded: bool = False
 
 
 def _sign(value: float) -> int:
@@ -215,7 +219,7 @@ def _newton(node: TreeNode, x: float, bracket: float,
                 break
             if abs(g_h) <= target:
                 return OneStepSolution(h, abs(g_h), (-bracket, bracket),
-                                       evals)
+                                       evals, seeded=True)
             if abs(g_h) > 0.5 * previous:
                 break
             previous = abs(g_h)
@@ -399,6 +403,8 @@ class SolveStats:
     clamped: int = 0
     #: solutions flagged ``exhausted``
     exhausted: int = 0
+    #: solutions flagged ``seeded``: finished by the seeded Newton burst
+    seeded: int = 0
     #: solutions whose certified bracket is infinite
     unbounded: int = 0
     #: largest first-order-condition residual of any solution
@@ -414,6 +420,7 @@ class SolveStats:
         self.foc_evals += solution.iterations
         self.clamped += solution.clamped
         self.exhausted += solution.exhausted
+        self.seeded += solution.seeded
         self.unbounded += math.isinf(solution.bracket[1])
         self.max_residual = max(self.max_residual, solution.residual)
 
@@ -470,6 +477,23 @@ def _terminal_columns(requests: Sequence[tuple]) -> list[tuple]:
     return out
 
 
+#: per node id, the wealth x, optimizer h* and optimizer slope dh*/dx of the
+#: node's last solve
+WarmTable = dict[int, tuple[float, float, float]]
+
+
+def tangent_seed(last: tuple[float, float, float] | None, x: float
+                 ) -> float | None:
+    """Newton seed at wealth ``x`` from a node's last solve ``(x', h*,
+    dh*/dx)``: the first-order prediction h* + dh*/dx (x - x'), or h* when
+    that is not finite; None without a last solve."""
+    if last is None:
+        return None
+    x_last, h, dh_dx = last
+    seed = h + dh_dx * (x - x_last)
+    return seed if math.isfinite(seed) else h
+
+
 class RecursiveValue:
     """Stage-t value backed by on-demand exact recursion.
 
@@ -478,7 +502,9 @@ class RecursiveValue:
     from the envelope identities: the first derivative is the expected
     next-stage slope at the optimizer, the second combines the expected
     curvature with the optimizer's wealth sensitivity (implicit function
-    rule on the first-order condition).
+    rule on the first-order condition).  That rule's optimizer slope dh*/dx
+    goes into ``warm`` beside the wealth and the optimizer, and the node's
+    next solve starts on the tangent (:func:`tangent_seed`).
 
     ``evaluate_many(nodes, xs)`` returns the columns (v, v', v'') and solves
     its pending problems in lockstep rounds: each round gathers the
@@ -502,7 +528,7 @@ class RecursiveValue:
                  bracket_fn: Callable[..., float | np.ndarray],
                  edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
-                 warm: dict[int, float] | None = None,
+                 warm: WarmTable | None = None,
                  stats: SolveStats | None = None,
                  brackets: dict[float, float] | None = None) -> None:
         self.prices = prices
@@ -510,7 +536,8 @@ class RecursiveValue:
         self.bracket_fn = bracket_fn
         self.foc_tolerance = foc_tolerance
         self.stage = stage
-        #: last optimizer per node, shared across rebuilds to seed Newton
+        #: (x, h*, dh*/dx) of the last solve per node, shared across
+        #: rebuilds to seed Newton
         self.warm = warm if warm is not None else {}
         #: the tree's edge table (:meth:`PriceModel.edges`)
         self.edges = edges
@@ -575,7 +602,8 @@ class RecursiveValue:
             solved = self._solutions.get((node.id, x))
             if solved is None:
                 newton = _newton(node, x, next(brackets), self.foc_tolerance,
-                                 initial=self.warm.get(node.id))
+                                 initial=tangent_seed(self.warm.get(node.id),
+                                                      x))
                 h = next(newton)  # the node guards raise here
             else:
                 self.stats.memo_hits += 1
@@ -611,8 +639,9 @@ class RecursiveValue:
                         # the best iterate is an earlier probe
                         live.append((node, x, edges, None, solution.position))
                         continue
-                self._values[(node.id, x)] = self._envelope(
+                self._values[(node.id, x)], dh_dx = self._envelope(
                     node, edges, v[start:stop], v1[start:stop], v2[start:stop])
+                self.warm[node.id] = (x, h, dh_dx)
             lanes = live
 
     def _brackets(self, xs: list[float]) -> list[float]:
@@ -632,14 +661,14 @@ class RecursiveValue:
     def _store(self, key: tuple[int, float], solution: OneStepSolution
                ) -> None:
         self._solutions[key] = solution
-        self.warm[key[0]] = solution.position
         self.stats.record(solution, self.stage)
 
     @staticmethod
     def _envelope(node: TreeNode, edges: ChildEdges, v: Sequence[float],
                   v1: Sequence[float], v2: Sequence[float]
-                  ) -> tuple[float, float, float]:
-        """(v, v', v'') from the next-stage columns at the optimizer."""
+                  ) -> tuple[tuple[float, float, float], float]:
+        """(v, v', v'') from the next-stage columns at the optimizer, and
+        the optimizer's slope dh*/dx."""
         value = slope = dgam_dx = dgam_dh = 0.0
         for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
             value += p * a
@@ -653,14 +682,14 @@ class RecursiveValue:
         curve = math.fsum(p * a2 * (1.0 + f * dh_dx)
                           for a2, f, p in zip(v2, edges.increments,
                                               edges.probs))
-        return value, slope, curve
+        return (value, slope, curve), dh_dx
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     terminal: TerminalValue,
                     stack: Sequence[StageEnvelopes],
                     foc_tolerance: float = 1e-10,
-                    warm: dict[int, float] | None = None,
+                    warm: WarmTable | None = None,
                     brackets: dict[int, dict[float, float]] | None = None,
                     ) -> list:
     """Evaluators for stages 0..T (index = stage), chained on-demand exact
@@ -668,8 +697,10 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
 
     Every stage reads the market's edge table and counts its work
     in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
-    and ``brackets`` (stage to that stage's bracket memo, filled here) may
-    be shared with other recursions on the same tree and envelope stack.
+    (node to the wealth, optimizer and optimizer slope of its last solve)
+    and ``brackets`` (stage to that stage's bracket memo), both filled
+    here, may be shared with other recursions on the same tree and envelope
+    stack.
     """
     edges = prices.edges(tree)
     stats = SolveStats()
@@ -700,7 +731,7 @@ def best_response(market: Market, preferences: Preferences,
                   reference_strategy, x0: float,
                   stack: Sequence[StageEnvelopes] | None = None,
                   foc_tolerance: float = 1e-10,
-                  warm: dict[int, float] | None = None,
+                  warm: WarmTable | None = None,
                   brackets: dict[int, dict[float, float]] | None = None,
                   ) -> tuple[Strategy, list]:
     """Optimal strategy against the reference generated by another strategy.
@@ -721,7 +752,7 @@ def best_response_steps(market: Market, preferences: Preferences,
                         reference_strategy, x0: float,
                         stack: Sequence[StageEnvelopes] | None = None,
                         foc_tolerance: float = 1e-10,
-                        warm: dict[int, float] | None = None,
+                        warm: WarmTable | None = None,
                         brackets: dict[int, dict[float, float]] | None = None):
     """:func:`best_response` as steps, so that :func:`run_lockstep` can run
     many best responses with one terminal kernel call per round."""

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bestresponse import (
     Strategy,
+    WarmTable,
     best_response,
     best_response_steps,
     run_lockstep,
@@ -152,7 +153,7 @@ def _picard_steps(market: Market, preferences: Preferences,
                   config: EquilibriumConfig, start: Strategy, x0: float,
                   stack, start_id: int):
     """:func:`iterate_fixed_point` as steps (see :func:`run_lockstep`)."""
-    warm: dict[int, float] = {}
+    warm: WarmTable = {}
     brackets: dict[int, dict[float, float]] = {}
     current = start
     best: tuple[float, Strategy] | None = None

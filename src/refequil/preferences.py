@@ -20,6 +20,7 @@ be evaluated concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -236,10 +237,14 @@ class ArctanGainLoss(GainLoss):
     def __init__(self, k_minus: float, scale: float = 1.0) -> None:
         if not 0.0 < k_minus < math.inf:
             raise PreferenceError("the loss slope k_minus must be positive")
-        # nu'' needs scale^2 as a finite double
-        if not (scale > 0.0 and math.isfinite(scale * scale)):
-            raise PreferenceError(f"the gain-arm scale must be positive, "
-                                  f"with a finite square (got {scale!r})")
+        # nu'' divides by scale^2: it must be a positive normal double, as
+        # one that overflows or underflows (to a subnormal or to 0) makes
+        # the curvature inf or NaN
+        if not (scale > 0.0
+                and sys.float_info.min <= scale * scale < math.inf):
+            raise PreferenceError(
+                f"the gain-arm scale must be positive, with a finite square "
+                f"(got {scale!r}) no smaller than the least normal double")
         self.k_minus = float(k_minus)
         self.scale = float(scale)
         k, s = self.k_minus, self.scale

@@ -18,6 +18,7 @@ from refequil.bestresponse import (
     one_step_objective,
     run_lockstep,
     solve_one_step,
+    tangent_seed,
     terminal_wealth_law,
     value_recursion,
 )
@@ -461,7 +462,9 @@ class DepthFirstValue(PairByPair):
     """The exact recursion one node and one probe at a time, as a reference.
 
     Every probe of every solve evaluates the next stage child by child, so
-    each node sees its requests in depth-first order.
+    each node sees its requests in depth-first order.  A solve is followed
+    at once by its envelope at the optimizer, whose slope dh*/dx goes into
+    the warm table beside the wealth and the optimizer.
     """
 
     def __init__(self, prices, next_value, bracket_fn, warm, counts):
@@ -474,17 +477,12 @@ class DepthFirstValue(PairByPair):
         if key not in self.solutions:
             sol = solve_one_step(self.next_value, self.prices, node, x,
                                  float(self.bracket_fn(x)),
-                                 initial=self.warm.get(node.id))
+                                 initial=tangent_seed(self.warm.get(node.id),
+                                                      x))
             self.solutions[key] = sol
-            self.warm[node.id] = sol.position
             self.counts[0] += 1
             self.counts[1] += sol.iterations
-        return self.solutions[key]
-
-    def evaluate(self, node, x):
-        key = (node.id, float(x))
-        if key not in self.values:
-            h = self.solution(node, x).position
+            h = sol.position
             value = slope = dgam_dx = dgam_dh = 0.0
             terms = []
             for child in node.children:
@@ -498,7 +496,12 @@ class DepthFirstValue(PairByPair):
             dh_dx = -dgam_dx / dgam_dh
             curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in terms)
             self.values[key] = (value, slope, curve)
-        return self.values[key]
+            self.warm[node.id] = (float(x), h, dh_dx)
+        return self.solutions[key]
+
+    def evaluate(self, node, x):
+        self.solution(node, x)
+        return self.values[(node.id, float(x))]
 
 
 def depth_first_values(market, prefs, law, stack, warm, counts):
@@ -793,6 +796,9 @@ def test_solve_stats_record_flags():
     assert stats.unbounded == 0
     stats.record(OneStepSolution(0.0, 0.0, (-math.inf, math.inf), 1), 0)
     assert stats.unbounded == 1
+    assert stats.seeded == 0
+    stats.record(OneStepSolution(0.2, 0.0, (-1.0, 1.0), 2, seeded=True), 1)
+    assert (stats.solves, stats.seeded) == (4, 1)
 
 
 def _cold_best_response(seed, horizon, atoms):
@@ -827,6 +833,108 @@ def test_deep_cold_best_response_saturates_without_nan():
     assert stats.clamped == stats.exhausted == 0
     assert stats.unbounded > 0
     assert stats.max_residual <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# tangent seeds
+# ---------------------------------------------------------------------------
+
+def test_tangent_seed_rule():
+    assert tangent_seed(None, 1.0) is None
+    assert tangent_seed((1.0, 0.5, 0.25), 3.0) == 0.5 + 0.25 * 2.0
+    assert tangent_seed((1.0, 0.5, 0.25), 1.0) == 0.5
+    # a slope that is not finite, or a prediction that overflows, falls
+    # back to the last optimizer
+    assert tangent_seed((1.0, 0.5, math.nan), 3.0) == 0.5
+    assert tangent_seed((1.0, 0.5, math.inf), 1.0) == 0.5
+    assert tangent_seed((-1e308, 0.5, 1e10), 1e308) == 0.5
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 3),
+       atoms=st.sampled_from([2, 3]))
+def test_seeded_solutions_meet_target_and_match_cold_solves(seed, horizon,
+                                                            atoms):
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    tree, prices = market.tree, market.prices
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 prices.c_f, prices.chi, horizon)
+    reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
+    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    fresh = value_recursion(tree, prices, TerminalValue(
+        prefs, terminal_wealth_law(tree, prices, reference, x0)), stack)
+    nodes = {node.id: node for node in tree.interior}
+    target = 1e-10 * 1e-3
+    checked = 0
+    for t, value in enumerate(values[:-1]):
+        for (node_id, x), sol in value._solutions.items():
+            assert not (sol.clamped or sol.exhausted)
+            assert sol.residual <= target
+            node = nodes[node_id]
+            cold = solve_one_step(fresh[t + 1], prices, node, x,
+                                  sol.bracket[1], initial=None)
+            # two positions whose residuals meet the target may sit
+            # (r + r_cold) / |d gamma / dh| apart, which the 1e-12 relative
+            # allowance alone does not cover on a flat first-order condition
+            curvature = one_step_objective(fresh[t + 1], prices, node, x,
+                                           cold.position)[2]
+            allowed = (1e-12 * max(1.0, abs(sol.position))
+                       + 2.0 * (sol.residual + cold.residual) / -curvature)
+            assert abs(sol.position - cold.position) <= allowed
+            checked += 1
+    assert checked == values[0].stats.solves
+
+
+def test_seed_outside_bracket_takes_bracketed_flow(skewed_market,
+                                                   desk_prefs):
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    root = skewed_market.tree.root
+    cold = _lane_value(skewed_market, vt)
+    cold_sol = cold.solution(root, 0.1)
+    assert cold.warm[root.id][:2] == (0.1, cold_sol.position)
+    assert math.isfinite(cold.warm[root.id][2])
+    # a steep recorded slope predicts a position far past the radius-4
+    # bracket: the burst is skipped and the bracketed flow runs as cold
+    value = _lane_value(skewed_market, vt)
+    value.warm[root.id] = (0.0, cold_sol.position, 1e3)
+    assert not abs(tangent_seed(value.warm[root.id], 0.1)) < 4.0
+    sol = value.solution(root, 0.1)
+    assert sol == cold_sol and not sol.seeded
+    assert value.stats.seeded == 0
+    assert value.warm[root.id] == cold.warm[root.id]
+    # the node's own tangent predicts a nearby optimizer: the burst meets
+    # the target and the bracketed flow does not run
+    near = value.solution(root, 0.1 + 1e-3)
+    assert near.seeded and near.iterations < cold_sol.iterations
+    assert value.stats.seeded == 1
+    again = _lane_value(skewed_market, vt).solution(root, 0.1 + 1e-3)
+    assert abs(near.position - again.position) <= 1e-12
+
+
+#: pre-change counts (the zeroth-order seed: each solve started at the
+#: node's last optimizer) were 6,113 solves and 13,149 FOC evaluations
+LADDER_CEILINGS = {"solves": 4644, "foc_evals": 8421}
+
+
+def test_cold_ladder_work_stays_under_ceilings():
+    """Work of one cold best response per rung of the seed-1 ladder (2
+    atoms T = 1..5, 3 atoms T = 1..4), summed.
+
+    With tangent seeds the ladder takes 4,423 solves and 8,020 FOC
+    evaluations; before them it took 6,113 solves and 13,149 FOC
+    evaluations.  The ceilings are the tangent-seed counts plus 5 %, not
+    exact pins, as ``np.arctan`` may round differently on other builds.
+    """
+    totals = {"solves": 0, "foc_evals": 0}
+    for atoms, horizons in ((2, range(1, 6)), (3, range(1, 5))):
+        for horizon in horizons:
+            stats = _cold_best_response(1, horizon, atoms)[2]
+            assert stats.clamped == stats.exhausted == 0
+            totals["solves"] += stats.solves
+            totals["foc_evals"] += stats.foc_evals
+    for key, ceiling in LADDER_CEILINGS.items():
+        assert totals[key] <= ceiling, (key, totals[key])
 
 
 def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):

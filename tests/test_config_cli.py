@@ -170,6 +170,21 @@ def test_solve_error_at_overflowing_utility_prints_one_line(tmp_path,
     assert err.count("\n") == 1
 
 
+def test_underflowing_gain_scale_is_a_configuration_error(tmp_path, capsys):
+    # s = 1e-300 squares to 0.0, which is finite: it is refused when the
+    # configuration loads (exit 2, one line), before any curvature divides
+    # by it
+    cfg = _patch_fixture(tmp_path, _assign(1e-300, "preferences",
+                                           "gain_loss", "s"))
+    code, caught = _main_recording_warnings(["solve", "--config", cfg,
+                                             "--out", str(tmp_path / "x")])
+    assert (code, caught) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "least normal double" in err
+    assert err.count("\n") == 1
+
+
 def test_preference_gate_rejects_overflowing_loss_slope_quietly(tmp_path,
                                                                capsys):
     # k_minus = 1e308 overflows the loss arm k x on the gate's grid: the

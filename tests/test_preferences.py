@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_fixture_curvature_bounds_pinned(fixture, c_nu):
 def test_arctan_rejects_scale_without_finite_square(scale):
     with pytest.raises(PreferenceError, match="scale"):
         ArctanGainLoss(1.0, scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 5e-324])
+def test_arctan_rejects_scale_whose_square_is_not_normal(scale):
+    # the square underflows to 0 or to a subnormal, which is finite
+    assert math.isfinite(scale * scale)
+    assert scale * scale < sys.float_info.min
+    with pytest.raises(PreferenceError, match="least normal double"):
+        ArctanGainLoss(1.0, scale)
+
+
+def test_arctan_accepts_smallest_scale_with_normal_square():
+    scale = math.sqrt(sys.float_info.min) * (1.0 + 1e-15)
+    assert scale * scale >= sys.float_info.min
+    nu = ArctanGainLoss(1.0, scale)
+    assert math.isfinite(nu.c_nu)
+    assert np.all(np.isfinite(nu.d2nu([scale, 1.0])))
 
 
 # ---------------------------------------------------------------------------
