@@ -48,8 +48,8 @@ print("preferred self value:", preferred.value)
 
 # two-sided certification of the preferred candidate
 cert = certify_equilibrium(market, prefs, preferred.strategy, x0,
-                           grid_resolution=21,
-                           config=EquilibriumConfig(oracle_radius=3.0))
+                           config=EquilibriumConfig(oracle_resolution=21,
+                                                    oracle_radius=3.0))
 print("analytic residual:", cert.analytic_residual)
 print("oracle margin:", cert.oracle_margin, "within slack:",
       cert.oracle_slack)

@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--candidate", required=True,
                         help="strategy CSV (node_id, depth, position)")
     p_cert.add_argument("--resolution", type=int, default=None,
-                        help="oracle grid positions per node")
+                        help="oracle grid positions per node (at least 2; "
+                             "overrides solver.oracle_resolution)")
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     common(p_verify)
@@ -97,6 +98,7 @@ def _overrides(args: argparse.Namespace) -> dict:
         "max_iterations": getattr(args, "max_iters", None),
         "starts": args.starts,
         "foc_tolerance": getattr(args, "foc_tol", None),
+        "oracle_resolution": getattr(args, "resolution", None),
     }
 
 
@@ -251,13 +253,11 @@ def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
     return EXIT_OK
 
 
-def _cmd_certify(config: RunConfig, candidate_path: str,
-                 resolution: int | None) -> int:
+def _cmd_certify(config: RunConfig, candidate_path: str) -> int:
     market, prefs = config.market, config.preferences
     candidate = _read_strategy(candidate_path, market.tree)
     report = certify_equilibrium(
         market, prefs, candidate, config.initial_capital,
-        grid_resolution=resolution or config.solver.oracle_resolution,
         config=config.solver)
     out = config.output_dir
     _write_csv(out / "certification.csv",
@@ -336,7 +336,7 @@ def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     if args.command == "best-response":
         return _cmd_best_response(config, args.reference)
     if args.command == "certify":
-        return _cmd_certify(config, args.candidate, args.resolution)
+        return _cmd_certify(config, args.candidate)
     if args.command == "verify":
         return _cmd_verify(config, args.suite, args.samples)
     if args.command == "report":

@@ -194,7 +194,7 @@ def _build_gain_loss(spec: dict) -> GainLoss:
 def _build_solver(spec: dict) -> EquilibriumConfig:
     known = {"damping", "tolerance", "max_iterations", "starts",
              "start_radius", "foc_tolerance", "oracle_resolution",
-             "oracle_cap", "oracle_radius", "dedup_factor"}
+             "oracle_radius"}
     unknown = set(spec) - known
     if unknown:
         raise ConfigError(f"unknown solver keys {sorted(unknown)}")
@@ -260,7 +260,7 @@ def _merged(raw: dict, overrides: dict) -> dict:
         if value is None:
             continue
         if key in ("damping", "tolerance", "max_iterations", "starts",
-                   "foc_tolerance"):
+                   "foc_tolerance", "oracle_resolution"):
             out.setdefault("solver", {})[key] = value
         elif key == "output_directory":
             out.setdefault("output", {})["directory"] = value

@@ -46,6 +46,10 @@ from .preferences import (
 VALUE_TOL = 1e-12
 #: gap entries per oracle row block (8 MB of float64)
 _ORACLE_BLOCK = 1 << 20
+#: skip the brute-force oracle above this many grid strategies
+_ORACLE_CAP = 300_000
+#: converged strategies closer than this many tolerances count as one
+_DEDUP_FACTOR = 10.0
 
 
 def evaluate_self_value(market: Market, preferences: Preferences,
@@ -75,13 +79,15 @@ class EquilibriumConfig:
     start_radius: float | None = None
     explicit_starts: tuple = ()
     foc_tolerance: float = 1e-10
+    #: oracle grid positions per node
     oracle_resolution: int = 41
-    #: skip the brute-force oracle above this many grid strategies
-    oracle_cap: int = 300_000
     oracle_radius: float | None = None
-    dedup_factor: float = 10.0
 
     def __post_init__(self) -> None:
+        for key in ("max_iterations", "starts", "oracle_resolution"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.tolerance <= 0.0:
@@ -90,6 +96,8 @@ class EquilibriumConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.starts < 1 and not self.explicit_starts:
             raise ValueError("at least one start is required")
+        if self.oracle_resolution < 2:
+            raise ValueError("oracle_resolution must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -192,12 +200,12 @@ class CertificationReport:
 
 def _oracle_sweep(market: Market, preferences: Preferences,
                   reference: ReferenceDistribution, x0: float,
-                  radius: float, resolution: int, cap: int):
-    """Best self-value over the full grid of strategies, or None if too big."""
+                  radius: float, resolution: int):
+    """Best self-value over the full grid of strategies, or None if it has
+    more than ``_ORACLE_CAP`` of them."""
     tree = market.tree
     interior = tree.interior
-    combos = resolution ** len(interior)
-    if combos > cap:
+    if resolution ** len(interior) > _ORACLE_CAP:
         return None
     grids = [np.linspace(-radius, radius, resolution) for _ in interior]
     mesh = np.meshgrid(*grids, indexing="ij")
@@ -222,17 +230,16 @@ def _oracle_sweep(market: Market, preferences: Preferences,
 
 def certify_equilibrium(market: Market, preferences: Preferences,
                         candidate: Strategy, x0: float,
-                        grid_resolution: int = 41,
                         config: EquilibriumConfig | None = None,
                         stack=None) -> CertificationReport:
     """Check the equilibrium condition analytically and by enumeration.
 
     The analytic side measures the best-response residual at the candidate.
-    The oracle side enumerates every strategy on a per-node position grid
-    and verifies that none improves the candidate's self-value by more than
-    the quadratic slack (half the curvature cap times the squared grid
-    spacing times the horizon).  Trees whose grid would exceed the
-    configured cap get the analytic check only.
+    The oracle side enumerates every strategy on the configured per-node
+    position grid and verifies that none improves the candidate's self-value
+    by more than the quadratic slack (half the curvature cap times the
+    squared grid spacing times the horizon).  Trees whose grid would exceed
+    ``_ORACLE_CAP`` strategies get the analytic check only.
     """
     config = config or EquilibriumConfig()
     market.require_certified()
@@ -246,7 +253,7 @@ def certify_equilibrium(market: Market, preferences: Preferences,
     radius = config.oracle_radius
     if radius is None:
         radius = min(float(stack[0].position_bound(x0)), 50.0)
-    resolution = int(grid_resolution)
+    resolution = config.oracle_resolution
     spacing = 2.0 * radius / (resolution - 1)
     with np.errstate(over="ignore"):
         curve_cap = max(float(np.asarray(stack[t].curve_cap(x0)))
@@ -255,7 +262,7 @@ def certify_equilibrium(market: Market, preferences: Preferences,
 
     reference = terminal_wealth_law(market.tree, market.prices, candidate, x0)
     best_value = _oracle_sweep(market, preferences, reference, x0, radius,
-                               resolution, config.oracle_cap)
+                               resolution)
     self_value = evaluate_self_value(market, preferences, candidate, x0)
     if best_value is None:
         certified = analytic <= config.tolerance
@@ -289,7 +296,7 @@ def find_equilibria(market: Market, preferences: Preferences,
                     seed: int = 0, stack=None) -> EquilibriumSet:
     """Multistart search: zero strategy, explicit starts, then random draws.
 
-    Converged strategies within ``dedup_factor * tolerance`` of each other
+    Converged strategies within ``_DEDUP_FACTOR * tolerance`` of each other
     in sup-norm count as one equilibrium; the preferred index maximises the
     self-value among converged reports, with values within the 1e-12
     arithmetic tolerance tied and broken toward the lowest residual.  An
@@ -309,7 +316,7 @@ def find_equilibria(market: Market, preferences: Preferences,
         if not report.converged:
             continue
         if all(report.strategy.sup_distance(reports[j].strategy)
-               > config.dedup_factor * config.tolerance for j in distinct):
+               > _DEDUP_FACTOR * config.tolerance for j in distinct):
             distinct.append(k)
 
     preferred = None

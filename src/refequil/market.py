@@ -187,10 +187,6 @@ class ScenarioTree:
     def leaves(self) -> list[TreeNode]:
         return self.levels[-1]
 
-    @property
-    def factor_bound(self) -> float:
-        return max(d.bound for d in self.distributions)
-
 
 # ---------------------------------------------------------------------------
 # price models

@@ -1,10 +1,12 @@
 """Executable invariant suites.
 
-Each check samples instances within the certified brackets, measures the
-worst signed margin (positive means satisfied with slack) and names a
-witness on failure.  Checks never raise on a failed inequality; they
-report.  Given the same seed and inputs the reports are byte-for-byte
-identical.
+Each check samples instances within the certified brackets and measures a
+signed margin per instance (positive means satisfied with slack).  Its
+report holds the worst margin, the smallest one seen; the witness of the
+first instance that reaches it; and the number of instances examined.  A
+NaN margin never becomes the worst.  Checks never raise on a failed
+inequality; they report.  Given the same seed and inputs the reports are
+byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -56,21 +58,38 @@ class CheckReport:
         return self.worst_margin >= -self.tolerance
 
 
+#: (suite, check function, names it reports) in run order.  The checks draw
+#: from one generator per session, so this order fixes every sample.  The
+#: functions are looked up by name when a suite runs.
+_CHECKS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+    ("foc", "_check_foc", ("foc_residual",)),
+    ("bounds", "_check_optimizer_bound", ("optimizer_bound",)),
+    ("bounds", "_check_curvature_floor", ("curvature_floor",)),
+    ("bounds", "_check_value_bounds", ("value_bounds",)),
+    ("bounds", "_check_derivative_sandwich", ("derivative_sandwich",)),
+    ("bounds", "_fd_checks", ("derivative_fd_first", "derivative_fd_second")),
+    ("bounds", "_check_value_shape", ("value_shape",)),
+    ("bounds", "_check_dominance", ("dominance",)),
+    ("bounds", "_check_linear_branch", ("linear_branch",)),
+    ("bounds", "_check_satisfaction_sandwich", ("satisfaction_sandwich",)),
+    ("bounds", "_check_satisfaction_derivative",
+     ("satisfaction_derivative_sandwich",)),
+    ("bounds", "_check_satisfaction_concavity", ("satisfaction_concavity",)),
+    ("bounds", "_check_envelope_positivity", ("envelope_positivity",)),
+    ("bounds", "_check_elasticity", ("elasticity",)),
+    ("hoelder", "_check_hoelder", ("hoelder_optimizer", "hoelder_value")),
+    ("hoelder", "_check_price_modulus", ("price_modulus",)),
+    ("hoelder", "_check_no_arbitrage", ("no_arbitrage_recheck",)),
+    ("continuity", "_check_continuity", ("best_response_continuity",)),
+    ("equilibrium", "_equilibrium_checks",
+     ("fixed_point_idempotence", "preferred_dominance", "certified_ball",
+      "damping_invariance", "oracle_agreement")),
+)
+
 SUITES: dict[str, tuple[str, ...]] = {
-    "foc": ("foc_residual",),
-    "bounds": ("optimizer_bound", "curvature_floor", "value_bounds",
-               "derivative_sandwich", "derivative_fd_first",
-               "derivative_fd_second", "value_shape", "dominance",
-               "linear_branch", "satisfaction_sandwich",
-               "satisfaction_derivative_sandwich", "satisfaction_concavity",
-               "envelope_positivity", "elasticity"),
-    "hoelder": ("hoelder_optimizer", "hoelder_value", "price_modulus",
-                "no_arbitrage_recheck"),
-    "continuity": ("best_response_continuity",),
-    "equilibrium": ("fixed_point_idempotence", "preferred_dominance",
-                    "certified_ball", "damping_invariance",
-                    "oracle_agreement"),
-}
+    suite: tuple(name for owner, _, names in _CHECKS if owner == suite
+                 for name in names)
+    for suite in dict.fromkeys(suite for suite, _, _ in _CHECKS)}
 
 #: one named check per documented invariant (uniqueness is unit-tested)
 INVARIANT_COVERAGE: dict[str, str] = {
@@ -203,141 +222,127 @@ class _Session:
         with np.errstate(over="ignore"):
             return np.exp(getattr(self._env_cache[depth], name))
 
+    def per_state(self, *families: str):
+        """``(index, node, x, *family values)`` for every master-sample
+        state, depth by depth, with the named envelope families at x."""
+        for depth, (ids, _) in self._by_depth.items():
+            columns = [self.env_family(depth, name) for name in families]
+            for k, idx in enumerate(ids):
+                yield (idx, *self.states[idx],
+                       *(float(column[k]) for column in columns))
+
+
+def _fold(name: str, cases, tolerance: float = 0.0) -> CheckReport:
+    """A check's report from its ``(margin, witness fields)`` cases.
+
+    The worst margin is the smallest one (strict ``<`` against a running
+    minimum from +inf, so a NaN margin never wins), the witness is that of
+    the first case reaching it, and ``instances`` counts the cases.
+    """
+    worst, witness, count = math.inf, None, 0
+    for count, (margin, fields) in enumerate(cases, 1):
+        if margin < worst:
+            worst, witness = margin, fields
+    return CheckReport(name, count, worst,
+                       "" if witness is None else _fmt_witness(**witness),
+                       tolerance)
+
 
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
 def _check_foc(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    for node, x in s.states:
-        sol = s.values[node.depth].solution(node, x)
-        margin = s.config.foc_tolerance - sol.residual
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(node=node.id, x=x,
-                                                  residual=sol.residual)
-    return CheckReport("foc_residual", len(s.states), worst, witness)
+    def cases():
+        for node, x in s.states:
+            sol = s.values[node.depth].solution(node, x)
+            yield (s.config.foc_tolerance - sol.residual,
+                   dict(node=node.id, x=x, residual=sol.residual))
+    return _fold("foc_residual", cases())
 
 
 def _check_optimizer_bound(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    for depth, (ids, xs) in s._by_depth.items():
-        bounds = s.env_family(depth, "position_bound")
-        coeffs = s.env_family(depth, "position_past_coeff")
-        for k, idx in enumerate(ids):
-            node, x = s.states[idx]
-            h = s.values[depth].solution(node, x).position
-            margin = min(float(bounds[k]) - abs(h), float(coeffs[k]) - abs(h))
-            if margin < worst:
-                worst, witness = margin, _fmt_witness(node=node.id, x=x, h=h)
-    return CheckReport("optimizer_bound", len(s.states), worst, witness)
+    def cases():
+        for _, node, x, bound, coeff in s.per_state("position_bound",
+                                                    "position_past_coeff"):
+            h = s.values[node.depth].solution(node, x).position
+            yield (min(bound - abs(h), coeff - abs(h)),
+                   dict(node=node.id, x=x, h=h))
+    return _fold("optimizer_bound", cases())
 
 
 def _check_curvature_floor(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    count = 0
-    for depth, (ids, xs) in s._by_depth.items():
-        floors = s.prices.c_f ** 2 * s.env_family(depth, "curve_floor")
-        brackets = s.env_family(depth, "position_bound")
-        for k, idx in enumerate(ids):
+    def cases():
+        for idx, node, x, floor, bracket in s.per_state("curve_floor",
+                                                        "position_bound"):
             if idx % 2:
                 continue
-            node, x = s.states[idx]
-            cap = min(float(brackets[k]), 3.0)
+            cap = min(bracket, 3.0)
             h = float(s.rng.uniform(-cap, cap))
-            slope = one_step_objective(s.values[depth + 1], s.prices, node,
-                                       x, h)[2]
-            count += 1
-            margin = -slope - float(floors[k])
-            if margin < worst:
-                worst, witness = margin, _fmt_witness(node=node.id, x=x, h=h)
-    return CheckReport("curvature_floor", count, worst, witness)
+            slope = one_step_objective(s.values[node.depth + 1], s.prices,
+                                       node, x, h)[2]
+            yield (-slope - s.prices.c_f ** 2 * floor,
+                   dict(node=node.id, x=x, h=h))
+    return _fold("curvature_floor", cases())
 
 
 def _check_value_bounds(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
     cap = s.preferences.satisfaction_cap
-    for depth, (ids, xs) in s._by_depth.items():
-        floors = s.env_family(depth, "value_floor")
-        for k, idx in enumerate(ids):
-            node, x = s.states[idx]
-            v = s.values[depth].evaluate(node, x)[0]
-            margin = min(v - float(floors[k]), cap - v)
-            if margin < worst:
-                worst, witness = margin, _fmt_witness(node=node.id, x=x, v=v)
-    return CheckReport("value_bounds", len(s.states), worst, witness)
+
+    def cases():
+        for _, node, x, floor in s.per_state("value_floor"):
+            v = s.values[node.depth].evaluate(node, x)[0]
+            yield min(v - floor, cap - v), dict(node=node.id, x=x, v=v)
+    return _fold("value_bounds", cases())
 
 
 def _check_derivative_sandwich(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    for depth, (ids, xs) in s._by_depth.items():
-        j = s.env_family(depth, "slope_floor")
-        J = s.env_family(depth, "slope_cap")
-        lo = s.env_family(depth, "curve_floor")
-        hi = s.env_family(depth, "curve_cap")
-        for k, idx in enumerate(ids):
-            node, x = s.states[idx]
-            _, v1, v2 = s.values[depth].evaluate(node, x)
-            margin = min(v1 - float(j[k]), float(J[k]) - v1,
-                         (-v2) - float(lo[k]), float(hi[k]) - (-v2))
-            if margin < worst:
-                worst, witness = margin, _fmt_witness(node=node.id, x=x,
-                                                      v1=v1, v2=v2)
-    return CheckReport("derivative_sandwich", len(s.states), worst, witness)
+    def cases():
+        for _, node, x, j, J, lo, hi in s.per_state(
+                "slope_floor", "slope_cap", "curve_floor", "curve_cap"):
+            _, v1, v2 = s.values[node.depth].evaluate(node, x)
+            yield (min(v1 - j, J - v1, (-v2) - lo, hi - (-v2)),
+                   dict(node=node.id, x=x, v1=v1, v2=v2))
+    return _fold("derivative_sandwich", cases())
 
 
 def _fd_checks(s: _Session) -> list[CheckReport]:
-    first_worst, first_wit = math.inf, ""
-    second_worst, second_wit = math.inf, ""
-    states = s.states[: max(1, s.samples // 10)]
-    for node, x in states:
+    cases = []
+    for node, x in s.states[: max(1, s.samples // 10)]:
         value = s.values[node.depth]
-        v, v1, v2 = value.evaluate(node, x)
+        _, v1, v2 = value.evaluate(node, x)
         up = value.evaluate(node, x + FD_STEP)
         down = value.evaluate(node, x - FD_STEP)
         fd1 = (up[0] - down[0]) / (2.0 * FD_STEP)
         fd2 = (up[1] - down[1]) / (2.0 * FD_STEP)
-        m1 = FD_FIRST_TOL - abs(fd1 - v1) / max(abs(v1), 1e-12)
-        m2 = FD_SECOND_TOL - abs(fd2 - v2) / max(abs(v2), 1e-12)
-        if m1 < first_worst:
-            first_worst, first_wit = m1, _fmt_witness(node=node.id, x=x)
-        if m2 < second_worst:
-            second_worst, second_wit = m2, _fmt_witness(node=node.id, x=x)
-    return [CheckReport("derivative_fd_first", len(states), first_worst,
-                        first_wit),
-            CheckReport("derivative_fd_second", len(states), second_worst,
-                        second_wit)]
+        cases.append((FD_FIRST_TOL - abs(fd1 - v1) / max(abs(v1), 1e-12),
+                      FD_SECOND_TOL - abs(fd2 - v2) / max(abs(v2), 1e-12),
+                      dict(node=node.id, x=x)))
+    return [_fold("derivative_fd_first", ((m, w) for m, _, w in cases)),
+            _fold("derivative_fd_second", ((m, w) for _, m, w in cases))]
 
 
 def _check_value_shape(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    count = 0
-    nodes = s.tree.interior
-    for node in nodes[: min(len(nodes), 8)]:
-        xs = np.linspace(s.x0 - s.wealth_radius, s.x0 + s.wealth_radius, 9)
-        vals = [s.values[node.depth].evaluate(node, float(x))[0]
-                for x in xs]
-        first = np.diff(vals)
-        second = np.diff(vals, 2)
-        count += 1
-        margin = min(float(np.min(first)), float(np.min(-second)))
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(node=node.id)
-    return CheckReport("value_shape", count, worst, witness)
+    xs = np.linspace(s.x0 - s.wealth_radius, s.x0 + s.wealth_radius, 9)
+
+    def cases():
+        for node in s.tree.interior[:8]:
+            vals = [s.values[node.depth].evaluate(node, float(x))[0]
+                    for x in xs]
+            yield (min(float(np.min(np.diff(vals))),
+                       float(np.min(-np.diff(vals, 2)))),
+                   dict(node=node.id))
+    return _fold("value_shape", cases())
 
 
 def _check_dominance(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    states = s.states[: max(1, s.samples // 4)]
-    for node, x in states:
-        v = s.values[node.depth].evaluate(node, x)[0]
-        zero = one_step_objective(s.values[node.depth + 1], s.prices, node,
-                                  x, 0.0)[0]
-        margin = v - zero
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(node=node.id, x=x)
-    return CheckReport("dominance", len(states), worst, witness,
-                       tolerance=1e-12)
+    def cases():
+        for node, x in s.states[: max(1, s.samples // 4)]:
+            v = s.values[node.depth].evaluate(node, x)[0]
+            zero = one_step_objective(s.values[node.depth + 1], s.prices,
+                                      node, x, 0.0)[0]
+            yield v - zero, dict(node=node.id, x=x)
+    return _fold("dominance", cases(), tolerance=1e-12)
 
 
 def _check_linear_branch(s: _Session) -> CheckReport:
@@ -349,64 +354,58 @@ def _check_linear_branch(s: _Session) -> CheckReport:
     return CheckReport("linear_branch", len(xs), worst, witness)
 
 
-def _random_reference(s: _Session) -> ReferenceDistribution:
-    n = int(s.rng.integers(1, 5))
-    wealths = s.x0 + s.rng.uniform(-s.wealth_radius, s.wealth_radius, size=n)
-    weights = s.rng.uniform(0.2, 1.0, size=n)
-    weights = weights / weights.sum()
-    # exact renormalisation so the atom sum passes the 1e-12 gate
-    weights[-1] = 1.0 - math.fsum(weights[:-1])
-    return ReferenceDistribution.from_weights(zip(wealths, weights))
+def _satisfaction_draws(s: _Session):
+    """``(reference, wealth)`` draws for the satisfaction checks: a random
+    reference law of one to four atoms, then a wealth in the window."""
+    for _ in range(max(1, s.samples // 2)):
+        n = int(s.rng.integers(1, 5))
+        wealths = s.x0 + s.rng.uniform(-s.wealth_radius, s.wealth_radius,
+                                       size=n)
+        weights = s.rng.uniform(0.2, 1.0, size=n)
+        weights = weights / weights.sum()
+        # exact renormalisation so the atom sum passes the 1e-12 gate
+        weights[-1] = 1.0 - math.fsum(weights[:-1])
+        reference = ReferenceDistribution.from_weights(zip(wealths, weights))
+        yield reference, s.x0 + float(s.rng.uniform(-s.wealth_radius,
+                                                    s.wealth_radius))
 
 
 def _check_satisfaction_sandwich(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
     u, nu = s.preferences.utility, s.preferences.gain_loss
     cap = s.preferences.satisfaction_cap
-    count = max(1, s.samples // 2)
-    for _ in range(count):
-        ref = _random_reference(s)
-        x = s.x0 + float(s.rng.uniform(-s.wealth_radius, s.wealth_radius))
-        val = satisfaction(u, nu, x, ref)
-        floor = (1.0 + nu.k_minus) * float(u.u(x)) - nu.k_minus * u.c_u
-        margin = min(val - floor, cap - val)
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(x=x)
-    return CheckReport("satisfaction_sandwich", count, worst, witness)
+
+    def cases():
+        for ref, x in _satisfaction_draws(s):
+            val = satisfaction(u, nu, x, ref)
+            floor = (1.0 + nu.k_minus) * float(u.u(x)) - nu.k_minus * u.c_u
+            yield min(val - floor, cap - val), dict(x=x)
+    return _fold("satisfaction_sandwich", cases())
 
 
 def _check_satisfaction_derivative(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
     u, nu = s.preferences.utility, s.preferences.gain_loss
-    count = max(1, s.samples // 2)
-    for _ in range(count):
-        ref = _random_reference(s)
-        x = s.x0 + float(s.rng.uniform(-s.wealth_radius, s.wealth_radius))
-        fd = (satisfaction(u, nu, x + FD_STEP, ref)
-              - satisfaction(u, nu, x - FD_STEP, ref)) / (2.0 * FD_STEP)
-        du = float(u.du(x))
-        slack = FD_FIRST_TOL * (1.0 + nu.k_minus) * du
-        margin = min(fd - du + slack, (1.0 + nu.k_minus) * du - fd + slack)
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(x=x)
-    return CheckReport("satisfaction_derivative_sandwich", count, worst,
-                       witness)
+
+    def cases():
+        for ref, x in _satisfaction_draws(s):
+            fd = (satisfaction(u, nu, x + FD_STEP, ref)
+                  - satisfaction(u, nu, x - FD_STEP, ref)) / (2.0 * FD_STEP)
+            du = float(u.du(x))
+            slack = FD_FIRST_TOL * (1.0 + nu.k_minus) * du
+            yield (min(fd - du + slack, (1.0 + nu.k_minus) * du - fd + slack),
+                   dict(x=x))
+    return _fold("satisfaction_derivative_sandwich", cases())
 
 
 def _check_satisfaction_concavity(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
     u, nu = s.preferences.utility, s.preferences.gain_loss
-    count = max(1, s.samples // 2)
-    for _ in range(count):
-        ref = _random_reference(s)
-        x = s.x0 + float(s.rng.uniform(-s.wealth_radius, s.wealth_radius))
-        second = (satisfaction(u, nu, x + FD_STEP, ref)
-                  - 2.0 * satisfaction(u, nu, x, ref)
-                  + satisfaction(u, nu, x - FD_STEP, ref)) / FD_STEP ** 2
-        margin = -second
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(x=x)
-    return CheckReport("satisfaction_concavity", count, worst, witness)
+
+    def cases():
+        for ref, x in _satisfaction_draws(s):
+            second = (satisfaction(u, nu, x + FD_STEP, ref)
+                      - 2.0 * satisfaction(u, nu, x, ref)
+                      + satisfaction(u, nu, x - FD_STEP, ref)) / FD_STEP ** 2
+            yield -second, dict(x=x)
+    return _fold("satisfaction_concavity", cases())
 
 
 def _check_envelope_positivity(s: _Session) -> CheckReport:
@@ -417,24 +416,21 @@ def _check_envelope_positivity(s: _Session) -> CheckReport:
     family, broken preconditions) fail.  Caps must stay nonzero.
     """
     xs = np.linspace(s.x0 - s.wealth_radius, s.x0 + s.wealth_radius, 17)
-    worst, witness = math.inf, ""
-    count = 0
-    for t, stage in enumerate(s.stack[:-1]):
+    witness = ""  # the first failing (stage, x)
+    stages = s.stack[:-1]
+    for t, stage in enumerate(stages):
         logs = stage.log_families(xs)
-        count += len(xs)
         for name in ("slope_floor", "curve_floor", "slope_cap", "curve_cap",
                      "position_past_coeff", "past_coeff"):
             arr = getattr(logs, name)
             bad = np.isnan(arr)
             if not name.endswith("floor"):
                 bad |= np.isneginf(arr)
-            if bool(np.any(bad)) and worst > -1.0:
-                worst = -1.0
+            if bool(np.any(bad)) and not witness:
                 witness = _fmt_witness(stage=t,
                                        x=float(xs[int(np.argmax(bad))]))
-    if worst > 0.0 or worst == math.inf:
-        worst = 1.0
-    return CheckReport("envelope_positivity", count, worst, witness)
+    return CheckReport("envelope_positivity", len(xs) * len(stages),
+                       -1.0 if witness else 1.0, witness)
 
 
 def _check_elasticity(s: _Session) -> CheckReport:
@@ -459,8 +455,6 @@ def _pair_margin(log_coeff: float, exponent: float, dist: float,
 
 
 def _check_hoelder(s: _Session) -> list[CheckReport]:
-    h_worst, h_wit = math.inf, ""
-    v_worst, v_wit = math.inf, ""
     budget = max(1, s.samples // 4)
     pairs: list[tuple] = []
     if s.tree.horizon > 1:
@@ -479,6 +473,7 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
     by_stage: dict[int, list[int]] = {}
     for k, (t, *_rest) in enumerate(pairs):
         by_stage.setdefault(t, []).append(k)
+    cases = []
     for t, idxs in by_stage.items():
         stage = s.stack[t]
         value = s.values[t]
@@ -491,53 +486,44 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
             m_h = _pair_margin(float(h_logs[pos]), stage.exponent, dist,
                                abs(value.solution(a, x).position
                                    - value.solution(b, x).position))
-            if m_h < h_worst:
-                h_worst, h_wit = m_h, _fmt_witness(a=a.id, b=b.id, x=x)
             m_v = _pair_margin(float(v_logs[pos]), stage.exponent, dist,
                                abs(value.evaluate(a, x)[0]
                                    - value.evaluate(b, x)[0]))
-            if m_v < v_worst:
-                v_worst, v_wit = m_v, _fmt_witness(a=a.id, b=b.id, x=x)
-    return [CheckReport("hoelder_optimizer", len(pairs), h_worst, h_wit),
-            CheckReport("hoelder_value", len(pairs), v_worst, v_wit)]
+            cases.append((m_h, m_v, dict(a=a.id, b=b.id, x=x)))
+    return [_fold("hoelder_optimizer", ((m, w) for m, _, w in cases)),
+            _fold("hoelder_value", ((m, w) for _, m, w in cases))]
 
 
 def _check_price_modulus(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
-    count = 0
     incs = node_increments(s.tree, s.prices)
-    for t in range(1, s.tree.horizon + 1):
-        level = s.tree.levels[t]
-        for i, a in enumerate(level):
-            for b in level[i + 1:]:
-                dist = a.distance(b)
-                if dist == 0.0:
-                    continue
-                count += 1
-                gap = abs(incs[a.id] - incs[b.id])
-                margin = s.prices.c_f * dist ** s.prices.chi - gap
-                if margin < worst:
-                    worst, witness = margin, _fmt_witness(a=a.id, b=b.id)
-    return CheckReport("price_modulus", count, worst, witness,
-                       tolerance=1e-12)
+
+    def cases():
+        for t in range(1, s.tree.horizon + 1):
+            level = s.tree.levels[t]
+            for i, a in enumerate(level):
+                for b in level[i + 1:]:
+                    dist = a.distance(b)
+                    if dist == 0.0:
+                        continue
+                    gap = abs(incs[a.id] - incs[b.id])
+                    yield (s.prices.c_f * dist ** s.prices.chi - gap,
+                           dict(a=a.id, b=b.id))
+    return _fold("price_modulus", cases(), tolerance=1e-12)
 
 
 def _check_no_arbitrage(s: _Session) -> CheckReport:
-    worst, witness = math.inf, ""
     alpha = s.market.certificate.alpha_star
-    count = 0
     edges = s.prices.edges(s.tree)
-    for node in s.tree.interior:
-        row = edges[node.id]
-        up = math.fsum(p for f, p in zip(row.increments, row.probs)
-                       if f >= alpha)
-        down = math.fsum(p for f, p in zip(row.increments, row.probs)
-                         if f <= -alpha)
-        count += 1
-        margin = min(up - alpha, down - alpha)
-        if margin < worst:
-            worst, witness = margin, _fmt_witness(node=node.id)
-    return CheckReport("no_arbitrage_recheck", count, worst, witness)
+
+    def cases():
+        for node in s.tree.interior:
+            row = edges[node.id]
+            up = math.fsum(p for f, p in zip(row.increments, row.probs)
+                           if f >= alpha)
+            down = math.fsum(p for f, p in zip(row.increments, row.probs)
+                             if f <= -alpha)
+            yield min(up - alpha, down - alpha), dict(node=node.id)
+    return _fold("no_arbitrage_recheck", cases())
 
 
 def _check_continuity(s: _Session) -> CheckReport:
@@ -559,21 +545,20 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
                           seed=int(s.rng.integers(0, 2 ** 31)), stack=s.stack)
     reports: list[CheckReport] = []
 
-    worst, wit = math.inf, ""
     converged = eqs.converged_reports
     # one cold best response per converged report, run as one lockstep batch
     responses = run_lockstep([
         best_response_steps(s.market, s.preferences, rep.strategy, s.x0,
                             stack=s.stack, foc_tolerance=cfg.foc_tolerance)
         for rep in converged])
-    for rep, (again, _) in zip(converged, responses):
-        margin = cfg.tolerance - again.sup_distance(rep.strategy)
-        if margin < worst:
-            worst, wit = margin, _fmt_witness(start=rep.start_id)
-    if not converged:
-        worst, wit = math.inf, "no converged start"
-    reports.append(CheckReport("fixed_point_idempotence", len(converged),
-                               worst, wit))
+    if converged:
+        reports.append(_fold("fixed_point_idempotence", (
+            (cfg.tolerance - again.sup_distance(rep.strategy),
+             dict(start=rep.start_id))
+            for rep, (again, _) in zip(converged, responses))))
+    else:
+        reports.append(CheckReport("fixed_point_idempotence", 0, math.inf,
+                                   "no converged start"))
 
     if eqs.preferred is not None:
         pref = eqs.preferred_report.value
@@ -617,8 +602,8 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
 
     if converged:
         cert = certify_equilibrium(s.market, s.preferences,
-                                   converged[0].strategy, s.x0,
-                                   cfg.oracle_resolution, cfg, s.stack)
+                                   converged[0].strategy, s.x0, cfg,
+                                   s.stack)
         if cert.oracle_skipped:
             reports.append(CheckReport("oracle_agreement", 0, math.inf,
                                        cert.notice))
@@ -655,48 +640,11 @@ def run_suite(market: Market, preferences: Preferences, x0: float,
     config = config or EquilibriumConfig(starts=4, max_iterations=60)
     session = _Session(market, preferences, x0, seed, samples, config, stack,
                        wealth_radius)
-    wanted = set(SUITES[suite]) if suite != "all" else {
-        name for names in SUITES.values() for name in names}
-
     reports: list[CheckReport] = []
-    if "foc_residual" in wanted:
-        reports.append(_check_foc(session))
-    if "optimizer_bound" in wanted:
-        reports.append(_check_optimizer_bound(session))
-    if "curvature_floor" in wanted:
-        reports.append(_check_curvature_floor(session))
-    if "value_bounds" in wanted:
-        reports.append(_check_value_bounds(session))
-    if "derivative_sandwich" in wanted:
-        reports.append(_check_derivative_sandwich(session))
-    if "derivative_fd_first" in wanted or "derivative_fd_second" in wanted:
-        reports.extend(_fd_checks(session))
-    if "value_shape" in wanted:
-        reports.append(_check_value_shape(session))
-    if "dominance" in wanted:
-        reports.append(_check_dominance(session))
-    if "linear_branch" in wanted:
-        reports.append(_check_linear_branch(session))
-    if "satisfaction_sandwich" in wanted:
-        reports.append(_check_satisfaction_sandwich(session))
-    if "satisfaction_derivative_sandwich" in wanted:
-        reports.append(_check_satisfaction_derivative(session))
-    if "satisfaction_concavity" in wanted:
-        reports.append(_check_satisfaction_concavity(session))
-    if "envelope_positivity" in wanted:
-        reports.append(_check_envelope_positivity(session))
-    if "elasticity" in wanted:
-        reports.append(_check_elasticity(session))
-    if "hoelder_optimizer" in wanted or "hoelder_value" in wanted:
-        reports.extend(_check_hoelder(session))
-    if "price_modulus" in wanted:
-        reports.append(_check_price_modulus(session))
-    if "no_arbitrage_recheck" in wanted:
-        reports.append(_check_no_arbitrage(session))
-    if "best_response_continuity" in wanted:
-        reports.append(_check_continuity(session))
-    if wanted & set(SUITES["equilibrium"]):
-        reports.extend(_equilibrium_checks(session))
+    for owner, check, _ in _CHECKS:
+        if suite in ("all", owner):
+            found = globals()[check](session)
+            reports.extend(found if isinstance(found, list) else [found])
     reports.sort(key=lambda r: r.name)
     return reports
 

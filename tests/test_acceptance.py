@@ -149,14 +149,14 @@ def _sweep_instance(rng, horizon, n_atoms, run_oracle) -> SweepRecord:
 
     if run_oracle:
         started = time.perf_counter()
-        config = EquilibriumConfig(oracle_radius=3.0, max_iterations=80)
+        config = EquilibriumConfig(oracle_radius=3.0, oracle_resolution=41,
+                                   max_iterations=80)
         eq = iterate_fixed_point(market, prefs, config,
                                  Strategy.constant(tree, 0.0), x0,
                                  stack=stack)
         if eq.converged:
             cert = certify_equilibrium(market, prefs, eq.strategy, x0,
-                                       grid_resolution=41, config=config,
-                                       stack=stack)
+                                       config=config, stack=stack)
             record.oracle = (cert.oracle_margin, cert.oracle_slack,
                              cert.oracle_skipped)
         record.oracle_seconds = time.perf_counter() - started

@@ -232,16 +232,38 @@ def _assign(value, *keys):
     ("symmetric_t2", _assign(1e300, "preferences", "gain_loss", "s"), 2,
      "the gain-arm scale must be positive, with a finite square "
      "(got 1e+300)"),
+    ("symmetric_t2", _assign(0, "solver", "oracle_resolution"), 2,
+     "oracle_resolution must be at least 2"),
+    ("symmetric_t2", _assign(1, "solver", "oracle_resolution"), 2,
+     "oracle_resolution must be at least 2"),
+    ("symmetric_t2", _assign(21.0, "solver", "oracle_resolution"), 2,
+     "oracle_resolution must be an integer, not 21.0"),
+    ("symmetric_t2", _assign(True, "solver", "oracle_resolution"), 2,
+     "oracle_resolution must be an integer, not True"),
+    ("symmetric_t2", _assign(2.5, "solver", "max_iterations"), 2,
+     "max_iterations must be an integer, not 2.5"),
+    ("symmetric_t2", _assign(True, "solver", "max_iterations"), 2,
+     "max_iterations must be an integer, not True"),
+    ("symmetric_t2", _assign(2.5, "solver", "starts"), 2,
+     "starts must be an integer, not 2.5"),
+    ("symmetric_t2", _assign(-1, "solver", "dedup_factor"), 2,
+     "unknown solver keys ['dedup_factor']"),
+    ("symmetric_t2", _assign(-5, "solver", "oracle_cap"), 2,
+     "unknown solver keys ['oracle_cap']"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
         "capital_infinite", "seed_infinite", "sigma_short",
-        "max_iterations_zero", "gain_scale_square_overflows"])
+        "max_iterations_zero", "gain_scale_square_overflows",
+        "resolution_zero", "resolution_one", "resolution_float",
+        "resolution_bool", "max_iterations_float", "max_iterations_bool",
+        "starts_float", "dedup_factor_removed", "oracle_cap_removed"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
     assert main(["solve", "--config", cfg, "--out",
                  str(tmp_path / "x")]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 EVERY_COMMAND = pytest.mark.parametrize("command", [
@@ -274,6 +296,19 @@ def test_grid_solver_keys_rejected_by_every_command(tmp_path, capsys, command,
     assert "configuration error" in err and key in err
 
 
+@pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+def test_certify_resolution_below_two_is_a_configuration_error(
+        symmetric_cfg, tmp_path, capsys, resolution):
+    out = tmp_path / "run"
+    assert main(["certify", "--config", str(symmetric_cfg), "--out",
+                 str(out), "--candidate", str(tmp_path / "c.csv"),
+                 "--resolution", resolution]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: invalid solver configuration: "
+        "oracle_resolution must be at least 2\n")
+    assert not out.exists()
+
+
 def test_verify_command_passes_and_writes_csv(symmetric_cfg, tmp_path):
     out = tmp_path / "v"
     code = main(["verify", "--config", str(symmetric_cfg), "--seed", "3",
@@ -300,6 +335,7 @@ def test_best_response_and_certify_round_trip(symmetric_cfg, tmp_path):
     with (out / "certification.csv").open() as fh:
         row = next(csv.DictReader(fh))
     assert row["certified"] == "True"
+    assert row["grid_resolution"] == "21"
 
 
 def test_certify_rejects_bad_candidate(symmetric_cfg, tmp_path):

@@ -167,8 +167,8 @@ def test_certify_true_equilibrium(symmetric_market, desk_prefs,
                                   symmetric_stack):
     report = certify_equilibrium(symmetric_market, desk_prefs,
                                  zero_strategy(symmetric_market), 0.0,
-                                 grid_resolution=21,
-                                 config=EquilibriumConfig(oracle_radius=2.0),
+                                 config=EquilibriumConfig(
+                                     oracle_radius=2.0, oracle_resolution=21),
                                  stack=symmetric_stack)
     assert report.certified
     assert report.analytic_residual == 0.0
@@ -180,8 +180,8 @@ def test_certify_rejects_perturbed_candidate(symmetric_market, desk_prefs,
                                              symmetric_stack):
     candidate = Strategy.constant(symmetric_market.tree, 0.1)
     report = certify_equilibrium(symmetric_market, desk_prefs, candidate, 0.0,
-                                 grid_resolution=21,
-                                 config=EquilibriumConfig(oracle_radius=2.0),
+                                 config=EquilibriumConfig(
+                                     oracle_radius=2.0, oracle_resolution=21),
                                  stack=symmetric_stack)
     assert not report.certified
     # the best response to any reference here is zero, so the analytic
@@ -193,14 +193,13 @@ def test_certify_rejects_perturbed_candidate(symmetric_market, desk_prefs,
 def test_certify_oracle_margin_within_quadratic_slack(skewed_market,
                                                       desk_prefs,
                                                       skewed_stack):
-    config = EquilibriumConfig(oracle_radius=3.0)
+    config = EquilibriumConfig(oracle_radius=3.0, oracle_resolution=41)
     eq = iterate_fixed_point(skewed_market, desk_prefs, config,
                              zero_strategy(skewed_market), 0.0,
                              stack=skewed_stack)
     assert eq.converged
     report = certify_equilibrium(skewed_market, desk_prefs, eq.strategy, 0.0,
-                                 grid_resolution=41, config=config,
-                                 stack=skewed_stack)
+                                 config=config, stack=skewed_stack)
     assert not report.oracle_skipped
     assert report.grid_resolution == 41
     assert report.oracle_margin <= report.oracle_slack
@@ -209,11 +208,12 @@ def test_certify_oracle_margin_within_quadratic_slack(skewed_market,
 
 def test_certify_skips_oversized_oracle(symmetric_market, desk_prefs,
                                         symmetric_stack):
-    config = EquilibriumConfig(oracle_cap=10)
+    # 67 positions on each of 3 interior nodes: 300,763 grid strategies,
+    # over the 300,000 cap
+    config = EquilibriumConfig(oracle_resolution=67)
     report = certify_equilibrium(symmetric_market, desk_prefs,
                                  zero_strategy(symmetric_market), 0.0,
-                                 grid_resolution=41, config=config,
-                                 stack=symmetric_stack)
+                                 config=config, stack=symmetric_stack)
     assert report.oracle_skipped
     assert report.oracle_margin is None
     assert "analytic check only" in report.notice

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from refequil.equilibrium import EquilibriumConfig
@@ -6,6 +8,7 @@ from refequil.verify import (
     INVARIANT_COVERAGE,
     SUITES,
     CheckReport,
+    _fold,
     report_rows,
     run_suite,
 )
@@ -27,14 +30,30 @@ def test_full_suite_passes_on_symmetric_model(symmetric_market, desk_prefs,
         assert set(suite_names) <= names
 
 
+@pytest.mark.parametrize("suite", list(SUITES))
 def test_suite_selector_restricts_reports(symmetric_market, desk_prefs,
-                                          symmetric_stack):
-    reports = run_suite(symmetric_market, desk_prefs, 0.0, suite="foc",
+                                          symmetric_stack, suite):
+    reports = run_suite(symmetric_market, desk_prefs, 0.0, suite=suite,
                         seed=5, stack=symmetric_stack, **SMALL)
-    assert [r.name for r in reports] == ["foc_residual"]
+    assert [r.name for r in reports] == sorted(SUITES[suite])
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(symmetric_market, desk_prefs, 0.0, suite="nope",
                   stack=symmetric_stack, **SMALL)
+
+
+def test_checks_are_looked_up_when_a_suite_runs(symmetric_market, desk_prefs,
+                                                symmetric_stack, monkeypatch):
+    # perfbench's tracer times each suite by swapping the module's check
+    # functions, so the runner must not bind them at import time
+    import refequil.verify as verify
+
+    calls = []
+    original = verify._check_foc
+    monkeypatch.setattr(verify, "_check_foc",
+                        lambda s: calls.append(s) or original(s))
+    run_suite(symmetric_market, desk_prefs, 0.0, suite="foc", seed=5,
+              stack=symmetric_stack, **SMALL)
+    assert len(calls) == 1
 
 
 def test_suite_is_deterministic(symmetric_market, desk_prefs,
@@ -77,6 +96,20 @@ def test_every_listed_invariant_has_exactly_one_check():
     assert {"foc", "optimizer", "curvature", "value", "hoelder", "sup",
             "linear", "satisfaction", "envelope", "fixed", "oracle",
             "preferred", "equilibria", "damping", "derivative"} <= prefixes
+
+
+def test_fold_keeps_the_first_witness_of_the_smallest_margin():
+    cases = [(0.5, dict(k=0)), (-1.0, dict(k=1)), (math.nan, dict(k=2)),
+             (-1.0, dict(k=3)), (2.0, dict(k=4))]
+    report = _fold("x", iter(cases), tolerance=0.25)
+    assert report == CheckReport("x", 5, -1.0, "k=1", tolerance=0.25)
+    # a NaN margin never becomes the worst, even when it comes first
+    assert _fold("x", [(math.nan, dict(k=0)), (3.0, dict(k=1))]) == (
+        CheckReport("x", 2, 3.0, "k=1"))
+    # no case beats +inf: no witness, and no case gives no instances
+    assert _fold("x", [(math.inf, dict(k=0))]) == CheckReport(
+        "x", 1, math.inf, "")
+    assert _fold("x", []) == CheckReport("x", 0, math.inf, "")
 
 
 def test_check_report_tolerance_semantics():
