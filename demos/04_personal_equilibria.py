@@ -4,8 +4,10 @@ Searching for personal equilibria
 
 A personal equilibrium is a strategy that is its own best response once
 its terminal wealth (an independent copy of it) becomes the reference.
-Existence is a fixed-point fact; finding one is damped Picard iteration
-from several starts, with honest reporting when a start does not settle.
+Existence is a fixed-point fact; finding one is Picard iteration from
+several starts, with honest reporting when a start does not settle.  Each
+round steps to the best response itself, and blends at the damping only
+when the residual fails to halve.
 A converged candidate is certified twice: by its best-response residual
 and, on small trees, by brute-force enumeration over a position grid.
 """
@@ -26,12 +28,12 @@ market, prefs = config.market, config.preferences
 x0 = config.initial_capital
 print("certified at level:", market.certificate.alpha_star)
 
-# one damped run from the zero strategy
+# one run from the zero strategy; the damping weighs the fallback blend
 controls = EquilibriumConfig(damping=0.5, tolerance=1e-8, max_iterations=50)
 report = iterate_fixed_point(market, prefs, controls,
                              Strategy.constant(market.tree, 0.0), x0)
 print("converged:", report.converged, "after", report.iterations,
-      "iterations, residual", report.residual)
+      "iterations,", report.fallbacks, "damped, residual", report.residual)
 print("equilibrium positions:", report.strategy.positions)
 print("self value:", report.value)
 

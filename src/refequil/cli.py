@@ -179,9 +179,10 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
     result = find_equilibria(market, prefs, config.solver, x0,
                              seed=config.seed, stack=stack)
 
-    header = ["start_id", "converged", "residual", "value", "iterations"]
+    header = ["start_id", "converged", "residual", "value", "iterations",
+              "fallbacks"]
     rows = [[r.start_id, r.converged, repr(r.residual), repr(r.value),
-             r.iterations] for r in result.reports]
+             r.iterations, r.fallbacks] for r in result.reports]
     _write_csv(out / "report.csv", header, rows)
 
     for rank, idx in enumerate(result.distinct):
@@ -212,6 +213,7 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
         f"starts: {len(result.reports)}",
         f"converged: {len(result.converged_reports)}",
         f"distinct equilibria: {len(result.distinct)}",
+        f"damped fallbacks: {sum(r.fallbacks for r in result.reports)}",
     ]
     if result.preferred is not None:
         pref = result.preferred_report

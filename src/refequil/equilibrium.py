@@ -1,13 +1,15 @@
 """Personal equilibria: fixed points of the best-response map.
 
 The existence theory is nonconstructive, so equilibria are searched for by
-damped Picard iteration from multiple starts; non-convergence is reported
-honestly, never raised.  Converged candidates can be certified two ways:
-analytically (the best-response residual) and, on small trees, against a
-brute-force grid oracle whose tolerance follows from the curvature
+safeguarded Picard iteration from multiple starts: each round takes the full
+step to the best response while the residual halves, and blends at the
+configured damping in the rounds where it does not.  Non-convergence is
+reported honestly, never raised.  Converged candidates can be certified two
+ways: analytically (the best-response residual) and, on small trees, against
+a brute-force grid oracle whose tolerance follows from the curvature
 envelope.
 
-The damped Picard loop is one step generator (``_picard_steps``), run by
+The Picard loop is one step generator (``_picard_steps``), run by
 :func:`~refequil.bestresponse.run_lockstep`: :func:`iterate_fixed_point`
 runs one alone.  Multistart runs are independent: each owns its iteration
 state, warm seeds, bracket memo and work counters.  The search advances
@@ -50,6 +52,9 @@ _ORACLE_BLOCK = 1 << 20
 _ORACLE_CAP = 300_000
 #: converged strategies closer than this many tolerances count as one
 _DEDUP_FACTOR = 10.0
+#: a Picard round takes the full step (the best response itself) when its
+#: residual is at most this factor times the last round's, else it blends
+_SHRINK = 0.5
 
 
 def evaluate_self_value(market: Market, preferences: Preferences,
@@ -90,8 +95,17 @@ class EquilibriumConfig:
                 raise ValueError(f"{key} must be an integer, not {value!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        # NaN fails every comparison, so each check also refuses it
+        for key in ("tolerance", "foc_tolerance"):
+            value = getattr(self, key)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{key} must be finite and positive, not "
+                                 f"{value!r}")
+        for key in ("start_radius", "oracle_radius"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{key} must be null or finite and "
+                                 f"positive, not {value!r}")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
         if self.starts < 1 and not self.explicit_starts:
@@ -102,7 +116,7 @@ class EquilibriumConfig:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Outcome of one damped Picard run."""
+    """Outcome of one safeguarded Picard run."""
 
     strategy: Strategy
     residual: float
@@ -111,6 +125,8 @@ class EquilibriumReport:
     converged: bool
     start_id: int = 0
     residual_trace: tuple[float, ...] = field(default=(), repr=False)
+    #: rounds that blended at the damping instead of taking the full step
+    fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,15 +156,18 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
                         config: EquilibriumConfig, start: Strategy,
                         x0: float, stack=None, start_id: int = 0,
                         ) -> EquilibriumReport:
-    """Damped Picard iteration on the best-response map.
+    """Safeguarded Picard iteration on the best-response map.
 
-    Stops once the sup-norm residual reaches the tolerance or the iteration
-    budget runs out; always returns the lowest-residual iterate seen, with
-    the converged flag telling the two outcomes apart.  The run's best
-    responses share warm starts and a memo of optimizer brackets, which
-    depend on the wealth and the stage only.  The loop is
-    :func:`_picard_steps`, run alone here; :func:`find_equilibria` runs one
-    per start, in lockstep.
+    A round moves to its best response when the residual is at most
+    ``_SHRINK`` times the previous round's (the first round always does),
+    and otherwise to the blend at ``config.damping``, counted in the
+    report's ``fallbacks``.  Stops once the sup-norm residual reaches the
+    tolerance or the iteration budget runs out; always returns the
+    lowest-residual iterate seen, with the converged flag telling the two
+    outcomes apart.  The run's best responses share warm starts and a memo
+    of optimizer brackets, which depend on the wealth and the stage only.
+    The loop is :func:`_picard_steps`, run alone here;
+    :func:`find_equilibria` runs one per start, in lockstep.
     """
     market.require_certified()
     if stack is None:
@@ -167,6 +186,7 @@ def _picard_steps(market: Market, preferences: Preferences,
     best: tuple[float, Strategy] | None = None
     trace: list[float] = []
     converged = False
+    fallbacks = 0
     for _ in range(config.max_iterations):
         response, _ = yield from best_response_steps(
             market, preferences, current, x0, stack=stack,
@@ -178,11 +198,15 @@ def _picard_steps(market: Market, preferences: Preferences,
         if residual <= config.tolerance:
             converged = True
             break
-        current = current.blend(response, config.damping)
+        if len(trace) == 1 or residual <= _SHRINK * trace[-2]:
+            current = response
+        else:
+            fallbacks += 1
+            current = current.blend(response, config.damping)
     residual, strategy = best
     value = evaluate_self_value(market, preferences, strategy, x0)
     return EquilibriumReport(strategy, residual, value, len(trace),
-                             converged, start_id, tuple(trace))
+                             converged, start_id, tuple(trace), fallbacks)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,8 @@ def test_solve_writes_artifacts_and_exits_zero(symmetric_cfg, tmp_path):
     assert len(rows) == 8
     assert rows[0]["converged"] == "True"
     assert float(rows[0]["residual"]) == 0.0
+    assert [row["fallbacks"] for row in rows] == ["0"] * 8
+    assert "damped fallbacks: 0\n" in (out / "summary.txt").read_text()
 
 
 def test_solve_is_byte_deterministic(symmetric_cfg, tmp_path):
@@ -264,6 +266,31 @@ def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                  str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["solve", "--seed", "7"],
+                                     ["certify", "--candidate", "c.csv"]],
+                         ids=["solve", "certify"])
+@pytest.mark.parametrize("key,value", [
+    ("start_radius", -3), ("start_radius", 0), ("start_radius", math.nan),
+    ("start_radius", math.inf), ("oracle_radius", 0), ("oracle_radius", -2),
+    ("oracle_radius", math.nan), ("oracle_radius", -math.inf),
+    ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", 0),
+    ("foc_tolerance", -1), ("foc_tolerance", math.nan),
+], ids=["start_radius_negative", "start_radius_zero", "start_radius_nan",
+        "start_radius_infinite", "oracle_radius_zero",
+        "oracle_radius_negative", "oracle_radius_nan",
+        "oracle_radius_minus_infinity", "tolerance_nan",
+        "tolerance_infinite", "tolerance_zero", "foc_tolerance_negative",
+        "foc_tolerance_nan"])
+def test_radii_and_tolerances_out_of_range_are_configuration_errors(
+        tmp_path, capsys, command, key, value):
+    cfg = _patch_fixture(tmp_path, _assign(value, "solver", key))
+    assert main([*command, "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{key} must be" in err and err.count("\n") == 1
 
 
 EVERY_COMMAND = pytest.mark.parametrize("command", [

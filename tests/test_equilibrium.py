@@ -137,26 +137,102 @@ def test_far_start_converges_to_zero(symmetric_market, desk_prefs,
 
 def test_non_convergence_is_reported_not_raised(symmetric_market, desk_prefs,
                                                 symmetric_stack):
-    config = EquilibriumConfig(max_iterations=2, damping=0.25)
+    # one round is too few: the first step only lands on the fixed point
+    config = EquilibriumConfig(max_iterations=1, damping=0.25)
     report = iterate_fixed_point(symmetric_market, desk_prefs, config,
                                  Strategy.constant(symmetric_market.tree,
                                                    40.0),
                                  0.0, stack=symmetric_stack)
     assert not report.converged
     assert report.residual > config.tolerance
-    assert len(report.residual_trace) == 2
+    assert len(report.residual_trace) == 1
+
+
+def _oscillating(monkeypatch, center=0.0):
+    """Run the Picard loop on the linear map R(c) = a - 0.9 (c - a), with
+    a the constant strategy ``center``, in place of the best response.
+
+    Its fixed point is a, and a full step shrinks the residual by 0.9 only,
+    so the safeguard must act.
+    """
+    import refequil.equilibrium as equilibrium
+
+    def response(market, preferences, current, x0, **kwargs):
+        return Strategy(center - 0.9 * (current.positions - center)), None
+        yield  # a step generator that never waits on a request
+
+    monkeypatch.setattr(equilibrium, "best_response_steps", response)
 
 
 def test_residual_trace_decays_under_damping(symmetric_market, desk_prefs,
-                                             symmetric_stack):
-    config = EquilibriumConfig(max_iterations=20)
-    report = iterate_fixed_point(symmetric_market, desk_prefs, config,
-                                 Strategy.constant(symmetric_market.tree, 4.0),
+                                             symmetric_stack, monkeypatch):
+    start = Strategy.constant(symmetric_market.tree, 4.0)
+    report = iterate_fixed_point(symmetric_market, desk_prefs,
+                                 EquilibriumConfig(max_iterations=20), start,
+                                 0.0, stack=symmetric_stack)
+    # the response is identically zero, so the full step lands on it
+    assert report.residual_trace == (4.0, 0.0)
+    assert (report.converged, report.fallbacks) == (True, 0)
+
+    _oscillating(monkeypatch)
+    report = iterate_fixed_point(symmetric_market, desk_prefs,
+                                 EquilibriumConfig(), start, 0.0,
+                                 stack=symmetric_stack)
+    trace = report.residual_trace
+    # a full step shrinks the residual by 0.9, too little, so the next
+    # round falls back to the damped blend, which moves the iterate to
+    # 0.5 c + 0.5 R(c) = 0.05 c; the rounds alternate until convergence
+    assert trace[0] == pytest.approx(1.9 * 4.0, rel=1e-12)
+    for k, (earlier, later) in enumerate(zip(trace, trace[1:])):
+        assert later == pytest.approx(earlier * (0.9 if k % 2 == 0
+                                                 else 0.05), rel=1e-9)
+    assert report.converged and report.fallbacks == len(trace) // 2 >= 1
+    assert report.strategy.max_abs() <= 1e-8
+
+
+def test_full_step_alone_never_halves_the_oscillating_residual(
+        symmetric_market, desk_prefs, symmetric_stack, monkeypatch):
+    # at damping 1.0 the fallback blend is the full step itself
+    _oscillating(monkeypatch)
+    report = iterate_fixed_point(symmetric_market, desk_prefs,
+                                 EquilibriumConfig(damping=1.0),
+                                 Strategy.constant(symmetric_market.tree,
+                                                   4.0),
                                  0.0, stack=symmetric_stack)
     trace = report.residual_trace
-    # the response is identically zero, so damping halves the iterate
+    assert not report.converged and len(trace) == 50
     for earlier, later in zip(trace, trace[1:]):
-        assert later == pytest.approx(earlier / 2.0, rel=1e-9)
+        assert later == pytest.approx(0.9 * earlier, rel=1e-9)
+        assert later > 0.5 * earlier
+    assert report.fallbacks == 49
+
+
+def test_dampings_take_different_paths_to_the_oscillating_limit(
+        symmetric_market, desk_prefs, symmetric_stack, monkeypatch):
+    # the map's fixed point is the constant 1.0, so the zero start that
+    # verify runs at every damping oscillates and falls back
+    from refequil.verify import run_suite
+
+    _oscillating(monkeypatch, center=1.0)
+    zero = zero_strategy(symmetric_market)
+    reports = [iterate_fixed_point(symmetric_market, desk_prefs,
+                                   EquilibriumConfig(damping=damping,
+                                                     max_iterations=200),
+                                   zero, 0.0, stack=symmetric_stack)
+               for damping in (0.25, 0.5, 1.0)]
+    assert all(r.converged and r.fallbacks >= 1 for r in reports)
+    traces = [r.residual_trace for r in reports]
+    assert len(set(traces)) == 3
+    for i, a in enumerate(reports):
+        for b in reports[i + 1:]:
+            assert a.strategy.sup_distance(b.strategy) <= 10.0 * 1e-8
+
+    checks = run_suite(symmetric_market, desk_prefs, 0.0, suite="equilibrium",
+                       samples=4, seed=3,
+                       config=EquilibriumConfig(starts=1, max_iterations=200),
+                       stack=symmetric_stack)
+    invariance, = [r for r in checks if r.name == "damping_invariance"]
+    assert invariance.instances == 3 and invariance.passed
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +476,7 @@ def sequential_search(market, prefs, config, x0, seed, stack):
 def _fields(report):
     return (report.strategy.positions.tolist(), report.residual, report.value,
             report.iterations, report.converged, report.start_id,
-            report.residual_trace)
+            report.residual_trace, report.fallbacks)
 
 
 def _stack(market, prefs):
@@ -440,7 +516,7 @@ def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("fixture,bound", [("asymmetric_eex_t2", 250),
-                                           ("symmetric_t2", 40),
+                                           ("symmetric_t2", 8),
                                            ("stress_t3", None)])
 def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
                                                       monkeypatch):
@@ -450,25 +526,47 @@ def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
         config.initial_capital, 7, monkeypatch)
     assert any(r.converged for r in reports)
     if bound is not None:
+        # symmetric_t2: 15 best responses, each at least one kernel call
+        # alone; in lockstep the starts' two rounds share 3 calls in all
         assert merged <= bound < alone
+
+
+@pytest.mark.parametrize("fixture,parent", [("symmetric_t2", 235),
+                                            ("asymmetric_eex_t2", 257),
+                                            ("stress_t3", 194)])
+def test_safeguarded_search_on_fixtures(fixture, parent):
+    # ``parent``: best responses of the search at seed 7 when every round
+    # blended at the damping 0.5
+    config = load_config(fixture_path(fixture))
+    result = find_equilibria(config.market, config.preferences,
+                             config.solver, config.initial_capital, seed=7)
+    assert all(r.converged for r in result.reports)
+    assert len(result.distinct) == 1
+    assert 3 * sum(r.iterations for r in result.reports) <= parent
+    assert sum(r.fallbacks for r in result.reports) == 0
 
 
 @pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
                                            (3, 2), (3, 3)])
 def test_lockstep_search_equals_sequential_on_random_trees(horizon, atoms,
                                                            monkeypatch):
-    # an explicit start, random draws and a budget too small for most
-    # starts, so that runs of different lengths drop out of the lockstep
+    # an explicit start, a start at a converged limit, random draws and a
+    # budget too small for the starts away from the limit, so that runs of
+    # different lengths drop out of the lockstep
     rng = np.random.default_rng([29, horizon, atoms])
     market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
     explicit = Strategy({node.id: float(rng.uniform(-2.0, 2.0))
                          for node in market.tree.interior})
-    config = EquilibriumConfig(starts=4, max_iterations=7,
-                               explicit_starts=(explicit,))
+    limit = iterate_fixed_point(market, prefs, EquilibriumConfig(), explicit,
+                                x0)
+    assert limit.converged
+    config = EquilibriumConfig(starts=5, max_iterations=4,
+                               explicit_starts=(explicit, limit.strategy))
     reports, _, _ = _compare_searches(market, prefs, config, x0, 3,
                                       monkeypatch)
-    assert len(reports) == 4
-    assert any(not r.converged and r.iterations == 7 for r in reports)
+    assert len(reports) == 5
+    assert any(not r.converged and r.iterations == 4 for r in reports)
+    assert any(r.converged and r.iterations < 4 for r in reports)
 
 
 def test_lockstep_search_raises_the_lowest_failing_start(monkeypatch):
