@@ -6,7 +6,9 @@ value recursion with exact envelope derivatives, and the forward pass that
 turns the stage optimizers into a node-indexed strategy.
 
 The Newton iteration is one coroutine (``_newton``) that yields probe
-positions, so a stage can run all of its pending one-step problems in
+positions: a Newton burst from the tangent seed, or from 0 when a node has
+no seed yet, then a bracketed flow that starts from the burst's own
+probes.  A stage can thus run all of its pending one-step problems in
 lockstep rounds: each round asks the next stage once, through
 ``evaluate_many(nodes, xs)``, for the columns (v, v', v'') at the children
 of every problem at its probe, so a terminal next stage costs one
@@ -174,22 +176,14 @@ class OneStepSolution:
     iterations: int
     #: set when the derivative kept one sign on the whole bracket, which
     #: cannot happen on a certified model; the returned position is the
-    #: better bracket endpoint
+    #: bracket edge on the side of the root
     clamped: bool = False
-    #: set when the safeguarded Newton loop used up ``max_iterations``
+    #: set when the solve used up ``max_iterations`` FOC evaluations
     #: without meeting its target; the returned position is the best iterate
     exhausted: bool = False
-    #: set when the seeded Newton burst met the target, so the bracketed
-    #: flow did not run
+    #: set when the Newton burst from the seed ``initial`` met the target, so
+    #: the bracketed flow did not run; a burst from 0 does not set it
     seeded: bool = False
-
-
-def _sign(value: float) -> int:
-    if value > 0.0:
-        return 1
-    if value < 0.0:
-        return -1
-    return 0
 
 
 def _newton(node: TreeNode, x: float, bracket: float,
@@ -202,99 +196,88 @@ def _newton(node: TreeNode, x: float, bracket: float,
     :class:`OneStepSolution`.  It reads nothing else, so a driver may probe
     any number of such problems together.  The guards on the bracket and
     the node raise before the first probe.
+
+    One flow, in which every probe counts.  A Newton burst starts at the
+    seed ``initial`` (when it lies strictly inside the bracket and is not
+    0) or at 0, whose Newton step is then the burst's second probe: at
+    most 8 probes, while the residual halves and the steps stay inside
+    the bracket.  gamma is strictly decreasing, so each probe also narrows
+    where the root can be: above the largest probe with gamma > 0 (``lo``)
+    and below the smallest with gamma < 0 (``hi``).  Once the burst fails,
+    a known pair [lo, hi] is polished by Newton steps safeguarded with
+    bisection; with one end known, the step from that end doubles outward
+    until gamma changes sign, starting from the end's own Newton step (1
+    where that is unusable).  ``max_iterations`` bounds every evaluation.
     """
     if not bracket > 0.0:
         raise SolveError(f"degenerate position bracket {bracket!r}")
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
     target = min(foc_tolerance * 1e-3, foc_tolerance)
+    full = (-bracket, bracket)
+    inf = math.inf
 
-    evals = 0
-    if initial is not None and abs(initial) < bracket and initial != 0.0:
-        h, previous = float(initial), math.inf
-        for _ in range(8):
-            g_h, s_h = yield h
-            evals += 1
-            if not (math.isfinite(g_h) and math.isfinite(s_h) and s_h < 0.0):
-                break
-            if abs(g_h) <= target:
-                return OneStepSolution(h, abs(g_h), (-bracket, bracket),
-                                       evals, seeded=True)
-            if abs(g_h) > 0.5 * previous:
-                break
-            previous = abs(g_h)
-            step = h - g_h / s_h
-            if not abs(step) < bracket:
-                break
-            h = step
-
-    g0, _ = yield 0.0
-    evals += 1
-    if abs(g0) <= target or g0 == 0.0:
-        return OneStepSolution(0.0, abs(g0), (-bracket, bracket), evals)
-
-    # expand toward the root by doubling: the derivative is strictly
-    # decreasing, so the root sits past any probe sharing the sign of g(0)
-    direction = 1.0 if g0 > 0.0 else -1.0
-    near, g_near = 0.0, g0
-    probe = direction * min(1.0, bracket)
-    far = None
-    while far is None:
-        g_probe, _ = yield probe
+    seeded = initial is not None and abs(initial) < bracket and initial != 0.0
+    h = float(initial) if seeded else 0.0
+    evals, burst, previous, step = 0, 8, inf, 0.0
+    lo = hi = None
+    best_h, best_res = h, inf
+    while True:
+        if evals >= max_iterations:
+            return OneStepSolution(best_h, best_res, full, evals,
+                                   exhausted=True)
+        g, s = yield h
         evals += 1
-        if math.isnan(g_probe):
-            probe *= 0.5
-            if abs(probe) < 1e-12:
+        res = abs(g)
+        if res < best_res:
+            if res <= target or g == 0.0:
+                return OneStepSolution(h, res, full, evals, seeded=seeded)
+            best_h, best_res = h, res
+        if g > 0.0:
+            if lo is None or h > lo:
+                lo = h
+        elif g < 0.0:
+            if hi is None or h < hi:
+                hi = h
+        newton = h - g / s if res < inf and s < 0.0 else math.nan
+        if burst:
+            burst -= 1
+            if (burst and res <= 0.5 * previous and abs(newton) < bracket
+                    and newton != h):
+                previous, h = res, newton
+                continue
+            burst, seeded = 0, False
+        if lo is not None and hi is not None:
+            if hi - lo <= 4.0 * abs(h) * 2.3e-16 + 5e-324:
+                # the pair is a few ulps wide, or the probes' rounding
+                # noise breaks monotonicity: no double is closer
+                return OneStepSolution(best_h, best_res, full, evals)
+            h = newton if lo < newton < hi else 0.5 * (lo + hi)
+        elif lo is None and hi is None:
+            # no probe has a sign: start over at 0, once
+            if h == 0.0:
                 raise SolveError("the first-order condition is not finite "
                                  f"near node {node.id}, x={x!r}")
-            continue
-        if g_probe == 0.0:
-            return OneStepSolution(probe, 0.0, (-bracket, bracket), evals)
-        if _sign(g_probe) != _sign(g0):
-            far = probe
-            break
-        near, g_near = probe, g_probe
-        if abs(probe) >= bracket:
-            # constant sign up to the bracket edge: the model violates its
-            # certificate; clamp and flag
-            return OneStepSolution(probe, abs(g_probe), (-bracket, bracket),
-                                   evals, clamped=True)
-        probe = direction * min(abs(probe) * 2.0, bracket)
-
-    # orient so that g(lo) > 0 > g(hi)
-    if g_near > 0.0:
-        lo, hi = near, far
-    else:
-        lo, hi = far, near
-
-    h = 0.5 * (lo + hi)
-    best_h, best_res = 0.0, abs(g0)
-    for _ in range(max_iterations):
-        g_h, s_h = yield h
-        evals += 1
-        if math.isfinite(g_h) and abs(g_h) < best_res:
-            best_h, best_res = h, abs(g_h)
-        if not math.isfinite(g_h):
-            h = 0.5 * (lo + hi)
-            continue
-        if abs(g_h) <= target or g_h == 0.0:
-            break
-        if g_h > 0.0:
-            lo = h
+            h = 0.0
         else:
-            hi = h
-        if abs(hi - lo) <= 4.0 * abs(h) * 2.3e-16 + 5e-324:
-            break
-        newton = h - g_h / s_h if (math.isfinite(s_h) and s_h < 0.0) else None
-        lo_, hi_ = min(lo, hi), max(lo, hi)
-        if newton is not None and lo_ < newton < hi_:
-            h = newton
-        else:
-            h = 0.5 * (lo + hi)
-    else:
-        return OneStepSolution(best_h, best_res, (-bracket, bracket), evals,
-                               exhausted=True)
-    return OneStepSolution(best_h, best_res, (-bracket, bracket), evals)
+            near, direction = (lo, 1.0) if hi is None else (hi, -1.0)
+            if not step:
+                step = max(abs(newton - h) if h == near and newton == newton
+                           else 1.0, 2.0 * abs(near) * 2.3e-16 + 5e-324)
+            elif g != g:
+                step *= 0.5
+                if step < 1e-12:
+                    raise SolveError("the first-order condition is not "
+                                     f"finite near node {node.id}, x={x!r}")
+            elif abs(h) >= bracket:
+                # one sign up to the bracket edge: the model violates its
+                # certificate; clamp and flag
+                return OneStepSolution(h, res, full, evals, clamped=True)
+            else:
+                step *= 2.0
+            h = near + direction * step
+            if not abs(h) < bracket:
+                h = direction * bracket
 
 
 def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
@@ -304,12 +287,15 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     """Unique maximizer of the one-step objective at ``(node, x)``.
 
     The first-order condition is strictly decreasing in the position, so a
-    sign-change interval inside ``[-bracket, bracket]`` pins the root; the
-    interval is located by doubling outward from the origin and the root is
-    polished by Newton steps safeguarded with bisection.  The target is as
-    far below ``foc_tolerance`` as double precision allows.  ``initial``
-    seeds a short unsafeguarded Newton burst (worth it when a nearby
-    problem was just solved); the bracketed flow is the fallback.
+    sign-change interval inside ``[-bracket, bracket]`` pins the root.  A
+    short unsafeguarded Newton burst starts at ``initial`` (worth it when a
+    nearby problem was just solved) or, without a usable seed, at 0.  If it
+    misses the target, the probes it made give the interval, or its
+    nearer end, from which the interval is located by doubling outward;
+    the root is then polished by Newton steps safeguarded with bisection.
+    The target is as far below ``foc_tolerance`` as double precision
+    allows, and ``max_iterations`` bounds the evaluations of the whole
+    solve (``exhausted`` flags a solve that ran out).
 
     One problem, one probe at a time (:func:`one_step_objective`); the
     value recursion solves its problems in lockstep lanes instead, with

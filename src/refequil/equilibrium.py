@@ -93,6 +93,11 @@ class EquilibriumConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, not {value!r}")
+        for key in ("damping", "tolerance", "foc_tolerance", "start_radius",
+                    "oracle_radius"):
+            value = getattr(self, key)
+            if isinstance(value, bool):
+                raise ValueError(f"{key} must be a number, not {value!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         # NaN fails every comparison, so each check also refuses it

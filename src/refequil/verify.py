@@ -576,10 +576,13 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
     reports.append(CheckReport("certified_ball", len(converged), worst))
 
     limits = []
+    zero = eqs.reports[0]
     for damping in (0.25, 0.5, 1.0):
-        if damping == cfg.damping:
-            # the search's first run: the zero start under these settings
-            rep = eqs.reports[0]
+        if damping == cfg.damping or zero.fallbacks == 0:
+            # the search's first run: the zero start under these settings;
+            # without a fallback round it never read the damping, so a
+            # run at another one would repeat its best responses exactly
+            rep = zero
         else:
             sub = EquilibriumConfig(damping=damping, tolerance=cfg.tolerance,
                                     max_iterations=cfg.max_iterations,

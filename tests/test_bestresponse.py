@@ -912,19 +912,112 @@ def test_seed_outside_bracket_takes_bracketed_flow(skewed_market,
     assert abs(near.position - again.position) <= 1e-12
 
 
-#: pre-change counts (the zeroth-order seed: each solve started at the
-#: node's last optimizer) were 6,113 solves and 13,149 FOC evaluations
-LADDER_CEILINGS = {"solves": 4644, "foc_evals": 8421}
+# ---------------------------------------------------------------------------
+# one Newton flow
+# ---------------------------------------------------------------------------
+
+class SteepExponential(PairByPair):
+    """v' = scale e^(-x): on the skewed market the first-order condition's
+    root is ln(7/3) at every wealth, and a large ``scale`` makes it so
+    steep that no double meets the 1e-13 target near the root."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def evaluate(self, node, x):
+        e = self.scale * math.exp(-x)
+        return (-e, e, -e)
+
+
+def test_seed_on_the_noise_floor_brackets_from_its_probes(skewed_market):
+    tree, prices = skewed_market.tree, skewed_market.prices
+    steep = SteepExponential(3e5)
+    cold = solve_one_step(steep, prices, tree.root, 0.0, bracket=4.0)
+    assert not (cold.clamped or cold.exhausted or cold.seeded)
+    assert cold.position == pytest.approx(math.log(7.0 / 3.0), abs=1e-12)
+    h = cold.position
+    for _ in range(8):
+        h = math.nextafter(h, -math.inf)
+    for _ in range(17):
+        assert abs(one_step_objective(steep, prices, tree.root, 0.0,
+                                      h)[1]) > 1e-13
+        h = math.nextafter(h, math.inf)
+    # seeded at the optimizer, the burst cannot meet the target; the pair
+    # its probes straddle is a few ulps wide, so the solve ends there
+    # instead of doubling out from 0 (which took 9 evaluations here)
+    sol = solve_one_step(steep, prices, tree.root, 0.0, bracket=4.0,
+                         initial=cold.position)
+    assert not (sol.clamped or sol.exhausted or sol.seeded)
+    assert abs(sol.position - cold.position) <= 1e-12
+    assert sol.iterations <= 4
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 3),
+       atoms=st.sampled_from([2, 3]),
+       offset=st.floats(-2.0, 2.0, allow_nan=False))
+def test_cold_and_seeded_solves_agree(seed, horizon, atoms, offset):
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    tree, prices = market.tree, market.prices
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 prices.c_f, prices.chi, horizon)
+    reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
+    values = value_recursion(tree, prices, TerminalValue(
+        prefs, terminal_wealth_law(tree, prices, reference, x0)), stack)
+    for node in tree.interior:
+        x = x0 + float(rng.uniform(-2.0, 2.0))
+        bracket = float(stack[node.depth].position_bound(x))
+        v_next = values[node.depth + 1]
+        cold = solve_one_step(v_next, prices, node, x, bracket)
+        sol = solve_one_step(v_next, prices, node, x, bracket,
+                             initial=cold.position + offset)
+        for one in (cold, sol):
+            assert not (one.clamped or one.exhausted)
+            assert one.residual <= 1e-13
+        # as in the tangent-seed property: two roots that meet the target
+        # may sit (r + r_cold) / |d gamma / dh| apart
+        curvature = one_step_objective(v_next, prices, node, x,
+                                       cold.position)[2]
+        allowed = (1e-12 * max(1.0, abs(cold.position))
+                   + 2.0 * (sol.residual + cold.residual) / -curvature)
+        assert abs(sol.position - cold.position) <= allowed
+
+
+@pytest.mark.parametrize("initial", [None, 3.0, -20.0])
+def test_iteration_budget_bounds_every_evaluation(skewed_market, desk_prefs,
+                                                  initial):
+    tree, prices = skewed_market.tree, skewed_market.prices
+    vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
+                                                          (-0.2, 0.6)]))
+    full = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
+                          initial=initial)
+    assert full.residual <= 1e-13 and not full.exhausted
+    assert full.iterations > 1
+    for k in range(1, 7):
+        sol = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
+                             max_iterations=k, initial=initial)
+        assert sol.iterations <= k
+        assert sol.exhausted == (sol.residual > 1e-13)
+        if k >= full.iterations:
+            assert sol == full
+
+
+#: earlier counts: 6,113 solves and 13,149 FOC evaluations with the
+#: zeroth-order seed (each solve started at the node's last optimizer);
+#: 4,423 and 8,020 with tangent seeds and cold solves that doubled out from 0
+LADDER_CEILINGS = {"solves": 2591, "foc_evals": 4532}
 
 
 def test_cold_ladder_work_stays_under_ceilings():
     """Work of one cold best response per rung of the seed-1 ladder (2
     atoms T = 1..5, 3 atoms T = 1..4), summed.
 
-    With tangent seeds the ladder takes 4,423 solves and 8,020 FOC
-    evaluations; before them it took 6,113 solves and 13,149 FOC
-    evaluations.  The ceilings are the tangent-seed counts plus 5 %, not
-    exact pins, as ``np.arctan`` may round differently on other builds.
+    With cold solves that burst from the Newton step at 0, and fallbacks
+    that bracket from the burst's own probes, the ladder takes 2,468
+    solves and 4,317 FOC evaluations.  The ceilings are those counts plus
+    5 %, not exact pins, as ``np.arctan`` may round differently on other
+    builds.
     """
     totals = {"solves": 0, "foc_evals": 0}
     for atoms, horizons in ((2, range(1, 6)), (3, range(1, 5))):

@@ -277,12 +277,16 @@ def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
     ("oracle_radius", math.nan), ("oracle_radius", -math.inf),
     ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", 0),
     ("foc_tolerance", -1), ("foc_tolerance", math.nan),
+    # JSON true is a bool, which Python would take as 1.0
+    ("damping", True), ("tolerance", True), ("foc_tolerance", True),
+    ("start_radius", True), ("oracle_radius", True),
 ], ids=["start_radius_negative", "start_radius_zero", "start_radius_nan",
         "start_radius_infinite", "oracle_radius_zero",
         "oracle_radius_negative", "oracle_radius_nan",
         "oracle_radius_minus_infinity", "tolerance_nan",
         "tolerance_infinite", "tolerance_zero", "foc_tolerance_negative",
-        "foc_tolerance_nan"])
+        "foc_tolerance_nan", "damping_true", "tolerance_true",
+        "foc_tolerance_true", "start_radius_true", "oracle_radius_true"])
 def test_radii_and_tolerances_out_of_range_are_configuration_errors(
         tmp_path, capsys, command, key, value):
     cfg = _patch_fixture(tmp_path, _assign(value, "solver", key))

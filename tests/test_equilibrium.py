@@ -227,12 +227,24 @@ def test_dampings_take_different_paths_to_the_oscillating_limit(
         for b in reports[i + 1:]:
             assert a.strategy.sup_distance(b.strategy) <= 10.0 * 1e-8
 
+    # the search's zero start falls back, so verify reruns it at the two
+    # other dampings: its Picard loops make every report's best responses
+    import refequil.equilibrium as equilibrium
+    calls = []
+    response = equilibrium.best_response_steps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return response(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "best_response_steps", counted)
     checks = run_suite(symmetric_market, desk_prefs, 0.0, suite="equilibrium",
                        samples=4, seed=3,
                        config=EquilibriumConfig(starts=1, max_iterations=200),
                        stack=symmetric_stack)
     invariance, = [r for r in checks if r.name == "damping_invariance"]
     assert invariance.instances == 3 and invariance.passed
+    assert len(calls) == sum(r.iterations for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +527,7 @@ def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
     return lockstep.reports, lockstep_work[0], work[0]
 
 
-@pytest.mark.parametrize("fixture,bound", [("asymmetric_eex_t2", 250),
+@pytest.mark.parametrize("fixture,bound", [("asymmetric_eex_t2", 100),
                                            ("symmetric_t2", 8),
                                            ("stress_t3", None)])
 def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
@@ -527,7 +539,8 @@ def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
     assert any(r.converged for r in reports)
     if bound is not None:
         # symmetric_t2: 15 best responses, each at least one kernel call
-        # alone; in lockstep the starts' two rounds share 3 calls in all
+        # alone; in lockstep the starts' two rounds share 3 calls in all.
+        # asymmetric_eex_t2 makes 43 merged calls against 206 alone
         assert merged <= bound < alone
 
 
