@@ -1,39 +1,82 @@
-"""Backward dynamic programming and the best-response strategy.
+"""The best-response strategy, and the exact recursion that is its oracle.
 
-One-step strictly concave maximization over the position (solved on the
-first-order condition with a safeguarded Newton iteration), the backward
-value recursion with exact envelope derivatives, and the forward pass that
-turns the stage optimizers into a node-indexed strategy.
+Against a fixed reference law, terminal wealth is affine in the vector h of
+interior positions, so the self-value V(h) = sum_l pi_l s(W_l(h)) is one
+smooth concave function of h.  :func:`best_response` maximizes it by
+Newton's method on the whole tree (:func:`_newton_steps`).  Because the
+dynamics are linear, differential dynamic programming with exact second
+derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989):
 
-The Newton iteration is one coroutine (``_newton``) that yields probe
-positions: a Newton burst from the tangent seed, or from 0 when a node has
-no seed yet, then a bracketed flow that starts from the burst's own
-probes.  A stage can thus run all of its pending one-step problems in
-lockstep rounds: each round asks the next stage once, through
+* Stage arrays.  ``PriceModel.stages`` keeps, per depth, the edges out of
+  its nodes as (nodes x atoms) increment and probability arrays; breadth
+  first ids make each node's children contiguous, so a depth's quantities
+  are the next depth's flat vector reshaped.  They are built on the first
+  best response on a tree and kept, as the edge table is.
+* The pass.  One roll-forward of wealth (``w + h * f``, the rounding of
+  :func:`~refequil.market.wealth`) gives the leaves, and one kernel call
+  there gives s, a = s' and b = s''.  The backward sweep (:func:`_sweep`)
+  forms per node Q_h = E p f a, Q_x = E p a, Q_hh = E p f^2 b, Q_hx =
+  E p f b and Q_xx = E p b, the step k = -Q_h/Q_hh and the gain K =
+  -Q_hx/Q_hh, and hands the depth above the model a = Q_x + Q_hx k and
+  b = Q_xx - Q_hx^2/Q_hh; alongside, the node's value E[s | node] and the
+  raw conditional mean E[s' | node].  The forward pass
+  (:func:`_direction`) rolls dh = k + K dx down the tree.
+* The Armijo rule.  A step is accepted when the value rises by at least
+  1e-4 of the first-order increase the model predicts, or when the
+  largest conditional first-order condition falls by that fraction; it
+  is halved up to ``_HALVINGS`` times.  A trial point costs one kernel
+  call, and an accepted one's pass is the next iteration's.  Once the
+  predicted increase is below the value's rounding resolution, only the
+  full step is tried.
+* Stopping.  The run stops when every node's conditional first-order
+  condition sum p f E[s' | child] is at most the one-step target
+  ``foc_tolerance * 1e-3``.  When no step is accepted (the rounding
+  floor) it stops where it is, flagged ``exhausted`` unless that
+  condition is at most ``foc_tolerance``; so it is after
+  ``_NEWTON_ITERATIONS`` iterations.  Q_hh >= 0 or a non-finite Q_hh
+  raises the flat-first-order-condition :class:`SolveError`.
+* Starts.  A cold run starts at h = 0 and returns exactly 0 when 0 meets
+  the target; a Picard run starts each best response at its previous one.
+
+The engine is written as steps that yield ``(terminal, leaves, wealths)``
+requests, so that :func:`run_lockstep` merges the kernel calls of many
+runs, such as the starts of a multistart search.
+
+The exact recursion is the ground truth that verify's sampled (node, x)
+checks and the tests read: :func:`value_recursion` chains on-demand
+evaluators (:class:`RecursiveValue`) that solve the one-step problem
+(strictly concave in the position, solved on its first-order condition by
+a safeguarded Newton iteration) against the next stage and return the
+value with exact envelope derivatives.  A best response returns those
+evaluators with its on-path results stored in their memos
+(:func:`_record`): each on-path solution, value and warm seed is the
+pass's, so ``values[t].solution(node, x)`` at the strategy's wealths is
+the strategy's position bit for bit, and any other (node, x) is solved
+exactly.
+
+The recursion's Newton iteration is one coroutine (``_newton``) that
+yields probe positions: a Newton burst from the tangent seed, or from 0
+when a node has no seed yet, then a bracketed flow that starts from the
+burst's own probes.  A stage thus runs all of its pending one-step
+problems in lockstep rounds: each round asks the next stage once, through
 ``evaluate_many(nodes, xs)``, for the columns (v, v', v'') at the children
 of every problem at its probe, so a terminal next stage costs one
 satisfaction-kernel call per round.  A solve that stops at the probe just
 evaluated takes its envelope from that probe's columns.  The rounds are
 exact: ``evaluate_many`` returns, memoizes and warm-starts exactly as
-evaluating the pairs one by one, depth first, would.
-
-The recursion is written as steps: generators that run a next stage that
-is an exact recursion in place (``yield from``) and pass each request to
-any other stage (the terminal stage, a test double) up to whoever runs
-them, as ``(evaluator, nodes, xs)``, receiving its columns back.
-:func:`run_lockstep` runs them: one alone for the synchronous
-``evaluate_many``, ``solution`` and :func:`best_response`, or many
-together, such as the starts of a multistart search.  Each round, the
-terminal requests that share their preferences and atom count take one
-kernel call, with one reference row per wealth, and every run receives
-the columns it would receive alone.  Every one-step problem of the
-recursion is solved in a lane of that loop, ``solution`` included;
+evaluating the pairs one by one, depth first, would.  The recursion is
+written as steps too: a next stage that is an exact recursion runs in
+place (``yield from``) and any other (the terminal stage, a test double)
+is passed up to :func:`run_lockstep` as ``(evaluator, nodes, xs)``.  Each
+round of that runner, the terminal requests that share their preferences
+and atom count take one kernel call, with one reference row per wealth,
+and every run receives the columns it would receive alone.
 :func:`solve_one_step` drives the same ``_newton`` one problem and one
 probe at a time, through :func:`one_step_objective`.
 
 Evaluators are pure in (node, wealth).  Their solution and value memos
-are private to one value recursion.  Two tables may be shared by the best
-responses of one Picard run: ``warm`` (per node, the wealth, optimizer and
+are private to one value recursion.  Two tables may be shared by
+recursions on one tree: ``warm`` (per node, the wealth, optimizer and
 optimizer slope dh*/dx of its last solve, which seed Newton on the tangent,
 see :func:`tangent_seed`) and the bracket memo (``brackets``: per stage,
 wealth to optimizer bracket).  A bracket depends on the stage and the
@@ -46,6 +89,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +98,7 @@ from .market import (
     Market,
     PriceModel,
     ScenarioTree,
+    StageArrays,
     TreeNode,
     child_edges,
     wealth,
@@ -186,6 +231,12 @@ class OneStepSolution:
     seeded: bool = False
 
 
+def _foc_target(foc_tolerance: float) -> float:
+    """The target of a first-order condition: as far below
+    ``foc_tolerance`` as double precision allows."""
+    return min(foc_tolerance * 1e-3, foc_tolerance)
+
+
 def _newton(node: TreeNode, x: float, bracket: float,
             foc_tolerance: float = 1e-10, max_iterations: int = 100,
             initial: float | None = None):
@@ -213,7 +264,7 @@ def _newton(node: TreeNode, x: float, bracket: float,
         raise SolveError(f"degenerate position bracket {bracket!r}")
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    target = min(foc_tolerance * 1e-3, foc_tolerance)
+    target = _foc_target(foc_tolerance)
     full = (-bracket, bracket)
     inf = math.inf
 
@@ -377,7 +428,12 @@ def run_lockstep(runs: Sequence) -> list:
 
 @dataclass
 class SolveStats:
-    """Work counters shared by the stages of one value recursion."""
+    """Work counters shared by the stages of one value recursion, and those
+    of the tree-Newton run whose on-path solutions it holds.
+
+    ``clamped``, ``exhausted`` and ``max_residual`` count both the
+    recursion's solves and the on-path solutions a best response stores.
+    """
 
     #: one-step problems solved
     solves: int = 0
@@ -399,6 +455,12 @@ class SolveStats:
     brackets: int = 0
     #: one-step problems solved, per stage
     stage_solves: dict = field(default_factory=dict)
+    #: Newton iterations of the best response on the whole tree
+    newton_iterations: int = 0
+    #: step halvings of its line searches
+    halvings: int = 0
+    #: its terminal-kernel calls, one per point evaluated
+    kernel_calls: int = 0
 
     def record(self, solution: OneStepSolution, stage: int | None) -> None:
         self.solves += 1
@@ -717,29 +779,27 @@ def best_response(market: Market, preferences: Preferences,
                   reference_strategy, x0: float,
                   stack: Sequence[StageEnvelopes] | None = None,
                   foc_tolerance: float = 1e-10,
-                  warm: WarmTable | None = None,
-                  brackets: dict[int, dict[float, float]] | None = None,
+                  initial: Strategy | None = None,
                   ) -> tuple[Strategy, list]:
     """Optimal strategy against the reference generated by another strategy.
 
-    Builds the reference law from the reference strategy's terminal wealth,
-    runs the backward recursion, then substitutes forward from the root.
-    Returns the strategy and the stage evaluators (stage 0 holds the
-    optimal value at ``x0``).  ``warm`` and ``brackets`` are the tables a
-    Picard run shares between its best responses (see
-    :func:`value_recursion`); they must belong to this market and ``stack``.
+    Builds the reference law from the reference strategy's terminal wealth
+    and maximizes the self-value by Newton's method on the whole tree
+    (:func:`_newton_steps`), from ``initial`` or, cold, from 0.  Returns the
+    strategy and the stage evaluators of the exact recursion (stage 0 holds
+    the optimal value at ``x0``), whose memos hold the pass's on-path
+    solutions and values (:func:`_record`).
     """
     return run_lockstep([best_response_steps(
         market, preferences, reference_strategy, x0, stack, foc_tolerance,
-        warm, brackets)])[0]
+        initial)])[0]
 
 
 def best_response_steps(market: Market, preferences: Preferences,
                         reference_strategy, x0: float,
                         stack: Sequence[StageEnvelopes] | None = None,
                         foc_tolerance: float = 1e-10,
-                        warm: WarmTable | None = None,
-                        brackets: dict[int, dict[float, float]] | None = None):
+                        initial: Strategy | None = None):
     """:func:`best_response` as steps, so that :func:`run_lockstep` can run
     many best responses with one terminal kernel call per round."""
     market.require_certified()
@@ -749,17 +809,245 @@ def best_response_steps(market: Market, preferences: Preferences,
                                      market.certificate.alpha_star,
                                      prices.c_f, prices.chi, tree.horizon)
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
-    values = value_recursion(tree, prices,
-                             TerminalValue(preferences, reference), stack,
-                             foc_tolerance, warm=warm, brackets=brackets)
-    edges = prices.edges(tree)
-    positions = np.empty(len(edges))  # one row per interior node
-    node_wealth = {tree.root.id: float(x0)}
-    for node in tree.interior:
-        x = node_wealth[node.id]
-        sol = yield from values[node.depth].solution_steps(node, x)
-        positions[node.id] = sol.position
-        row = edges[node.id]
-        for child, f in zip(row.children, row.increments):
-            node_wealth[child.id] = x + sol.position * f
-    return Strategy(positions), values
+    terminal = TerminalValue(preferences, reference)
+    start = np.zeros(len(tree.interior))
+    if initial is not None:
+        start = Strategy(start)._paired(initial)
+    found, exhausted, counts = yield from _newton_steps(
+        prices.stages(tree), terminal, tree.leaves, float(x0), start,
+        foc_tolerance)
+    values = value_recursion(tree, prices, terminal, stack, foc_tolerance,
+                             warm={})
+    _record(values, tree, stack, foc_tolerance, found, exhausted, counts)
+    return Strategy(found.positions), values
+
+
+# ---------------------------------------------------------------------------
+# Newton's method on the whole tree
+# ---------------------------------------------------------------------------
+
+#: Newton iterations of one best response
+_NEWTON_ITERATIONS = 50
+#: step halvings of one backtracking line search
+_HALVINGS = 20
+#: sufficient-increase fraction of the Armijo rule
+_ARMIJO = 1e-4
+#: rounding resolution of the self-value, relative to its size: a step
+#: whose predicted increase is below it is judged by the FOC instead
+_VALUE_ULPS = 64 * 2.0 ** -52
+
+
+class _Point(NamedTuple):
+    """A Newton run at one position vector, after its pass."""
+
+    #: one position per interior node, indexed by node id
+    positions: np.ndarray
+    #: wealth at every node, one array per depth 0..T (:func:`_roll`)
+    wealths: list
+    #: :func:`_sweep`'s per-depth rows
+    rows: list
+    #: the self-value
+    value: float
+    #: the first-order increase of the full Newton step
+    rise: float
+    #: the largest conditional |FOC| (NaN if any is)
+    residual: float
+
+
+def _roll(stages: Sequence[StageArrays], positions: np.ndarray,
+          x0: float) -> list[np.ndarray]:
+    """Wealth at every node, one array per depth 0..T, each child's as
+    ``w + h * f``, the rounding of :func:`~refequil.market.wealth`."""
+    xs = [np.array([x0])]
+    for stage in stages:
+        h = positions[stage.offset:stage.offset + len(stage.increments)]
+        xs.append((xs[-1][:, None] + h[:, None] * stage.increments).ravel())
+    return xs
+
+
+def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, float,
+                                                           float, float]:
+    """The backward pass at one point, from the leaf columns (s, s', s'').
+
+    Each depth reads five rows over its children: the model slope a and
+    curvature b, the raw slope mean E[s' | child], the value E[s | child]
+    and the model increase, and forms all their edge sums from one
+    contraction with the depth's moments (sum_j p f^k for k = 0, 1, 2).
+    Per depth it returns a tuple of per-node arrays: the conditional
+    first-order condition sum p f E[s' | child], Q_hh, the step k =
+    -Q_h/Q_hh, the gain K = -Q_hx/Q_hh, and the node's value, slope mean
+    and model curvature b = Q_xx - Q_hx^2/Q_hh; the depth above reads a =
+    Q_x + Q_hx k and b.  Also returns the self-value, the increase of the
+    quadratic model along the full Newton step's first order (the sum over
+    nodes of path probability times Q_h k) and the largest conditional
+    |FOC| (NaN if any is).
+    """
+    s, s1, s2 = columns
+    below = np.array((s1, s2, s1, s, [0.0] * len(s)))
+    rows = []
+    with np.errstate(all="ignore"):
+        for stage in reversed(stages):
+            sums = np.einsum("qij,ijk->qik",
+                             below.reshape(5, *stage.increments.shape),
+                             stage.moments)
+            q_x, q_xx, mean, value, rise = sums[:, :, 0]
+            q_h, q_hx, foc = sums[:3, :, 1]
+            q_hh = sums[1, :, 2]
+            k, gain = -q_h / q_hh, -q_hx / q_hh
+            below = np.array((q_x + q_hx * k, q_xx + q_hx * gain, mean,
+                              value, rise + q_h * k))
+            rows.append((foc, q_hh, k, gain, value, mean, below[1]))
+        rows.reverse()
+        residual = float(np.max(np.abs(np.concatenate([r[0] for r in rows]))))
+    return rows, float(below[3, 0]), float(below[4, 0]), residual
+
+
+def _direction(stages: Sequence[StageArrays], rows: list) -> np.ndarray:
+    """The Newton step: dh = k + K dx, rolled down the tree from dx = 0,
+    as one vector indexed by node id."""
+    dx = np.zeros(1)
+    steps = []
+    with np.errstate(all="ignore"):
+        for stage, (_, _, k, gain, *_) in zip(stages, rows):
+            dh = k + gain * dx
+            steps.append(dh)
+            dx = (dx[:, None] + dh[:, None] * stage.increments).ravel()
+    return np.concatenate(steps)
+
+
+def _check(stages: Sequence[StageArrays], point: _Point) -> None:
+    """Raise unless every node's first-order condition is finite and its
+    curvature Q_hh negative, naming the first offending node of the
+    deepest depth: a failure spreads from there to every ancestor."""
+    rows = point.rows
+    if (math.isfinite(point.residual)
+            and all((row[1] < 0.0).all() for row in rows)):
+        return
+    for stage, x, (foc, *_) in zip(stages[::-1], point.wealths[-2::-1],
+                                   rows[::-1]):
+        bad = ~np.isfinite(foc)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolveError("the first-order condition is not finite near "
+                             f"node {stage.offset + i}, x={float(x[i])!r}")
+    for stage, (_, q_hh, *_) in zip(stages[::-1], rows[::-1]):
+        bad = ~(q_hh < 0.0)
+        if bad.any():
+            raise SolveError("flat first-order condition at node "
+                             f"{stage.offset + int(np.argmax(bad))}; the "
+                             "increment law is degenerate")
+
+
+def _newton_steps(stages: Sequence[StageArrays], terminal: TerminalValue,
+                  leaves: Sequence[TreeNode], x0: float,
+                  positions: np.ndarray, foc_tolerance: float):
+    """Maximize the self-value over the positions by Newton's method, from
+    ``positions``, as steps that ask ``terminal`` for the leaf columns.
+
+    Each iteration runs :func:`_sweep` and :func:`_direction` at the
+    current point and tries the full step.  A trial point costs one kernel
+    call, and an accepted one's pass is the next iteration's.  A step is
+    accepted when the self-value rises by ``_ARMIJO`` of the predicted
+    first-order increase (the Armijo rule) or the largest conditional FOC
+    falls by that fraction, which a utility tabulated value and slope
+    apart needs, as its value and slope disagree; else it is halved, up to
+    ``_HALVINGS`` times.  Once the predicted increase is below the value's
+    rounding resolution, only the full step is tried, on the FOC alone.
+    The run stops when the largest FOC meets the one-step target
+    ``foc_tolerance * 1e-3``; when no step is accepted (the rounding
+    floor), or after ``_NEWTON_ITERATIONS``, it stops at the current point,
+    which is ``exhausted`` unless its FOC is at most ``foc_tolerance`` at
+    the floor.
+
+    Returns the last :class:`_Point`, whether the run is ``exhausted`` and
+    its ``(iterations, halvings, kernel calls)``.
+    """
+    target = _foc_target(foc_tolerance)
+    calls = 0
+
+    def point(h: np.ndarray):
+        nonlocal calls
+        xs = _roll(stages, h, x0)
+        columns = yield terminal, leaves, xs[-1].tolist()
+        calls += 1
+        return _Point(h, xs, *_sweep(stages, columns))
+
+    current = yield from point(positions)
+    _check(stages, current)
+    iterations = halvings = 0
+    while True:
+        if current.residual <= target:
+            exhausted = False
+            break
+        if iterations == _NEWTON_ITERATIONS:
+            exhausted = True
+            break
+        iterations += 1
+        step = _direction(stages, current.rows)
+        # below its rounding resolution the value cannot judge a step: then
+        # only the full step is tried, on the first-order condition alone
+        judged = current.rise > _VALUE_ULPS * abs(current.value)
+        trial, alpha = None, 1.0
+        for _ in range(_HALVINGS + 1 if judged else 1):
+            moved = current.positions + alpha * step
+            if np.array_equal(moved, current.positions):
+                break
+            candidate = yield from point(moved)
+            if (judged and candidate.value
+                    >= current.value + _ARMIJO * alpha * current.rise
+                    or candidate.residual
+                    <= (1.0 - _ARMIJO * alpha) * current.residual):
+                trial = candidate
+                break
+            alpha *= 0.5
+            halvings += 1
+        if trial is None:
+            # the rounding floor: no step raises the value or lowers the
+            # first-order condition
+            exhausted = current.residual > foc_tolerance
+            break
+        current = trial
+        _check(stages, current)
+    return current, exhausted, (iterations, halvings, calls)
+
+
+def _record(values: list, tree: ScenarioTree,
+            stack: Sequence[StageEnvelopes], foc_tolerance: float,
+            point: _Point, exhausted: bool,
+            counts: tuple[int, int, int]) -> None:
+    """Store a Newton run's on-path results in the exact recursion.
+
+    At each interior node and its wealth in ``point`` (the keys
+    :func:`~refequil.market.wealth` gives the returned strategy): a
+    :class:`OneStepSolution` with the node's position, its conditional
+    |FOC| as the residual and its certified bracket (one ``position_bound``
+    call per depth), flagged ``clamped`` outside the bracket and
+    ``exhausted`` above the target when the run was; the value (v, E s',
+    b); and the warm seed (x, h*, K), K being dh*/dx.  The stats count the
+    run's work and its flags.
+    """
+    target = _foc_target(foc_tolerance)
+    stats, warm = values[0].stats, values[0].warm
+    stats.newton_iterations, stats.halvings, stats.kernel_calls = counts
+    iterations = counts[0]
+    for t, (level, x, row) in enumerate(zip(tree.levels, point.wealths,
+                                            point.rows)):
+        foc, _, _, gain, v, slope, curve = row
+        h = point.positions[level[0].id:level[0].id + len(level)]
+        residual = np.abs(foc)
+        bound = stack[t].position_bound(x)
+        clamped = np.abs(h) > bound
+        missed = residual > target if exhausted else np.zeros(len(x), bool)
+        stats.clamped += int(clamped.sum())
+        stats.exhausted += int(missed.sum())
+        stats.max_residual = max(stats.max_residual, float(residual.max()))
+        solutions, memo = values[t]._solutions, values[t]._values
+        for node, xi, hi, ri, bi, ci, ei, ki, vi, si, bb in zip(
+                level, x.tolist(), h.tolist(), residual.tolist(),
+                bound.tolist(), clamped.tolist(), missed.tolist(),
+                gain.tolist(), v.tolist(), slope.tolist(), curve.tolist()):
+            key = (node.id, xi)
+            solutions[key] = OneStepSolution(hi, ri, (-bi, bi), iterations,
+                                             clamped=ci, exhausted=ei)
+            memo[key] = (vi, si, bb)
+            warm[node.id] = (xi, hi, ki)

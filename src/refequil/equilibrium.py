@@ -12,12 +12,12 @@ envelope.
 The Picard loop is one step generator (``_picard_steps``), run by
 :func:`~refequil.bestresponse.run_lockstep`: :func:`iterate_fixed_point`
 runs one alone.  Multistart runs are independent: each owns its iteration
-state, warm seeds, bracket memo and work counters.  The search advances
-them in lockstep: every start that has not converged or run out of
-iterations takes its next best-response round in the same round as the
-others, and the terminal stage is the only point where a start waits for
-them, so that the starts' terminal requests of one round share one
-satisfaction-kernel call per atom count.  Each report equals that of
+state, and each of its best responses starts Newton at its previous one.
+The search advances them in lockstep: every start that has not converged
+or run out of iterations takes its next best-response round in the same
+round as the others, and the terminal stage is the only point where a
+start waits for them, so that the starts' terminal requests of one round
+share one satisfaction-kernel call per atom count.  Each report equals that of
 running the start alone through :func:`iterate_fixed_point`, and the
 starts' errors surface in start order, so equal seeds give equal reports.
 """
@@ -30,7 +30,6 @@ import numpy as np
 
 from .bestresponse import (
     Strategy,
-    WarmTable,
     best_response,
     best_response_steps,
     run_lockstep,
@@ -169,9 +168,9 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     report's ``fallbacks``.  Stops once the sup-norm residual reaches the
     tolerance or the iteration budget runs out; always returns the
     lowest-residual iterate seen, with the converged flag telling the two
-    outcomes apart.  The run's best responses share warm starts and a memo
-    of optimizer brackets, which depend on the wealth and the stage only.
-    The loop is :func:`_picard_steps`, run alone here;
+    outcomes apart.  Each best response after the first starts Newton at
+    the previous one (:func:`~refequil.bestresponse.best_response`'s
+    ``initial``).  The loop is :func:`_picard_steps`, run alone here;
     :func:`find_equilibria` runs one per start, in lockstep.
     """
     market.require_certified()
@@ -185,9 +184,8 @@ def _picard_steps(market: Market, preferences: Preferences,
                   config: EquilibriumConfig, start: Strategy, x0: float,
                   stack, start_id: int):
     """:func:`iterate_fixed_point` as steps (see :func:`run_lockstep`)."""
-    warm: WarmTable = {}
-    brackets: dict[int, dict[float, float]] = {}
     current = start
+    response = None
     best: tuple[float, Strategy] | None = None
     trace: list[float] = []
     converged = False
@@ -195,7 +193,7 @@ def _picard_steps(market: Market, preferences: Preferences,
     for _ in range(config.max_iterations):
         response, _ = yield from best_response_steps(
             market, preferences, current, x0, stack=stack,
-            foc_tolerance=config.foc_tolerance, warm=warm, brackets=brackets)
+            foc_tolerance=config.foc_tolerance, initial=response)
         residual = response.sup_distance(current)
         trace.append(residual)
         if best is None or residual < best[0]:

@@ -212,6 +212,8 @@ class PriceModel:
         self.chi = float(chi)
         #: (tree, table) of the last :meth:`edges` call
         self._edges: tuple[ScenarioTree | None, dict] = (None, {})
+        #: (tree, arrays) of the last :meth:`stages` call
+        self._stages: tuple[ScenarioTree | None, list] = (None, [])
 
     def increment(self, node: TreeNode) -> float:
         raise NotImplementedError
@@ -226,6 +228,21 @@ class PriceModel:
             self._edges = (tree, {node.id: child_edges(self, node)
                                   for node in tree.interior})
         return self._edges[1]
+
+    def stages(self, tree: ScenarioTree) -> list[StageArrays]:
+        """The edge table as one :class:`StageArrays` per depth 0..T-1.
+
+        Built from :meth:`edges` on the first call for a tree and kept, as
+        the table is; callers share the arrays and must not modify them.
+        """
+        if self._stages[0] is not tree:
+            edges = self.edges(tree)
+            self._stages = (tree, [
+                StageArrays.build(level[0].id,
+                                  [edges[n.id].increments for n in level],
+                                  [edges[n.id].probs for n in level])
+                for level in tree.levels[:-1]])
+        return self._stages[1]
 
     def validate_bounds(self, tree: ScenarioTree) -> None:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
@@ -539,6 +556,33 @@ class ChildEdges:
     increments: tuple[float, ...]
     #: conditional probability of each child
     probs: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class StageArrays:
+    """The edges out of every node of one depth, one row per node.
+
+    Ids run breadth first over a full product tree, so row i is node
+    ``offset + i`` and its children, in child order, are the nodes at
+    positions ``i * atoms .. i * atoms + atoms - 1`` of the next depth: a
+    (nodes x atoms) array of the next depth's quantities is its flat
+    vector reshaped.
+    """
+
+    #: id of the depth's first node
+    offset: int
+    #: (nodes x atoms) price increments of the edges
+    increments: np.ndarray
+    #: (nodes x atoms) conditional probabilities of the edges
+    probs: np.ndarray
+    #: (nodes x atoms x 3) probability-weighted powers p f^k, k = 0, 1, 2
+    moments: np.ndarray
+
+    @classmethod
+    def build(cls, offset: int, increments, probs) -> "StageArrays":
+        """From one row of increments and one of probabilities per node."""
+        f, p = np.array(increments), np.array(probs)
+        return cls(offset, f, p, np.stack((p, p * f, p * f * f), axis=-1))
 
 
 def child_edges(prices: PriceModel, node: TreeNode) -> ChildEdges:

@@ -27,14 +27,17 @@ from refequil.market import (
     FactorDistribution,
     Market,
     MarketError,
+    NoArbitrageCertificate,
     ScenarioTree,
     TablePriceModel,
+    wealth,
 )
 from refequil.preferences import (
     ArctanGainLoss,
     ExponentialUtility,
     Preferences,
     ReferenceDistribution,
+    TabulatedUtility,
     build_envelope_stack,
     satisfaction,
 )
@@ -513,6 +516,34 @@ def depth_first_values(market, prefs, law, stack, warm, counts):
     return values
 
 
+def recursion_best_response_steps(market, prefs, reference, x0, stack,
+                                  warm=None, brackets=None,
+                                  foc_tolerance=1e-10):
+    """The exact recursion's best response, as steps: ``value_recursion``
+    against the reference's terminal law, then ``solution`` forward from
+    the root at the wealths ``market.wealth`` rolls out."""
+    tree, prices = market.tree, market.prices
+    values = value_recursion(tree, prices, TerminalValue(
+        prefs, terminal_wealth_law(tree, prices, reference, x0)), stack,
+        foc_tolerance, warm=warm, brackets=brackets)
+    edges = prices.edges(tree)
+    positions = np.empty(len(tree.interior))
+    node_wealth = {tree.root.id: x0}
+    for node in tree.interior:
+        x = node_wealth[node.id]
+        sol = yield from values[node.depth].solution_steps(node, x)
+        positions[node.id] = sol.position
+        row = edges[node.id]
+        for child, f in zip(row.children, row.increments):
+            node_wealth[child.id] = x + sol.position * f
+    return Strategy(positions), values
+
+
+def recursion_best_response(*args, **kwargs):
+    """:func:`recursion_best_response_steps` run alone."""
+    return run_lockstep([recursion_best_response_steps(*args, **kwargs)])[0]
+
+
 def _lockstep_instance(seed, horizon, atoms):
     rng = np.random.default_rng([seed, horizon, atoms])
     market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
@@ -531,8 +562,8 @@ def test_lockstep_matches_depth_first_reference(horizon, atoms):
                                                              atoms)
     tree, prices = market.tree, market.prices
     warm = {}
-    psi, values = best_response(market, prefs, reference, x0, stack=stack,
-                                warm=warm)
+    psi, values = recursion_best_response(market, prefs, reference, x0,
+                                          stack, warm=warm)
     root = values[0].evaluate(tree.root, x0)
 
     law = terminal_wealth_law(tree, prices, reference, x0)
@@ -607,11 +638,11 @@ def test_lockstep_best_responses_equal_single_runs(monkeypatch):
     monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
 
     def steps(ref):
-        return best_response_steps(market, prefs, ref, x0, stack=stack)
+        return recursion_best_response_steps(market, prefs, ref, x0, stack)
 
     together = run_lockstep([steps(ref) for ref in references])
     phase[0] = "alone"
-    alone = [best_response(market, prefs, ref, x0, stack=stack)
+    alone = [recursion_best_response(market, prefs, ref, x0, stack)
              for ref in references]
     for (psi, values), (ref_psi, ref_values) in zip(together, alone):
         assert psi.positions.tolist() == ref_psi.positions.tolist()
@@ -620,6 +651,39 @@ def test_lockstep_best_responses_equal_single_runs(monkeypatch):
                 == ref_values[0].evaluate(tree.root, x0))
     # merged calls bypass evaluate_many
     assert calls["lockstep"] < calls["alone"]
+
+
+def test_bracket_memo_leaves_recursion_unchanged():
+    # a bracket depends on the stage and the wealth only, so recursions
+    # that share a bracket memo (and warm seeds) over a sequence of
+    # references equal ones computing every bracket afresh, and compute
+    # fewer; the references are the recursion's own best responses, as a
+    # Picard run of full steps would take them
+    from dataclasses import replace
+
+    rng = np.random.default_rng(23)
+    market, prefs, x0 = random_certified_instance(rng, 3, 3)
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi, 3)
+    start = Strategy({node.id: float(rng.uniform(-1.0, 1.0))
+                      for node in market.tree.interior})
+    runs = []
+    for memo in (True, False):
+        warm, brackets = {}, {} if memo else None
+        current, responses, stats = start, [], []
+        for _ in range(4):
+            current, values = recursion_best_response(
+                market, prefs, current, x0, stack, warm=warm,
+                brackets=brackets)
+            responses.append(current.positions.tolist())
+            stats.append(values[0].stats)
+        runs.append((responses, stats))
+    (memo_responses, memo_stats), (fresh_responses, fresh_stats) = runs
+    assert memo_responses == fresh_responses
+    assert ([replace(s, brackets=0) for s in memo_stats]
+            == [replace(s, brackets=0) for s in fresh_stats])
+    assert (sum(s.brackets for s in memo_stats)
+            < sum(s.brackets for s in fresh_stats))
 
 
 def test_position_bound_array_equals_scalar():
@@ -647,7 +711,7 @@ def test_terminal_calls_below_last_stage_solves(monkeypatch):
         return evaluate(self, node, x)
 
     monkeypatch.setattr(TerminalValue, "evaluate", counted)
-    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    _, values = recursion_best_response(market, prefs, reference, x0, stack)
     last = values[0].stats.stage_solves[market.horizon - 1]
     assert 0 < len(calls) < last
 
@@ -668,7 +732,7 @@ def test_terminal_sees_only_probe_wealths(horizon, atoms, monkeypatch):
         return many(self, nodes, xs)
 
     monkeypatch.setattr(TerminalValue, "evaluate_many", recorded)
-    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    _, values = recursion_best_response(market, prefs, reference, x0, stack)
     assert values[0].stats.exhausted == 0
     last = values[horizon - 1]
     edges = market.prices.edges(market.tree)
@@ -773,7 +837,7 @@ def test_edge_table_is_built_once_per_market(desk_prefs):
 
 def test_solve_stats_are_shared_and_consistent():
     market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 3)
-    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    _, values = recursion_best_response(market, prefs, reference, x0, stack)
     stats = values[0].stats
     assert all(v.stats is stats for v in values[:-1])
     assert stats.solves == sum(stats.stage_solves.values())
@@ -807,9 +871,9 @@ def _cold_best_response(seed, horizon, atoms):
     stack = build_envelope_stack(prefs, market.certificate.alpha_star,
                                  market.prices.c_f, market.prices.chi,
                                  horizon)
-    _, values = best_response(market, prefs,
-                              Strategy.constant(market.tree, 0.0), x0,
-                              stack=stack)
+    _, values = recursion_best_response(market, prefs,
+                                        Strategy.constant(market.tree, 0.0),
+                                        x0, stack)
     return stack, x0, values[0].stats
 
 
@@ -818,9 +882,13 @@ def test_solve_stats_count_unbounded_brackets():
     assert stack[0].position_bound(x0) == math.inf
     assert stats.unbounded > 0
     config = load_config(fixture_path("symmetric_t2"))
-    _, values = best_response(config.market, config.preferences,
-                              Strategy.constant(config.market.tree, 0.0),
-                              config.initial_capital)
+    market, prefs = config.market, config.preferences
+    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
+                                 market.prices.c_f, market.prices.chi,
+                                 market.horizon)
+    _, values = recursion_best_response(market, prefs,
+                                        Strategy.constant(market.tree, 0.0),
+                                        config.initial_capital, stack)
     assert values[0].stats.solves > 0
     assert values[0].stats.unbounded == 0
 
@@ -861,7 +929,7 @@ def test_seeded_solutions_meet_target_and_match_cold_solves(seed, horizon,
     stack = build_envelope_stack(prefs, market.certificate.alpha_star,
                                  prices.c_f, prices.chi, horizon)
     reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
-    _, values = best_response(market, prefs, reference, x0, stack=stack)
+    _, values = recursion_best_response(market, prefs, reference, x0, stack)
     fresh = value_recursion(tree, prices, TerminalValue(
         prefs, terminal_wealth_law(tree, prices, reference, x0)), stack)
     nodes = {node.id: node for node in tree.interior}
@@ -1073,3 +1141,257 @@ def test_lane_rejects_flat_foc(desk_prefs):
         value.evaluate(tree.root, 0.1)
     assert value._values == {}
 
+
+# ---------------------------------------------------------------------------
+# the best response by Newton's method on the whole tree
+# ---------------------------------------------------------------------------
+
+def _stack(market, prefs):
+    return build_envelope_stack(prefs, market.certificate.alpha_star,
+                                market.prices.c_f, market.prices.chi,
+                                market.horizon)
+
+
+def _agrees_with_recursion(market, prefs, reference, x0, stack, psi,
+                           values):
+    """Each position of the Newton best response ``(psi, values)`` within
+    1e-11 relative (plus 1e-12) of the exact recursion's forward pass, plus
+    (r + r') / |d gamma / dh|: two passes that each stop under the 1e-13
+    target may sit that far apart on a flat first-order condition, as the
+    seeded-solve tests allow too.  Returns the recursion's stage values."""
+    tree, prices = market.tree, market.prices
+    oracle, exact = recursion_best_response(market, prefs, reference, x0,
+                                            stack)
+    ours, theirs = wealth(tree, prices, psi, x0), wealth(tree, prices,
+                                                         oracle, x0)
+    for node in tree.interior:
+        mine = values[node.depth].solution(node, ours.at(node))
+        sol = exact[node.depth].solution(node, theirs.at(node))
+        curvature = one_step_objective(exact[node.depth + 1], prices, node,
+                                       theirs.at(node), sol.position)[2]
+        allowed = (1e-11 * abs(sol.position) + 1e-12
+                   + 2.0 * (mine.residual + sol.residual) / -curvature)
+        assert abs(mine.position - sol.position) <= allowed
+    return exact
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 4),
+       atoms=st.sampled_from([2, 3]))
+def test_newton_agrees_with_the_exact_recursion(seed, horizon, atoms):
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    tree, prices = market.tree, market.prices
+    stack = _stack(market, prefs)
+    reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
+    exact = _agrees_with_recursion(market, prefs, reference, x0, stack, psi,
+                                   values)
+    stats = values[0].stats
+    assert stats.clamped == stats.exhausted == 0
+    # one call at the start and one per trial point
+    assert 0 < stats.kernel_calls <= (1 + stats.newton_iterations
+                                      + stats.halvings)
+    path = wealth(tree, prices, psi, x0)
+    for node in tree.interior:
+        x = path.at(node)
+        solution = values[node.depth].solution(node, x)
+        # the stored on-path solution is the strategy's position bit for
+        # bit, unclamped and inside its certified bracket
+        assert solution.position.hex() == psi.at(node).hex()
+        assert not (solution.clamped or solution.exhausted)
+        bound = float(stack[node.depth].position_bound(x))
+        assert solution.bracket == (-bound, bound)
+        assert abs(solution.position) <= bound
+        assert solution.residual <= 1e-10
+        # the first-order condition against the exact next stage
+        gamma = one_step_objective(exact[node.depth + 1], prices, node, x,
+                                   solution.position)[1]
+        assert abs(gamma) <= 1e-10
+        assert values[node.depth].warm[node.id][:2] == (x, solution.position)
+    assert stats.solves == 0 and stats.max_residual <= 1e-10
+
+
+def test_newton_gain_is_the_optimizer_slope():
+    # the warm seed's K is dh*/dx: the recursion's optimizer at nearby
+    # wealths moves at that slope
+    market, prefs, x0, stack, reference = _lockstep_instance(13, 3, 3)
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
+    exact = recursion_best_response(market, prefs, reference, x0, stack,
+                                    foc_tolerance=1e-12)[1]
+    path = wealth(market.tree, market.prices, psi, x0)
+    step = 1e-5
+    for node in market.tree.interior[:4]:
+        x, h, gain = values[node.depth].warm[node.id]
+        assert x == path.at(node) and h == psi.at(node)
+        up = exact[node.depth].solution(node, x + step).position
+        down = exact[node.depth].solution(node, x - step).position
+        assert gain == pytest.approx((up - down) / (2 * step), rel=1e-5,
+                                     abs=1e-9)
+
+
+def test_newton_lockstep_best_responses_equal_single_runs(monkeypatch):
+    # the Newton runs of several references share their kernel calls round
+    # by round; each equals its own run, with fewer calls in all
+    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+    tree = market.tree
+    references = [Strategy.constant(tree, 0.0), reference,
+                  Strategy(reference.positions + 0.25),
+                  Strategy.constant(tree, 0.5),
+                  Strategy(reference.positions - 0.5)]
+    calls = Counter()
+    phase = ["lockstep"]
+    kernel = TerminalValue.evaluate_many
+
+    def counted(self, nodes, xs):
+        calls[phase[0]] += 1
+        return kernel(self, nodes, xs)
+
+    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
+    together = run_lockstep([
+        best_response_steps(market, prefs, ref, x0, stack=stack)
+        for ref in references])
+    phase[0] = "alone"
+    alone = [best_response(market, prefs, ref, x0, stack=stack)
+             for ref in references]
+    for (psi, values), (ref_psi, ref_values) in zip(together, alone):
+        assert psi.positions.tolist() == ref_psi.positions.tolist()
+        assert values[0].stats == ref_values[0].stats
+        assert values[0]._values == ref_values[0]._values
+    assert calls["lockstep"] < calls["alone"]
+
+
+def test_newton_warm_start_at_the_response_returns_it():
+    # a start that already meets the target is returned as it is, after
+    # one kernel call
+    market, prefs, x0, stack, reference = _lockstep_instance(3, 3, 3)
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
+    again, values = best_response(market, prefs, reference, x0, stack=stack,
+                                  initial=psi)
+    assert again.positions.tolist() == psi.positions.tolist()
+    stats = values[0].stats
+    assert (stats.newton_iterations, stats.kernel_calls) == (0, 1)
+    warm, _ = best_response(market, prefs, reference, x0, stack=stack,
+                            initial=Strategy(psi.positions + 0.1))
+    assert np.max(np.abs(warm.positions - psi.positions)) <= 1e-12
+
+
+def test_newton_on_tabulated_utility_backtracks_and_matches_recursion():
+    # a monotone-cubic utility is tabulated value, slope and curvature
+    # apart; with a sharp gain arm the first Newton steps overshoot, the
+    # line search halves them, and the run still meets its target
+    source = ExponentialUtility(1.0, c_u=0.05)
+    knots = np.concatenate([np.linspace(-6.0, 6.0, 481),
+                            np.linspace(6.5, 90.0, 168)])
+    prefs = Preferences(TabulatedUtility(knots, source.u(knots),
+                                         source.du(knots),
+                                         source.d2u(knots), c_u=0.05),
+                        ArctanGainLoss(2.0, 0.05))
+    dist = FactorDistribution.from_atoms([(0.5, 0.3), (-0.5, 0.7)])
+    tree = ScenarioTree([dist, dist])
+    market = Market.assemble(tree, TablePriceModel(
+        1.0, 1.0, 1.0, func=last_coordinate_scaler(1.0)))
+    stack = _stack(market, prefs)
+    reference = Strategy.constant(tree, 0.5)
+    psi, values = best_response(market, prefs, reference, 0.0, stack=stack)
+    stats = values[0].stats
+    assert stats.halvings > 0
+    assert stats.exhausted == stats.clamped == 0
+    assert stats.max_residual <= 1e-13
+    _agrees_with_recursion(market, prefs, reference, 0.0, stack, psi,
+                           values)
+
+
+def _forged_market(increment):
+    """A T = 2 binomial market carrying a certificate its increments need
+    not earn, so that a degenerate law reaches the engine."""
+    tree = ScenarioTree([fair_coin(), fair_coin()])
+    prices = TablePriceModel(1.0, 0.5, 1.0, func=increment)
+    return Market(tree, prices, NoArbitrageCertificate(0.5, {}, None))
+
+
+def test_newton_flags_flat_foc_on_degenerate_increments(desk_prefs):
+    # the edges out of node 1 carry no increment: its curvature Q_hh is 0
+    market = _forged_market(
+        lambda e: 0.0 if e.size == 2 and e[0] > 0 else 0.5 * e[-1])
+    stack = _stack(market, desk_prefs)
+    for start in (None, Strategy.constant(market.tree, 0.3)):
+        with pytest.raises(SolveError,
+                           match="flat first-order condition at node 1"):
+            best_response(market, desk_prefs,
+                          Strategy.constant(market.tree, 0.2), 0.1,
+                          stack=stack, initial=start)
+
+
+def test_newton_flags_exhausted_budget(monkeypatch):
+    import refequil.bestresponse as bestresponse
+
+    market, prefs, x0, stack, reference = _lockstep_instance(5, 3, 3)
+    full, full_values = best_response(market, prefs, reference, x0,
+                                      stack=stack)
+    assert full_values[0].stats.newton_iterations > 2
+    monkeypatch.setattr(bestresponse, "_NEWTON_ITERATIONS", 1)
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
+    stats = values[0].stats
+    assert stats.newton_iterations == 1 and stats.exhausted > 0
+    assert stats.max_residual > 1e-13
+    path = wealth(market.tree, market.prices, psi, x0)
+    flagged = 0
+    for node in market.tree.interior:
+        solution = values[node.depth].solution(node, path.at(node))
+        assert solution.exhausted == (solution.residual > 1e-13)
+        flagged += solution.exhausted
+    assert flagged == stats.exhausted
+
+
+class NarrowBrackets:
+    """Stage envelopes whose optimizer bracket is one fixed radius."""
+
+    def __init__(self, radius):
+        self.radius = radius
+
+    def position_bound(self, x):
+        return np.full(np.shape(x), self.radius) if np.ndim(x) \
+            else self.radius
+
+
+def test_newton_flags_positions_outside_the_bracket():
+    market, prefs, x0, stack, reference = _lockstep_instance(5, 2, 3)
+    psi, _ = best_response(market, prefs, reference, x0, stack=stack)
+    radius = 0.5 * psi.max_abs()
+    narrow = [NarrowBrackets(radius) for _ in stack]
+    again, values = best_response(market, prefs, reference, x0,
+                                  stack=narrow)
+    assert again.positions.tolist() == psi.positions.tolist()
+    path = wealth(market.tree, market.prices, psi, x0)
+    outside = [abs(psi.at(node)) > radius for node in market.tree.interior]
+    assert 0 < sum(outside) == values[0].stats.clamped
+    for node, out in zip(market.tree.interior, outside):
+        solution = values[node.depth].solution(node, path.at(node))
+        assert solution.clamped == out
+        assert solution.bracket == (-radius, radius)
+
+
+#: kernel calls of one cold Newton best response per rung of the seed-1
+#: ladder, summed
+NEWTON_LADDER_CEILING = 61
+
+
+def test_cold_ladder_newton_work_stays_under_ceiling():
+    """Kernel calls of one cold Newton best response against the zero
+    strategy per rung of the seed-1 ladder (2 atoms T = 1..5, 3 atoms
+    T = 1..4), summed.  The ladder takes 59 calls (50 iterations), against
+    2,468 one-step solves of the exact recursion; the ceiling is that count
+    plus 5 %, as for ``LADDER_CEILINGS``."""
+    total = 0
+    for atoms, horizons in ((2, range(1, 6)), (3, range(1, 5))):
+        for horizon in horizons:
+            market, prefs, x0 = random_certified_instance(
+                np.random.default_rng(1), horizon, atoms)
+            _, values = best_response(market, prefs,
+                                      Strategy.constant(market.tree, 0.0),
+                                      x0, stack=_stack(market, prefs))
+            stats = values[0].stats
+            assert stats.clamped == stats.exhausted == 0
+            total += stats.kernel_calls
+    assert total <= NEWTON_LADDER_CEILING, total

@@ -147,6 +147,26 @@ def test_solve_error_exits_cleanly_at_large_capital(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_error_exits_cleanly_on_degenerate_increments(tmp_path, capsys,
+                                                            monkeypatch):
+    # the edges out of node 1 carry no increment; a certificate forged for
+    # the market lets the law reach the best response, whose curvature
+    # there is 0: the CLI reports the flat first-order condition, exit 1
+    import refequil.config as config_mod
+    from refequil.market import NoArbitrageCertificate
+
+    monkeypatch.setattr(config_mod, "check_uniform_no_arbitrage",
+                        lambda tree, prices: NoArbitrageCertificate(
+                            0.5, {}, None))
+    cfg = _patch_fixture(tmp_path, lambda raw: raw["market"]["price"]
+                         ["increments"].update({"0/0": 0.0, "0/1": 0.0}))
+    assert main(["solve", "--config", cfg, "--seed", "7", "--out",
+                 str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("solve failed: flat first-order condition at node 1; "
+                   "the increment law is degenerate\n")
+
+
 def _main_recording_warnings(argv):
     # the CLI runs under Python's default warning filter, which prints
     # numpy's RuntimeWarnings; here every one of them is recorded

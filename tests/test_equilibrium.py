@@ -6,10 +6,8 @@ import pytest
 import refequil.bestresponse as bestresponse
 from refequil.bestresponse import (
     SolveError,
-    SolveStats,
     Strategy,
     best_response,
-    best_response_steps,
     terminal_wealth_law,
 )
 from refequil.config import fixture_path, load_config
@@ -423,55 +421,6 @@ def test_config_validation():
         EquilibriumConfig(max_iterations=0)
 
 
-def test_bracket_memo_leaves_picard_run_unchanged(monkeypatch):
-    # a bracket depends on the stage and the wealth only, so a run whose
-    # best responses share a bracket memo equals one computing every
-    # bracket afresh, and computes fewer
-    from dataclasses import replace
-
-    import refequil.equilibrium as equilibrium
-    from refequil.preferences import build_envelope_stack
-
-    from conftest import random_certified_instance
-
-    rng = np.random.default_rng(23)
-    market, prefs, x0 = random_certified_instance(rng, 3, 3)
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 market.prices.c_f, market.prices.chi, 3)
-    start = Strategy({node.id: float(rng.uniform(-1.0, 1.0))
-                      for node in market.tree.interior})
-    runs = []
-    for memo in (True, False):
-        responses, stats = [], []
-
-        def traced(*args, brackets, **kwargs):
-            response, values = yield from best_response_steps(
-                *args, brackets=brackets if memo else None, **kwargs)
-            responses.append(response.positions.tolist())
-            stats.append(values[0].stats)
-            return response, values
-
-        monkeypatch.setattr(equilibrium, "best_response_steps", traced)
-        report = iterate_fixed_point(market, prefs,
-                                     EquilibriumConfig(max_iterations=12),
-                                     start, x0, stack=stack)
-        runs.append((report, responses, stats))
-    (memo, memo_responses, memo_stats), (fresh, fresh_responses,
-                                         fresh_stats) = runs
-    assert (memo.strategy.positions.tolist()
-            == fresh.strategy.positions.tolist())
-    assert (memo.residual, memo.value, memo.iterations, memo.converged,
-            memo.residual_trace) == (fresh.residual, fresh.value,
-                                     fresh.iterations, fresh.converged,
-                                     fresh.residual_trace)
-    assert memo_responses == fresh_responses
-    assert ([replace(s, brackets=0) for s in memo_stats]
-            == [replace(s, brackets=0) for s in fresh_stats])
-    assert memo.iterations == len(memo_stats) > 2
-    assert (sum(s.brackets for s in memo_stats)
-            < sum(s.brackets for s in fresh_stats))
-
-
 # ---------------------------------------------------------------------------
 # the lockstep search against its sequential reference
 # ---------------------------------------------------------------------------
@@ -498,30 +447,30 @@ def _stack(market, prefs):
 
 
 def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
-    """Reports of both searches, and per search (kernel calls, one-step
-    solves, FOC evaluations)."""
+    """Reports of both searches, and per search (kernel calls, Newton
+    iterations, step halvings)."""
     stack = _stack(market, prefs)
     work = [0, 0, 0]
-    kernel, record = bestresponse.satisfaction, SolveStats.record
+    kernel, record = bestresponse.satisfaction, bestresponse._record
 
     def counted_kernel(*args, **kwargs):
         work[0] += 1
         return kernel(*args, **kwargs)
 
-    def counted_record(self, solution, stage):
-        work[1] += 1
-        work[2] += solution.iterations
-        return record(self, solution, stage)
+    def counted_record(values, *args):
+        record(values, *args)
+        work[1] += values[0].stats.newton_iterations
+        work[2] += values[0].stats.halvings
 
     monkeypatch.setattr(bestresponse, "satisfaction", counted_kernel)
-    monkeypatch.setattr(SolveStats, "record", counted_record)
+    monkeypatch.setattr(bestresponse, "_record", counted_record)
     lockstep = find_equilibria(market, prefs, config, x0, seed=seed,
                                stack=stack)
     lockstep_work, work[:] = tuple(work), [0, 0, 0]
     sequential = sequential_search(market, prefs, config, x0, seed, stack)
     assert ([_fields(r) for r in lockstep.reports]
             == [_fields(r) for r in sequential])
-    # the same solves; the terminal rounds of all starts merged
+    # the same Newton work; the terminal rounds of all starts merged
     assert lockstep_work[1:] == tuple(work[1:])
     assert lockstep_work[0] <= work[0]
     return lockstep.reports, lockstep_work[0], work[0]
@@ -540,7 +489,7 @@ def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
     if bound is not None:
         # symmetric_t2: 15 best responses, each at least one kernel call
         # alone; in lockstep the starts' two rounds share 3 calls in all.
-        # asymmetric_eex_t2 makes 43 merged calls against 206 alone
+        # asymmetric_eex_t2 makes 25 merged calls against 126 alone
         assert merged <= bound < alone
 
 
