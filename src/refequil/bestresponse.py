@@ -3,7 +3,7 @@
 Against a fixed reference law, terminal wealth is affine in the vector h of
 interior positions, so the self-value V(h) = sum_l pi_l s(W_l(h)) is one
 smooth concave function of h.  :func:`best_response` maximizes it by
-Newton's method on the whole tree (:func:`_newton_steps`).  Because the
+Newton's method on the whole tree (:func:`_tree_newton`).  Because the
 dynamics are linear, differential dynamic programming with exact second
 derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989):
 
@@ -38,10 +38,6 @@ derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989):
 * Starts.  A cold run starts at h = 0 and returns exactly 0 when 0 meets
   the target; a Picard run starts each best response at its previous one.
 
-The engine is written as steps that yield ``(terminal, leaves, wealths)``
-requests, so that :func:`run_lockstep` merges the kernel calls of many
-runs, such as the starts of a multistart search.
-
 The exact recursion is the ground truth that verify's sampled (node, x)
 checks and the tests read: :func:`value_recursion` chains on-demand
 evaluators (:class:`RecursiveValue`) that solve the one-step problem
@@ -58,30 +54,22 @@ The recursion's Newton iteration is one coroutine (``_newton``) that
 yields probe positions: a Newton burst from the tangent seed, or from 0
 when a node has no seed yet, then a bracketed flow that starts from the
 burst's own probes.  A stage thus runs all of its pending one-step
-problems in lockstep rounds: each round asks the next stage once, through
-``evaluate_many(nodes, xs)``, for the columns (v, v', v'') at the children
-of every problem at its probe, so a terminal next stage costs one
-satisfaction-kernel call per round.  A solve that stops at the probe just
-evaluated takes its envelope from that probe's columns.  The rounds are
-exact: ``evaluate_many`` returns, memoizes and warm-starts exactly as
-evaluating the pairs one by one, depth first, would.  The recursion is
-written as steps too: a next stage that is an exact recursion runs in
-place (``yield from``) and any other (the terminal stage, a test double)
-is passed up to :func:`run_lockstep` as ``(evaluator, nodes, xs)``.  Each
-round of that runner, the terminal requests that share their preferences
-and atom count take one kernel call, with one reference row per wealth,
-and every run receives the columns it would receive alone.
-:func:`solve_one_step` drives the same ``_newton`` one problem and one
-probe at a time, through :func:`one_step_objective`.
+problems together, as lanes, in rounds: each round asks the next stage
+once, through ``evaluate_many(nodes, xs)``, for the columns (v, v', v'')
+at the children of every problem at its probe, so a terminal next stage
+costs one satisfaction-kernel call per round.  A solve that stops at the
+probe just evaluated takes its envelope from that probe's columns.  The
+rounds are exact: ``evaluate_many`` returns, memoizes and warm-starts
+exactly as evaluating the pairs one by one, depth first, would.  A
+depth-first recursion would give the same bits from about twice the
+kernel calls.  :func:`solve_one_step` drives the same ``_newton`` one
+problem and one probe at a time, through :func:`one_step_objective`.
 
 Evaluators are pure in (node, wealth).  Their solution and value memos
-are private to one value recursion.  Two tables may be shared by
-recursions on one tree: ``warm`` (per node, the wealth, optimizer and
-optimizer slope dh*/dx of its last solve, which seed Newton on the tangent,
-see :func:`tangent_seed`) and the bracket memo (``brackets``: per stage,
-wealth to optimizer bracket).  A bracket depends on the stage and the
-wealth only, never on the reference law, so a memoized one equals a fresh
-one bit for bit.
+are private to one value recursion.  Recursions on one tree may share
+``warm``: per node, the wealth, optimizer and optimizer slope dh*/dx of
+its last solve, which seed Newton on the tangent (see
+:func:`tangent_seed`).
 """
 
 from __future__ import annotations
@@ -349,8 +337,8 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
     solve (``exhausted`` flags a solve that ran out).
 
     One problem, one probe at a time (:func:`one_step_objective`); the
-    value recursion solves its problems in lockstep lanes instead, with
-    the same Newton iteration and the same sums.
+    value recursion solves its problems together, as lanes, with the same
+    Newton iteration and the same sums.
     """
     newton = _newton(node, x, bracket, foc_tolerance, max_iterations,
                      initial)
@@ -361,65 +349,6 @@ def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
             h = newton.send((small, slope))
     except StopIteration as done:
         return done.value
-
-
-# ---------------------------------------------------------------------------
-# running steps
-# ---------------------------------------------------------------------------
-
-def run_lockstep(runs: Sequence) -> list:
-    """Run step generators together, one round at a time.
-
-    Each round answers every pending request.  Requests to terminal stages
-    with the same preferences and atom count share one kernel call
-    (:func:`_terminal_columns`); any other request is one ``evaluate_many``
-    call.  Every run receives exactly the columns it would receive alone,
-    so its result equals ``run_lockstep([run])[0]``, which is how the
-    synchronous API runs one; only the runs' requests interleave.  Returns
-    the results in order.  When runs raise, the exception of the
-    lowest-index one is raised once the runs before it have finished, as
-    running them one after another would; the runs after it are dropped.
-    """
-    results: list = [None] * len(runs)
-    requests: dict[int, tuple] = {}
-    failure: tuple[int, Exception] | None = None
-
-    def advance(k: int, send) -> bool:
-        """One step of run ``k``; False once it has raised."""
-        nonlocal failure
-        try:
-            requests[k] = send()
-        except StopIteration as done:
-            results[k] = done.value
-        except Exception as exc:  # raised below, in run order
-            failure = (k, exc)
-            return False
-        return True
-
-    for k, run in enumerate(runs):
-        if not advance(k, run.__next__):
-            break
-    while requests:
-        current, requests = requests, {}
-        groups: dict = {}
-        for k, (evaluator, _, _) in current.items():
-            if type(evaluator) is TerminalValue:
-                key = (evaluator.preferences, len(evaluator.reference))
-                groups.setdefault(key, []).append(k)
-        merged = {}
-        for members in groups.values():
-            if len(members) > 1:
-                merged.update(zip(members, _terminal_columns(
-                    [current[k] for k in members])))
-        for k in sorted(current):
-            evaluator, nodes, xs = current[k]
-            if not advance(k, lambda: runs[k].send(
-                    merged[k] if k in merged
-                    else evaluator.evaluate_many(nodes, xs))):
-                break
-    if failure is not None:
-        raise failure[1]
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +380,6 @@ class SolveStats:
     unbounded: int = 0
     #: largest first-order-condition residual of any solution
     max_residual: float = 0.0
-    #: wealths whose optimizer bracket was computed (not read from a memo)
-    brackets: int = 0
     #: one-step problems solved, per stage
     stage_solves: dict = field(default_factory=dict)
     #: Newton iterations of the best response on the whole tree
@@ -504,27 +431,6 @@ class TerminalValue:
         return self.evaluate(None, list(xs))
 
 
-def _terminal_columns(requests: Sequence[tuple]) -> list[tuple]:
-    """The columns of several terminal requests ``(terminal, nodes, xs)``
-    whose terminals share their preferences and atom count, from one kernel
-    call with one reference row per wealth; each equals the request's own
-    ``evaluate_many`` bit for bit."""
-    counts = [len(xs) for _, _, xs in requests]
-    ref_u = np.repeat(np.array([t._ref_u for t, _, _ in requests]), counts,
-                      axis=0)
-    probs = np.repeat(np.array([t.reference.probs for t, _, _ in requests]),
-                      counts, axis=0)
-    preferences = requests[0][0].preferences
-    columns = satisfaction(preferences.utility, preferences.gain_loss,
-                           [x for _, _, xs in requests for x in xs], None,
-                           derivatives=True, ref_u=ref_u, probs=probs)
-    out, stop = [], 0
-    for count in counts:
-        start, stop = stop, stop + count
-        out.append(tuple(column[start:stop] for column in columns))
-    return out
-
-
 #: per node id, the wealth x, optimizer h* and optimizer slope dh*/dx of the
 #: node's last solve
 WarmTable = dict[int, tuple[float, float, float]]
@@ -555,7 +461,7 @@ class RecursiveValue:
     next solve starts on the tangent (:func:`tangent_seed`).
 
     ``evaluate_many(nodes, xs)`` returns the columns (v, v', v'') and solves
-    its pending problems in lockstep rounds: each round gathers the
+    its pending problems together, in rounds: each round gathers the
     children of every unsolved problem at its next probe (or of a solved
     one at its optimizer) and asks the next stage for all of them in one
     ``evaluate_many`` call, so a terminal next stage costs one kernel call
@@ -566,10 +472,8 @@ class RecursiveValue:
     solved once, and every sum accumulates in child order.
 
     ``bracket_fn`` maps a wealth, or an array of wealths, to the radius of
-    the optimizer bracket.  Without a ``brackets`` memo each wave makes one
-    call over its fresh wealths.  With one (a dict from wealth to radius,
-    kept by the caller across recursions of the same stage) only the
-    wealths missing from it are computed, in one call, and stored.
+    the optimizer bracket; each wave makes one call over its fresh wealths,
+    which equals the scalar calls bit for bit.
     """
 
     def __init__(self, prices: PriceModel, next_value,
@@ -577,8 +481,7 @@ class RecursiveValue:
                  edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
                  warm: WarmTable | None = None,
-                 stats: SolveStats | None = None,
-                 brackets: dict[float, float] | None = None) -> None:
+                 stats: SolveStats | None = None) -> None:
         self.prices = prices
         self.next_value = next_value
         self.bracket_fn = bracket_fn
@@ -590,23 +493,18 @@ class RecursiveValue:
         #: the tree's edge table (:meth:`PriceModel.edges`)
         self.edges = edges
         self.stats = stats if stats is not None else SolveStats()
-        #: optimizer bracket per wealth, shared across rebuilds, or None
-        self.brackets = brackets
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
-        return run_lockstep([self.solution_steps(node, x)])[0]
-
-    def solution_steps(self, node: TreeNode, x: float):
-        """:meth:`solution` as steps: a one-lane wave, which also stores
-        the value at ``(node, x)``."""
+        """The one-step solution at ``(node, x)``: a one-lane wave, which
+        also stores the value there."""
         key = (node.id, float(x))
         hit = self._solutions.get(key)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
-        yield from self._run([(node, key[1])])
+        self._run([(node, key[1])])
         return self._solutions[key]
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
@@ -615,10 +513,6 @@ class RecursiveValue:
 
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[Sequence[float], ...]:
-        return run_lockstep([self.evaluate_steps(nodes, xs)])[0]
-
-    def evaluate_steps(self, nodes: Sequence[TreeNode], xs: Sequence[float]):
-        """:meth:`evaluate_many` as steps."""
         keys = [(node.id, float(x)) for node, x in zip(nodes, xs)]
         waves: list[list[tuple[TreeNode, float]]] = []
         queued: dict[int, int] = {}
@@ -634,17 +528,18 @@ class RecursiveValue:
                 waves.append([])
             waves[wave].append((node, key[1]))
         for wave in waves:
-            yield from self._run(wave)
+            self._run(wave)
         return tuple(zip(*[self._values[key] for key in keys])) or ((), (), ())
 
-    def _run(self, wave: list[tuple[TreeNode, float]]):
-        """Solve and evaluate one wave of distinct nodes in lockstep, as
-        steps.
+    def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
+        """Solve and evaluate one wave of distinct nodes together.
 
         A lane is ``(node, x, edges, newton, h)``: the running :func:`_newton`
         and its next probe, or None and an optimizer still to be evaluated."""
-        brackets = iter(self._brackets(
-            [x for node, x in wave if (node.id, x) not in self._solutions]))
+        fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
+        brackets = iter(np.broadcast_to(
+            self.bracket_fn(np.array(fresh)), (len(fresh),)).tolist()
+            if fresh else [])
         lanes = []
         for node, x in wave:
             solved = self._solutions.get((node.id, x))
@@ -661,11 +556,7 @@ class RecursiveValue:
             nodes = [c for lane in lanes for c in lane[2].children]
             xs = [x + h * f for _, x, edges, _, h in lanes
                   for f in edges.increments]
-            if isinstance(self.next_value, RecursiveValue):
-                v, v1, v2 = yield from self.next_value.evaluate_steps(nodes,
-                                                                      xs)
-            else:
-                v, v1, v2 = yield self.next_value, nodes, xs
+            v, v1, v2 = self.next_value.evaluate_many(nodes, xs)
             live, stop = [], 0
             for node, x, edges, newton, h in lanes:
                 start = stop
@@ -691,20 +582,6 @@ class RecursiveValue:
                     node, edges, v[start:stop], v1[start:stop], v2[start:stop])
                 self.warm[node.id] = (x, h, dh_dx)
             lanes = live
-
-    def _brackets(self, xs: list[float]) -> list[float]:
-        """Bracket radii at ``xs`` from at most one ``bracket_fn`` call,
-        which is equal to the scalar calls bit for bit."""
-        memo = self.brackets
-        missing = xs if memo is None else list(
-            dict.fromkeys(x for x in xs if x not in memo))
-        self.stats.brackets += len(missing)
-        radii = np.broadcast_to(self.bracket_fn(np.array(missing)),
-                                (len(missing),)).tolist() if missing else []
-        if memo is None:
-            return radii
-        memo.update(zip(missing, radii))
-        return [memo[x] for x in xs]
 
     def _store(self, key: tuple[int, float], solution: OneStepSolution
                ) -> None:
@@ -737,18 +614,14 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     terminal: TerminalValue,
                     stack: Sequence[StageEnvelopes],
                     foc_tolerance: float = 1e-10,
-                    warm: WarmTable | None = None,
-                    brackets: dict[int, dict[float, float]] | None = None,
-                    ) -> list:
+                    warm: WarmTable | None = None) -> list:
     """Evaluators for stages 0..T (index = stage), chained on-demand exact
     recursions over the terminal stage.
 
     Every stage reads the market's edge table and counts its work
     in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
-    (node to the wealth, optimizer and optimizer slope of its last solve)
-    and ``brackets`` (stage to that stage's bracket memo), both filled
-    here, may be shared with other recursions on the same tree and envelope
-    stack.
+    (node to the wealth, optimizer and optimizer slope of its last solve),
+    filled here, may be shared with other recursions on the same tree.
     """
     edges = prices.edges(tree)
     stats = SolveStats()
@@ -758,9 +631,7 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
         values[t] = RecursiveValue(prices, values[t + 1],
                                    stack[t].position_bound, edges,
                                    foc_tolerance, stage=t, warm=warm,
-                                   stats=stats,
-                                   brackets=None if brackets is None
-                                   else brackets.setdefault(t, {}))
+                                   stats=stats)
     return values
 
 
@@ -785,23 +656,11 @@ def best_response(market: Market, preferences: Preferences,
 
     Builds the reference law from the reference strategy's terminal wealth
     and maximizes the self-value by Newton's method on the whole tree
-    (:func:`_newton_steps`), from ``initial`` or, cold, from 0.  Returns the
+    (:func:`_tree_newton`), from ``initial`` or, cold, from 0.  Returns the
     strategy and the stage evaluators of the exact recursion (stage 0 holds
     the optimal value at ``x0``), whose memos hold the pass's on-path
     solutions and values (:func:`_record`).
     """
-    return run_lockstep([best_response_steps(
-        market, preferences, reference_strategy, x0, stack, foc_tolerance,
-        initial)])[0]
-
-
-def best_response_steps(market: Market, preferences: Preferences,
-                        reference_strategy, x0: float,
-                        stack: Sequence[StageEnvelopes] | None = None,
-                        foc_tolerance: float = 1e-10,
-                        initial: Strategy | None = None):
-    """:func:`best_response` as steps, so that :func:`run_lockstep` can run
-    many best responses with one terminal kernel call per round."""
     market.require_certified()
     tree, prices = market.tree, market.prices
     if stack is None:
@@ -813,9 +672,8 @@ def best_response_steps(market: Market, preferences: Preferences,
     start = np.zeros(len(tree.interior))
     if initial is not None:
         start = Strategy(start)._paired(initial)
-    found, exhausted, counts = yield from _newton_steps(
-        prices.stages(tree), terminal, tree.leaves, float(x0), start,
-        foc_tolerance)
+    found, exhausted, counts = _tree_newton(prices.stages(tree), terminal,
+                                            float(x0), start, foc_tolerance)
     values = value_recursion(tree, prices, terminal, stack, foc_tolerance,
                              warm={})
     _record(values, tree, stack, foc_tolerance, found, exhausted, counts)
@@ -938,11 +796,11 @@ def _check(stages: Sequence[StageArrays], point: _Point) -> None:
                              "increment law is degenerate")
 
 
-def _newton_steps(stages: Sequence[StageArrays], terminal: TerminalValue,
-                  leaves: Sequence[TreeNode], x0: float,
-                  positions: np.ndarray, foc_tolerance: float):
+def _tree_newton(stages: Sequence[StageArrays], terminal: TerminalValue,
+                 x0: float, positions: np.ndarray, foc_tolerance: float
+                 ) -> tuple[_Point, bool, tuple[int, int, int]]:
     """Maximize the self-value over the positions by Newton's method, from
-    ``positions``, as steps that ask ``terminal`` for the leaf columns.
+    ``positions``, asking ``terminal`` for the leaf columns.
 
     Each iteration runs :func:`_sweep` and :func:`_direction` at the
     current point and tries the full step.  A trial point costs one kernel
@@ -965,14 +823,14 @@ def _newton_steps(stages: Sequence[StageArrays], terminal: TerminalValue,
     target = _foc_target(foc_tolerance)
     calls = 0
 
-    def point(h: np.ndarray):
+    def point(h: np.ndarray) -> _Point:
         nonlocal calls
         xs = _roll(stages, h, x0)
-        columns = yield terminal, leaves, xs[-1].tolist()
         calls += 1
-        return _Point(h, xs, *_sweep(stages, columns))
+        return _Point(h, xs, *_sweep(stages,
+                                     terminal.evaluate(None, xs[-1].tolist())))
 
-    current = yield from point(positions)
+    current = point(positions)
     _check(stages, current)
     iterations = halvings = 0
     while True:
@@ -992,7 +850,7 @@ def _newton_steps(stages: Sequence[StageArrays], terminal: TerminalValue,
             moved = current.positions + alpha * step
             if np.array_equal(moved, current.positions):
                 break
-            candidate = yield from point(moved)
+            candidate = point(moved)
             if (judged and candidate.value
                     >= current.value + _ARMIJO * alpha * current.rise
                     or candidate.residual

@@ -9,17 +9,10 @@ ways: analytically (the best-response residual) and, on small trees, against
 a brute-force grid oracle whose tolerance follows from the curvature
 envelope.
 
-The Picard loop is one step generator (``_picard_steps``), run by
-:func:`~refequil.bestresponse.run_lockstep`: :func:`iterate_fixed_point`
-runs one alone.  Multistart runs are independent: each owns its iteration
-state, and each of its best responses starts Newton at its previous one.
-The search advances them in lockstep: every start that has not converged
-or run out of iterations takes its next best-response round in the same
-round as the others, and the terminal stage is the only point where a
-start waits for them, so that the starts' terminal requests of one round
-share one satisfaction-kernel call per atom count.  Each report equals that of
-running the start alone through :func:`iterate_fixed_point`, and the
-starts' errors surface in start order, so equal seeds give equal reports.
+Multistart runs are independent: :func:`find_equilibria` runs
+:func:`iterate_fixed_point` once per start, in start order, and each of a
+run's best responses starts Newton at its previous one.  So the error of
+the lowest failing start surfaces, and equal seeds give equal reports.
 """
 
 from __future__ import annotations
@@ -31,8 +24,6 @@ import numpy as np
 from .bestresponse import (
     Strategy,
     best_response,
-    best_response_steps,
-    run_lockstep,
     terminal_wealth_law,
 )
 from .market import Market, node_increments
@@ -170,20 +161,11 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     lowest-residual iterate seen, with the converged flag telling the two
     outcomes apart.  Each best response after the first starts Newton at
     the previous one (:func:`~refequil.bestresponse.best_response`'s
-    ``initial``).  The loop is :func:`_picard_steps`, run alone here;
-    :func:`find_equilibria` runs one per start, in lockstep.
+    ``initial``).
     """
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    return run_lockstep([_picard_steps(market, preferences, config, start,
-                                       x0, stack, start_id)])[0]
-
-
-def _picard_steps(market: Market, preferences: Preferences,
-                  config: EquilibriumConfig, start: Strategy, x0: float,
-                  stack, start_id: int):
-    """:func:`iterate_fixed_point` as steps (see :func:`run_lockstep`)."""
     current = start
     response = None
     best: tuple[float, Strategy] | None = None
@@ -191,7 +173,7 @@ def _picard_steps(market: Market, preferences: Preferences,
     converged = False
     fallbacks = 0
     for _ in range(config.max_iterations):
-        response, _ = yield from best_response_steps(
+        response, _ = best_response(
             market, preferences, current, x0, stack=stack,
             foc_tolerance=config.foc_tolerance, initial=response)
         residual = response.sup_distance(current)
@@ -332,11 +314,10 @@ def find_equilibria(market: Market, preferences: Preferences,
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    # the starts advance in lockstep and share their terminal kernel calls
-    # round by round; each report equals its own iterate_fixed_point run
-    reports = run_lockstep([
-        _picard_steps(market, preferences, config, start, x0, stack, k)
-        for k, start in enumerate(_starts(market, config, x0, seed, stack))])
+    reports = [iterate_fixed_point(market, preferences, config, start, x0,
+                                   stack=stack, start_id=k)
+               for k, start in enumerate(_starts(market, config, x0, seed,
+                                                 stack))]
 
     distinct: list[int] = []
     for k, report in enumerate(reports):

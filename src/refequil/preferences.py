@@ -357,8 +357,8 @@ class ReferenceDistribution:
 
 
 def satisfaction(utility: Utility, gain_loss: GainLoss, x,
-                 reference: ReferenceDistribution | None,
-                 derivatives: bool = False, ref_u=None, probs=None):
+                 reference: ReferenceDistribution,
+                 derivatives: bool = False, ref_u=None):
     """Overall satisfaction from wealth ``x`` against a reference law.
 
     Direct utility plus the expected gain-loss comparison of utilities,
@@ -368,14 +368,11 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     elementwise).  With ``derivatives`` the result is the triple
     (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu''); for a list or an
     array each member of the triple is a column, a list or an array shaped
-    like ``x``.  ``ref_u`` and ``probs`` pass precomputed reference
-    utilities U(b_j) and atom probabilities q_j in place of ``reference``.
-    On the list path they may also be (elements x atoms) rows, one
-    reference per element, with every row equal bit for bit to the call
-    against its own reference alone.
+    like ``x``.  ``ref_u`` passes the precomputed reference utilities
+    U(b_j).
 
     A float or a list (the terminal evaluator sends all wealths of a
-    lockstep round as one list) takes a fixed number of numpy calls for any
+    round as one list) takes a fixed number of numpy calls for any
     length, and every element equals the float call bit for bit: U, U', U''
     come from :meth:`Utility.scalar_terms`, the gain-loss terms from one
     :meth:`GainLoss.terms` call on the (elements x atoms) gap matrix, and
@@ -386,8 +383,7 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     """
     if ref_u is None:
         ref_u = utility.u(reference.wealths)
-    if probs is None:
-        probs = reference.probs
+    probs = reference.probs
     if type(x) is float or type(x) is list:
         ux, dux, d2ux = utility.scalar_terms(x if type(x) is list else [x])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -416,14 +412,13 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
 
 
 def _row_dots(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """``np.dot(probs, row)`` for every row, from one stacked call;
-    ``probs`` is one vector or one row per row of ``rows``.
+    """``np.dot(probs, row)`` for every row, from one stacked call.
 
     Each (1 x n)(n x 1) product of the stack runs the same dot kernel as
     ``np.dot`` on the row, so the sums are equal bit for bit; a
     matrix-vector product (``rows @ probs``) may order them differently.
     """
-    return np.matmul(rows[:, None, :], probs[..., None])[:, 0, 0]
+    return np.matmul(rows[:, None, :], probs[:, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

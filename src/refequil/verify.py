@@ -20,9 +20,7 @@ import numpy as np
 from .bestresponse import (
     Strategy,
     best_response,
-    best_response_steps,
     one_step_objective,
-    run_lockstep,
 )
 from .equilibrium import (
     VALUE_TOL,
@@ -546,11 +544,10 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
     reports: list[CheckReport] = []
 
     converged = eqs.converged_reports
-    # one cold best response per converged report, run as one lockstep batch
-    responses = run_lockstep([
-        best_response_steps(s.market, s.preferences, rep.strategy, s.x0,
-                            stack=s.stack, foc_tolerance=cfg.foc_tolerance)
-        for rep in converged])
+    # one cold best response per converged report
+    responses = [best_response(s.market, s.preferences, rep.strategy, s.x0,
+                               stack=s.stack, foc_tolerance=cfg.foc_tolerance)
+                 for rep in converged]
     if converged:
         reports.append(_fold("fixed_point_idempotence", (
             (cfg.tolerance - again.sup_distance(rep.strategy),

@@ -14,9 +14,7 @@ from refequil.bestresponse import (
     Strategy,
     TerminalValue,
     best_response,
-    best_response_steps,
     one_step_objective,
-    run_lockstep,
     solve_one_step,
     tangent_seed,
     terminal_wealth_law,
@@ -516,32 +514,26 @@ def depth_first_values(market, prefs, law, stack, warm, counts):
     return values
 
 
-def recursion_best_response_steps(market, prefs, reference, x0, stack,
-                                  warm=None, brackets=None,
-                                  foc_tolerance=1e-10):
-    """The exact recursion's best response, as steps: ``value_recursion``
-    against the reference's terminal law, then ``solution`` forward from
-    the root at the wealths ``market.wealth`` rolls out."""
+def recursion_best_response(market, prefs, reference, x0, stack, warm=None,
+                            foc_tolerance=1e-10):
+    """The exact recursion's best response: ``value_recursion`` against
+    the reference's terminal law, then ``solution`` forward from the root
+    at the wealths ``market.wealth`` rolls out."""
     tree, prices = market.tree, market.prices
     values = value_recursion(tree, prices, TerminalValue(
         prefs, terminal_wealth_law(tree, prices, reference, x0)), stack,
-        foc_tolerance, warm=warm, brackets=brackets)
+        foc_tolerance, warm=warm)
     edges = prices.edges(tree)
     positions = np.empty(len(tree.interior))
     node_wealth = {tree.root.id: x0}
     for node in tree.interior:
         x = node_wealth[node.id]
-        sol = yield from values[node.depth].solution_steps(node, x)
+        sol = values[node.depth].solution(node, x)
         positions[node.id] = sol.position
         row = edges[node.id]
         for child, f in zip(row.children, row.increments):
             node_wealth[child.id] = x + sol.position * f
     return Strategy(positions), values
-
-
-def recursion_best_response(*args, **kwargs):
-    """:func:`recursion_best_response_steps` run alone."""
-    return run_lockstep([recursion_best_response_steps(*args, **kwargs)])[0]
 
 
 def _lockstep_instance(seed, horizon, atoms):
@@ -615,75 +607,6 @@ def test_evaluate_many_equals_one_by_one(stage, picks):
         assert a._values == b._values
         assert a._solutions == b._solutions
     assert many[0].stats == one[0].stats
-
-
-def test_lockstep_best_responses_equal_single_runs(monkeypatch):
-    # references with 1, 2 and more atoms: the terminal requests of equal
-    # atom counts share kernel calls, the rest run alone; every best
-    # response equals its own run, and there are fewer kernel calls
-    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
-    tree = market.tree
-    references = [Strategy.constant(tree, 0.0), reference,
-                  Strategy(reference.positions + 0.25),
-                  Strategy.constant(tree, 0.5),
-                  Strategy(reference.positions - 0.5)]
-    calls = Counter()
-    phase = ["lockstep"]
-    kernel = TerminalValue.evaluate_many
-
-    def counted(self, nodes, xs):
-        calls[phase[0]] += 1
-        return kernel(self, nodes, xs)
-
-    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
-
-    def steps(ref):
-        return recursion_best_response_steps(market, prefs, ref, x0, stack)
-
-    together = run_lockstep([steps(ref) for ref in references])
-    phase[0] = "alone"
-    alone = [recursion_best_response(market, prefs, ref, x0, stack)
-             for ref in references]
-    for (psi, values), (ref_psi, ref_values) in zip(together, alone):
-        assert psi.positions.tolist() == ref_psi.positions.tolist()
-        assert values[0].stats == ref_values[0].stats
-        assert (values[0].evaluate(tree.root, x0)
-                == ref_values[0].evaluate(tree.root, x0))
-    # merged calls bypass evaluate_many
-    assert calls["lockstep"] < calls["alone"]
-
-
-def test_bracket_memo_leaves_recursion_unchanged():
-    # a bracket depends on the stage and the wealth only, so recursions
-    # that share a bracket memo (and warm seeds) over a sequence of
-    # references equal ones computing every bracket afresh, and compute
-    # fewer; the references are the recursion's own best responses, as a
-    # Picard run of full steps would take them
-    from dataclasses import replace
-
-    rng = np.random.default_rng(23)
-    market, prefs, x0 = random_certified_instance(rng, 3, 3)
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 market.prices.c_f, market.prices.chi, 3)
-    start = Strategy({node.id: float(rng.uniform(-1.0, 1.0))
-                      for node in market.tree.interior})
-    runs = []
-    for memo in (True, False):
-        warm, brackets = {}, {} if memo else None
-        current, responses, stats = start, [], []
-        for _ in range(4):
-            current, values = recursion_best_response(
-                market, prefs, current, x0, stack, warm=warm,
-                brackets=brackets)
-            responses.append(current.positions.tolist())
-            stats.append(values[0].stats)
-        runs.append((responses, stats))
-    (memo_responses, memo_stats), (fresh_responses, fresh_stats) = runs
-    assert memo_responses == fresh_responses
-    assert ([replace(s, brackets=0) for s in memo_stats]
-            == [replace(s, brackets=0) for s in fresh_stats])
-    assert (sum(s.brackets for s in memo_stats)
-            < sum(s.brackets for s in fresh_stats))
 
 
 def test_position_bound_array_equals_scalar():
@@ -1228,37 +1151,6 @@ def test_newton_gain_is_the_optimizer_slope():
         down = exact[node.depth].solution(node, x - step).position
         assert gain == pytest.approx((up - down) / (2 * step), rel=1e-5,
                                      abs=1e-9)
-
-
-def test_newton_lockstep_best_responses_equal_single_runs(monkeypatch):
-    # the Newton runs of several references share their kernel calls round
-    # by round; each equals its own run, with fewer calls in all
-    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
-    tree = market.tree
-    references = [Strategy.constant(tree, 0.0), reference,
-                  Strategy(reference.positions + 0.25),
-                  Strategy.constant(tree, 0.5),
-                  Strategy(reference.positions - 0.5)]
-    calls = Counter()
-    phase = ["lockstep"]
-    kernel = TerminalValue.evaluate_many
-
-    def counted(self, nodes, xs):
-        calls[phase[0]] += 1
-        return kernel(self, nodes, xs)
-
-    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
-    together = run_lockstep([
-        best_response_steps(market, prefs, ref, x0, stack=stack)
-        for ref in references])
-    phase[0] = "alone"
-    alone = [best_response(market, prefs, ref, x0, stack=stack)
-             for ref in references]
-    for (psi, values), (ref_psi, ref_values) in zip(together, alone):
-        assert psi.positions.tolist() == ref_psi.positions.tolist()
-        assert values[0].stats == ref_values[0].stats
-        assert values[0]._values == ref_values[0]._values
-    assert calls["lockstep"] < calls["alone"]
 
 
 def test_newton_warm_start_at_the_response_returns_it():

@@ -157,9 +157,8 @@ def _oscillating(monkeypatch, center=0.0):
 
     def response(market, preferences, current, x0, **kwargs):
         return Strategy(center - 0.9 * (current.positions - center)), None
-        yield  # a step generator that never waits on a request
 
-    monkeypatch.setattr(equilibrium, "best_response_steps", response)
+    monkeypatch.setattr(equilibrium, "best_response", response)
 
 
 def test_residual_trace_decays_under_damping(symmetric_market, desk_prefs,
@@ -229,20 +228,21 @@ def test_dampings_take_different_paths_to_the_oscillating_limit(
     # other dampings: its Picard loops make every report's best responses
     import refequil.equilibrium as equilibrium
     calls = []
-    response = equilibrium.best_response_steps
+    response = equilibrium.best_response
 
     def counted(*args, **kwargs):
         calls.append(1)
         return response(*args, **kwargs)
 
-    monkeypatch.setattr(equilibrium, "best_response_steps", counted)
+    monkeypatch.setattr(equilibrium, "best_response", counted)
     checks = run_suite(symmetric_market, desk_prefs, 0.0, suite="equilibrium",
                        samples=4, seed=3,
                        config=EquilibriumConfig(starts=1, max_iterations=200),
                        stack=symmetric_stack)
     invariance, = [r for r in checks if r.name == "damping_invariance"]
     assert invariance.instances == 3 and invariance.passed
-    assert len(calls) == sum(r.iterations for r in reports)
+    # and the oracle check's certify_equilibrium makes one more
+    assert len(calls) == sum(r.iterations for r in reports) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -422,75 +422,22 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the lockstep search against its sequential reference
+# the multistart search against its starts run one by one
 # ---------------------------------------------------------------------------
 
 def sequential_search(market, prefs, config, x0, seed, stack):
     """The search's starts run one after another, each through
-    iterate_fixed_point: the reference for the lockstep search."""
+    iterate_fixed_point: the reference for the multistart search."""
     return [iterate_fixed_point(market, prefs, config, start, x0,
                                 stack=stack, start_id=k)
             for k, start in enumerate(_starts(market, config, x0, seed,
                                               stack))]
 
 
-def _fields(report):
-    return (report.strategy.positions.tolist(), report.residual, report.value,
-            report.iterations, report.converged, report.start_id,
-            report.residual_trace, report.fallbacks)
-
-
 def _stack(market, prefs):
     return build_envelope_stack(prefs, market.certificate.alpha_star,
                                 market.prices.c_f, market.prices.chi,
                                 market.horizon)
-
-
-def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
-    """Reports of both searches, and per search (kernel calls, Newton
-    iterations, step halvings)."""
-    stack = _stack(market, prefs)
-    work = [0, 0, 0]
-    kernel, record = bestresponse.satisfaction, bestresponse._record
-
-    def counted_kernel(*args, **kwargs):
-        work[0] += 1
-        return kernel(*args, **kwargs)
-
-    def counted_record(values, *args):
-        record(values, *args)
-        work[1] += values[0].stats.newton_iterations
-        work[2] += values[0].stats.halvings
-
-    monkeypatch.setattr(bestresponse, "satisfaction", counted_kernel)
-    monkeypatch.setattr(bestresponse, "_record", counted_record)
-    lockstep = find_equilibria(market, prefs, config, x0, seed=seed,
-                               stack=stack)
-    lockstep_work, work[:] = tuple(work), [0, 0, 0]
-    sequential = sequential_search(market, prefs, config, x0, seed, stack)
-    assert ([_fields(r) for r in lockstep.reports]
-            == [_fields(r) for r in sequential])
-    # the same Newton work; the terminal rounds of all starts merged
-    assert lockstep_work[1:] == tuple(work[1:])
-    assert lockstep_work[0] <= work[0]
-    return lockstep.reports, lockstep_work[0], work[0]
-
-
-@pytest.mark.parametrize("fixture,bound", [("asymmetric_eex_t2", 100),
-                                           ("symmetric_t2", 8),
-                                           ("stress_t3", None)])
-def test_lockstep_search_equals_sequential_on_fixtures(fixture, bound,
-                                                      monkeypatch):
-    config = load_config(fixture_path(fixture))
-    reports, merged, alone = _compare_searches(
-        config.market, config.preferences, config.solver,
-        config.initial_capital, 7, monkeypatch)
-    assert any(r.converged for r in reports)
-    if bound is not None:
-        # symmetric_t2: 15 best responses, each at least one kernel call
-        # alone; in lockstep the starts' two rounds share 3 calls in all.
-        # asymmetric_eex_t2 makes 25 merged calls against 126 alone
-        assert merged <= bound < alone
 
 
 @pytest.mark.parametrize("fixture,parent", [("symmetric_t2", 235),
@@ -506,29 +453,6 @@ def test_safeguarded_search_on_fixtures(fixture, parent):
     assert len(result.distinct) == 1
     assert 3 * sum(r.iterations for r in result.reports) <= parent
     assert sum(r.fallbacks for r in result.reports) == 0
-
-
-@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
-                                           (3, 2), (3, 3)])
-def test_lockstep_search_equals_sequential_on_random_trees(horizon, atoms,
-                                                           monkeypatch):
-    # an explicit start, a start at a converged limit, random draws and a
-    # budget too small for the starts away from the limit, so that runs of
-    # different lengths drop out of the lockstep
-    rng = np.random.default_rng([29, horizon, atoms])
-    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
-    explicit = Strategy({node.id: float(rng.uniform(-2.0, 2.0))
-                         for node in market.tree.interior})
-    limit = iterate_fixed_point(market, prefs, EquilibriumConfig(), explicit,
-                                x0)
-    assert limit.converged
-    config = EquilibriumConfig(starts=5, max_iterations=4,
-                               explicit_starts=(explicit, limit.strategy))
-    reports, _, _ = _compare_searches(market, prefs, config, x0, 3,
-                                      monkeypatch)
-    assert len(reports) == 5
-    assert any(not r.converged and r.iterations == 4 for r in reports)
-    assert any(r.converged and r.iterations < 4 for r in reports)
 
 
 def test_lockstep_search_raises_the_lowest_failing_start(monkeypatch):

@@ -150,63 +150,18 @@ def _per_atom_satisfaction(utility, x, ref, derivatives):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 300), atoms=st.integers(1, 800),
-       seed=st.integers(0, 2 ** 32 - 1), per_row=st.booleans())
-def test_row_dots_equal_per_row_dot(rows, atoms, seed, per_row):
-    # the list path reduces all rows in one stacked call, against one
-    # probability vector or one per row; every row must equal its own
-    # np.dot, across the BLAS kernel's unrolled body and tail
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_dots_equal_per_row_dot(rows, atoms, seed):
+    # the list path reduces all rows in one stacked call; every row must
+    # equal its own np.dot, across the BLAS kernel's unrolled body and tail
     rng = np.random.default_rng(seed)
     matrix = (rng.standard_normal((rows, atoms))
               * 10.0 ** rng.uniform(-3.0, 3.0, (rows, atoms)))
-    probs = rng.uniform(0.01, 1.0, (rows, atoms) if per_row else atoms)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = rng.uniform(0.01, 1.0, atoms)
+    probs /= probs.sum()
     got = _row_dots(matrix, probs)
     assert got.shape == (rows,)
-    row_probs = probs if per_row else [probs] * rows
-    assert got.tolist() == [float(np.dot(q, row))
-                            for q, row in zip(row_probs, matrix)]
-
-
-#: utilities of reference atoms and of wealths (U(800) = -0.0, U(-800) =
-#: -inf) that make gaps of +-0 and +-inf
-_EDGE_UTILITIES = [0.0, -0.0, math.inf, -math.inf, -1.0]
-
-
-@settings(max_examples=80, deadline=None)
-@given(references=st.lists(st.tuples(
-    st.lists(st.tuples(st.sampled_from(_EDGE_UTILITIES)
-                       | st.floats(-20.0, 0.0), st.floats(0.01, 1.0)),
-             min_size=1, max_size=4),
-    st.lists(st.sampled_from([800.0, -800.0, 0.0]) | st.floats(-8.0, 8.0),
-             min_size=1, max_size=6)), min_size=1, max_size=6),
-    derivatives=st.booleans())
-def test_satisfaction_rows_equal_one_call_per_reference(references,
-                                                         derivatives):
-    # lockstep searches merge the terminal requests of several references
-    # with one atom count into one call with a reference row per wealth;
-    # every row equals the call against its own reference alone, bit for
-    # bit, non-finite results included
-    calls = []
-    for atoms, xs in references:
-        weights = np.array([q for _, q in atoms])
-        calls.append((np.array([u for u, _ in atoms]),
-                      weights / weights.sum(), xs))
-    for m in {len(ref_u) for ref_u, _, _ in calls}:
-        group = [call for call in calls if len(call[0]) == m]
-        counts = [len(xs) for _, _, xs in group]
-        merged = satisfaction(
-            EXP_U, WIDE_NU, [x for _, _, xs in group for x in xs], None,
-            derivatives, ref_u=np.repeat([c[0] for c in group], counts, 0),
-            probs=np.repeat([c[1] for c in group], counts, 0))
-        columns = merged if derivatives else (merged,)
-        stop = 0
-        for (ref_u, probs, xs), count in zip(group, counts):
-            start, stop = stop, stop + count
-            alone = satisfaction(EXP_U, WIDE_NU, list(xs), None, derivatives,
-                                 ref_u=ref_u, probs=probs)
-            for got, want in zip(columns, alone if derivatives
-                                 else (alone,)):
-                assert _bits(got[start:stop]) == _bits(want)
+    assert got.tolist() == [float(np.dot(probs, row)) for row in matrix]
 
 
 def _bits(values) -> list[int]:
