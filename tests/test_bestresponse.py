@@ -609,6 +609,33 @@ def test_evaluate_many_equals_one_by_one(stage, picks):
     assert many[0].stats == one[0].stats
 
 
+def _references(market, reference):
+    # references whose terminal laws have 1, 2 and more atoms
+    tree = market.tree
+    return [Strategy.constant(tree, 0.0), reference,
+            Strategy(reference.positions + 0.25),
+            Strategy.constant(tree, 0.5),
+            Strategy(reference.positions - 0.5)]
+
+
+def test_newton_best_responses_in_sequence_equal_single_runs():
+    # best responses made one after another on one market and stack, as
+    # the search and verify make them, equal each made alone on a fresh
+    # instance, in the reverse order: no call leaves state behind that
+    # changes a later one
+    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+    together = [best_response(market, prefs, ref, x0, stack=stack)
+                for ref in _references(market, reference)]
+    for k, (psi, values) in reversed(list(enumerate(together))):
+        market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+        ref_psi, ref_values = best_response(
+            market, prefs, _references(market, reference)[k], x0,
+            stack=stack)
+        assert psi.positions.tolist() == ref_psi.positions.tolist()
+        assert values[0].stats == ref_values[0].stats
+        assert values[0]._values == ref_values[0]._values
+
+
 def test_position_bound_array_equals_scalar():
     # each lockstep wave asks the bracket once over an array of wealths;
     # the solver's outputs depend on it matching the scalar call exactly

@@ -440,6 +440,93 @@ def _stack(market, prefs):
                                 market.horizon)
 
 
+def _fields(report):
+    return (report.strategy.positions.tolist(), report.residual, report.value,
+            report.iterations, report.converged, report.start_id,
+            report.residual_trace, report.fallbacks)
+
+
+def _compare_searches(market, prefs, config, x0, seed, monkeypatch):
+    """Reports of the search, after checking that they and the search's
+    work (kernel calls, Newton iterations, step halvings) equal those of
+    its starts run one by one."""
+    stack = _stack(market, prefs)
+    work = [0, 0, 0]
+    kernel, record = bestresponse.satisfaction, bestresponse._record
+
+    def counted_kernel(*args, **kwargs):
+        work[0] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_record(values, *args):
+        record(values, *args)
+        work[1] += values[0].stats.newton_iterations
+        work[2] += values[0].stats.halvings
+
+    monkeypatch.setattr(bestresponse, "satisfaction", counted_kernel)
+    monkeypatch.setattr(bestresponse, "_record", counted_record)
+    search = find_equilibria(market, prefs, config, x0, seed=seed,
+                             stack=stack)
+    search_work, work[:] = tuple(work), [0, 0, 0]
+    sequential = sequential_search(market, prefs, config, x0, seed, stack)
+    assert ([_fields(r) for r in search.reports]
+            == [_fields(r) for r in sequential])
+    assert search_work == tuple(work)
+    return search.reports
+
+
+@pytest.mark.parametrize("fixture", ["asymmetric_eex_t2", "symmetric_t2",
+                                     "stress_t3"])
+def test_search_equals_sequential_on_fixtures(fixture, monkeypatch):
+    # no start's run leaves state behind that changes a later start's
+    config = load_config(fixture_path(fixture))
+    reports = _compare_searches(config.market, config.preferences,
+                                config.solver, config.initial_capital, 7,
+                                monkeypatch)
+    assert any(r.converged for r in reports)
+
+
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3)])
+def test_search_equals_sequential_on_random_trees(horizon, atoms,
+                                                  monkeypatch):
+    # an explicit start, a start at a converged limit, random draws and a
+    # budget too small for the starts away from the limit, so that runs
+    # of different lengths follow each other
+    rng = np.random.default_rng([29, horizon, atoms])
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    explicit = Strategy({node.id: float(rng.uniform(-2.0, 2.0))
+                         for node in market.tree.interior})
+    limit = iterate_fixed_point(market, prefs, EquilibriumConfig(), explicit,
+                                x0)
+    assert limit.converged
+    config = EquilibriumConfig(starts=5, max_iterations=4,
+                               explicit_starts=(explicit, limit.strategy))
+    reports = _compare_searches(market, prefs, config, x0, 3, monkeypatch)
+    assert len(reports) == 5
+    assert any(not r.converged and r.iterations == 4 for r in reports)
+    assert any(r.converged and r.iterations < 4 for r in reports)
+
+
+def test_search_runs_each_start_once_in_order(monkeypatch):
+    # the search calls iterate_fixed_point through the module global, once
+    # per start and in start order, so a tracer wrapping it sees every run
+    import refequil.equilibrium as equilibrium
+    market, prefs, x0 = random_certified_instance(
+        np.random.default_rng(43), 2, 2)
+    config = EquilibriumConfig(starts=5, max_iterations=6)
+    runs, iterate = [], equilibrium.iterate_fixed_point
+
+    def recording(*args, **kwargs):
+        runs.append(kwargs["start_id"])
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "iterate_fixed_point", recording)
+    result = find_equilibria(market, prefs, config, x0, seed=3)
+    assert runs == list(range(5))
+    assert [r.start_id for r in result.reports] == runs
+
+
 @pytest.mark.parametrize("fixture,parent", [("symmetric_t2", 235),
                                             ("asymmetric_eex_t2", 257),
                                             ("stress_t3", 194)])

@@ -164,6 +164,36 @@ def test_row_dots_equal_per_row_dot(rows, atoms, seed):
     assert got.tolist() == [float(np.dot(probs, row)) for row in matrix]
 
 
+#: utilities of reference atoms and of wealths (U(800) = -0.0, U(-800) =
+#: -inf) that make gaps of +-0 and +-inf
+_EDGE_UTILITIES = [0.0, -0.0, math.inf, -math.inf, -1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.lists(st.tuples(st.sampled_from(_EDGE_UTILITIES)
+                                | st.floats(-20.0, 0.0), st.floats(0.01, 1.0)),
+                      min_size=1, max_size=4),
+       xs=st.lists(st.sampled_from([800.0, -800.0, 0.0])
+                   | st.floats(-8.0, 8.0), min_size=1, max_size=6),
+       derivatives=st.booleans())
+def test_satisfaction_list_path_matches_float_path_on_edge_gaps(
+        atoms, xs, derivatives):
+    # reference utilities passed as ``ref_u``, with gaps of +-0 and +-inf:
+    # every element of the list call equals its float call bit for bit,
+    # non-finite results included
+    ref_u = np.array([u for u, _ in atoms])
+    weights = np.array([q for _, q in atoms])
+    # increasing wealths keep the probabilities in the order of ref_u
+    ref = ReferenceDistribution(enumerate(weights / weights.sum()))
+    batch = satisfaction(EXP_U, WIDE_NU, list(xs), ref, derivatives,
+                         ref_u=ref_u)
+    columns = batch if derivatives else (batch,)
+    for k, x in enumerate(xs):
+        alone = satisfaction(EXP_U, WIDE_NU, x, ref, derivatives, ref_u=ref_u)
+        assert (_bits([c[k] for c in columns])
+                == _bits(alone if derivatives else (alone,)))
+
+
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
