@@ -7,19 +7,20 @@ Newton's method on the whole tree (:func:`_tree_newton`).  Because the
 dynamics are linear, differential dynamic programming with exact second
 derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989):
 
-* Stage arrays.  ``PriceModel.stages`` keeps, per depth, the edges out of
-  its nodes as (nodes x atoms) increment and probability arrays; breadth
-  first ids make each node's children contiguous, so a depth's quantities
-  are the next depth's flat vector reshaped.  They are built on the first
-  best response on a tree and kept, as the edge table is.
-* The pass.  One roll-forward of wealth (``w + h * f``, the rounding of
-  :func:`~refequil.market.wealth`) gives the leaves, and one kernel call
-  there gives s, a = s' and b = s''.  The backward sweep (:func:`_sweep`)
-  forms per node Q_h = E p f a, Q_x = E p a, Q_hh = E p f^2 b, Q_hx =
-  E p f b and Q_xx = E p b, the step k = -Q_h/Q_hh and the gain K =
-  -Q_hx/Q_hh, and hands the depth above the model a = Q_x + Q_hx k and
-  b = Q_xx - Q_hx^2/Q_hh; alongside, the node's value E[s | node] and the
-  raw conditional mean E[s' | node].  The forward pass
+* Stage arrays.  The market's one edge table, ``PriceModel.stages``,
+  keeps per depth the edges out of its nodes as (nodes x atoms) increment
+  and probability arrays; breadth first ids make each node's children
+  contiguous, so a depth's quantities are the next depth's flat vector
+  reshaped.  The exact recursion reads the same arrays, a node's row at a
+  time (``PriceModel.row``).
+* The pass.  The one roll-forward of wealth (:func:`~refequil.market.roll`,
+  which :func:`~refequil.market.wealth` also runs) gives the leaves, and
+  one kernel call there gives s, a = s' and b = s''.  The backward sweep
+  (:func:`_sweep`) forms per node Q_h = E p f a, Q_x = E p a, Q_hh =
+  E p f^2 b, Q_hx = E p f b and Q_xx = E p b, the step k = -Q_h/Q_hh and
+  the gain K = -Q_hx/Q_hh, and hands the depth above the model a = Q_x +
+  Q_hx k and b = Q_xx - Q_hx^2/Q_hh; alongside, the node's value
+  E[s | node] and the raw conditional mean E[s' | node].  The forward pass
   (:func:`_direction`) rolls dh = k + K dx down the tree.
 * The Armijo rule.  A step is accepted when the value rises by at least
   1e-4 of the first-order increase the model predicts, or when the
@@ -82,13 +83,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .market import (
-    ChildEdges,
     Market,
     PriceModel,
     ScenarioTree,
     StageArrays,
     TreeNode,
-    child_edges,
+    roll,
     wealth,
 )
 from .preferences import (
@@ -180,15 +180,16 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
     next-stage value Gamma(h) = E v(x + h f), its derivative
     gamma(h) = E v'(x + h f) f and d gamma / dh = E v''(x + h f) f^2, which
     is strictly negative on certified models.  The sums run over the next
-    stage's columns at the children, in child order.
+    stage's columns at the children, in child order, and read the node's
+    row of the stage arrays (:meth:`~refequil.market.PriceModel.row`).
     """
     if node.is_terminal:
         raise SolveError("the one-step objective needs a non-terminal node")
-    edges = child_edges(prices, node)
-    v, v1, v2 = v_next.evaluate_many(
-        edges.children, [x + h * f for f in edges.increments])
+    increments, probs = prices.row(node)
+    v, v1, v2 = v_next.evaluate_many(node.children,
+                                     [x + h * f for f in increments])
     big = small = slope = 0.0
-    for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
+    for a, a1, a2, f, p in zip(v, v1, v2, increments, probs):
         big += p * a
         small += p * a1 * f
         slope += p * a2 * f * f
@@ -478,7 +479,6 @@ class RecursiveValue:
 
     def __init__(self, prices: PriceModel, next_value,
                  bracket_fn: Callable[..., float | np.ndarray],
-                 edges: Mapping[int, ChildEdges],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
                  warm: WarmTable | None = None,
                  stats: SolveStats | None = None) -> None:
@@ -490,8 +490,6 @@ class RecursiveValue:
         #: (x, h*, dh*/dx) of the last solve per node, shared across
         #: rebuilds to seed Newton
         self.warm = warm if warm is not None else {}
-        #: the tree's edge table (:meth:`PriceModel.edges`)
-        self.edges = edges
         self.stats = stats if stats is not None else SolveStats()
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
@@ -534,8 +532,10 @@ class RecursiveValue:
     def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
         """Solve and evaluate one wave of distinct nodes together.
 
-        A lane is ``(node, x, edges, newton, h)``: the running :func:`_newton`
-        and its next probe, or None and an optimizer still to be evaluated."""
+        A lane is ``(node, x, increments, probs, newton, h)``: the node's
+        row of the stage arrays, read once, and the running :func:`_newton`
+        and its next probe, or None and an optimizer still to be evaluated.
+        """
         fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
         brackets = iter(np.broadcast_to(
             self.bracket_fn(np.array(fresh)), (len(fresh),)).tolist()
@@ -551,24 +551,24 @@ class RecursiveValue:
             else:
                 self.stats.memo_hits += 1
                 newton, h = None, solved.position
-            lanes.append((node, x, self.edges[node.id], newton, h))
+            lanes.append((node, x, *self.prices.row(node), newton, h))
         while lanes:
-            nodes = [c for lane in lanes for c in lane[2].children]
-            xs = [x + h * f for _, x, edges, _, h in lanes
-                  for f in edges.increments]
+            nodes = [c for lane in lanes for c in lane[0].children]
+            xs = [x + h * f for _, x, increments, _, _, h in lanes
+                  for f in increments]
             v, v1, v2 = self.next_value.evaluate_many(nodes, xs)
             live, stop = [], 0
-            for node, x, edges, newton, h in lanes:
+            for node, x, increments, probs, newton, h in lanes:
                 start = stop
-                stop += len(edges.increments)
+                stop += len(increments)
                 if newton is not None:
                     small = slope = 0.0
                     for a1, a2, f, p in zip(v1[start:stop], v2[start:stop],
-                                            edges.increments, edges.probs):
+                                            increments, probs):
                         small += p * a1 * f
                         slope += p * a2 * f * f
                     try:
-                        live.append((node, x, edges, newton,
+                        live.append((node, x, increments, probs, newton,
                                      newton.send((small, slope))))
                         continue
                     except StopIteration as done:
@@ -576,10 +576,12 @@ class RecursiveValue:
                     self._store((node.id, x), solution)
                     if solution.position.hex() != h.hex():
                         # the best iterate is an earlier probe
-                        live.append((node, x, edges, None, solution.position))
+                        live.append((node, x, increments, probs, None,
+                                     solution.position))
                         continue
                 self._values[(node.id, x)], dh_dx = self._envelope(
-                    node, edges, v[start:stop], v1[start:stop], v2[start:stop])
+                    node, increments, probs, v[start:stop], v1[start:stop],
+                    v2[start:stop])
                 self.warm[node.id] = (x, h, dh_dx)
             lanes = live
 
@@ -589,13 +591,14 @@ class RecursiveValue:
         self.stats.record(solution, self.stage)
 
     @staticmethod
-    def _envelope(node: TreeNode, edges: ChildEdges, v: Sequence[float],
+    def _envelope(node: TreeNode, increments: list[float],
+                  probs: list[float], v: Sequence[float],
                   v1: Sequence[float], v2: Sequence[float]
                   ) -> tuple[tuple[float, float, float], float]:
         """(v, v', v'') from the next-stage columns at the optimizer, and
         the optimizer's slope dh*/dx."""
         value = slope = dgam_dx = dgam_dh = 0.0
-        for a, a1, a2, f, p in zip(v, v1, v2, edges.increments, edges.probs):
+        for a, a1, a2, f, p in zip(v, v1, v2, increments, probs):
             value += p * a
             slope += p * a1
             dgam_dx += p * a2 * f
@@ -605,8 +608,7 @@ class RecursiveValue:
                              "the increment law is degenerate")
         dh_dx = -dgam_dx / dgam_dh
         curve = math.fsum(p * a2 * (1.0 + f * dh_dx)
-                          for a2, f, p in zip(v2, edges.increments,
-                                              edges.probs))
+                          for a2, f, p in zip(v2, increments, probs))
         return (value, slope, curve), dh_dx
 
 
@@ -618,20 +620,19 @@ def value_recursion(tree: ScenarioTree, prices: PriceModel,
     """Evaluators for stages 0..T (index = stage), chained on-demand exact
     recursions over the terminal stage.
 
-    Every stage reads the market's edge table and counts its work
-    in one :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm``
-    (node to the wealth, optimizer and optimizer slope of its last solve),
-    filled here, may be shared with other recursions on the same tree.
+    Every stage reads the tree's stage arrays and counts its work in one
+    :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm`` (node to
+    the wealth, optimizer and optimizer slope of its last solve), filled
+    here, may be shared with other recursions on the same tree.
     """
-    edges = prices.edges(tree)
+    prices.stages(tree)
     stats = SolveStats()
     values: list = [None] * (tree.horizon + 1)
     values[tree.horizon] = terminal
     for t in range(tree.horizon - 1, -1, -1):
         values[t] = RecursiveValue(prices, values[t + 1],
-                                   stack[t].position_bound, edges,
-                                   foc_tolerance, stage=t, warm=warm,
-                                   stats=stats)
+                                   stack[t].position_bound, foc_tolerance,
+                                   stage=t, warm=warm, stats=stats)
     return values
 
 
@@ -700,7 +701,8 @@ class _Point(NamedTuple):
 
     #: one position per interior node, indexed by node id
     positions: np.ndarray
-    #: wealth at every node, one array per depth 0..T (:func:`_roll`)
+    #: wealth at every node, one array per depth 0..T
+    #: (:func:`~refequil.market.roll`)
     wealths: list
     #: :func:`_sweep`'s per-depth rows
     rows: list
@@ -710,17 +712,6 @@ class _Point(NamedTuple):
     rise: float
     #: the largest conditional |FOC| (NaN if any is)
     residual: float
-
-
-def _roll(stages: Sequence[StageArrays], positions: np.ndarray,
-          x0: float) -> list[np.ndarray]:
-    """Wealth at every node, one array per depth 0..T, each child's as
-    ``w + h * f``, the rounding of :func:`~refequil.market.wealth`."""
-    xs = [np.array([x0])]
-    for stage in stages:
-        h = positions[stage.offset:stage.offset + len(stage.increments)]
-        xs.append((xs[-1][:, None] + h[:, None] * stage.increments).ravel())
-    return xs
 
 
 def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, float,
@@ -825,7 +816,7 @@ def _tree_newton(stages: Sequence[StageArrays], terminal: TerminalValue,
 
     def point(h: np.ndarray) -> _Point:
         nonlocal calls
-        xs = _roll(stages, h, x0)
+        xs = roll(stages, h, x0)
         calls += 1
         return _Point(h, xs, *_sweep(stages,
                                      terminal.evaluate(None, xs[-1].tolist())))

@@ -6,7 +6,8 @@ equilibrium certification of a candidate), ``verify`` (invariant suites)
 and ``report`` (re-render a previous run's summary).
 
 Exit codes: 0 success; 1 the command's own criterion failed (no start
-converged / a check failed / certification failed) or a solve raised
+converged / a check failed / certification failed / a best response has a
+clamped or exhausted one-step solution) or a solve raised
 ``SolveError``; 2 configuration parse
 or validation error; 3 market certification failure; 4 preference
 validation failure.
@@ -252,6 +253,12 @@ def _cmd_best_response(config: RunConfig, reference_path: str) -> int:
             dump_rows.append([node.id, repr(x), repr(v), repr(v1), repr(v2)])
     _write_csv(out / "value_function.csv",
                ["node_id", "x", "value", "dvalue", "d2value"], dump_rows)
+    stats = values[0].stats
+    if stats.clamped or stats.exhausted:
+        print(f"best response flagged: {stats.clamped} clamped, "
+              f"{stats.exhausted} exhausted one-step solutions",
+              file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -280,6 +287,8 @@ def _cmd_certify(config: RunConfig, candidate_path: str) -> int:
     else:
         print(f"oracle margin: {report.oracle_margin!r} "
               f"(slack {report.oracle_slack!r})")
+        if report.notice:
+            print(f"notice: {report.notice}")
     print(f"self value: {value!r}")
     print(f"certified: {report.certified}")
     return EXIT_OK if report.certified else EXIT_FAILED

@@ -26,7 +26,7 @@ from .bestresponse import (
     best_response,
     terminal_wealth_law,
 )
-from .market import Market, node_increments
+from .market import Market, roll
 from .preferences import (
     Preferences,
     ReferenceDistribution,
@@ -219,13 +219,7 @@ def _oracle_sweep(market: Market, preferences: Preferences,
     grids = [np.linspace(-radius, radius, resolution) for _ in interior]
     mesh = np.meshgrid(*grids, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=-1)  # (combos, N)
-    incs = node_increments(tree, market.prices)
-    leaf_wealth = np.full((positions.shape[0], len(tree.leaves)), float(x0))
-    for j, leaf in enumerate(tree.leaves):
-        node = leaf
-        while node.depth > 0:
-            leaf_wealth[:, j] += positions[:, node.parent.id] * incs[node.id]
-            node = node.parent
+    leaf_wealth = roll(market.prices.stages(tree), positions, float(x0))[-1]
     probs = np.asarray([leaf.prob for leaf in tree.leaves])
     # row blocks bound the (strategies, leaves, atoms) gap array of the
     # kernel; each row's sum is independent of the blocking
@@ -248,16 +242,24 @@ def certify_equilibrium(market: Market, preferences: Preferences,
     position grid and verifies that none improves the candidate's self-value
     by more than the quadratic slack (half the curvature cap times the
     squared grid spacing times the horizon).  Trees whose grid would exceed
-    ``_ORACLE_CAP`` strategies get the analytic check only.
+    ``_ORACLE_CAP`` strategies get the analytic check only.  A best response
+    with a clamped or exhausted on-path solution is not certified, and the
+    notice says so.
     """
     config = config or EquilibriumConfig()
     market.require_certified()
     if stack is None:
         stack = _default_stack(market, preferences)
-    response, _ = best_response(market, preferences, candidate, x0,
-                                stack=stack,
-                                foc_tolerance=config.foc_tolerance)
+    response, values = best_response(market, preferences, candidate, x0,
+                                     stack=stack,
+                                     foc_tolerance=config.foc_tolerance)
     analytic = response.sup_distance(candidate)
+    stats = values[0].stats
+    flagged = stats.clamped or stats.exhausted
+    passed = analytic <= config.tolerance and not flagged
+    notices = ([f"best response flagged: {stats.clamped} clamped, "
+                f"{stats.exhausted} exhausted on-path solutions"]
+               if flagged else [])
 
     radius = config.oracle_radius
     if radius is None:
@@ -274,14 +276,12 @@ def certify_equilibrium(market: Market, preferences: Preferences,
                                resolution)
     self_value = evaluate_self_value(market, preferences, candidate, x0)
     if best_value is None:
-        certified = analytic <= config.tolerance
+        notices.append("grid too large; analytic check only")
         return CertificationReport(analytic, None, None, True, resolution,
-                                   certified,
-                                   "grid too large; analytic check only")
+                                   passed, "; ".join(notices))
     margin = best_value - self_value
-    certified = analytic <= config.tolerance and margin <= slack
     return CertificationReport(analytic, margin, slack, False, resolution,
-                               certified)
+                               passed and margin <= slack, "; ".join(notices))
 
 
 def _starts(market: Market, config: EquilibriumConfig, x0: float,

@@ -4,6 +4,10 @@ Factor laws with finite support, the scenario tree they generate, price
 increment models on that tree, the uniform no-arbitrage certificate, and
 wealth accounting for self-financing strategies.
 
+A market keeps one edge table, the stage arrays of
+:meth:`PriceModel.stages`; :meth:`PriceModel.increment` runs only while
+they are built, and one roll-forward (:func:`roll`) computes every wealth.
+
 Every probability here is an exact finite sum (``math.fsum``), so the
 certificates produced by this module are tolerance-free: a model is either
 certified or a violating node is named.
@@ -100,11 +104,11 @@ class TreeNode:
     """One history ``e^t`` in the scenario tree."""
 
     __slots__ = ("id", "depth", "path", "point", "prob", "parent", "children",
-                 "edge_prob")
+                 "edge_prob", "tree")
 
     def __init__(self, id: int, depth: int, path: tuple[int, ...],
                  point: np.ndarray, prob: float, parent: "TreeNode | None",
-                 edge_prob: float) -> None:
+                 edge_prob: float, tree: "ScenarioTree") -> None:
         self.id = id
         self.depth = depth
         self.path = path
@@ -114,6 +118,7 @@ class TreeNode:
         self.parent = parent
         self.edge_prob = edge_prob
         self.children: list[TreeNode] = []
+        self.tree = tree
 
     @property
     def is_terminal(self) -> bool:
@@ -144,7 +149,7 @@ class ScenarioTree:
             raise MarketError("at least one factor distribution is required")
         self.distributions = tuple(distributions)
         self.horizon = len(self.distributions)
-        root = TreeNode(0, 0, (), np.zeros(0), 1.0, None, 1.0)
+        root = TreeNode(0, 0, (), np.zeros(0), 1.0, None, 1.0, self)
         self.nodes: list[TreeNode] = [root]
         self.levels: list[list[TreeNode]] = [[root]]
         frontier = [root]
@@ -155,7 +160,7 @@ class ScenarioTree:
                     point = np.concatenate([parent.point, np.asarray(value)])
                     node = TreeNode(len(self.nodes), parent.depth + 1,
                                     parent.path + (k,), point,
-                                    parent.prob * prob, parent, prob)
+                                    parent.prob * prob, parent, prob, self)
                     parent.children.append(node)
                     self.nodes.append(node)
                     next_frontier.append(node)
@@ -210,43 +215,42 @@ class PriceModel:
         self.s0 = float(s0)
         self.c_f = float(c_f)
         self.chi = float(chi)
-        #: (tree, table) of the last :meth:`edges` call
-        self._edges: tuple[ScenarioTree | None, dict] = (None, {})
         #: (tree, arrays) of the last :meth:`stages` call
         self._stages: tuple[ScenarioTree | None, list] = (None, [])
 
     def increment(self, node: TreeNode) -> float:
         raise NotImplementedError
 
-    def edges(self, tree: ScenarioTree) -> dict[int, ChildEdges]:
-        """:func:`child_edges` of every interior node, keyed by node id.
-
-        Built once per tree, since the increments are fixed at
-        construction; callers share the table and must not modify it.
-        """
-        if self._edges[0] is not tree:
-            self._edges = (tree, {node.id: child_edges(self, node)
-                                  for node in tree.interior})
-        return self._edges[1]
-
     def stages(self, tree: ScenarioTree) -> list[StageArrays]:
-        """The edge table as one :class:`StageArrays` per depth 0..T-1.
+        """The edge table: one :class:`StageArrays` per depth 0..T-1.
 
-        Built from :meth:`edges` on the first call for a tree and kept, as
-        the table is; callers share the arrays and must not modify them.
+        Built from :meth:`increment` on the first call for a tree and kept,
+        since the increments are fixed at construction; callers share the
+        arrays and must not modify them.  Assembling a market builds them.
         """
         if self._stages[0] is not tree:
-            edges = self.edges(tree)
             self._stages = (tree, [
                 StageArrays.build(level[0].id,
-                                  [edges[n.id].increments for n in level],
-                                  [edges[n.id].probs for n in level])
+                                  [[self.increment(c) for c in n.children]
+                                   for n in level],
+                                  [[c.edge_prob for c in n.children]
+                                   for n in level])
                 for level in tree.levels[:-1]])
         return self._stages[1]
 
+    def row(self, node: TreeNode) -> tuple[list[float], list[float]]:
+        """The increments and probabilities of the edges out of a
+        non-terminal ``node``, in child order: its row of the stage arrays
+        of its tree."""
+        stage = self.stages(node.tree)[node.depth]
+        i = node.id - stage.offset
+        return stage.increments[i].tolist(), stage.probs[i].tolist()
+
     def validate_bounds(self, tree: ScenarioTree) -> None:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
-        for node_id, f in node_increments(tree, self).items():
+        incs = np.concatenate([s.increments.ravel()
+                               for s in self.stages(tree)])
+        for node_id, f in enumerate(incs.tolist(), 1):
             if abs(f) > self.c_f + 1e-12:
                 raise MarketError(f"increment {f!r} at node {node_id} exceeds "
                                   f"the stated bound c_f={self.c_f}")
@@ -384,10 +388,8 @@ def check_uniform_no_arbitrage(tree: ScenarioTree,
     node_alphas: dict[int, float] = {}
     alpha_star = 1.0
     violating = None
-    edges = prices.edges(tree)
     for node in tree.interior:
-        row = edges[node.id]
-        a = _node_alpha(row.increments, row.probs)
+        a = _node_alpha(*prices.row(node))
         node_alphas[node.id] = a
         if a <= 0.0 and violating is None:
             violating = node.id
@@ -544,19 +546,8 @@ def estimate_hoelder_constant(f: Callable[[float | Sequence[float]], float],
 
 
 # ---------------------------------------------------------------------------
-# per-tree edge table
+# the stage arrays and wealth accounting
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChildEdges:
-    """The edges out of one interior node, in child order."""
-
-    children: tuple[TreeNode, ...]
-    #: price increment carried by the edge into each child
-    increments: tuple[float, ...]
-    #: conditional probability of each child
-    probs: tuple[float, ...]
-
 
 @dataclass(frozen=True)
 class StageArrays:
@@ -566,7 +557,8 @@ class StageArrays:
     ``offset + i`` and its children, in child order, are the nodes at
     positions ``i * atoms .. i * atoms + atoms - 1`` of the next depth: a
     (nodes x atoms) array of the next depth's quantities is its flat
-    vector reshaped.
+    vector reshaped, and the increments of nodes 1..N-1 in id order are
+    the stages' increment arrays concatenated.
     """
 
     #: id of the depth's first node
@@ -585,64 +577,63 @@ class StageArrays:
         return cls(offset, f, p, np.stack((p, p * f, p * f * f), axis=-1))
 
 
-def child_edges(prices: PriceModel, node: TreeNode) -> ChildEdges:
-    """Children, increments and edge probabilities of one node."""
-    children = tuple(node.children)
-    return ChildEdges(children, tuple(prices.increment(c) for c in children),
-                      tuple(c.edge_prob for c in children))
-
-
-def node_increments(tree: ScenarioTree, prices: PriceModel
-                    ) -> dict[int, float]:
-    """The increment of the edge into every node of depth >= 1, keyed by
-    node id (breadth first), read from the edge table."""
-    return {child.id: f for row in prices.edges(tree).values()
-            for child, f in zip(row.children, row.increments)}
-
-
-# ---------------------------------------------------------------------------
-# wealth accounting
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class WealthPath:
     """Self-financing portfolio value at every tree node."""
 
     x0: float
-    node_wealth: dict[int, float] = field(repr=False)
+    #: wealth at every node, indexed by node id
+    node_wealth: np.ndarray = field(repr=False)
 
     def at(self, node: TreeNode) -> float:
-        return self.node_wealth[node.id]
+        return float(self.node_wealth[node.id])
 
     def leaf_law(self, tree: ScenarioTree) -> list[tuple[float, float]]:
         """Law of terminal wealth as (wealth, probability) pairs, unmerged."""
-        return [(self.node_wealth[leaf.id], leaf.prob) for leaf in tree.leaves]
+        leaves = tree.leaves
+        return list(zip(self.node_wealth[leaves[0].id:].tolist(),
+                        [leaf.prob for leaf in leaves]))
+
+
+def roll(stages: Sequence[StageArrays], positions: np.ndarray,
+         x0: float) -> list[np.ndarray]:
+    """Wealth at every node, one array per depth 0..T: W_t = W_{t-1} +
+    h(parent) * increment, each child's as ``w + h * f``.
+
+    ``positions`` is one vector indexed by node id, or a batch of them
+    along leading axes; the wealth arrays then carry the same axes.
+    """
+    batch = positions.shape[:-1]
+    xs = [np.full(batch + (1,), x0)]
+    for stage in stages:
+        h = positions[..., stage.offset:stage.offset + len(stage.increments)]
+        xs.append((xs[-1][..., None] + h[..., None] * stage.increments)
+                  .reshape(batch + (-1,)))
+    return xs
 
 
 def wealth(tree: ScenarioTree, prices: PriceModel, positions,
            x0: float) -> WealthPath:
-    """Roll a strategy forward: W_t = W_{t-1} + h(parent) * increment.
+    """Roll a strategy forward (:func:`roll`) over the market's stage arrays.
 
     ``positions`` holds one position per interior node and is indexed by
     node id: a Strategy, a vector, or a mapping with keys 0..n-1.
     """
-    interior = tree.interior
-    if len(positions) != len(interior):
+    n = len(tree.interior)
+    if len(positions) != n:
         raise MarketError(f"strategy gives {len(positions)} positions for "
-                          f"{len(interior)} interior nodes: missing nodes "
-                          "or stray positions")
-    edges = prices.edges(tree)
-    node_wealth = {tree.root.id: float(x0)}
-    for node in interior:
+                          f"{n} interior nodes: missing nodes or stray "
+                          "positions")
+    # a Strategy keeps its vector as ``positions``
+    h = getattr(positions, "positions", positions)
+    if not isinstance(h, np.ndarray):
         try:
-            h = float(positions[node.id])
-        except KeyError:
-            raise MarketError(f"strategy is missing node {node.id}") from None
-        w = node_wealth[node.id]
-        row = edges[node.id]
-        for child, f in zip(row.children, row.increments):
-            node_wealth[child.id] = w + h * f
-    return WealthPath(float(x0), node_wealth)
+            h = [float(h[k]) for k in range(n)]
+        except KeyError as exc:
+            raise MarketError(f"strategy is missing node {exc.args[0]}"
+                              ) from None
+    return WealthPath(float(x0), np.concatenate(
+        roll(prices.stages(tree), np.asarray(h, dtype=float), float(x0))))
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +671,13 @@ def tree_rows(tree: ScenarioTree, prices: PriceModel | None = None,
     root), per-node alpha (empty at terminal nodes).
     """
     header = ["node_id", "depth", "path", "probability", "increment", "alpha"]
-    incs = {} if prices is None else node_increments(tree, prices)
+    incs = [] if prices is None else np.concatenate(
+        [s.increments.ravel() for s in prices.stages(tree)]).tolist()
     rows = []
     for node in tree.nodes:
         inc = ""
-        if node.id in incs:
-            inc = repr(incs[node.id])
+        if incs and node.depth:
+            inc = repr(incs[node.id - 1])
         alpha = ""
         if certificate is not None and node.id in certificate.node_alphas:
             alpha = repr(certificate.node_alphas[node.id])

@@ -29,7 +29,7 @@ from .equilibrium import (
     find_equilibria,
     iterate_fixed_point,
 )
-from .market import Market, node_increments
+from .market import Market
 from .preferences import (
     LogFamilies,
     Preferences,
@@ -493,17 +493,16 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
 
 
 def _check_price_modulus(s: _Session) -> CheckReport:
-    incs = node_increments(s.tree, s.prices)
-
     def cases():
-        for t in range(1, s.tree.horizon + 1):
-            level = s.tree.levels[t]
-            for i, a in enumerate(level):
-                for b in level[i + 1:]:
+        for level in s.tree.levels[1:]:
+            incs = [s.prices.row(node.parent)[0][node.path[-1]]
+                    for node in level]
+            for i, (a, f_a) in enumerate(zip(level, incs)):
+                for b, f_b in zip(level[i + 1:], incs[i + 1:]):
                     dist = a.distance(b)
                     if dist == 0.0:
                         continue
-                    gap = abs(incs[a.id] - incs[b.id])
+                    gap = abs(f_a - f_b)
                     yield (s.prices.c_f * dist ** s.prices.chi - gap,
                            dict(a=a.id, b=b.id))
     return _fold("price_modulus", cases(), tolerance=1e-12)
@@ -511,14 +510,13 @@ def _check_price_modulus(s: _Session) -> CheckReport:
 
 def _check_no_arbitrage(s: _Session) -> CheckReport:
     alpha = s.market.certificate.alpha_star
-    edges = s.prices.edges(s.tree)
 
     def cases():
         for node in s.tree.interior:
-            row = edges[node.id]
-            up = math.fsum(p for f, p in zip(row.increments, row.probs)
+            increments, probs = s.prices.row(node)
+            up = math.fsum(p for f, p in zip(increments, probs)
                            if f >= alpha)
-            down = math.fsum(p for f, p in zip(row.increments, row.probs)
+            down = math.fsum(p for f, p in zip(increments, probs)
                              if f <= -alpha)
             yield min(up - alpha, down - alpha), dict(node=node.id)
     return _fold("no_arbitrage_recheck", cases())

@@ -1,3 +1,4 @@
+import csv
 import math
 from collections import Counter
 
@@ -20,7 +21,13 @@ from refequil.bestresponse import (
     terminal_wealth_law,
     value_recursion,
 )
+from refequil.cli import main
 from refequil.config import fixture_path, load_config
+from refequil.equilibrium import (
+    EquilibriumConfig,
+    certify_equilibrium,
+    find_equilibria,
+)
 from refequil.market import (
     FactorDistribution,
     Market,
@@ -39,6 +46,7 @@ from refequil.preferences import (
     build_envelope_stack,
     satisfaction,
 )
+from refequil.verify import run_suite
 
 from conftest import fair_coin, last_coordinate_scaler, random_certified_instance
 
@@ -523,15 +531,13 @@ def recursion_best_response(market, prefs, reference, x0, stack, warm=None,
     values = value_recursion(tree, prices, TerminalValue(
         prefs, terminal_wealth_law(tree, prices, reference, x0)), stack,
         foc_tolerance, warm=warm)
-    edges = prices.edges(tree)
     positions = np.empty(len(tree.interior))
     node_wealth = {tree.root.id: x0}
     for node in tree.interior:
         x = node_wealth[node.id]
         sol = values[node.depth].solution(node, x)
         positions[node.id] = sol.position
-        row = edges[node.id]
-        for child, f in zip(row.children, row.increments):
+        for child, f in zip(node.children, prices.row(node)[0]):
             node_wealth[child.id] = x + sol.position * f
     return Strategy(positions), values
 
@@ -685,12 +691,11 @@ def test_terminal_sees_only_probe_wealths(horizon, atoms, monkeypatch):
     _, values = recursion_best_response(market, prefs, reference, x0, stack)
     assert values[0].stats.exhausted == 0
     last = values[horizon - 1]
-    edges = market.prices.edges(market.tree)
     assert sum(asked.values()) == atoms * sum(
         solution.iterations for solution in last._solutions.values())
     for (node_id, x), solution in last._solutions.items():
-        row = edges[node_id]
-        for child, f in zip(row.children, row.increments):
+        node = market.tree.nodes[node_id]
+        for child, f in zip(node.children, market.prices.row(node)[0]):
             assert asked[(child.id, x + solution.position * f)] == 1
 
 
@@ -711,8 +716,7 @@ def test_stop_before_last_probe_asks_again_at_optimizer(one_step_market):
             return (0.0, 4.0 if x < 0.3 + 0.5 * 0.3 else -16.0, 1.0)
 
     bracket = lambda x: 4.0 + 0.0 * x  # noqa: E731
-    value = RecursiveValue(prices, StepFoc(), bracket,
-                           prices.edges(tree), stage=0)
+    value = RecursiveValue(prices, StepFoc(), bracket, stage=0)
     got = value.evaluate(tree.root, 0.3)
     solution = value.solution(tree.root, 0.3)
     assert solution.position == 0.0
@@ -759,8 +763,10 @@ def test_solution_stores_value_from_its_last_probe(skewed_market, desk_prefs,
 
 
 def test_edge_table_is_built_once_per_market(desk_prefs):
-    # the recursion, the forward pass and the wealth roll-forward of every
-    # best response on a market read one edge table
+    # the stage arrays are a market's one edge table: the price model's
+    # increment runs while they are built, at assembly, and never again for
+    # the recursion, the forward pass, the wealth roll-forward, the
+    # one-step objective or a verify suite
     calls = []
 
     def increment(history):
@@ -770,19 +776,26 @@ def test_edge_table_is_built_once_per_market(desk_prefs):
     tree = ScenarioTree([fair_coin(), fair_coin()])
     prices = TablePriceModel(1.0, 0.5, 1.0, func=increment)
     market = Market.assemble(tree, prices)
-    table = prices.edges(tree)
-    for row in table.values():
-        assert row.increments == tuple(prices.increment(c)
-                                       for c in row.children)
+    assert len(calls) == len(tree.nodes) - 1
+    table = prices.stages(tree)
+    for node in tree.interior:
+        increments, probs = prices.row(node)
+        assert increments == [0.5 * c.point[-1] for c in node.children]
+        assert probs == [c.edge_prob for c in node.children]
     calls.clear()
     for h in (0.0, 0.3):
         best_response(market, desk_prefs, Strategy.constant(tree, h), 0.1)
-    terminal_wealth_law(tree, prices, Strategy.constant(tree, 0.2), 0.1)
-    assert prices.edges(tree) is table
+    law = terminal_wealth_law(tree, prices, Strategy.constant(tree, 0.2), 0.1)
+    for node in tree.interior:
+        one_step_objective(TerminalValue(desk_prefs, law), prices, node, 0.1,
+                           0.2)
+    assert all(r.passed for r in run_suite(market, desk_prefs, 0.1,
+                                           suite="hoelder", samples=8))
+    assert prices.stages(tree) is table
     assert calls == []
     other = ScenarioTree([fair_coin(), fair_coin()])
-    assert prices.edges(other) is not table
-    assert calls
+    assert prices.stages(other) is not table
+    assert len(calls) == len(other.nodes) - 1
 
 
 def test_solve_stats_are_shared_and_consistent():
@@ -1049,8 +1062,7 @@ def test_cold_ladder_work_stays_under_ceilings():
 
 
 def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):
-    return RecursiveValue(market.prices, next_value, bracket,
-                          market.prices.edges(market.tree), stage=0)
+    return RecursiveValue(market.prices, next_value, bracket, stage=0)
 
 
 def test_lane_rejects_non_positive_bracket(skewed_market, desk_prefs):
@@ -1264,14 +1276,18 @@ def test_newton_flags_exhausted_budget(monkeypatch):
 
 
 class NarrowBrackets:
-    """Stage envelopes whose optimizer bracket is one fixed radius."""
+    """Stage envelopes whose optimizer bracket is one fixed radius; the
+    curvature cap is that of ``stage``, the real stage, when given."""
 
-    def __init__(self, radius):
-        self.radius = radius
+    def __init__(self, radius, stage=None):
+        self.radius, self.stage = radius, stage
 
     def position_bound(self, x):
         return np.full(np.shape(x), self.radius) if np.ndim(x) \
             else self.radius
+
+    def curve_cap(self, x):
+        return self.stage.curve_cap(x)
 
 
 def test_newton_flags_positions_outside_the_bracket():
@@ -1289,6 +1305,54 @@ def test_newton_flags_positions_outside_the_bracket():
         solution = values[node.depth].solution(node, path.at(node))
         assert solution.clamped == out
         assert solution.bracket == (-radius, radius)
+
+
+def test_certify_fails_on_a_clamped_best_response():
+    # an equilibrium that certifies against its real stack is refused, with
+    # a notice, once the candidate's best response has a clamped solution
+    market, prefs, x0 = random_certified_instance(np.random.default_rng(0),
+                                                  2, 2)
+    stack = _stack(market, prefs)
+    config = EquilibriumConfig()
+    candidate = find_equilibria(market, prefs, config, x0, seed=0,
+                                stack=stack).preferred_report.strategy
+    report = certify_equilibrium(market, prefs, candidate, x0, config=config,
+                                 stack=stack)
+    assert report.certified and report.notice == ""
+    narrow = [NarrowBrackets(0.5 * candidate.max_abs(), stage)
+              for stage in stack]
+    report = certify_equilibrium(market, prefs, candidate, x0, config=config,
+                                 stack=narrow)
+    assert report.analytic_residual <= config.tolerance
+    assert not report.certified
+    assert report.notice.startswith("best response flagged: 1 clamped, 0 "
+                                    "exhausted")
+
+
+def test_cli_best_response_exits_1_when_flagged(tmp_path, capsys,
+                                                monkeypatch):
+    import refequil.bestresponse as bestresponse
+
+    cfg = str(fixture_path("asymmetric_eex_t2"))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--seed", "7", "--out",
+                 str(out)]) == 0
+    args = ["best-response", "--config", cfg, "--out", str(out),
+            "--reference", str(out / "preferred.csv")]
+    assert main(args) == 0
+    with (out / "best_response.csv").open() as fh:
+        radius = 0.5 * max(abs(float(row["position"]))
+                           for row in csv.DictReader(fh))
+    capsys.readouterr()
+    real = bestresponse.build_envelope_stack
+    monkeypatch.setattr(bestresponse, "build_envelope_stack",
+                        lambda *a: [NarrowBrackets(radius, stage)
+                                    for stage in real(*a)])
+    (out / "best_response.csv").unlink()
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("best response flagged: ")
+    assert (out / "best_response.csv").exists()
 
 
 #: kernel calls of one cold Newton best response per rung of the seed-1

@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import refequil.bestresponse as bestresponse
 from refequil.bestresponse import (
     SolveError,
+    SolveStats,
     Strategy,
     best_response,
     terminal_wealth_law,
@@ -13,14 +16,15 @@ from refequil.bestresponse import (
 from refequil.config import fixture_path, load_config
 from refequil.equilibrium import (
     EquilibriumConfig,
+    _oracle_sweep,
     _starts,
     certify_equilibrium,
     evaluate_self_value,
     find_equilibria,
     iterate_fixed_point,
 )
-from refequil.market import MarketError
-from refequil.preferences import build_envelope_stack
+from refequil.market import MarketError, wealth
+from refequil.preferences import build_envelope_stack, satisfaction
 
 from conftest import random_certified_instance, zero_strategy
 
@@ -151,12 +155,14 @@ def _oscillating(monkeypatch, center=0.0):
     a the constant strategy ``center``, in place of the best response.
 
     Its fixed point is a, and a full step shrinks the residual by 0.9 only,
-    so the safeguard must act.
+    so the safeguard must act.  Its stage-0 evaluator carries only
+    unflagged stats, which is all ``certify_equilibrium`` reads of it.
     """
     import refequil.equilibrium as equilibrium
 
     def response(market, preferences, current, x0, **kwargs):
-        return Strategy(center - 0.9 * (current.positions - center)), None
+        return (Strategy(center - 0.9 * (current.positions - center)),
+                [SimpleNamespace(stats=SolveStats())])
 
     monkeypatch.setattr(equilibrium, "best_response", response)
 
@@ -274,6 +280,30 @@ def test_certify_rejects_perturbed_candidate(symmetric_market, desk_prefs,
     # residual equals the perturbation itself
     assert report.analytic_residual == pytest.approx(0.1, abs=1e-12)
     assert report.oracle_margin > 0.0
+
+
+def test_oracle_sweep_equals_rolling_each_grid_strategy():
+    # the sweep rolls its whole grid forward at once; its optimum must equal
+    # rolling each grid strategy through ``wealth`` and applying the same
+    # kernel and leaf probabilities
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        horizon, atoms = 1 + k % 2, 2 + (k // 2) % 2
+        market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+        tree, prices = market.tree, market.prices
+        reference = terminal_wealth_law(tree, prices, Strategy(rng.uniform(
+            -1.0, 1.0, size=len(tree.interior))), x0)
+        radius, resolution = float(rng.uniform(0.5, 3.0)), 6
+        grid = np.linspace(-radius, radius, resolution)
+        leaf_wealth = np.array([
+            [w for w, _ in wealth(tree, prices, np.array(h),
+                                  x0).leaf_law(tree)]
+            for h in itertools.product(grid, repeat=len(tree.interior))])
+        probs = np.asarray([leaf.prob for leaf in tree.leaves])
+        values = satisfaction(prefs.utility, prefs.gain_loss, leaf_wealth,
+                              reference) @ probs
+        assert _oracle_sweep(market, prefs, reference, x0, radius,
+                             resolution) == float(np.max(values)), k
 
 
 def test_certify_oracle_margin_within_quadratic_slack(skewed_market,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refequil.bestresponse import Strategy
 from refequil.config import fixture_path, load_config
 from refequil.market import (
     FactorDistribution,
@@ -259,7 +260,7 @@ def test_estimate_hoelder_constant_examples():
 def test_zero_strategy_keeps_capital(symmetric_market):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     path = wealth(tree, prices, {n.id: 0.0 for n in tree.interior}, 3.25)
-    assert all(w == 3.25 for w in path.node_wealth.values())
+    assert all(w == 3.25 for w in path.node_wealth.tolist())
 
 
 def test_one_step_wealth_arithmetic():
@@ -288,6 +289,42 @@ def test_wealth_mapping_with_stray_keys_names_missing_node(symmetric_market):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     with pytest.raises(MarketError, match="strategy is missing node 2"):
         wealth(tree, prices, {0: 0.0, 1: 0.0, 5: 0.0}, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), horizon=st.integers(1, 4),
+       atoms=st.integers(2, 3),
+       form=st.sampled_from(["strategy", "array", "mapping"]))
+def test_wealth_equals_the_per_node_loop(seed, horizon, atoms, form):
+    # the roll-forward over the stage arrays equals, bit for bit, rolling
+    # node by node with the price model's own increments
+    rng = np.random.default_rng(seed)
+    market, _, x0 = random_certified_instance(rng, horizon, atoms)
+    tree, prices = market.tree, market.prices
+    h = rng.uniform(-3.0, 3.0, size=len(tree.interior))
+    expected = {tree.root.id: x0}
+    for node in tree.interior:
+        w = expected[node.id]
+        for child in node.children:
+            expected[child.id] = w + h[node.id] * prices.increment(child)
+    positions = {"strategy": Strategy(h), "array": h,
+                 "mapping": dict(enumerate(h.tolist()))}[form]
+    path = wealth(tree, prices, positions, x0)
+    assert path.x0 == x0
+    assert [path.at(node) for node in tree.nodes] == \
+        [expected[node.id] for node in tree.nodes]
+    assert path.leaf_law(tree) == [(expected[leaf.id], leaf.prob)
+                                   for leaf in tree.leaves]
+    increments = np.concatenate([stage.increments.ravel()
+                                 for stage in prices.stages(tree)])
+    assert increments.tolist() == [prices.increment(node)
+                                   for node in tree.nodes[1:]]
+
+
+def test_wealth_rejects_a_wrong_length_strategy(symmetric_market):
+    tree, prices = symmetric_market.tree, symmetric_market.prices
+    with pytest.raises(MarketError, match="gives 4 positions for 3"):
+        wealth(tree, prices, np.zeros(4), 0.0)
 
 
 def test_interior_is_built_once(symmetric_market):
