@@ -321,12 +321,6 @@ def test_wealth_equals_the_per_node_loop(seed, horizon, atoms, form):
                                    for node in tree.nodes[1:]]
 
 
-def test_wealth_rejects_a_wrong_length_strategy(symmetric_market):
-    tree, prices = symmetric_market.tree, symmetric_market.prices
-    with pytest.raises(MarketError, match="gives 4 positions for 3"):
-        wealth(tree, prices, np.zeros(4), 0.0)
-
-
 def test_interior_is_built_once(symmetric_market):
     tree = symmetric_market.tree
     assert tree.interior is tree.interior
