@@ -6,8 +6,8 @@ Against a fixed reference strategy, the optimal strategy solves one
 strictly concave scalar problem per node, backward from the terminal
 satisfaction.  ``best_response`` finds all of them at once, by Newton's
 method on the whole tree (one backward sweep and one forward roll per
-step), and keeps that per-node recursion as its exact oracle, which
-answers ``values[t].evaluate`` off the strategy's own wealth path.  On a
+step), and ``values[t].evaluate`` answers any other node and wealth by
+the same method on the node's subtree.  On a
 symmetric zero-drift market the answer is the zero strategy at every
 node; on a skewed market it tilts toward the favourable tail and matches
 the exponential closed form when the gain-loss comparison stays on its

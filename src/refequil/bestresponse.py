@@ -1,76 +1,36 @@
-"""The best-response strategy, and the exact recursion that is its oracle.
+"""The best-response strategy and every stage value by Newton's method on
+the tree, and the exact recursion that is the tests' oracle.
 
 Against a fixed reference law, terminal wealth is affine in the vector h of
 interior positions, so the self-value V(h) = sum_l pi_l s(W_l(h)) is one
-smooth concave function of h.  :func:`best_response` maximizes it by
-Newton's method on the whole tree (:func:`_tree_newton`).  Because the
+smooth concave function of h, and so is the value below any node at any
+wealth, over the positions of the node's subtree.  One engine maximizes
+them all: Newton's method on a batch of subtrees rooted at nodes of one
+depth, one start wealth per row (:func:`_tree_newton`).  Because the
 dynamics are linear, differential dynamic programming with exact second
-derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989):
+derivatives is Newton's method (Dunn and Bertsekas, JOTA 63(1), 1989).  A
+pass rolls wealth forward to the leaves over the market's stage arrays
+(:func:`~refequil.market.roll`), makes one kernel call there, sweeps the
+model back (:func:`_sweep`) and rolls the step down (:func:`_direction`).
+Breadth first ids make a node's subtree a contiguous row block of each
+deeper stage array, so a batch is gathered with no new table
+(:func:`_subtrees`).
 
-* Stage arrays.  The market's one edge table, ``PriceModel.stages``,
-  keeps per depth the edges out of its nodes as (nodes x atoms) increment
-  and probability arrays; breadth first ids make each node's children
-  contiguous, so a depth's quantities are the next depth's flat vector
-  reshaped.  The exact recursion reads the same arrays, a node's row at a
-  time (``PriceModel.row``).
-* The pass.  The one roll-forward of wealth (:func:`~refequil.market.roll`,
-  which :func:`~refequil.market.wealth` also runs) gives the leaves, and
-  one kernel call there gives s, a = s' and b = s''.  The backward sweep
-  (:func:`_sweep`) forms per node Q_h = E p f a, Q_x = E p a, Q_hh =
-  E p f^2 b, Q_hx = E p f b and Q_xx = E p b, the step k = -Q_h/Q_hh and
-  the gain K = -Q_hx/Q_hh, and hands the depth above the model a = Q_x +
-  Q_hx k and b = Q_xx - Q_hx^2/Q_hh; alongside, the node's value
-  E[s | node] and the raw conditional mean E[s' | node].  The forward pass
-  (:func:`_direction`) rolls dh = k + K dx down the tree.
-* The Armijo rule.  A step is accepted when the value rises by at least
-  1e-4 of the first-order increase the model predicts, or when the
-  largest conditional first-order condition falls by that fraction; it
-  is halved up to ``_HALVINGS`` times.  A trial point costs one kernel
-  call, and an accepted one's pass is the next iteration's.  Once the
-  predicted increase is below the value's rounding resolution, only the
-  full step is tried.
-* Stopping.  The run stops when every node's conditional first-order
-  condition sum p f E[s' | child] is at most the one-step target
-  ``foc_tolerance * 1e-3``.  When no step is accepted (the rounding
-  floor) it stops where it is, flagged ``exhausted`` unless that
-  condition is at most ``foc_tolerance``; so it is after
-  ``_NEWTON_ITERATIONS`` iterations.  Q_hh >= 0 or a non-finite Q_hh
-  raises the flat-first-order-condition :class:`SolveError`.
-* Starts.  A cold run starts at h = 0 and returns exactly 0 when 0 meets
-  the target; a Picard run starts each best response at its previous one.
+:func:`best_response` runs the batch of one at the root and returns one
+:class:`NewtonValue` per stage t < T, with the :class:`TerminalValue` at
+T.  ``values[t].solution(node, x)`` and ``values[t].evaluate(node, x)``
+answer any stage-t node at any wealth from the run on its subtree, and
+``evaluate_many`` runs all of its misses as one batch.  The best
+response's on-path results are stored in their memos (:func:`_record`),
+so at the strategy's wealths ``solution`` returns the strategy's
+positions bit for bit.
 
-The exact recursion is the ground truth that verify's sampled (node, x)
-checks and the tests read: :func:`value_recursion` chains on-demand
-evaluators (:class:`RecursiveValue`) that solve the one-step problem
-(strictly concave in the position, solved on its first-order condition by
-a safeguarded Newton iteration) against the next stage and return the
-value with exact envelope derivatives.  A best response returns those
-evaluators with its on-path results stored in their memos
-(:func:`_record`): each on-path solution, value and warm seed is the
-pass's, so ``values[t].solution(node, x)`` at the strategy's wealths is
-the strategy's position bit for bit, and any other (node, x) is solved
-exactly.
-
-The recursion's Newton iteration is one coroutine (``_newton``) that
-yields probe positions: a Newton burst from the tangent seed, or from 0
-when a node has no seed yet, then a bracketed flow that starts from the
-burst's own probes.  A stage thus runs all of its pending one-step
-problems together, as lanes, in rounds: each round asks the next stage
-once, through ``evaluate_many(nodes, xs)``, for the columns (v, v', v'')
-at the children of every problem at its probe, so a terminal next stage
-costs one satisfaction-kernel call per round.  A solve that stops at the
-probe just evaluated takes its envelope from that probe's columns.  The
-rounds are exact: ``evaluate_many`` returns, memoizes and warm-starts
-exactly as evaluating the pairs one by one, depth first, would.  A
-depth-first recursion would give the same bits from about twice the
-kernel calls.  :func:`solve_one_step` drives the same ``_newton`` one
-problem and one probe at a time, through :func:`one_step_objective`.
-
-Evaluators are pure in (node, wealth).  Their solution and value memos
-are private to one value recursion.  Recursions on one tree may share
-``warm``: per node, the wealth, optimizer and optimizer slope dh*/dx of
-its last solve, which seed Newton on the tangent (see
-:func:`tangent_seed`).
+:func:`value_recursion` chains memoized depth-first evaluators
+(:class:`RecursiveValue`) that solve the one-step problem (strictly
+concave in the position, solved on its first-order condition by
+:func:`solve_one_step`) against the next stage and return the value with
+exact envelope derivatives.  Each probe asks the next stage for every
+child, so its work grows as (probes x atoms)^(T - t); only tests build it.
 """
 
 from __future__ import annotations
@@ -202,22 +162,19 @@ def one_step_objective(v_next, prices: PriceModel, node: TreeNode, x: float,
 
 @dataclass(frozen=True)
 class OneStepSolution:
-    """Root of the one-step first-order condition."""
+    """The position at one (node, x), with its first-order residual."""
 
     position: float
     residual: float
     bracket: tuple[float, float]
     iterations: int
-    #: set when the derivative kept one sign on the whole bracket, which
-    #: cannot happen on a certified model; the returned position is the
-    #: bracket edge on the side of the root
+    #: set when the position lies outside its certified bracket, which
+    #: cannot happen on a certified model: a Newton position is kept, a
+    #: one-step solve returns the bracket edge on the side of the root
     clamped: bool = False
-    #: set when the solve used up ``max_iterations`` FOC evaluations
-    #: without meeting its target; the returned position is the best iterate
+    #: set when the solve used up its iteration budget without meeting its
+    #: target; the returned position is the best iterate
     exhausted: bool = False
-    #: set when the Newton burst from the seed ``initial`` met the target, so
-    #: the bracketed flow did not run; a burst from 0 does not set it
-    seeded: bool = False
 
 
 def _foc_target(foc_tolerance: float) -> float:
@@ -226,28 +183,21 @@ def _foc_target(foc_tolerance: float) -> float:
     return min(foc_tolerance * 1e-3, foc_tolerance)
 
 
-def _newton(node: TreeNode, x: float, bracket: float,
-            foc_tolerance: float = 1e-10, max_iterations: int = 100,
-            initial: float | None = None):
-    """The safeguarded Newton iteration of :func:`solve_one_step`.
+def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
+                   bracket: float, foc_tolerance: float = 1e-10,
+                   max_iterations: int = 100) -> OneStepSolution:
+    """Unique maximizer of the one-step objective at ``(node, x)``.
 
-    A generator: it yields each probe position ``h``, expects
-    ``(gamma(h), d gamma / dh)`` sent back, and returns the
-    :class:`OneStepSolution`.  It reads nothing else, so a driver may probe
-    any number of such problems together.  The guards on the bracket and
-    the node raise before the first probe.
-
-    One flow, in which every probe counts.  A Newton burst starts at the
-    seed ``initial`` (when it lies strictly inside the bracket and is not
-    0) or at 0, whose Newton step is then the burst's second probe: at
-    most 8 probes, while the residual halves and the steps stay inside
-    the bracket.  gamma is strictly decreasing, so each probe also narrows
-    where the root can be: above the largest probe with gamma > 0 (``lo``)
-    and below the smallest with gamma < 0 (``hi``).  Once the burst fails,
-    a known pair [lo, hi] is polished by Newton steps safeguarded with
-    bisection; with one end known, the step from that end doubles outward
-    until gamma changes sign, starting from the end's own Newton step (1
-    where that is unusable).  ``max_iterations`` bounds every evaluation.
+    The first-order condition gamma(h) (:func:`one_step_objective`) is
+    strictly decreasing, so a sign change inside ``[-bracket, bracket]``
+    pins the root.  A Newton burst from 0 takes at most 8 probes while the
+    residual halves and the steps stay inside the bracket; every probe
+    narrows the root to above the largest probe with gamma > 0 (``lo``)
+    and below the smallest with gamma < 0 (``hi``).  Then a known pair is
+    polished by Newton steps safeguarded with bisection, or the step from
+    the one known end doubles outward from its Newton step (or 1) until
+    gamma changes sign.  ``max_iterations`` bounds the evaluations, and
+    ``exhausted`` flags a solve that ran out.
     """
     if not bracket > 0.0:
         raise SolveError(f"degenerate position bracket {bracket!r}")
@@ -257,21 +207,19 @@ def _newton(node: TreeNode, x: float, bracket: float,
     full = (-bracket, bracket)
     inf = math.inf
 
-    seeded = initial is not None and abs(initial) < bracket and initial != 0.0
-    h = float(initial) if seeded else 0.0
-    evals, burst, previous, step = 0, 8, inf, 0.0
+    h, evals, burst, previous, step = 0.0, 0, 8, inf, 0.0
     lo = hi = None
     best_h, best_res = h, inf
     while True:
         if evals >= max_iterations:
             return OneStepSolution(best_h, best_res, full, evals,
                                    exhausted=True)
-        g, s = yield h
+        _, g, s = one_step_objective(v_next, prices, node, x, h)
         evals += 1
         res = abs(g)
         if res < best_res:
             if res <= target or g == 0.0:
-                return OneStepSolution(h, res, full, evals, seeded=seeded)
+                return OneStepSolution(h, res, full, evals)
             best_h, best_res = h, res
         if g > 0.0:
             if lo is None or h > lo:
@@ -286,7 +234,7 @@ def _newton(node: TreeNode, x: float, bracket: float,
                     and newton != h):
                 previous, h = res, newton
                 continue
-            burst, seeded = 0, False
+            burst = 0
         if lo is not None and hi is not None:
             if hi - lo <= 4.0 * abs(h) * 2.3e-16 + 5e-324:
                 # the pair is a few ulps wide, or the probes' rounding
@@ -320,54 +268,20 @@ def _newton(node: TreeNode, x: float, bracket: float,
                 h = direction * bracket
 
 
-def solve_one_step(v_next, prices: PriceModel, node: TreeNode, x: float,
-                   bracket: float, foc_tolerance: float = 1e-10,
-                   max_iterations: int = 100,
-                   initial: float | None = None) -> OneStepSolution:
-    """Unique maximizer of the one-step objective at ``(node, x)``.
-
-    The first-order condition is strictly decreasing in the position, so a
-    sign-change interval inside ``[-bracket, bracket]`` pins the root.  A
-    short unsafeguarded Newton burst starts at ``initial`` (worth it when a
-    nearby problem was just solved) or, without a usable seed, at 0.  If it
-    misses the target, the probes it made give the interval, or its
-    nearer end, from which the interval is located by doubling outward;
-    the root is then polished by Newton steps safeguarded with bisection.
-    The target is as far below ``foc_tolerance`` as double precision
-    allows, and ``max_iterations`` bounds the evaluations of the whole
-    solve (``exhausted`` flags a solve that ran out).
-
-    One problem, one probe at a time (:func:`one_step_objective`); the
-    value recursion solves its problems together, as lanes, with the same
-    Newton iteration and the same sums.
-    """
-    newton = _newton(node, x, bracket, foc_tolerance, max_iterations,
-                     initial)
-    h = next(newton)
-    try:
-        while True:
-            _, small, slope = one_step_objective(v_next, prices, node, x, h)
-            h = newton.send((small, slope))
-    except StopIteration as done:
-        return done.value
-
-
 # ---------------------------------------------------------------------------
 # value functions
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SolveStats:
-    """Work counters shared by the stages of one value recursion, and those
-    of the tree-Newton run whose on-path solutions it holds.
+    """Work counters shared by the stages of one set of evaluators; the
+    flags and ``max_residual`` count a best response's stored on-path
+    solutions too."""
 
-    ``clamped``, ``exhausted`` and ``max_residual`` count both the
-    recursion's solves and the on-path solutions a best response stores.
-    """
-
-    #: one-step problems solved
+    #: (node, x) solutions computed after the best response
     solves: int = 0
-    #: first-order-condition evaluations over all solves
+    #: their iterations: Newton iterations, or the one-step solver's
+    #: first-order-condition evaluations
     foc_evals: int = 0
     #: requests answered from a memo without a new solve
     memo_hits: int = 0
@@ -375,19 +289,17 @@ class SolveStats:
     clamped: int = 0
     #: solutions flagged ``exhausted``
     exhausted: int = 0
-    #: solutions flagged ``seeded``: finished by the seeded Newton burst
-    seeded: int = 0
     #: solutions whose certified bracket is infinite
     unbounded: int = 0
     #: largest first-order-condition residual of any solution
     max_residual: float = 0.0
-    #: one-step problems solved, per stage
+    #: solutions computed, per stage
     stage_solves: dict = field(default_factory=dict)
-    #: Newton iterations of the best response on the whole tree
+    #: Newton iterations on the tree, summed over the rows of every run
     newton_iterations: int = 0
-    #: step halvings of its line searches
+    #: step halvings of their line searches, summed likewise
     halvings: int = 0
-    #: its terminal-kernel calls, one per point evaluated
+    #: terminal-kernel calls of every run, one per point evaluated
     kernel_calls: int = 0
 
     def record(self, solution: OneStepSolution, stage: int | None) -> None:
@@ -396,22 +308,15 @@ class SolveStats:
         self.foc_evals += solution.iterations
         self.clamped += solution.clamped
         self.exhausted += solution.exhausted
-        self.seeded += solution.seeded
         self.unbounded += math.isinf(solution.bracket[1])
         self.max_residual = max(self.max_residual, solution.residual)
 
 
 class TerminalValue:
-    """Stage-T value: expected satisfaction against a fixed reference law.
-
-    Independent of the history; the evaluator returns the value and its
-    first two derivatives in wealth as exact sums over the reference atoms.
-    A list of wealths gives the three columns (v, v', v'') from one kernel
-    call, each element equal to its single-wealth evaluation;
-    ``evaluate_many`` makes that call over all of its wealths.
-    """
-
-    stage: int | None = None
+    """Stage-T value: expected satisfaction against a fixed reference law,
+    with its first two wealth derivatives, as exact sums over the reference
+    atoms.  A list of wealths gives the three columns (v, v', v'') from one
+    kernel call, each element equal to its single-wealth evaluation."""
 
     def __init__(self, preferences: Preferences,
                  reference: ReferenceDistribution) -> None:
@@ -432,77 +337,30 @@ class TerminalValue:
         return self.evaluate(None, list(xs))
 
 
-#: per node id, the wealth x, optimizer h* and optimizer slope dh*/dx of the
-#: node's last solve
-WarmTable = dict[int, tuple[float, float, float]]
+class _StageValue:
+    """A memoized stage-t evaluator: ``solution(node, x)`` gives the
+    :class:`OneStepSolution` there, ``evaluate(node, x)`` the value and
+    its wealth derivatives (v, v', v''), ``evaluate_many(nodes, xs)`` their
+    columns.  Both memos are keyed by (node id, x); ``_solve`` fills them
+    for a list of distinct new pairs.  ``bracket_fn`` maps a wealth, or an
+    array of them, to the radius of the optimizer bracket."""
 
-
-def tangent_seed(last: tuple[float, float, float] | None, x: float
-                 ) -> float | None:
-    """Newton seed at wealth ``x`` from a node's last solve ``(x', h*,
-    dh*/dx)``: the first-order prediction h* + dh*/dx (x - x'), or h* when
-    that is not finite; None without a last solve."""
-    if last is None:
-        return None
-    x_last, h, dh_dx = last
-    seed = h + dh_dx * (x - x_last)
-    return seed if math.isfinite(seed) else h
-
-
-class RecursiveValue:
-    """Stage-t value backed by on-demand exact recursion.
-
-    Each evaluation solves the one-step problem against the next stage's
-    evaluator and returns the optimal value together with its derivatives
-    from the envelope identities: the first derivative is the expected
-    next-stage slope at the optimizer, the second combines the expected
-    curvature with the optimizer's wealth sensitivity (implicit function
-    rule on the first-order condition).  That rule's optimizer slope dh*/dx
-    goes into ``warm`` beside the wealth and the optimizer, and the node's
-    next solve starts on the tangent (:func:`tangent_seed`).
-
-    ``evaluate_many(nodes, xs)`` returns the columns (v, v', v'') and solves
-    its pending problems together, in rounds: each round gathers the
-    children of every unsolved problem at its next probe (or of a solved
-    one at its optimizer) and asks the next stage for all of them in one
-    ``evaluate_many`` call, so a terminal next stage costs one kernel call
-    per round.  A solve that stops at the probe just evaluated takes its
-    envelope from that round's columns.  The results, the memos and the
-    ``warm`` seeds equal those of evaluating the pairs one by one: a node's
-    problems run in successive waves in request order, a repeated pair is
-    solved once, and every sum accumulates in child order.
-
-    ``bracket_fn`` maps a wealth, or an array of wealths, to the radius of
-    the optimizer bracket; each wave makes one call over its fresh wealths,
-    which equals the scalar calls bit for bit.
-    """
-
-    def __init__(self, prices: PriceModel, next_value,
-                 bracket_fn: Callable[..., float | np.ndarray],
+    def __init__(self, bracket_fn: Callable[..., float | np.ndarray],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
-                 warm: WarmTable | None = None,
                  stats: SolveStats | None = None) -> None:
-        self.prices = prices
-        self.next_value = next_value
         self.bracket_fn = bracket_fn
         self.foc_tolerance = foc_tolerance
         self.stage = stage
-        #: (x, h*, dh*/dx) of the last solve per node, shared across
-        #: rebuilds to seed Newton
-        self.warm = warm if warm is not None else {}
         self.stats = stats if stats is not None else SolveStats()
         self._solutions: dict[tuple[int, float], OneStepSolution] = {}
         self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
-        """The one-step solution at ``(node, x)``: a one-lane wave, which
-        also stores the value there."""
         key = (node.id, float(x))
-        hit = self._solutions.get(key)
-        if hit is not None:
+        if key in self._solutions:
             self.stats.memo_hits += 1
-            return hit
-        self._run([(node, key[1])])
+        else:
+            self._solve([(node, key[1])])
         return self._solutions[key]
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
@@ -512,127 +370,140 @@ class RecursiveValue:
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[Sequence[float], ...]:
         keys = [(node.id, float(x)) for node, x in zip(nodes, xs)]
-        waves: list[list[tuple[TreeNode, float]]] = []
-        queued: dict[int, int] = {}
-        seen = set()
-        for node, key in zip(nodes, keys):
-            if key in self._values or key in seen:
-                self.stats.memo_hits += 1
-                continue
-            seen.add(key)
-            wave = queued.get(node.id, 0)
-            queued[node.id] = wave + 1
-            if wave == len(waves):
-                waves.append([])
-            waves[wave].append((node, key[1]))
-        for wave in waves:
-            self._run(wave)
+        fresh = {key: node for node, key in zip(nodes, keys)
+                 if key not in self._values}
+        self.stats.memo_hits += len(keys) - len(fresh)
+        if fresh:
+            self._solve([(node, x) for (_, x), node in fresh.items()])
         return tuple(zip(*[self._values[key] for key in keys])) or ((), (), ())
 
-    def _run(self, wave: list[tuple[TreeNode, float]]) -> None:
-        """Solve and evaluate one wave of distinct nodes together.
 
-        A lane is ``(node, x, increments, probs, newton, h)``: the node's
-        row of the stage arrays, read once, and the running :func:`_newton`
-        and its next probe, or None and an optimizer still to be evaluated.
-        """
-        fresh = [x for node, x in wave if (node.id, x) not in self._solutions]
-        brackets = iter(np.broadcast_to(
-            self.bracket_fn(np.array(fresh)), (len(fresh),)).tolist()
-            if fresh else [])
-        lanes = []
-        for node, x in wave:
-            solved = self._solutions.get((node.id, x))
-            if solved is None:
-                newton = _newton(node, x, next(brackets), self.foc_tolerance,
-                                 initial=tangent_seed(self.warm.get(node.id),
-                                                      x))
-                h = next(newton)  # the node guards raise here
-            else:
-                self.stats.memo_hits += 1
-                newton, h = None, solved.position
-            lanes.append((node, x, *self.prices.row(node), newton, h))
-        while lanes:
-            nodes = [c for lane in lanes for c in lane[0].children]
-            xs = [x + h * f for _, x, increments, _, _, h in lanes
-                  for f in increments]
-            v, v1, v2 = self.next_value.evaluate_many(nodes, xs)
-            live, stop = [], 0
-            for node, x, increments, probs, newton, h in lanes:
-                start = stop
-                stop += len(increments)
-                if newton is not None:
-                    small = slope = 0.0
-                    for a1, a2, f, p in zip(v1[start:stop], v2[start:stop],
-                                            increments, probs):
-                        small += p * a1 * f
-                        slope += p * a2 * f * f
-                    try:
-                        live.append((node, x, increments, probs, newton,
-                                     newton.send((small, slope))))
-                        continue
-                    except StopIteration as done:
-                        solution = done.value
-                    self._store((node.id, x), solution)
-                    if solution.position.hex() != h.hex():
-                        # the best iterate is an earlier probe
-                        live.append((node, x, increments, probs, None,
-                                     solution.position))
-                        continue
-                self._values[(node.id, x)], dh_dx = self._envelope(
-                    node, increments, probs, v[start:stop], v1[start:stop],
-                    v2[start:stop])
-                self.warm[node.id] = (x, h, dh_dx)
-            lanes = live
+class NewtonValue(_StageValue):
+    """Stage-t value by Newton's method on the subtrees below the stage's
+    nodes (:func:`_tree_newton`), over the tree's stage arrays.
 
-    def _store(self, key: tuple[int, float], solution: OneStepSolution
-               ) -> None:
-        self._solutions[key] = solution
-        self.stats.record(solution, self.stage)
+    A solution is the root position of the run on the node's subtree from
+    wealth x, with the node's conditional |FOC| as its residual: flagged
+    ``clamped`` outside the bracket, never moved, and ``exhausted`` when
+    the run stopped short and the residual misses the target.  The value
+    is the run's (v, E[s' | node], b).  All misses of one call run as one
+    batch (split only where it would pass ``_BATCH_CELLS``); each row
+    equals its run alone, so no grouping of the pairs changes an answer.
+    The terminal stage is reached only through ``terminal.evaluate``.
+    """
 
-    @staticmethod
-    def _envelope(node: TreeNode, increments: list[float],
-                  probs: list[float], v: Sequence[float],
-                  v1: Sequence[float], v2: Sequence[float]
-                  ) -> tuple[tuple[float, float, float], float]:
-        """(v, v', v'') from the next-stage columns at the optimizer, and
-        the optimizer's slope dh*/dx."""
-        value = slope = dgam_dx = dgam_dh = 0.0
-        for a, a1, a2, f, p in zip(v, v1, v2, increments, probs):
-            value += p * a
-            slope += p * a1
-            dgam_dx += p * a2 * f
-            dgam_dh += p * a2 * f * f
-        if dgam_dh == 0.0:
-            raise SolveError(f"flat first-order condition at node {node.id}; "
-                             "the increment law is degenerate")
-        dh_dx = -dgam_dx / dgam_dh
-        curve = math.fsum(p * a2 * (1.0 + f * dh_dx)
-                          for a2, f, p in zip(v2, increments, probs))
-        return (value, slope, curve), dh_dx
+    def __init__(self, stages: Sequence[StageArrays],
+                 terminal: TerminalValue, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.stages = stages
+        self.terminal = terminal
+
+    def _solve(self, pairs: list[tuple[TreeNode, float]]) -> None:
+        for node, _ in pairs:
+            if node.depth != self.stage:
+                raise SolveError(f"node {node.id} has depth {node.depth}, "
+                                 f"not the evaluator's stage {self.stage}")
+        # rows per run bound the kernel's (leaves x reference atoms) gaps
+        leaves = (self.stages[-1].increments.size
+                  // len(self.stages[self.stage].increments))
+        rows = max(1, _BATCH_CELLS // (leaves * len(self.terminal.reference)))
+        for start in range(0, len(pairs), rows):
+            self._run(pairs[start:start + rows])
+
+    def _run(self, pairs: list[tuple[TreeNode, float]]) -> None:
+        first = self.stages[self.stage].offset
+        trees = _subtrees(self.stages, self.stage,
+                          np.array([node.id - first for node, _ in pairs]))
+        x0 = np.array([x for _, x in pairs])
+        width = sum(stage.increments.shape[-2] for stage in trees.stages)
+        point, exhausted, iterations, halvings, calls = _tree_newton(
+            trees, self.terminal, x0, np.zeros((len(pairs), width)),
+            self.foc_tolerance)
+        stats = self.stats
+        stats.newton_iterations += sum(iterations)
+        stats.halvings += sum(halvings)
+        stats.kernel_calls += calls
+        foc, *_, v, slope, curve = point.rows[0]
+        bound = np.broadcast_to(self.bracket_fn(x0), x0.shape)
+        target = _foc_target(self.foc_tolerance)
+        for (node, x), h, r, b, e, n, *value in zip(
+                pairs, point.positions[:, 0].tolist(), np.abs(foc).tolist(),
+                bound.tolist(), exhausted, iterations,
+                v.tolist(), slope.tolist(), curve.tolist()):
+            solution = OneStepSolution(h, r, (-b, b), n, clamped=abs(h) > b,
+                                       exhausted=e and r > target)
+            self._solutions[(node.id, x)] = solution
+            self._values[(node.id, x)] = tuple(value)
+            stats.record(solution, self.stage)
+
+
+def newton_values(tree: ScenarioTree, prices: PriceModel,
+                  terminal: TerminalValue, stack: Sequence[StageEnvelopes],
+                  foc_tolerance: float = 1e-10) -> list:
+    """Evaluators for stages 0..T (index = stage): a :class:`NewtonValue`
+    per stage t < T, bracketed by ``stack[t].position_bound`` and counting
+    in one :class:`SolveStats`, and ``terminal`` at T."""
+    stages, stats = prices.stages(tree), SolveStats()
+    return [NewtonValue(stages, terminal, stack[t].position_bound,
+                        foc_tolerance, t, stats)
+            for t in range(tree.horizon)] + [terminal]
+
+
+class RecursiveValue(_StageValue):
+    """Stage-t value by the exact recursion, depth first: the test oracle.
+
+    A new (node, x) solves the one-step problem against the next stage's
+    evaluator (:func:`solve_one_step`) and takes the value from the
+    envelope identities at the optimizer: v' is the expected next-stage
+    slope there, v'' combines the expected curvature with the optimizer's
+    wealth sensitivity dh*/dx (implicit function rule on the first-order
+    condition).
+    """
+
+    def __init__(self, prices: PriceModel, next_value, *args,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.prices = prices
+        self.next_value = next_value
+
+    def _solve(self, pairs: list[tuple[TreeNode, float]]) -> None:
+        for node, x in pairs:
+            solution = solve_one_step(self.next_value, self.prices, node, x,
+                                      float(self.bracket_fn(x)),
+                                      self.foc_tolerance)
+            increments, probs = self.prices.row(node)
+            v, v1, v2 = self.next_value.evaluate_many(
+                node.children, [x + solution.position * f for f in increments])
+            dgam_dx = dgam_dh = 0.0
+            for a2, f, p in zip(v2, increments, probs):
+                dgam_dx += p * a2 * f
+                dgam_dh += p * a2 * f * f
+            if dgam_dh == 0.0:
+                raise SolveError(f"flat first-order condition at node "
+                                 f"{node.id}; the increment law is degenerate")
+            dh_dx = -dgam_dx / dgam_dh
+            self._values[(node.id, x)] = (
+                math.fsum(p * a for a, p in zip(v, probs)),
+                math.fsum(p * a1 for a1, p in zip(v1, probs)),
+                math.fsum(p * a2 * (1.0 + f * dh_dx)
+                          for a2, f, p in zip(v2, increments, probs)))
+            self._solutions[(node.id, x)] = solution
+            self.stats.record(solution, self.stage)
 
 
 def value_recursion(tree: ScenarioTree, prices: PriceModel,
                     terminal: TerminalValue,
                     stack: Sequence[StageEnvelopes],
-                    foc_tolerance: float = 1e-10,
-                    warm: WarmTable | None = None) -> list:
-    """Evaluators for stages 0..T (index = stage), chained on-demand exact
-    recursions over the terminal stage.
-
-    Every stage reads the tree's stage arrays and counts its work in one
-    :class:`SolveStats` (``values[t].stats`` for t < T).  ``warm`` (node to
-    the wealth, optimizer and optimizer slope of its last solve), filled
-    here, may be shared with other recursions on the same tree.
-    """
-    prices.stages(tree)
+                    foc_tolerance: float = 1e-10) -> list:
+    """Evaluators for stages 0..T (index = stage), chained depth-first
+    exact recursions over ``terminal``, counting in one
+    :class:`SolveStats`: the oracle of the tests."""
+    values: list = [terminal]
     stats = SolveStats()
-    values: list = [None] * (tree.horizon + 1)
-    values[tree.horizon] = terminal
     for t in range(tree.horizon - 1, -1, -1):
-        values[t] = RecursiveValue(prices, values[t + 1],
-                                   stack[t].position_bound, foc_tolerance,
-                                   stage=t, warm=warm, stats=stats)
+        values.insert(0, RecursiveValue(prices, values[0],
+                                        stack[t].position_bound,
+                                        foc_tolerance, t, stats))
     return values
 
 
@@ -656,11 +527,10 @@ def best_response(market: Market, preferences: Preferences,
     """Optimal strategy against the reference generated by another strategy.
 
     Builds the reference law from the reference strategy's terminal wealth
-    and maximizes the self-value by Newton's method on the whole tree
-    (:func:`_tree_newton`), from ``initial`` or, cold, from 0.  Returns the
-    strategy and the stage evaluators of the exact recursion (stage 0 holds
-    the optimal value at ``x0``), whose memos hold the pass's on-path
-    solutions and values (:func:`_record`).
+    and maximizes the self-value by Newton's method on the whole tree (the
+    batch of one at the root), from ``initial`` or, cold, from 0.  Returns
+    the strategy and the stage evaluators (:func:`newton_values`), whose
+    memos hold the run's on-path solutions and values (:func:`_record`).
     """
     market.require_certified()
     tree, prices = market.tree, market.prices
@@ -673,20 +543,23 @@ def best_response(market: Market, preferences: Preferences,
     start = np.zeros(len(tree.interior))
     if initial is not None:
         start = Strategy(start)._paired(initial)
-    found, exhausted, counts = _tree_newton(prices.stages(tree), terminal,
-                                            float(x0), start, foc_tolerance)
-    values = value_recursion(tree, prices, terminal, stack, foc_tolerance,
-                             warm={})
-    _record(values, tree, stack, foc_tolerance, found, exhausted, counts)
-    return Strategy(found.positions), values
+    found, exhausted, iterations, halvings, calls = _tree_newton(
+        _subtrees(prices.stages(tree), 0, np.zeros(1, dtype=int)),
+        terminal, np.array([float(x0)]), start[None], foc_tolerance)
+    values = newton_values(tree, prices, terminal, stack, foc_tolerance)
+    _record(values, tree, stack, foc_tolerance, found, exhausted[0],
+            (iterations[0], halvings[0], calls))
+    return Strategy(found.positions[0]), values
 
 
 # ---------------------------------------------------------------------------
-# Newton's method on the whole tree
+# Newton's method on batches of subtrees
 # ---------------------------------------------------------------------------
 
-#: Newton iterations of one best response
+#: Newton iterations of one run
 _NEWTON_ITERATIONS = 50
+#: kernel cells (leaves x reference atoms) of one batch run, at least a row
+_BATCH_CELLS = 1 << 20
 #: step halvings of one backtracking line search
 _HALVINGS = 20
 #: sufficient-increase fraction of the Armijo rule
@@ -696,26 +569,64 @@ _ARMIJO = 1e-4
 _VALUE_ULPS = 64 * 2.0 ** -52
 
 
-class _Point(NamedTuple):
-    """A Newton run at one position vector, after its pass."""
+class _Subtrees(NamedTuple):
+    """The subtrees below some nodes of one depth, one per batch row."""
 
-    #: one position per interior node, indexed by node id
+    #: their stage arrays, depth by depth below the roots, with a leading
+    #: batch axis (but for the whole tree) and offsets local to a subtree
+    stages: list
+    #: per local depth, the (rows x nodes) node ids
+    ids: list
+
+    def take(self, rows: np.ndarray) -> "_Subtrees":
+        """The subtrees of the batch rows ``rows``."""
+        return _Subtrees([StageArrays(stage.offset, stage.increments[rows],
+                                      stage.probs[rows], stage.moments[rows])
+                          for stage in self.stages],
+                         [ids[rows] for ids in self.ids])
+
+
+def _subtrees(stages: Sequence[StageArrays], depth: int,
+              rows: np.ndarray) -> _Subtrees:
+    """The subtrees below the nodes in rows ``rows`` of depth ``depth``:
+    each row's block of every deeper stage array; the whole tree is its
+    own arrays, which broadcast as a batch of one."""
+    if depth == 0 and len(rows) == 1:
+        return _Subtrees(list(stages), [
+            np.arange(stage.offset, stage.offset + len(stage.increments))
+            for stage in stages])
+    gathered, ids, offset, width = [], [], 0, 1
+    for stage in stages[depth:]:
+        block = rows[:, None] * width + np.arange(width)
+        gathered.append(StageArrays(offset, stage.increments[block],
+                                    stage.probs[block], stage.moments[block]))
+        ids.append(stage.offset + block)
+        offset += width
+        width *= stage.increments.shape[1]
+    return _Subtrees(gathered, ids)
+
+
+class _Point(NamedTuple):
+    """A batch of Newton runs at one position per row, after its pass."""
+
+    #: (rows x interior nodes) positions, by local breadth-first id
     positions: np.ndarray
-    #: wealth at every node, one array per depth 0..T
+    #: wealth at every node, one (rows x nodes) array per local depth
     #: (:func:`~refequil.market.roll`)
     wealths: list
-    #: :func:`_sweep`'s per-depth rows
+    #: :func:`_sweep`'s per-depth rows, each array flat over batch rows
     rows: list
-    #: the self-value
-    value: float
-    #: the first-order increase of the full Newton step
-    rise: float
-    #: the largest conditional |FOC| (NaN if any is)
-    residual: float
+    #: per row, the value at its root
+    value: np.ndarray
+    #: per row, the first-order increase of the full Newton step
+    rise: np.ndarray
+    #: per row, the largest conditional |FOC| (NaN if any is)
+    residual: np.ndarray
 
 
-def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, float,
-                                                           float, float]:
+def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, np.ndarray,
+                                                           np.ndarray,
+                                                           np.ndarray]:
     """The backward pass at one point, from the leaf columns (s, s', s'').
 
     Each depth reads five rows over its children: the model slope a and
@@ -726,19 +637,19 @@ def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, float,
     first-order condition sum p f E[s' | child], Q_hh, the step k =
     -Q_h/Q_hh, the gain K = -Q_hx/Q_hh, and the node's value, slope mean
     and model curvature b = Q_xx - Q_hx^2/Q_hh; the depth above reads a =
-    Q_x + Q_hx k and b.  Also returns the self-value, the increase of the
-    quadratic model along the full Newton step's first order (the sum over
-    nodes of path probability times Q_h k) and the largest conditional
-    |FOC| (NaN if any is).
+    Q_x + Q_hx k and b.  Also returns, per batch row, the value at its
+    root, the increase of the quadratic model along the full Newton step's
+    first order (the sum over nodes of path probability times Q_h k) and
+    the largest conditional |FOC| (NaN if any is).
     """
     s, s1, s2 = columns
     below = np.array((s1, s2, s1, s, [0.0] * len(s)))
     rows = []
     with np.errstate(all="ignore"):
         for stage in reversed(stages):
-            sums = np.einsum("qij,ijk->qik",
-                             below.reshape(5, *stage.increments.shape),
-                             stage.moments)
+            atoms = stage.increments.shape[-1]
+            sums = np.einsum("qij,ijk->qik", below.reshape(5, -1, atoms),
+                             stage.moments.reshape(-1, atoms, 3))
             q_x, q_xx, mean, value, rise = sums[:, :, 0]
             q_h, q_hx, foc = sums[:3, :, 1]
             q_hh = sums[1, :, 2]
@@ -747,156 +658,210 @@ def _sweep(stages: Sequence[StageArrays], columns) -> tuple[list, float,
                               value, rise + q_h * k))
             rows.append((foc, q_hh, k, gain, value, mean, below[1]))
         rows.reverse()
-        residual = float(np.max(np.abs(np.concatenate([r[0] for r in rows]))))
-    return rows, float(below[3, 0]), float(below[4, 0]), residual
+        size = below.shape[1]
+        residual = np.max(np.abs(np.concatenate(
+            [row[0].reshape(size, -1) for row in rows], axis=1)), axis=1)
+    return rows, below[3], below[4], residual
 
 
-def _direction(stages: Sequence[StageArrays], rows: list) -> np.ndarray:
-    """The Newton step: dh = k + K dx, rolled down the tree from dx = 0,
-    as one vector indexed by node id."""
-    dx = np.zeros(1)
+def _direction(stages: Sequence[StageArrays], rows: list, size: int
+               ) -> np.ndarray:
+    """The Newton step of each of ``size`` batch rows: dh = k + K dx,
+    rolled down its subtree from dx = 0."""
+    dx = np.zeros(size)
     steps = []
     with np.errstate(all="ignore"):
         for stage, (_, _, k, gain, *_) in zip(stages, rows):
             dh = k + gain * dx
-            steps.append(dh)
-            dx = (dx[:, None] + dh[:, None] * stage.increments).ravel()
-    return np.concatenate(steps)
+            steps.append(dh.reshape(size, -1))
+            dx = (dx[:, None]
+                  + dh[:, None] * stage.increments.reshape(len(dh), -1)
+                  ).ravel()
+    return np.concatenate(steps, axis=1)
 
 
-def _check(stages: Sequence[StageArrays], point: _Point) -> None:
+def _check(trees: _Subtrees, point: _Point) -> None:
     """Raise unless every node's first-order condition is finite and its
     curvature Q_hh negative, naming the first offending node of the
     deepest depth: a failure spreads from there to every ancestor."""
     rows = point.rows
-    if (math.isfinite(point.residual)
+    if (np.isfinite(point.residual).all()
             and all((row[1] < 0.0).all() for row in rows)):
         return
-    for stage, x, (foc, *_) in zip(stages[::-1], point.wealths[-2::-1],
-                                   rows[::-1]):
-        bad = ~np.isfinite(foc)
+    for k in reversed(range(len(rows))):
+        bad = ~np.isfinite(rows[k][0])
         if bad.any():
             i = int(np.argmax(bad))
+            x = float(point.wealths[k].ravel()[i])
             raise SolveError("the first-order condition is not finite near "
-                             f"node {stage.offset + i}, x={float(x[i])!r}")
-    for stage, (_, q_hh, *_) in zip(stages[::-1], rows[::-1]):
-        bad = ~(q_hh < 0.0)
+                             f"node {trees.ids[k].flat[i]}, x={x!r}")
+    for k in reversed(range(len(rows))):
+        bad = ~(rows[k][1] < 0.0)
         if bad.any():
             raise SolveError("flat first-order condition at node "
-                             f"{stage.offset + int(np.argmax(bad))}; the "
+                             f"{trees.ids[k].flat[np.argmax(bad)]}; the "
                              "increment law is degenerate")
 
 
-def _tree_newton(stages: Sequence[StageArrays], terminal: TerminalValue,
-                 x0: float, positions: np.ndarray, foc_tolerance: float
-                 ) -> tuple[_Point, bool, tuple[int, int, int]]:
-    """Maximize the self-value over the positions by Newton's method, from
-    ``positions``, asking ``terminal`` for the leaf columns.
+def _merge(base: _Point, trial: _Point, rows: np.ndarray,
+           picks: np.ndarray) -> _Point:
+    """``base`` with its batch rows ``rows`` taken from rows ``picks`` of
+    ``trial``."""
+    def put(into: np.ndarray, part: np.ndarray) -> np.ndarray:
+        into = np.array(into).reshape(len(base.value), -1)
+        into[rows] = part.reshape(len(trial.value), -1)[picks]
+        return into
+
+    return _Point(put(base.positions, trial.positions),
+                  [put(a, b) for a, b in zip(base.wealths, trial.wealths)],
+                  [tuple(put(a, b).ravel() for a, b in zip(old, new))
+                   for old, new in zip(base.rows, trial.rows)],
+                  *(put(a, b).ravel() for a, b in zip(base[3:], trial[3:])))
+
+
+def _tree_newton(trees: _Subtrees, terminal: TerminalValue, x0: np.ndarray,
+                 positions: np.ndarray, foc_tolerance: float
+                 ) -> tuple[_Point, list, list, list, int]:
+    """Maximize each batch row's value over its subtree's positions by
+    Newton's method, from the row of ``positions`` and wealth ``x0`` at
+    its root, asking ``terminal`` for the leaf columns.
 
     Each iteration runs :func:`_sweep` and :func:`_direction` at the
-    current point and tries the full step.  A trial point costs one kernel
-    call, and an accepted one's pass is the next iteration's.  A step is
-    accepted when the self-value rises by ``_ARMIJO`` of the predicted
-    first-order increase (the Armijo rule) or the largest conditional FOC
-    falls by that fraction, which a utility tabulated value and slope
-    apart needs, as its value and slope disagree; else it is halved, up to
-    ``_HALVINGS`` times.  Once the predicted increase is below the value's
-    rounding resolution, only the full step is tried, on the FOC alone.
-    The run stops when the largest FOC meets the one-step target
-    ``foc_tolerance * 1e-3``; when no step is accepted (the rounding
-    floor), or after ``_NEWTON_ITERATIONS``, it stops at the current point,
-    which is ``exhausted`` unless its FOC is at most ``foc_tolerance`` at
-    the floor.
+    current point and tries the full step of every pending row; a trial
+    point costs one kernel call over the rows still searching, and an
+    accepted one's pass is the next iteration's.  A row's step is accepted
+    when its value rises by ``_ARMIJO`` of the predicted first-order
+    increase (the Armijo rule) or its largest conditional FOC falls by
+    that fraction (a tabulated utility's value and slope disagree); else
+    it is halved, up to ``_HALVINGS`` times.  Below the value's rounding
+    resolution only the full step is tried, on the FOC alone.  A row stops
+    when its largest FOC meets the one-step target ``foc_tolerance *
+    1e-3`` (a start that does is returned as it is); at the rounding floor
+    (no step accepted), or after ``_NEWTON_ITERATIONS``, it stops where it
+    is, ``exhausted`` unless its FOC is at most ``foc_tolerance`` at the
+    floor.  A row that has stopped, or accepted its step, is frozen, so
+    each row equals its run alone bit for bit; when every row accepts its
+    full step at once, the trial point is taken whole.  A non-finite FOC
+    or Q_hh >= 0 raises (:func:`_check`).
 
-    Returns the last :class:`_Point`, whether the run is ``exhausted`` and
-    its ``(iterations, halvings, kernel calls)``.
+    Returns the last :class:`_Point`; per row, as lists, whether the run
+    is ``exhausted``, its iterations and its halvings; and the kernel
+    calls.
     """
     target = _foc_target(foc_tolerance)
+    size = len(x0)
     calls = 0
 
-    def point(h: np.ndarray) -> _Point:
+    def point(h: np.ndarray, rows: np.ndarray | None = None) -> _Point:
         nonlocal calls
-        xs = roll(stages, h, x0)
+        part = trees if rows is None else trees.take(rows)
+        xs = roll(part.stages, h, x0 if rows is None else x0[rows])
         calls += 1
-        return _Point(h, xs, *_sweep(stages,
-                                     terminal.evaluate(None, xs[-1].tolist())))
+        return _Point(h, xs, *_sweep(part.stages, terminal.evaluate(
+            None, xs[-1].ravel().tolist())))
 
     current = point(positions)
-    _check(stages, current)
-    iterations = halvings = 0
+    _check(trees, current)
+    iterations, halvings = [0] * size, [0] * size
+    exhausted = [False] * size
+    pending = list(range(size))
     while True:
-        if current.residual <= target:
-            exhausted = False
+        value, rise, residual = (current.value.tolist(), current.rise.tolist(),
+                                 current.residual.tolist())
+        searching = []
+        for i in pending:
+            if residual[i] <= target:
+                continue
+            if iterations[i] == _NEWTON_ITERATIONS:
+                exhausted[i] = True
+                continue
+            iterations[i] += 1
+            searching.append(i)
+        pending = searching
+        if not pending:
             break
-        if iterations == _NEWTON_ITERATIONS:
-            exhausted = True
-            break
-        iterations += 1
-        step = _direction(stages, current.rows)
+        step = _direction(trees.stages, current.rows, size)
         # below its rounding resolution the value cannot judge a step: then
         # only the full step is tried, on the first-order condition alone
-        judged = current.rise > _VALUE_ULPS * abs(current.value)
-        trial, alpha = None, 1.0
-        for _ in range(_HALVINGS + 1 if judged else 1):
+        judged = [r > _VALUE_ULPS * abs(v) for v, r in zip(value, rise)]
+        # every row still searching has been halved as often as the others
+        alpha, best, took_any = 1.0, current, [False] * size
+        for attempt in range(_HALVINGS + 1):
             moved = current.positions + alpha * step
-            if np.array_equal(moved, current.positions):
+            same = (moved == current.positions).all(axis=1).tolist()
+            searching = [i for i in searching
+                         if (judged[i] or not attempt) and not same[i]]
+            if not searching:
                 break
-            candidate = point(moved)
-            if (judged and candidate.value
-                    >= current.value + _ARMIJO * alpha * current.rise
-                    or candidate.residual
-                    <= (1.0 - _ARMIJO * alpha) * current.residual):
-                trial = candidate
-                break
+            rows = None if len(searching) == size else np.array(searching)
+            trial = point(moved if rows is None else moved[rows], rows)
+            trial_value, trial_residual = (trial.value.tolist(),
+                                           trial.residual.tolist())
+            took = [j for j, i in enumerate(searching)
+                    if judged[i] and trial_value[j]
+                    >= value[i] + _ARMIJO * alpha * rise[i]
+                    or trial_residual[j]
+                    <= (1.0 - _ARMIJO * alpha) * residual[i]]
+            if len(took) == size:
+                best = trial
+            elif took:
+                best = _merge(best, trial, np.array(searching)[took],
+                              np.array(took))
+            for j in took:
+                took_any[searching[j]] = True
+            searching = [i for i in searching if not took_any[i]]
+            for i in searching:
+                halvings[i] += 1
             alpha *= 0.5
-            halvings += 1
-        if trial is None:
-            # the rounding floor: no step raises the value or lowers the
-            # first-order condition
-            exhausted = current.residual > foc_tolerance
-            break
-        current = trial
-        _check(stages, current)
-    return current, exhausted, (iterations, halvings, calls)
+        for i in pending:
+            if not took_any[i]:
+                # the rounding floor: no step raises the value or lowers
+                # the first-order condition
+                exhausted[i] = residual[i] > foc_tolerance
+        pending = [i for i in pending if took_any[i]]
+        current = best
+        _check(trees, current)
+    return current, exhausted, iterations, halvings, calls
 
 
 def _record(values: list, tree: ScenarioTree,
             stack: Sequence[StageEnvelopes], foc_tolerance: float,
             point: _Point, exhausted: bool,
             counts: tuple[int, int, int]) -> None:
-    """Store a Newton run's on-path results in the exact recursion.
+    """Store a best response's on-path results in the stage evaluators.
 
-    At each interior node and its wealth in ``point`` (the keys
-    :func:`~refequil.market.wealth` gives the returned strategy): a
-    :class:`OneStepSolution` with the node's position, its conditional
-    |FOC| as the residual and its certified bracket (one ``position_bound``
-    call per depth), flagged ``clamped`` outside the bracket and
-    ``exhausted`` above the target when the run was; the value (v, E s',
-    b); and the warm seed (x, h*, K), K being dh*/dx.  The stats count the
-    run's work and its flags.
+    At each interior node and its wealth in ``point``, the batch of one at
+    the root (the keys :func:`~refequil.market.wealth` gives the returned
+    strategy): a :class:`OneStepSolution` with the node's position, its
+    conditional |FOC| as the residual and its certified bracket (one
+    ``position_bound`` call per depth), flagged ``clamped`` outside the
+    bracket and ``exhausted`` above the target when the run was; and the
+    value (v, E s', b).  The stats count the run's work and its flags.
     """
     target = _foc_target(foc_tolerance)
-    stats, warm = values[0].stats, values[0].warm
+    stats = values[0].stats
     stats.newton_iterations, stats.halvings, stats.kernel_calls = counts
     iterations = counts[0]
+    positions = point.positions[0]
     for t, (level, x, row) in enumerate(zip(tree.levels, point.wealths,
                                             point.rows)):
-        foc, _, _, gain, v, slope, curve = row
-        h = point.positions[level[0].id:level[0].id + len(level)]
+        foc, _, _, _, v, slope, curve = row
+        x = x.ravel()
+        h = positions[level[0].id:level[0].id + len(level)]
         residual = np.abs(foc)
         bound = stack[t].position_bound(x)
         clamped = np.abs(h) > bound
         missed = residual > target if exhausted else np.zeros(len(x), bool)
         stats.clamped += int(clamped.sum())
         stats.exhausted += int(missed.sum())
+        stats.unbounded += int(np.isinf(bound).sum())
         stats.max_residual = max(stats.max_residual, float(residual.max()))
         solutions, memo = values[t]._solutions, values[t]._values
-        for node, xi, hi, ri, bi, ci, ei, ki, vi, si, bb in zip(
+        for node, xi, hi, ri, bi, ci, ei, vi, si, bb in zip(
                 level, x.tolist(), h.tolist(), residual.tolist(),
                 bound.tolist(), clamped.tolist(), missed.tolist(),
-                gain.tolist(), v.tolist(), slope.tolist(), curve.tolist()):
+                v.tolist(), slope.tolist(), curve.tolist()):
             key = (node.id, xi)
             solutions[key] = OneStepSolution(hi, ri, (-bi, bi), iterations,
                                              clamped=ci, exhausted=ei)
             memo[key] = (vi, si, bb)
-            warm[node.id] = (xi, hi, ki)

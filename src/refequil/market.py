@@ -601,12 +601,16 @@ def roll(stages: Sequence[StageArrays], positions: np.ndarray,
     h(parent) * increment, each child's as ``w + h * f``.
 
     ``positions`` is one vector indexed by node id, or a batch of them
-    along leading axes; the wealth arrays then carry the same axes.
+    along leading axes, and ``x0`` one start wealth or one per row; the
+    wealth arrays then carry the same axes.  Stage arrays with the same
+    leading axis give each row its own tree.
     """
     batch = positions.shape[:-1]
-    xs = [np.full(batch + (1,), x0)]
+    xs = [np.empty(batch + (1,))]
+    xs[0][..., 0] = x0
     for stage in stages:
-        h = positions[..., stage.offset:stage.offset + len(stage.increments)]
+        h = positions[..., stage.offset:
+                      stage.offset + stage.increments.shape[-2]]
         xs.append((xs[-1][..., None] + h[..., None] * stage.increments)
                   .reshape(batch + (-1,)))
     return xs

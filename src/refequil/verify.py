@@ -201,6 +201,23 @@ class _Session:
         self._by_depth = {d: (ids, np.asarray(xs))
                           for d, (ids, xs) in by_depth.items()}
         self._env_cache: dict[int, LogFamilies] = {}
+        self.ask(self.states)
+
+    def ask(self, pairs) -> None:
+        """Evaluate ``(node, x)`` pairs, one batch per stage t < T, so that
+        the checks read them from the stage evaluators' memos."""
+        by_depth: dict[int, list] = {}
+        for node, x in pairs:
+            if not node.is_terminal:
+                by_depth.setdefault(node.depth, []).append((node, x))
+        for depth, batch in by_depth.items():
+            self.values[depth].evaluate_many(*zip(*batch))
+
+    def ask_children(self, states) -> None:
+        """:meth:`ask` for the children of each ``(node, x, h)``, at the
+        wealths :func:`one_step_objective` reads."""
+        self.ask((child, x + h * f) for node, x, h in states
+                 for child, f in zip(node.children, self.prices.row(node)[0]))
 
     def sample_states(self, count: int) -> list[tuple]:
         interior = self.tree.interior
@@ -270,13 +287,16 @@ def _check_optimizer_bound(s: _Session) -> CheckReport:
 
 
 def _check_curvature_floor(s: _Session) -> CheckReport:
-    def cases():
-        for idx, node, x, floor, bracket in s.per_state("curve_floor",
-                                                        "position_bound"):
-            if idx % 2:
-                continue
+    draws = []
+    for idx, node, x, floor, bracket in s.per_state("curve_floor",
+                                                    "position_bound"):
+        if idx % 2 == 0:
             cap = min(bracket, 3.0)
-            h = float(s.rng.uniform(-cap, cap))
+            draws.append((node, x, float(s.rng.uniform(-cap, cap)), floor))
+    s.ask_children(draw[:3] for draw in draws)
+
+    def cases():
+        for node, x, h, floor in draws:
             slope = one_step_objective(s.values[node.depth + 1], s.prices,
                                        node, x, h)[2]
             yield (-slope - s.prices.c_f ** 2 * floor,
@@ -306,7 +326,10 @@ def _check_derivative_sandwich(s: _Session) -> CheckReport:
 
 def _fd_checks(s: _Session) -> list[CheckReport]:
     cases = []
-    for node, x in s.states[: max(1, s.samples // 10)]:
+    states = s.states[: max(1, s.samples // 10)]
+    s.ask(pair for node, x in states
+          for pair in ((node, x), (node, x + FD_STEP), (node, x - FD_STEP)))
+    for node, x in states:
         value = s.values[node.depth]
         _, v1, v2 = value.evaluate(node, x)
         up = value.evaluate(node, x + FD_STEP)
@@ -322,6 +345,7 @@ def _fd_checks(s: _Session) -> list[CheckReport]:
 
 def _check_value_shape(s: _Session) -> CheckReport:
     xs = np.linspace(s.x0 - s.wealth_radius, s.x0 + s.wealth_radius, 9)
+    s.ask((node, float(x)) for node in s.tree.interior[:8] for x in xs)
 
     def cases():
         for node in s.tree.interior[:8]:
@@ -334,8 +358,11 @@ def _check_value_shape(s: _Session) -> CheckReport:
 
 
 def _check_dominance(s: _Session) -> CheckReport:
+    states = s.states[: max(1, s.samples // 4)]
+    s.ask_children((node, x, 0.0) for node, x in states)
+
     def cases():
-        for node, x in s.states[: max(1, s.samples // 4)]:
+        for node, x in states:
             v = s.values[node.depth].evaluate(node, x)[0]
             zero = one_step_objective(s.values[node.depth + 1], s.prices,
                                       node, x, 0.0)[0]
@@ -468,6 +495,7 @@ def _check_hoelder(s: _Session) -> list[CheckReport]:
             x = s.x0 + float(s.rng.uniform(-s.wealth_radius,
                                            s.wealth_radius))
             pairs.append((t, a, b, x))
+    s.ask((node, x) for _, a, b, x in pairs for node in (a, b))
     by_stage: dict[int, list[int]] = {}
     for k, (t, *_rest) in enumerate(pairs):
         by_stage.setdefault(t, []).append(k)

@@ -1,6 +1,5 @@
 import csv
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refequil.bestresponse import (
+    NewtonValue,
     OneStepSolution,
     RecursiveValue,
     SolveError,
@@ -15,9 +15,9 @@ from refequil.bestresponse import (
     Strategy,
     TerminalValue,
     best_response,
+    newton_values,
     one_step_objective,
     solve_one_step,
-    tangent_seed,
     terminal_wealth_law,
     value_recursion,
 )
@@ -195,17 +195,6 @@ def test_solver_matches_closed_form(p, a):
     assert sol.residual <= 1e-10
 
 
-def test_solver_warm_start_agrees_with_cold(skewed_market, desk_prefs):
-    tree, prices = skewed_market.tree, skewed_market.prices
-    vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
-                                                          (-0.2, 0.6)]))
-    cold = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0)
-    warm = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
-                          initial=cold.position + 1e-4)
-    assert warm.position == pytest.approx(cold.position, abs=1e-10)
-    assert warm.iterations <= cold.iterations
-
-
 def test_solver_flags_exhausted_iteration_budget(skewed_market, desk_prefs):
     tree, prices = skewed_market.tree, skewed_market.prices
     vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
@@ -236,7 +225,12 @@ def test_solver_flags_one_sided_objective(desk_prefs):
     assert abs(sol.position) == pytest.approx(4.0)
 
 
-def test_optimizer_stays_inside_position_bound():
+#: the engine and its oracle build their stage evaluators alike
+ENGINES = [newton_values, value_recursion]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_optimizer_stays_inside_position_bound(engine):
     rng = np.random.default_rng(42)
     for _ in range(40):
         market, prefs, x0 = random_certified_instance(
@@ -245,12 +239,13 @@ def test_optimizer_stays_inside_position_bound():
                                      market.prices.c_f, market.prices.chi,
                                      market.horizon)
         vt = TerminalValue(prefs, ReferenceDistribution.degenerate(x0))
-        values = value_recursion(market.tree, market.prices, vt, stack)
+        values = engine(market.tree, market.prices, vt, stack)
         for node in market.tree.interior:
             x = x0 + float(rng.uniform(-1.0, 1.0))
             sol = values[node.depth].solution(node, x)
             assert abs(sol.position) <= float(
                 stack[node.depth].position_bound(x))
+            assert not sol.clamped
             assert sol.residual <= 1e-10
 
 
@@ -290,13 +285,14 @@ def test_terminal_value_bounded_by_cap(desk_prefs):
         assert TerminalValue(desk_prefs, ref).evaluate(None, x)[0] <= cap
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 def test_one_period_recursion_collapses_to_single_solve(one_step_market,
                                                         desk_prefs,
-                                                        skewed_stack):
+                                                        skewed_stack, engine):
     tree, prices = one_step_market.tree, one_step_market.prices
     ref = ReferenceDistribution([(0.2, 0.5), (-0.2, 0.5)])
     vt = TerminalValue(desk_prefs, ref)
-    values = value_recursion(tree, prices, vt, skewed_stack)
+    values = engine(tree, prices, vt, skewed_stack)
     x = 0.15
     sol = values[0].solution(tree.root, x)
     direct = one_step_objective(vt, prices, tree.root, x, sol.position)[0]
@@ -304,12 +300,13 @@ def test_one_period_recursion_collapses_to_single_solve(one_step_market,
                                                                 abs=1e-14)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 def test_value_dominates_zero_position(symmetric_market, desk_prefs,
-                                       symmetric_stack):
+                                       symmetric_stack, engine):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution([(0.5, 0.4), (-0.5, 0.6)])
-    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
-                             symmetric_stack)
+    values = engine(tree, prices, TerminalValue(desk_prefs, ref),
+                    symmetric_stack)
     rng = np.random.default_rng(5)
     for _ in range(25):
         node = tree.interior[int(rng.integers(0, len(tree.interior)))]
@@ -320,13 +317,15 @@ def test_value_dominates_zero_position(symmetric_market, desk_prefs,
         assert v >= zero - 1e-12
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 def test_envelope_derivative_matches_finite_difference(symmetric_market,
                                                        desk_prefs,
-                                                       symmetric_stack):
+                                                       symmetric_stack,
+                                                       engine):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution([(0.4, 0.3), (0.0, 0.4), (-0.6, 0.3)])
-    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
-                             symmetric_stack)
+    values = engine(tree, prices, TerminalValue(desk_prefs, ref),
+                    symmetric_stack)
     rng = np.random.default_rng(9)
     step = 1e-5
     for _ in range(10):
@@ -339,12 +338,13 @@ def test_envelope_derivative_matches_finite_difference(symmetric_market,
         assert (up[1] - down[1]) / (2 * step) == pytest.approx(v2, rel=1e-3)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 def test_curvature_floor_at_sampled_positions(symmetric_market, desk_prefs,
-                                              symmetric_stack):
+                                              symmetric_stack, engine):
     tree, prices = symmetric_market.tree, symmetric_market.prices
     ref = ReferenceDistribution.degenerate(0.0)
-    values = value_recursion(tree, prices, TerminalValue(desk_prefs, ref),
-                             symmetric_stack)
+    values = engine(tree, prices, TerminalValue(desk_prefs, ref),
+                    symmetric_stack)
     rng = np.random.default_rng(13)
     for _ in range(20):
         node = tree.interior[int(rng.integers(0, len(tree.interior)))]
@@ -454,75 +454,10 @@ def test_strategy_rejects_non_finite_positions():
 
 
 # ---------------------------------------------------------------------------
-# lockstep rounds against the depth-first recursion
+# the engine's stage evaluators against the depth-first oracle
 # ---------------------------------------------------------------------------
 
-class PerPair(PairByPair):
-    """A terminal value asked one wealth at a time."""
-
-    def __init__(self, terminal):
-        self.terminal = terminal
-
-    def evaluate(self, node, x):
-        return self.terminal.evaluate(node, x)
-
-
-class DepthFirstValue(PairByPair):
-    """The exact recursion one node and one probe at a time, as a reference.
-
-    Every probe of every solve evaluates the next stage child by child, so
-    each node sees its requests in depth-first order.  A solve is followed
-    at once by its envelope at the optimizer, whose slope dh*/dx goes into
-    the warm table beside the wealth and the optimizer.
-    """
-
-    def __init__(self, prices, next_value, bracket_fn, warm, counts):
-        self.prices, self.next_value = prices, next_value
-        self.bracket_fn, self.warm, self.counts = bracket_fn, warm, counts
-        self.solutions, self.values = {}, {}
-
-    def solution(self, node, x):
-        key = (node.id, float(x))
-        if key not in self.solutions:
-            sol = solve_one_step(self.next_value, self.prices, node, x,
-                                 float(self.bracket_fn(x)),
-                                 initial=tangent_seed(self.warm.get(node.id),
-                                                      x))
-            self.solutions[key] = sol
-            self.counts[0] += 1
-            self.counts[1] += sol.iterations
-            h = sol.position
-            value = slope = dgam_dx = dgam_dh = 0.0
-            terms = []
-            for child in node.children:
-                f, p = self.prices.increment(child), child.edge_prob
-                v, v1, v2 = self.next_value.evaluate(child, x + h * f)
-                value += p * v
-                slope += p * v1
-                dgam_dx += p * v2 * f
-                dgam_dh += p * v2 * f * f
-                terms.append((p, v2, f))
-            dh_dx = -dgam_dx / dgam_dh
-            curve = math.fsum(p * v2 * (1.0 + f * dh_dx) for p, v2, f in terms)
-            self.values[key] = (value, slope, curve)
-            self.warm[node.id] = (float(x), h, dh_dx)
-        return self.solutions[key]
-
-    def evaluate(self, node, x):
-        self.solution(node, x)
-        return self.values[(node.id, float(x))]
-
-
-def depth_first_values(market, prefs, law, stack, warm, counts):
-    values = [PerPair(TerminalValue(prefs, law))]
-    for t in range(market.horizon - 1, -1, -1):
-        values.insert(0, DepthFirstValue(market.prices, values[0],
-                                         stack[t].position_bound, warm,
-                                         counts))
-    return values
-
-
-def recursion_best_response(market, prefs, reference, x0, stack, warm=None,
+def recursion_best_response(market, prefs, reference, x0, stack,
                             foc_tolerance=1e-10):
     """The exact recursion's best response: ``value_recursion`` against
     the reference's terminal law, then ``solution`` forward from the root
@@ -530,7 +465,7 @@ def recursion_best_response(market, prefs, reference, x0, stack, warm=None,
     tree, prices = market.tree, market.prices
     values = value_recursion(tree, prices, TerminalValue(
         prefs, terminal_wealth_law(tree, prices, reference, x0)), stack,
-        foc_tolerance, warm=warm)
+        foc_tolerance)
     positions = np.empty(len(tree.interior))
     node_wealth = {tree.root.id: x0}
     for node in tree.interior:
@@ -542,7 +477,7 @@ def recursion_best_response(market, prefs, reference, x0, stack, warm=None,
     return Strategy(positions), values
 
 
-def _lockstep_instance(seed, horizon, atoms):
+def _random_instance(seed, horizon, atoms):
     rng = np.random.default_rng([seed, horizon, atoms])
     market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
     stack = build_envelope_stack(prefs, market.certificate.alpha_star,
@@ -553,66 +488,125 @@ def _lockstep_instance(seed, horizon, atoms):
     return market, prefs, x0, stack, reference
 
 
-@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
-                                           (3, 2), (3, 3), (4, 2), (4, 3)])
-def test_lockstep_matches_depth_first_reference(horizon, atoms):
-    market, prefs, x0, stack, reference = _lockstep_instance(5, horizon,
-                                                             atoms)
+def _both_engines(market, prefs, reference, x0, stack):
+    """Fresh stage evaluators of the engine and of the oracle against the
+    reference's terminal law."""
     tree, prices = market.tree, market.prices
-    warm = {}
-    psi, values = recursion_best_response(market, prefs, reference, x0,
-                                          stack, warm=warm)
-    root = values[0].evaluate(tree.root, x0)
-
     law = terminal_wealth_law(tree, prices, reference, x0)
-    ref_warm, counts = {}, [0, 0]
-    ref_values = depth_first_values(market, prefs, law, stack, ref_warm,
-                                    counts)
-    positions, wealth = {}, {tree.root.id: x0}
-    for node in tree.interior:
-        x = wealth[node.id]
-        positions[node.id] = h = ref_values[node.depth].solution(node,
-                                                                 x).position
-        for child in node.children:
-            wealth[child.id] = x + h * prices.increment(child)
-
-    assert psi.positions.tolist() == [positions[n.id] for n in tree.interior]
-    assert root == ref_values[0].evaluate(tree.root, x0)
-    assert warm == ref_warm
-    stats = values[0].stats
-    assert (stats.solves, stats.foc_evals) == tuple(counts)
+    return [engine(tree, prices, TerminalValue(prefs, law), stack)
+            for engine in ENGINES]
 
 
-_MANY = _lockstep_instance(11, 3, 2)
+def _assert_engine_matches_oracle(market, prefs, reference, x0, stack,
+                                  pairs):
+    """At every ``(node, x)`` where the oracle's solution is not clamped,
+    the engine's position lies within 1e-11 max(1, |h|) of the oracle's,
+    its value within 1e-12 max(1, |v|), and v' and v'' within 1e-9
+    relative.  Returns the number of pairs compared."""
+    engine, oracle = _both_engines(market, prefs, reference, x0, stack)
+    compared = 0
+    for node, x in pairs:
+        exact = oracle[node.depth].solution(node, x)
+        if exact.clamped:
+            continue
+        mine = engine[node.depth].solution(node, x)
+        assert abs(mine.position - exact.position) <= 1e-11 * max(
+            1.0, abs(exact.position))
+        assert not mine.exhausted and mine.residual <= 1e-10
+        v, v1, v2 = engine[node.depth].evaluate(node, x)
+        w, w1, w2 = oracle[node.depth].evaluate(node, x)
+        assert abs(v - w) <= 1e-12 * max(1.0, abs(w))
+        assert v1 == pytest.approx(w1, rel=1e-9, abs=0.0)
+        assert v2 == pytest.approx(w2, rel=1e-9, abs=0.0)
+        compared += 1
+    return compared
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage=st.integers(0, 1),
+@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 4),
+       atoms=st.sampled_from([2, 3]))
+def test_newton_value_matches_the_oracle(seed, horizon, atoms):
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    stack = _stack(market, prefs)
+    reference = Strategy(rng.uniform(-1.0, 1.0, len(market.tree.interior)))
+    pairs = [(level[int(rng.integers(len(level)))],
+              x0 + float(rng.uniform(-2.0, 2.0)))
+             for level in market.tree.levels[:-1]]
+    _assert_engine_matches_oracle(market, prefs, reference, x0, stack, pairs)
+
+
+def _tabulated_instance():
+    """``random_certified_instance(default_rng(54), 3, 3)`` with its
+    exponential utility tabulated on the knots of
+    ``test_tabulated_utility_tracks_its_source``, and a uniform(-1, 1)
+    reference: a C^1 utility whose scanned envelopes are not valid
+    bounds, so that its stage-0 bracket at x0 excludes the optimizer."""
+    rng = np.random.default_rng(54)
+    market, prefs, x0 = random_certified_instance(rng, 3, 3)
+    source = prefs.utility
+    knots = np.concatenate([np.linspace(-6.0, 6.0, 481),
+                            np.linspace(6.5, 90.0, 168)])
+    prefs = Preferences(TabulatedUtility(knots, source.u(knots),
+                                         source.du(knots), source.d2u(knots),
+                                         c_u=source.c_u), prefs.gain_loss)
+    reference = Strategy(rng.uniform(-1.0, 1.0, len(market.tree.interior)))
+    return market, prefs, x0, _stack(market, prefs), reference
+
+
+def test_newton_value_matches_the_oracle_on_a_tabulated_utility():
+    market, prefs, x0, stack, reference = _tabulated_instance()
+    pairs = [(node, x0 + dx) for node in market.tree.interior
+             for dx in (-2.0, -0.5, 0.25, 1.5)]
+    assert _assert_engine_matches_oracle(market, prefs, reference, x0,
+                                         stack, pairs) >= 40
+
+
+def test_off_path_optimizer_outside_the_bracket_is_reported_not_clamped():
+    # the exact recursion can only return the bracket edge, with a residual
+    # far above the tolerance; the engine returns the optimizer and flags
+    # that it lies outside the bracket
+    market, prefs, x0, stack, reference = _tabulated_instance()
+    root, x = market.tree.root, x0 + 0.01
+    engine, oracle = _both_engines(market, prefs, reference, x0, stack)
+    bound = float(stack[0].position_bound(x))
+    exact = oracle[0].solution(root, x)
+    assert exact.clamped and abs(exact.position) == bound
+    assert exact.residual > 0.1
+    solution = engine[0].solution(root, x)
+    assert solution.clamped and not solution.exhausted
+    assert solution.bracket == (-bound, bound)
+    assert abs(solution.position) > 2.0 and solution.residual <= 1e-10
+    assert engine[0].stats.clamped == 1
+    # the first-order condition against the engine's own next stage
+    assert abs(one_step_objective(engine[1], market.prices, root, x,
+                                  solution.position)[1]) <= 1e-10
+
+
+_MANY = _random_instance(11, 3, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stage=st.integers(0, 2),
        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
-                      min_size=1, max_size=7))
-def test_evaluate_many_equals_one_by_one(stage, picks):
+                      min_size=1, max_size=7),
+       order=st.randoms(use_true_random=False))
+def test_evaluate_many_equals_one_by_one(stage, picks, order):
+    # a batch of shuffled pairs, repeats included, returns and stores what
+    # asking a fresh evaluator one pair at a time does, bit for bit
     market, prefs, x0, stack, reference = _MANY
-    tree, prices = market.tree, market.prices
-    law = terminal_wealth_law(tree, prices, reference, x0)
-    level = tree.levels[stage]
+    level = market.tree.levels[stage]
     pairs = [(level[i % len(level)], x0 + 0.4 * (j - 1)) for i, j in picks]
-
-    def recursion(warm):
-        return value_recursion(tree, prices, TerminalValue(prefs, law),
-                               stack, warm=warm)
-
-    many_warm, one_warm, ref_warm = {}, {}, {}
-    many, one = recursion(many_warm), recursion(one_warm)
-    ref = depth_first_values(market, prefs, law, stack, ref_warm, [0, 0])
-    got = list(zip(*many[stage].evaluate_many([n for n, _ in pairs],
-                                              [x for _, x in pairs])))
-    assert got == [one[stage].evaluate(node, x) for node, x in pairs]
-    assert got == [ref[stage].evaluate(node, x) for node, x in pairs]
-    assert many_warm == one_warm == ref_warm
-    for a, b in zip(many[:-1], one[:-1]):
-        assert a._values == b._values
-        assert a._solutions == b._solutions
-    assert many[0].stats == one[0].stats
+    order.shuffle(pairs)
+    many = _both_engines(market, prefs, reference, x0, stack)[0][stage]
+    got = list(zip(*many.evaluate_many([n for n, _ in pairs],
+                                       [x for _, x in pairs])))
+    for node, x in pairs:
+        one = _both_engines(market, prefs, reference, x0, stack)[0][stage]
+        assert one.evaluate(node, x) == many.evaluate(node, x)
+        assert one.solution(node, x) == many.solution(node, x)
+    assert got == [many.evaluate(node, x) for node, x in pairs]
+    assert many.stats.solves == len(set(pairs))
 
 
 def _references(market, reference):
@@ -629,11 +623,11 @@ def test_newton_best_responses_in_sequence_equal_single_runs():
     # the search and verify make them, equal each made alone on a fresh
     # instance, in the reverse order: no call leaves state behind that
     # changes a later one
-    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+    market, prefs, x0, stack, reference = _random_instance(7, 3, 2)
     together = [best_response(market, prefs, ref, x0, stack=stack)
                 for ref in _references(market, reference)]
     for k, (psi, values) in reversed(list(enumerate(together))):
-        market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 2)
+        market, prefs, x0, stack, reference = _random_instance(7, 3, 2)
         ref_psi, ref_values = best_response(
             market, prefs, _references(market, reference)[k], x0,
             stack=stack)
@@ -642,131 +636,121 @@ def test_newton_best_responses_in_sequence_equal_single_runs():
         assert values[0]._values == ref_values[0]._values
 
 
+@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_root_run_equals_the_best_response(horizon, atoms):
+    # a fresh stage-0 evaluator at (root, x0) runs the best response's batch
+    # of one: its position and value equal the stored on-path ones bit for
+    # bit
+    market, prefs, x0, stack, reference = _random_instance(5, horizon,
+                                                           atoms)
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
+    fresh = _both_engines(market, prefs, reference, x0, stack)[0][0]
+    root = market.tree.root
+    assert fresh.solution(root, x0) == values[0].solution(root, x0)
+    assert fresh.solution(root, x0).position == psi.at(root)
+    assert fresh.evaluate(root, x0) == values[0].evaluate(root, x0)
+    assert fresh.stats.kernel_calls == values[0].stats.kernel_calls
+
+
 def test_position_bound_array_equals_scalar():
-    # each lockstep wave asks the bracket once over an array of wealths;
-    # the solver's outputs depend on it matching the scalar call exactly
+    # a batch asks the bracket once over an array of wealths; its solutions
+    # depend on it matching the scalar call exactly
     rng = np.random.default_rng(17)
     for horizon, atoms in ((2, 2), (3, 3), (4, 3)):
-        market, _, x0, stack, _ = _lockstep_instance(int(rng.integers(99)),
-                                                     horizon, atoms)
+        market, _, x0, stack, _ = _random_instance(int(rng.integers(99)),
+                                                   horizon, atoms)
         for stage in stack[:-1]:
             xs = x0 + rng.uniform(-6.0, 6.0, 600)
             assert stage.position_bound(xs).tolist() == [
                 stage.position_bound(float(x)) for x in xs]
 
 
-def test_terminal_calls_below_last_stage_solves(monkeypatch):
-    # one kernel call per lockstep round: a per-probe engine makes at
-    # least one call per stage-(T-1) solve
-    market, prefs, x0, stack, reference = _lockstep_instance(3, 3, 3)
+def test_batch_makes_one_kernel_call_per_trial_point(monkeypatch):
+    # a batch asks the terminal stage once per trial point, over the leaves
+    # of every row still searching, whatever its size
+    market, prefs, x0, stack, reference = _random_instance(3, 3, 3)
+    values = _both_engines(market, prefs, reference, x0, stack)[0]
     calls = []
     evaluate = TerminalValue.evaluate
 
     def counted(self, node, x):
-        calls.append(1)
+        calls.append(len(x))
         return evaluate(self, node, x)
 
     monkeypatch.setattr(TerminalValue, "evaluate", counted)
-    _, values = recursion_best_response(market, prefs, reference, x0, stack)
-    last = values[0].stats.stage_solves[market.horizon - 1]
-    assert 0 < len(calls) < last
+    rng = np.random.default_rng(3)
+    level = market.tree.levels[1]
+    nodes = [level[k % len(level)] for k in range(30)]
+    xs = (x0 + rng.uniform(-2.0, 2.0, len(nodes))).tolist()
+    values[1].evaluate_many(nodes, xs)
+    stats = values[1].stats
+    assert len(calls) == stats.kernel_calls < len(nodes)
+    assert calls[0] == len(nodes) * 9
+    assert stats.solves == stats.stage_solves[1] == len(nodes)
+    assert stats.clamped == stats.exhausted == 0
 
 
-@pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
-                                           (3, 2), (3, 3), (4, 2), (4, 3)])
-def test_terminal_sees_only_probe_wealths(horizon, atoms, monkeypatch):
-    # every solve that stops at its last probe takes its envelope from that
-    # probe's columns: the terminal stage is asked for the children of FOC
-    # probes only, and for the optimizer's children once
-    market, prefs, x0, stack, reference = _lockstep_instance(5, horizon,
-                                                             atoms)
-    asked = Counter()
-    many = TerminalValue.evaluate_many
+def test_large_batches_split_without_changing_answers(monkeypatch):
+    # a batch whose kernel cells would pass the bound runs in parts, each
+    # within it, and answers as the batch run whole does
+    import refequil.bestresponse as bestresponse
 
-    def recorded(self, nodes, xs):
-        asked.update(zip((node.id for node in nodes), xs))
-        return many(self, nodes, xs)
+    market, prefs, x0, stack, reference = _random_instance(3, 3, 3)
+    level = market.tree.levels[1]
+    nodes = [level[k % len(level)] for k in range(12)]
+    xs = np.linspace(x0 - 1.0, x0 + 1.0, len(nodes)).tolist()
+    whole = _both_engines(market, prefs, reference, x0, stack)[0][1]
+    expected = whole.evaluate_many(nodes, xs)
+    cells = 9 * len(whole.terminal.reference)
+    monkeypatch.setattr(bestresponse, "_BATCH_CELLS", 5 * cells + 1)
+    calls = []
+    evaluate = TerminalValue.evaluate
 
-    monkeypatch.setattr(TerminalValue, "evaluate_many", recorded)
-    _, values = recursion_best_response(market, prefs, reference, x0, stack)
-    assert values[0].stats.exhausted == 0
-    last = values[horizon - 1]
-    assert sum(asked.values()) == atoms * sum(
-        solution.iterations for solution in last._solutions.values())
-    for (node_id, x), solution in last._solutions.items():
-        node = market.tree.nodes[node_id]
-        for child, f in zip(node.children, market.prices.row(node)[0]):
-            assert asked[(child.id, x + solution.position * f)] == 1
+    def counted(self, node, x):
+        calls.append(len(x))
+        return evaluate(self, node, x)
 
-
-def test_stop_before_last_probe_asks_again_at_optimizer(one_step_market):
-    # a double whose FOC is +1 below h = 0.3 and -4 above it, with a
-    # non-negative slope: bisection closes in on 0.3 while the best residual
-    # stays the one at h = 0, so the solve stops away from its last probe
-    # and the envelope needs one more round at the optimizer
-    tree, prices = one_step_market.tree, one_step_market.prices
-    up = next(c for c in tree.root.children if prices.increment(c) > 0.0)
-    asked = Counter()
-
-    class StepFoc(PairByPair):
-        def evaluate(self, node, x):
-            asked[(node.id, x)] += 1
-            if node.id != up.id:
-                return (0.0, 0.0, 1.0)
-            return (0.0, 4.0 if x < 0.3 + 0.5 * 0.3 else -16.0, 1.0)
-
-    bracket = lambda x: 4.0 + 0.0 * x  # noqa: E731
-    value = RecursiveValue(prices, StepFoc(), bracket, stage=0)
-    got = value.evaluate(tree.root, 0.3)
-    solution = value.solution(tree.root, 0.3)
-    assert solution.position == 0.0
-    assert not (solution.exhausted or solution.clamped)
-    assert solution.iterations > 2
-    assert asked[(up.id, 0.3)] == 2
-
-    reference = DepthFirstValue(prices, StepFoc(), bracket, {}, [0, 0])
-    assert got == reference.evaluate(tree.root, 0.3)
-    assert value._solutions == reference.solutions
+    monkeypatch.setattr(TerminalValue, "evaluate", counted)
+    split = _both_engines(market, prefs, reference, x0, stack)[0][1]
+    assert split.evaluate_many(nodes, xs) == expected
+    assert max(calls) == 5 * 9
+    assert calls.count(5 * 9) >= 2 and 2 * 9 in calls
 
 
-def test_solution_stores_value_from_its_last_probe(skewed_market, desk_prefs,
-                                                   monkeypatch):
-    # solution() solves in a one-lane wave: a solve that stops at its last
-    # probe stores the envelope from that probe's columns, so a later
-    # evaluate at the same state is a memo hit that asks the next stage
-    # nothing more
+def test_solution_stores_its_value(skewed_market, desk_prefs, skewed_stack,
+                                   monkeypatch):
+    # solution() stores the value its run found, so a later evaluate at the
+    # same state is a memo hit that asks the next stage nothing more
     tree, prices = skewed_market.tree, skewed_market.prices
     vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
                                                           (-0.2, 0.6)]))
     calls = []
-    many = TerminalValue.evaluate_many
+    evaluate = TerminalValue.evaluate
 
-    def counted(self, nodes, xs):
-        calls.append(list(xs))
-        return many(self, nodes, xs)
+    def counted(self, node, x):
+        calls.append(x)
+        return evaluate(self, node, x)
 
-    monkeypatch.setattr(TerminalValue, "evaluate_many", counted)
-    value = _lane_value(skewed_market, vt)
-    solution = value.solution(tree.root, 0.1)
-    assert not (solution.exhausted or solution.clamped)
-    assert solution.iterations > 2
-    assert len(calls) == solution.iterations
-    got = value.evaluate(tree.root, 0.1)
-    assert len(calls) == solution.iterations
-    assert value.stats.solves == 1 and value.stats.memo_hits == 1
-
-    monkeypatch.undo()
-    reference = DepthFirstValue(prices, PerPair(vt), lambda x: 4.0 + 0.0 * x,
-                                {}, [0, 0])
-    assert got == reference.evaluate(tree.root, 0.1)
-    assert value._solutions == reference.solutions
+    monkeypatch.setattr(TerminalValue, "evaluate", counted)
+    for engine in ENGINES:
+        calls.clear()
+        value = engine(tree, prices, vt, skewed_stack)[0]
+        solution = value.solution(tree.root, 0.1)
+        assert not (solution.exhausted or solution.clamped)
+        made = len(calls)
+        got = value.evaluate(tree.root, 0.1)
+        assert len(calls) == made
+        assert value.stats.solves == 1 and value.stats.memo_hits == 1
+        assert got[0] == pytest.approx(one_step_objective(
+            vt, prices, tree.root, 0.1, solution.position)[0], abs=1e-15)
 
 
 def test_edge_table_is_built_once_per_market(desk_prefs):
     # the stage arrays are a market's one edge table: the price model's
     # increment runs while they are built, at assembly, and never again for
-    # the recursion, the forward pass, the wealth roll-forward, the
-    # one-step objective or a verify suite
+    # the best response, the wealth roll-forward, the one-step objective
+    # or a verify suite
     calls = []
 
     def increment(history):
@@ -799,7 +783,7 @@ def test_edge_table_is_built_once_per_market(desk_prefs):
 
 
 def test_solve_stats_are_shared_and_consistent():
-    market, prefs, x0, stack, reference = _lockstep_instance(7, 3, 3)
+    market, prefs, x0, stack, reference = _random_instance(7, 3, 3)
     _, values = recursion_best_response(market, prefs, reference, x0, stack)
     stats = values[0].stats
     assert all(v.stats is stats for v in values[:-1])
@@ -823,20 +807,15 @@ def test_solve_stats_record_flags():
     assert stats.unbounded == 0
     stats.record(OneStepSolution(0.0, 0.0, (-math.inf, math.inf), 1), 0)
     assert stats.unbounded == 1
-    assert stats.seeded == 0
-    stats.record(OneStepSolution(0.2, 0.0, (-1.0, 1.0), 2, seeded=True), 1)
-    assert (stats.solves, stats.seeded) == (4, 1)
 
 
 def _cold_best_response(seed, horizon, atoms):
     market, prefs, x0 = random_certified_instance(
         np.random.default_rng(seed), horizon, atoms)
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 market.prices.c_f, market.prices.chi,
-                                 horizon)
-    _, values = recursion_best_response(market, prefs,
-                                        Strategy.constant(market.tree, 0.0),
-                                        x0, stack)
+    stack = _stack(market, prefs)
+    _, values = best_response(market, prefs,
+                              Strategy.constant(market.tree, 0.0), x0,
+                              stack=stack)
     return stack, x0, values[0].stats
 
 
@@ -846,13 +825,11 @@ def test_solve_stats_count_unbounded_brackets():
     assert stats.unbounded > 0
     config = load_config(fixture_path("symmetric_t2"))
     market, prefs = config.market, config.preferences
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 market.prices.c_f, market.prices.chi,
-                                 market.horizon)
-    _, values = recursion_best_response(market, prefs,
-                                        Strategy.constant(market.tree, 0.0),
-                                        config.initial_capital, stack)
-    assert values[0].stats.solves > 0
+    _, values = best_response(market, prefs,
+                              Strategy.constant(market.tree, 0.0),
+                              config.initial_capital, stack=_stack(market,
+                                                                   prefs))
+    assert len(values[0]._solutions) == 1
     assert values[0].stats.unbounded == 0
 
 
@@ -867,84 +844,7 @@ def test_deep_cold_best_response_saturates_without_nan():
 
 
 # ---------------------------------------------------------------------------
-# tangent seeds
-# ---------------------------------------------------------------------------
-
-def test_tangent_seed_rule():
-    assert tangent_seed(None, 1.0) is None
-    assert tangent_seed((1.0, 0.5, 0.25), 3.0) == 0.5 + 0.25 * 2.0
-    assert tangent_seed((1.0, 0.5, 0.25), 1.0) == 0.5
-    # a slope that is not finite, or a prediction that overflows, falls
-    # back to the last optimizer
-    assert tangent_seed((1.0, 0.5, math.nan), 3.0) == 0.5
-    assert tangent_seed((1.0, 0.5, math.inf), 1.0) == 0.5
-    assert tangent_seed((-1e308, 0.5, 1e10), 1e308) == 0.5
-
-
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 3),
-       atoms=st.sampled_from([2, 3]))
-def test_seeded_solutions_meet_target_and_match_cold_solves(seed, horizon,
-                                                            atoms):
-    rng = np.random.default_rng(seed)
-    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
-    tree, prices = market.tree, market.prices
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 prices.c_f, prices.chi, horizon)
-    reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
-    _, values = recursion_best_response(market, prefs, reference, x0, stack)
-    fresh = value_recursion(tree, prices, TerminalValue(
-        prefs, terminal_wealth_law(tree, prices, reference, x0)), stack)
-    nodes = {node.id: node for node in tree.interior}
-    target = 1e-10 * 1e-3
-    checked = 0
-    for t, value in enumerate(values[:-1]):
-        for (node_id, x), sol in value._solutions.items():
-            assert not (sol.clamped or sol.exhausted)
-            assert sol.residual <= target
-            node = nodes[node_id]
-            cold = solve_one_step(fresh[t + 1], prices, node, x,
-                                  sol.bracket[1], initial=None)
-            # two positions whose residuals meet the target may sit
-            # (r + r_cold) / |d gamma / dh| apart, which the 1e-12 relative
-            # allowance alone does not cover on a flat first-order condition
-            curvature = one_step_objective(fresh[t + 1], prices, node, x,
-                                           cold.position)[2]
-            allowed = (1e-12 * max(1.0, abs(sol.position))
-                       + 2.0 * (sol.residual + cold.residual) / -curvature)
-            assert abs(sol.position - cold.position) <= allowed
-            checked += 1
-    assert checked == values[0].stats.solves
-
-
-def test_seed_outside_bracket_takes_bracketed_flow(skewed_market,
-                                                   desk_prefs):
-    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
-    root = skewed_market.tree.root
-    cold = _lane_value(skewed_market, vt)
-    cold_sol = cold.solution(root, 0.1)
-    assert cold.warm[root.id][:2] == (0.1, cold_sol.position)
-    assert math.isfinite(cold.warm[root.id][2])
-    # a steep recorded slope predicts a position far past the radius-4
-    # bracket: the burst is skipped and the bracketed flow runs as cold
-    value = _lane_value(skewed_market, vt)
-    value.warm[root.id] = (0.0, cold_sol.position, 1e3)
-    assert not abs(tangent_seed(value.warm[root.id], 0.1)) < 4.0
-    sol = value.solution(root, 0.1)
-    assert sol == cold_sol and not sol.seeded
-    assert value.stats.seeded == 0
-    assert value.warm[root.id] == cold.warm[root.id]
-    # the node's own tangent predicts a nearby optimizer: the burst meets
-    # the target and the bracketed flow does not run
-    near = value.solution(root, 0.1 + 1e-3)
-    assert near.seeded and near.iterations < cold_sol.iterations
-    assert value.stats.seeded == 1
-    again = _lane_value(skewed_market, vt).solution(root, 0.1 + 1e-3)
-    assert abs(near.position - again.position) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# one Newton flow
+# the one-step solver's flow
 # ---------------------------------------------------------------------------
 
 class SteepExponential(PairByPair):
@@ -960,148 +860,97 @@ class SteepExponential(PairByPair):
         return (-e, e, -e)
 
 
-def test_seed_on_the_noise_floor_brackets_from_its_probes(skewed_market):
+def test_solve_on_the_noise_floor_ends_at_its_narrowest_pair(skewed_market):
     tree, prices = skewed_market.tree, skewed_market.prices
     steep = SteepExponential(3e5)
-    cold = solve_one_step(steep, prices, tree.root, 0.0, bracket=4.0)
-    assert not (cold.clamped or cold.exhausted or cold.seeded)
-    assert cold.position == pytest.approx(math.log(7.0 / 3.0), abs=1e-12)
-    h = cold.position
+    h = math.log(7.0 / 3.0)
     for _ in range(8):
         h = math.nextafter(h, -math.inf)
     for _ in range(17):
         assert abs(one_step_objective(steep, prices, tree.root, 0.0,
                                       h)[1]) > 1e-13
         h = math.nextafter(h, math.inf)
-    # seeded at the optimizer, the burst cannot meet the target; the pair
-    # its probes straddle is a few ulps wide, so the solve ends there
-    # instead of doubling out from 0 (which took 9 evaluations here)
-    sol = solve_one_step(steep, prices, tree.root, 0.0, bracket=4.0,
-                         initial=cold.position)
-    assert not (sol.clamped or sol.exhausted or sol.seeded)
-    assert abs(sol.position - cold.position) <= 1e-12
-    assert sol.iterations <= 4
+    # no double meets the target: the solve ends where the pair its probes
+    # straddle is a few ulps wide, at its best probe, and is not exhausted
+    sol = solve_one_step(steep, prices, tree.root, 0.0, bracket=4.0)
+    assert not (sol.clamped or sol.exhausted)
+    assert sol.residual > 1e-13
+    assert sol.position == pytest.approx(math.log(7.0 / 3.0), abs=1e-12)
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**16), horizon=st.integers(1, 3),
-       atoms=st.sampled_from([2, 3]),
-       offset=st.floats(-2.0, 2.0, allow_nan=False))
-def test_cold_and_seeded_solves_agree(seed, horizon, atoms, offset):
-    rng = np.random.default_rng(seed)
-    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
-    tree, prices = market.tree, market.prices
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 prices.c_f, prices.chi, horizon)
-    reference = Strategy(rng.uniform(-1.0, 1.0, len(tree.interior)))
-    values = value_recursion(tree, prices, TerminalValue(
-        prefs, terminal_wealth_law(tree, prices, reference, x0)), stack)
-    for node in tree.interior:
-        x = x0 + float(rng.uniform(-2.0, 2.0))
-        bracket = float(stack[node.depth].position_bound(x))
-        v_next = values[node.depth + 1]
-        cold = solve_one_step(v_next, prices, node, x, bracket)
-        sol = solve_one_step(v_next, prices, node, x, bracket,
-                             initial=cold.position + offset)
-        for one in (cold, sol):
-            assert not (one.clamped or one.exhausted)
-            assert one.residual <= 1e-13
-        # as in the tangent-seed property: two roots that meet the target
-        # may sit (r + r_cold) / |d gamma / dh| apart
-        curvature = one_step_objective(v_next, prices, node, x,
-                                       cold.position)[2]
-        allowed = (1e-12 * max(1.0, abs(cold.position))
-                   + 2.0 * (sol.residual + cold.residual) / -curvature)
-        assert abs(sol.position - cold.position) <= allowed
-
-
-@pytest.mark.parametrize("initial", [None, 3.0, -20.0])
-def test_iteration_budget_bounds_every_evaluation(skewed_market, desk_prefs,
-                                                  initial):
+def test_iteration_budget_bounds_every_evaluation(skewed_market, desk_prefs):
     tree, prices = skewed_market.tree, skewed_market.prices
     vt = TerminalValue(desk_prefs, ReferenceDistribution([(0.3, 0.4),
                                                           (-0.2, 0.6)]))
-    full = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
-                          initial=initial)
+    full = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0)
     assert full.residual <= 1e-13 and not full.exhausted
     assert full.iterations > 1
     for k in range(1, 7):
         sol = solve_one_step(vt, prices, tree.root, 0.1, bracket=50.0,
-                             max_iterations=k, initial=initial)
+                             max_iterations=k)
         assert sol.iterations <= k
         assert sol.exhausted == (sol.residual > 1e-13)
         if k >= full.iterations:
             assert sol == full
 
 
-#: earlier counts: 6,113 solves and 13,149 FOC evaluations with the
-#: zeroth-order seed (each solve started at the node's last optimizer);
-#: 4,423 and 8,020 with tangent seeds and cold solves that doubled out from 0
-LADDER_CEILINGS = {"solves": 2591, "foc_evals": 4532}
-
-
-def test_cold_ladder_work_stays_under_ceilings():
-    """Work of one cold best response per rung of the seed-1 ladder (2
-    atoms T = 1..5, 3 atoms T = 1..4), summed.
-
-    With cold solves that burst from the Newton step at 0, and fallbacks
-    that bracket from the burst's own probes, the ladder takes 2,468
-    solves and 4,317 FOC evaluations.  The ceilings are those counts plus
-    5 %, not exact pins, as ``np.arctan`` may round differently on other
-    builds.
-    """
-    totals = {"solves": 0, "foc_evals": 0}
-    for atoms, horizons in ((2, range(1, 6)), (3, range(1, 5))):
-        for horizon in horizons:
-            stats = _cold_best_response(1, horizon, atoms)[2]
-            assert stats.clamped == stats.exhausted == 0
-            totals["solves"] += stats.solves
-            totals["foc_evals"] += stats.foc_evals
-    for key, ceiling in LADDER_CEILINGS.items():
-        assert totals[key] <= ceiling, (key, totals[key])
-
-
-def _lane_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):
+def _oracle_value(market, next_value, bracket=lambda x: 4.0 + 0.0 * x):
     return RecursiveValue(market.prices, next_value, bracket, stage=0)
 
 
-def test_lane_rejects_non_positive_bracket(skewed_market, desk_prefs):
+def test_recursion_rejects_non_positive_bracket(skewed_market, desk_prefs):
     vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
-    value = _lane_value(skewed_market, vt, bracket=lambda x: 0.0 * x)
+    value = _oracle_value(skewed_market, vt, bracket=lambda x: 0.0 * x)
     with pytest.raises(SolveError, match="degenerate position bracket"):
         value.evaluate(skewed_market.tree.root, 0.1)
     assert value._values == {} and value._solutions == {}
-    assert value.warm == {} and value.stats.solves == 0
+    assert value.stats.solves == 0
 
 
-def test_lane_rejects_terminal_node(skewed_market, desk_prefs):
+def test_recursion_rejects_terminal_node(skewed_market, desk_prefs):
     vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
-    value = _lane_value(skewed_market, vt)
+    value = _oracle_value(skewed_market, vt)
     with pytest.raises(SolveError, match="non-terminal"):
         value.evaluate(skewed_market.tree.leaves[0], 0.1)
 
 
-def test_lane_rejects_non_finite_foc(skewed_market):
+def test_recursion_rejects_non_finite_foc(skewed_market):
     class FiniteAtStart(PairByPair):
         # finite only at the starting wealth: every probe away is NaN
         def evaluate(self, node, x):
             return (-1.0, 1.0, -1.0) if x == 0.3 else (math.nan,) * 3
 
-    value = _lane_value(skewed_market, FiniteAtStart())
+    value = _oracle_value(skewed_market, FiniteAtStart())
     with pytest.raises(SolveError, match="not finite"):
         value.evaluate(skewed_market.tree.root, 0.3)
     assert value._values == {} and value._solutions == {}
 
 
-def test_lane_rejects_flat_foc(desk_prefs):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stage_values_reject_flat_foc(desk_prefs, engine):
     tree = ScenarioTree([fair_coin()])
     market = Market.assemble(tree, TablePriceModel(1.0, 0.5, 1.0,
                                                    func=lambda e: 0.0))
     vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
-    value = _lane_value(market, vt)
-    with pytest.raises(SolveError, match="flat first-order condition"):
+    value = engine(tree, market.prices, vt,
+                   [NarrowBrackets(4.0)])[0]
+    with pytest.raises(SolveError, match="flat first-order condition at "
+                                         "node 0"):
         value.evaluate(tree.root, 0.1)
-    assert value._values == {}
+    assert value._values == {} and value._solutions == {}
+
+
+def test_newton_value_rejects_nodes_of_another_stage(skewed_market,
+                                                     desk_prefs,
+                                                     skewed_stack):
+    vt = TerminalValue(desk_prefs, ReferenceDistribution.degenerate(0.0))
+    value = newton_values(skewed_market.tree, skewed_market.prices, vt,
+                          skewed_stack)[0]
+    assert isinstance(value, NewtonValue)
+    with pytest.raises(SolveError, match="not the evaluator's stage 0"):
+        value.evaluate_many([skewed_market.tree.root,
+                             skewed_market.tree.leaves[0]], [0.1, 0.1])
+    assert value._values == {} and value.stats.solves == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1119,8 +968,8 @@ def _agrees_with_recursion(market, prefs, reference, x0, stack, psi,
     """Each position of the Newton best response ``(psi, values)`` within
     1e-11 relative (plus 1e-12) of the exact recursion's forward pass, plus
     (r + r') / |d gamma / dh|: two passes that each stop under the 1e-13
-    target may sit that far apart on a flat first-order condition, as the
-    seeded-solve tests allow too.  Returns the recursion's stage values."""
+    target may sit that far apart on a flat first-order condition.
+    Returns the recursion's stage values."""
     tree, prices = market.tree, market.prices
     oracle, exact = recursion_best_response(market, prefs, reference, x0,
                                             stack)
@@ -1170,32 +1019,13 @@ def test_newton_agrees_with_the_exact_recursion(seed, horizon, atoms):
         gamma = one_step_objective(exact[node.depth + 1], prices, node, x,
                                    solution.position)[1]
         assert abs(gamma) <= 1e-10
-        assert values[node.depth].warm[node.id][:2] == (x, solution.position)
     assert stats.solves == 0 and stats.max_residual <= 1e-10
-
-
-def test_newton_gain_is_the_optimizer_slope():
-    # the warm seed's K is dh*/dx: the recursion's optimizer at nearby
-    # wealths moves at that slope
-    market, prefs, x0, stack, reference = _lockstep_instance(13, 3, 3)
-    psi, values = best_response(market, prefs, reference, x0, stack=stack)
-    exact = recursion_best_response(market, prefs, reference, x0, stack,
-                                    foc_tolerance=1e-12)[1]
-    path = wealth(market.tree, market.prices, psi, x0)
-    step = 1e-5
-    for node in market.tree.interior[:4]:
-        x, h, gain = values[node.depth].warm[node.id]
-        assert x == path.at(node) and h == psi.at(node)
-        up = exact[node.depth].solution(node, x + step).position
-        down = exact[node.depth].solution(node, x - step).position
-        assert gain == pytest.approx((up - down) / (2 * step), rel=1e-5,
-                                     abs=1e-9)
 
 
 def test_newton_warm_start_at_the_response_returns_it():
     # a start that already meets the target is returned as it is, after
     # one kernel call
-    market, prefs, x0, stack, reference = _lockstep_instance(3, 3, 3)
+    market, prefs, x0, stack, reference = _random_instance(3, 3, 3)
     psi, values = best_response(market, prefs, reference, x0, stack=stack)
     again, values = best_response(market, prefs, reference, x0, stack=stack,
                                   initial=psi)
@@ -1207,10 +1037,10 @@ def test_newton_warm_start_at_the_response_returns_it():
     assert np.max(np.abs(warm.positions - psi.positions)) <= 1e-12
 
 
-def test_newton_on_tabulated_utility_backtracks_and_matches_recursion():
-    # a monotone-cubic utility is tabulated value, slope and curvature
-    # apart; with a sharp gain arm the first Newton steps overshoot, the
-    # line search halves them, and the run still meets its target
+def _sharp_tabulated_instance():
+    """A monotone-cubic utility, tabulated value, slope and curvature
+    apart, with a sharp gain arm on a T = 2 binomial tree: the first Newton
+    steps overshoot and the line search halves them."""
     source = ExponentialUtility(1.0, c_u=0.05)
     knots = np.concatenate([np.linspace(-6.0, 6.0, 481),
                             np.linspace(6.5, 90.0, 168)])
@@ -1222,15 +1052,43 @@ def test_newton_on_tabulated_utility_backtracks_and_matches_recursion():
     tree = ScenarioTree([dist, dist])
     market = Market.assemble(tree, TablePriceModel(
         1.0, 1.0, 1.0, func=last_coordinate_scaler(1.0)))
-    stack = _stack(market, prefs)
-    reference = Strategy.constant(tree, 0.5)
-    psi, values = best_response(market, prefs, reference, 0.0, stack=stack)
+    return market, prefs, 0.0, _stack(market, prefs), \
+        Strategy.constant(tree, 0.5)
+
+
+def test_newton_on_tabulated_utility_backtracks_and_matches_recursion():
+    # the line search halves the overshooting steps, and the run still
+    # meets its target
+    market, prefs, x0, stack, reference = _sharp_tabulated_instance()
+    psi, values = best_response(market, prefs, reference, x0, stack=stack)
     stats = values[0].stats
     assert stats.halvings > 0
     assert stats.exhausted == stats.clamped == 0
     assert stats.max_residual <= 1e-13
-    _agrees_with_recursion(market, prefs, reference, 0.0, stack, psi,
+    _agrees_with_recursion(market, prefs, reference, x0, stack, psi,
                            values)
+
+
+@pytest.mark.parametrize("stage", [0, 1])
+def test_batches_that_backtrack_equal_runs_alone(stage):
+    # some rows halve their steps while others take them whole or have
+    # stopped: the frozen rows and the merged trial points leave every row
+    # equal to its run alone
+    market, prefs, x0, stack, reference = _sharp_tabulated_instance()
+    level = market.tree.levels[stage]
+    pairs = [(level[k % len(level)], x0 + dx)
+             for k, dx in enumerate(np.linspace(-1.5, 1.5, 13).tolist())]
+    many = _both_engines(market, prefs, reference, x0, stack)[0][stage]
+    got = list(zip(*many.evaluate_many(*zip(*pairs))))
+    iterations = {many.solution(node, x).iterations for node, x in pairs}
+    assert many.stats.halvings > 0 and len(iterations) > 1
+    for (node, x), value in zip(pairs, got):
+        one = _both_engines(market, prefs, reference, x0, stack)[0][stage]
+        assert one.evaluate(node, x) == value
+        solution = many.solution(node, x)
+        assert one.solution(node, x) == solution
+        # a row that misses the tolerance says so
+        assert solution.exhausted or solution.residual <= 1e-10
 
 
 def _forged_market(increment):
@@ -1257,7 +1115,7 @@ def test_newton_flags_flat_foc_on_degenerate_increments(desk_prefs):
 def test_newton_flags_exhausted_budget(monkeypatch):
     import refequil.bestresponse as bestresponse
 
-    market, prefs, x0, stack, reference = _lockstep_instance(5, 3, 3)
+    market, prefs, x0, stack, reference = _random_instance(5, 3, 3)
     full, full_values = best_response(market, prefs, reference, x0,
                                       stack=stack)
     assert full_values[0].stats.newton_iterations > 2
@@ -1273,6 +1131,26 @@ def test_newton_flags_exhausted_budget(monkeypatch):
         assert solution.exhausted == (solution.residual > 1e-13)
         flagged += solution.exhausted
     assert flagged == stats.exhausted
+
+
+def test_newton_values_flag_an_exhausted_budget(monkeypatch):
+    import refequil.bestresponse as bestresponse
+
+    market, prefs, x0, stack, reference = _random_instance(5, 3, 3)
+    monkeypatch.setattr(bestresponse, "_NEWTON_ITERATIONS", 1)
+    values = _both_engines(market, prefs, reference, x0, stack)[0]
+    level = market.tree.levels[1]
+    xs = np.linspace(x0 - 1.0, x0 + 1.0, 5).tolist()
+    values[1].evaluate_many([node for node in level for _ in xs],
+                            xs * len(level))
+    flagged = 0
+    for node in level:
+        for x in xs:
+            solution = values[1].solution(node, x)
+            assert solution.iterations == 1
+            assert solution.exhausted == (solution.residual > 1e-13)
+            flagged += solution.exhausted
+    assert 0 < flagged == values[1].stats.exhausted
 
 
 class NarrowBrackets:
@@ -1291,7 +1169,7 @@ class NarrowBrackets:
 
 
 def test_newton_flags_positions_outside_the_bracket():
-    market, prefs, x0, stack, reference = _lockstep_instance(5, 2, 3)
+    market, prefs, x0, stack, reference = _random_instance(5, 2, 3)
     psi, _ = best_response(market, prefs, reference, x0, stack=stack)
     radius = 0.5 * psi.max_abs()
     narrow = [NarrowBrackets(radius) for _ in stack]

@@ -487,7 +487,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 def test_value_dump_equals_one_by_one_evaluation(tmp_path):
     # the dump asks each stage once for all of its rows; the file must equal
-    # asking row by row, the way memos and warm seeds build up included
+    # asking row by row
     cfg = fixture_path("asymmetric_eex_t2")
     config = load_config(cfg)
     tree = config.market.tree

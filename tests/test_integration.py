@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import refequil.bestresponse as bestresponse
 from refequil.bestresponse import Strategy, best_response
+from refequil.cli import main
 from refequil.config import fixture_path, load_config
 from refequil.equilibrium import EquilibriumConfig, find_equilibria
 from refequil.market import (
@@ -53,8 +55,14 @@ def test_vector_factor_market_end_to_end():
         assert sol.residual <= 1e-10
 
 
-def test_full_suite_passes_on_drift_vol_fixture():
-    config = load_config(fixture_path("asymmetric_eex_t2"))
+FIXTURES = ("symmetric_t2", "asymmetric_eex_t2", "stress_t3")
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_full_suite_passes_on_drift_vol_fixture(fixture):
+    # at T = 3 the sampled pairs of depths 1 and 2 are subtrees of two and
+    # one periods, which verify reaches only here
+    config = load_config(fixture_path(fixture))
     reports = run_suite(config.market, config.preferences,
                         config.initial_capital, suite="all", samples=80,
                         seed=17,
@@ -95,3 +103,22 @@ def test_stress_fixture_regression_pin():
     assert pref.residual <= 1e-8
     assert pref.value == pytest.approx(-0.8161887867031362, abs=1e-9)
     assert len(result.distinct) == 1
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_commands_never_build_the_exact_recursion(fixture, tmp_path,
+                                                  monkeypatch):
+    # the depth-first recursion is the tests' oracle: solving, certifying,
+    # verifying and dumping a best response's values use the Newton engine
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact recursion was built")
+
+    monkeypatch.setattr(bestresponse.RecursiveValue, "__init__", refuse)
+    cfg = str(fixture_path(fixture))
+    out = tmp_path / "run"
+    preferred = str(out / "preferred.csv")
+    for args in (["solve", "--seed", "7"], ["certify", "--candidate",
+                                            preferred],
+                 ["verify", "--suite", "all", "--samples", "50"],
+                 ["best-response", "--reference", preferred]):
+        assert main([*args, "--config", cfg, "--out", str(out)]) == 0, args
