@@ -306,6 +306,10 @@ class SolveStats:
         self.solves += 1
         self.stage_solves[stage] = self.stage_solves.get(stage, 0) + 1
         self.foc_evals += solution.iterations
+        self.flag(solution)
+
+    def flag(self, solution: OneStepSolution) -> None:
+        """Count a solution's flags and residual."""
         self.clamped += solution.clamped
         self.exhausted += solution.exhausted
         self.unbounded += math.isinf(solution.bracket[1])
@@ -419,22 +423,36 @@ class NewtonValue(_StageValue):
         point, exhausted, iterations, halvings, calls = _tree_newton(
             trees, self.terminal, x0, np.zeros((len(pairs), width)),
             self.foc_tolerance)
-        stats = self.stats
-        stats.newton_iterations += sum(iterations)
-        stats.halvings += sum(halvings)
-        stats.kernel_calls += calls
-        foc, *_, v, slope, curve = point.rows[0]
-        bound = np.broadcast_to(self.bracket_fn(x0), x0.shape)
+        self.stats.newton_iterations += sum(iterations)
+        self.stats.halvings += sum(halvings)
+        self.stats.kernel_calls += calls
+        self._store([node for node, _ in pairs], x0, point.positions[:, 0],
+                    point.rows[0], exhausted, iterations)
+
+    def _store(self, nodes: Sequence[TreeNode], xs: np.ndarray,
+               h: np.ndarray, row: tuple, exhausted: Sequence[bool],
+               iterations: Sequence[int], solved: bool = True) -> None:
+        """Memoize ``nodes`` at wealths ``xs`` from one depth of a pass
+        (:func:`_sweep`'s ``row``): the positions ``h`` with the
+        conditional |FOC| as residual and the bracket ``bracket_fn(xs)``,
+        flagged ``clamped`` outside it and ``exhausted`` above the target
+        where the run was; and the values (v, E s', b).  The stats count
+        them as solves when ``solved``, else only their flags."""
+        foc, *_, v, slope, curve = row
+        bound = np.broadcast_to(self.bracket_fn(xs), xs.shape)
         target = _foc_target(self.foc_tolerance)
-        for (node, x), h, r, b, e, n, *value in zip(
-                pairs, point.positions[:, 0].tolist(), np.abs(foc).tolist(),
-                bound.tolist(), exhausted, iterations,
-                v.tolist(), slope.tolist(), curve.tolist()):
-            solution = OneStepSolution(h, r, (-b, b), n, clamped=abs(h) > b,
+        for node, x, hi, r, b, e, n, *value in zip(
+                nodes, xs.tolist(), h.tolist(), np.abs(foc).tolist(),
+                bound.tolist(), exhausted, iterations, v.tolist(),
+                slope.tolist(), curve.tolist()):
+            solution = OneStepSolution(hi, r, (-b, b), n, clamped=abs(hi) > b,
                                        exhausted=e and r > target)
             self._solutions[(node.id, x)] = solution
             self._values[(node.id, x)] = tuple(value)
-            stats.record(solution, self.stage)
+            if solved:
+                self.stats.record(solution, self.stage)
+            else:
+                self.stats.flag(solution)
 
 
 def newton_values(tree: ScenarioTree, prices: PriceModel,
@@ -547,7 +565,7 @@ def best_response(market: Market, preferences: Preferences,
         _subtrees(prices.stages(tree), 0, np.zeros(1, dtype=int)),
         terminal, np.array([float(x0)]), start[None], foc_tolerance)
     values = newton_values(tree, prices, terminal, stack, foc_tolerance)
-    _record(values, tree, stack, foc_tolerance, found, exhausted[0],
+    _record(values, tree, found, exhausted[0],
             (iterations[0], halvings[0], calls))
     return Strategy(found.positions[0]), values
 
@@ -824,44 +842,19 @@ def _tree_newton(trees: _Subtrees, terminal: TerminalValue, x0: np.ndarray,
     return current, exhausted, iterations, halvings, calls
 
 
-def _record(values: list, tree: ScenarioTree,
-            stack: Sequence[StageEnvelopes], foc_tolerance: float,
-            point: _Point, exhausted: bool,
-            counts: tuple[int, int, int]) -> None:
-    """Store a best response's on-path results in the stage evaluators.
-
-    At each interior node and its wealth in ``point``, the batch of one at
-    the root (the keys :func:`~refequil.market.wealth` gives the returned
-    strategy): a :class:`OneStepSolution` with the node's position, its
-    conditional |FOC| as the residual and its certified bracket (one
-    ``position_bound`` call per depth), flagged ``clamped`` outside the
-    bracket and ``exhausted`` above the target when the run was; and the
-    value (v, E s', b).  The stats count the run's work and its flags.
-    """
-    target = _foc_target(foc_tolerance)
+def _record(values: list, tree: ScenarioTree, point: _Point,
+            exhausted: bool, counts: tuple[int, int, int]) -> None:
+    """Store a best response's on-path results (the batch of one at the
+    root) in the stage evaluators (:meth:`NewtonValue._store`), at each
+    interior node and its wealth in ``point``: the keys
+    :func:`~refequil.market.wealth` gives the returned strategy.  The
+    stats count the run's work and the solutions' flags."""
     stats = values[0].stats
     stats.newton_iterations, stats.halvings, stats.kernel_calls = counts
-    iterations = counts[0]
     positions = point.positions[0]
-    for t, (level, x, row) in enumerate(zip(tree.levels, point.wealths,
-                                            point.rows)):
-        foc, _, _, _, v, slope, curve = row
-        x = x.ravel()
-        h = positions[level[0].id:level[0].id + len(level)]
-        residual = np.abs(foc)
-        bound = stack[t].position_bound(x)
-        clamped = np.abs(h) > bound
-        missed = residual > target if exhausted else np.zeros(len(x), bool)
-        stats.clamped += int(clamped.sum())
-        stats.exhausted += int(missed.sum())
-        stats.unbounded += int(np.isinf(bound).sum())
-        stats.max_residual = max(stats.max_residual, float(residual.max()))
-        solutions, memo = values[t]._solutions, values[t]._values
-        for node, xi, hi, ri, bi, ci, ei, vi, si, bb in zip(
-                level, x.tolist(), h.tolist(), residual.tolist(),
-                bound.tolist(), clamped.tolist(), missed.tolist(),
-                v.tolist(), slope.tolist(), curve.tolist()):
-            key = (node.id, xi)
-            solutions[key] = OneStepSolution(hi, ri, (-bi, bi), iterations,
-                                             clamped=ci, exhausted=ei)
-            memo[key] = (vi, si, bb)
+    for value, level, x, row in zip(values, tree.levels, point.wealths,
+                                    point.rows):
+        value._store(level, x.ravel(),
+                     positions[level[0].id:level[0].id + len(level)], row,
+                     [exhausted] * len(level), [counts[0]] * len(level),
+                     solved=False)
