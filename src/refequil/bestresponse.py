@@ -585,6 +585,10 @@ _ARMIJO = 1e-4
 #: rounding resolution of the self-value, relative to its size: a step
 #: whose predicted increase is below it is judged by the FOC instead
 _VALUE_ULPS = 64 * 2.0 ** -52
+#: predicted increase, relative to the value, below which a falling FOC
+#: also accepts a step; above it the value judges alone, as a FOC branch
+#: there lets a run on a C^1 utility cycle between two points
+_FOC_ONLY = 2.0 ** -26
 
 
 class _Subtrees(NamedTuple):
@@ -749,9 +753,10 @@ def _tree_newton(trees: _Subtrees, terminal: TerminalValue, x0: np.ndarray,
     point costs one kernel call over the rows still searching, and an
     accepted one's pass is the next iteration's.  A row's step is accepted
     when its value rises by ``_ARMIJO`` of the predicted first-order
-    increase (the Armijo rule) or its largest conditional FOC falls by
-    that fraction (a tabulated utility's value and slope disagree); else
-    it is halved, up to ``_HALVINGS`` times.  Below the value's rounding
+    increase (the Armijo rule) or, once that increase is below
+    ``_FOC_ONLY`` of the value, its largest conditional FOC falls by that
+    fraction (a tabulated utility's value and slope disagree near the
+    optimum); else it is halved, up to ``_HALVINGS`` times.  Below the value's rounding
     resolution only the full step is tried, on the FOC alone.  A row stops
     when its largest FOC meets the one-step target ``foc_tolerance *
     1e-3`` (a start that does is returned as it is); at the rounding floor
@@ -818,7 +823,8 @@ def _tree_newton(trees: _Subtrees, terminal: TerminalValue, x0: np.ndarray,
             took = [j for j, i in enumerate(searching)
                     if judged[i] and trial_value[j]
                     >= value[i] + _ARMIJO * alpha * rise[i]
-                    or trial_residual[j]
+                    or rise[i] <= _FOC_ONLY * abs(value[i])
+                    and trial_residual[j]
                     <= (1.0 - _ARMIJO * alpha) * residual[i]]
             if len(took) == size:
                 best = trial

@@ -1069,6 +1069,24 @@ def test_newton_on_tabulated_utility_backtracks_and_matches_recursion():
                            values)
 
 
+def test_newton_does_not_cycle_on_a_sharp_tabulated_utility():
+    # a falling FOC alone used to accept a step down in value, and the
+    # Armijo rule the step back: from (root, -1.25) the run cycled between
+    # two points until its budget ran out, at residual 0.31
+    market, prefs, x0, stack, reference = _sharp_tabulated_instance()
+    engine, oracle = _both_engines(market, prefs, reference, x0, stack)
+    xs = np.linspace(-3.0, 3.0, 241).tolist()
+    for stage, level in enumerate(market.tree.levels[:-1]):
+        engine[stage].evaluate_many([node for node in level for _ in xs],
+                                    xs * len(level))
+    stats = engine[0].stats
+    assert stats.solves == 3 * len(xs)
+    assert stats.exhausted == 0 and stats.max_residual <= 1e-10
+    root = market.tree.root
+    assert engine[0].solution(root, -1.25).position == pytest.approx(
+        oracle[0].solution(root, -1.25).position, abs=1e-11)
+
+
 @pytest.mark.parametrize("stage", [0, 1])
 def test_batches_that_backtrack_equal_runs_alone(stage):
     # some rows halve their steps while others take them whole or have
@@ -1087,8 +1105,7 @@ def test_batches_that_backtrack_equal_runs_alone(stage):
         assert one.evaluate(node, x) == value
         solution = many.solution(node, x)
         assert one.solution(node, x) == solution
-        # a row that misses the tolerance says so
-        assert solution.exhausted or solution.residual <= 1e-10
+        assert not solution.exhausted and solution.residual <= 1e-10
 
 
 def _forged_market(increment):
