@@ -250,10 +250,12 @@ class PriceModel:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
         incs = np.concatenate([s.increments.ravel()
                                for s in self.stages(tree)])
-        for node_id, f in enumerate(incs.tolist(), 1):
-            if abs(f) > self.c_f + 1e-12:
-                raise MarketError(f"increment {f!r} at node {node_id} exceeds "
-                                  f"the stated bound c_f={self.c_f}")
+        over = np.abs(incs) > self.c_f + 1e-12
+        if over.any():
+            # node ids run breadth first, so increment k is node k + 1's
+            k = int(np.argmax(over))
+            raise MarketError(f"increment {float(incs[k])!r} at node {k + 1} "
+                              f"exceeds the stated bound c_f={self.c_f}")
 
 
 class TablePriceModel(PriceModel):
@@ -382,21 +384,30 @@ def check_uniform_no_arbitrage(tree: ScenarioTree,
 
     For every non-terminal node the largest feasible per-node level is
     found by an exact scan over the finite candidate thresholds; the
-    certificate level is the minimum over nodes.
+    certificate level is the minimum over nodes.  The level depends only
+    on a node's row of the stage arrays, so each depth scans its distinct
+    (increments, probabilities) rows once and hands every node its row's
+    level.
     """
     prices.validate_bounds(tree)
-    node_alphas: dict[int, float] = {}
-    alpha_star = 1.0
-    violating = None
-    for node in tree.interior:
-        a = _node_alpha(*prices.row(node))
-        node_alphas[node.id] = a
-        if a <= 0.0 and violating is None:
-            violating = node.id
-        alpha_star = min(alpha_star, a)
-    if violating is not None:
-        alpha_star = 0.0
-    return NoArbitrageCertificate(alpha_star, node_alphas, violating)
+    levels: dict[bytes, float] = {}
+    alphas = []
+    for stage in prices.stages(tree):
+        atoms = stage.increments.shape[1]
+        edges = np.concatenate([stage.increments, stage.probs], axis=1)
+        # one bytes key per row, its length fixed by the atom count: rows
+        # with equal keys are equal bit for bit
+        keys = edges.view(np.dtype((np.void, edges.shape[1]
+                                    * edges.itemsize))).ravel().tolist()
+        for key, row in zip(keys, edges.tolist()):
+            if key not in levels:
+                levels[key] = _node_alpha(row[:atoms], row[atoms:])
+        alphas += [levels[key] for key in keys]
+    # the stages' rows are the interior nodes in id order
+    violating = next((i for i, a in enumerate(alphas) if a <= 0.0), None)
+    alpha_star = 0.0 if violating is not None else min(1.0, min(alphas))
+    return NoArbitrageCertificate(alpha_star, dict(enumerate(alphas)),
+                                  violating)
 
 
 def build_eex_model(mu: Sequence[Callable | float],

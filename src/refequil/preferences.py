@@ -215,6 +215,11 @@ class GainLoss:
     def d2nu(self, x):
         raise NotImplementedError
 
+    def log_dnu(self, x):
+        """log nu'(x); families whose slope underflows override it."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.dnu(x))
+
     def terms(self, x):
         """(nu, nu', nu'') at ``x`` from one call, equal to the three
         separate calls bit for bit."""
@@ -289,6 +294,19 @@ class ArctanGainLoss(GainLoss):
         # an infinite gap takes the curvature's limit 0, as in d2nu
         d2nu = np.where(gain & (x < math.inf), curve, 0.0)
         return nu, dnu, d2nu
+
+    def log_dnu(self, x):
+        # log k - log(1 + r^2) with r = x / s; past r = 1 the second log is
+        # 2 (log x - log s) + log1p((s / x)^2), which stays finite where
+        # r^2 overflows and nu' underflows to 0
+        x = np.asarray(x, dtype=float)
+        log_k = math.log(self.k_minus)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r = x / self.scale
+            log_q = np.where(r <= 1.0, np.log1p(r * r),
+                             2.0 * (np.log(x) - math.log(self.scale))
+                             + np.log1p((self.scale / x) ** 2))
+        return np.where(x > 0.0, log_k - log_q, log_k)
 
     @classmethod
     def tight(cls, k_minus: float) -> "ArctanGainLoss":
@@ -854,8 +872,15 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
     k_minus-Lipschitz on grid pairs.  Finally the asymptotic-elasticity
     probe locates the smallest grid point beyond which
     y V'(y) < V(y) / 2 for the shifted satisfaction (exponent 1/2).
+
+    The gain-loss checks read nu, nu' and nu'' once each, on the grid,
+    and the Lipschitz check compares every pair of an (at most 127-point)
+    sample of it in one (sample x sample) matrix; its witness is the first
+    sample point with a failing pair.  A slope that is exactly 0.0 is read
+    again from :meth:`GainLoss.log_dnu`, so a positive nu' that underflows
+    (the arctan arm at gains near 1e154) does not fail.
     """
-    grid = np.asarray(sorted(probe_grid), dtype=float)
+    grid = np.sort(np.asarray(probe_grid, dtype=float), kind="stable")
     if grid.size < 3:
         raise PreferenceError("the probe grid needs at least 3 points")
     checks: list[CheckOutcome] = []
@@ -876,50 +901,55 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
                                bool(np.all(uvals <= utility.c_u)),
                                _first_failure(grid, uvals > utility.c_u)))
 
-    nu0 = float(gain_loss.nu(0.0))
+    # nu at 0 rides along with the grid's one nu call
+    nu_vals = np.asarray(gain_loss.nu(np.append(grid, 0.0)), dtype=float)
+    nu0, nu_vals = float(nu_vals[-1]), nu_vals[:-1]
+    dnu = np.asarray(gain_loss.dnu(grid), dtype=float)
+    d2nu = np.abs(np.asarray(gain_loss.d2nu(grid), dtype=float))
+    losses, gains = grid <= 0.0, grid > 0.0
     checks.append(CheckOutcome("gain_loss_zero_at_zero", nu0 == 0.0,
                                0.0 if nu0 != 0.0 else None))
-    neg = grid[grid <= 0.0]
-    nu_neg = np.asarray(gain_loss.nu(neg), dtype=float)
+    neg, nu_neg = grid[losses], nu_vals[losses]
     # an overflowed loss arm is no linear branch
     linear_bad = ~np.isfinite(nu_neg) | (nu_neg != gain_loss.k_minus * neg)
     checks.append(CheckOutcome("gain_loss_linear_losses",
                                bool(not np.any(linear_bad)),
                                _first_failure(neg, linear_bad)))
-    dnu = np.asarray(gain_loss.dnu(grid), dtype=float)
+    # a slope of exactly 0.0 may be a positive one that underflowed: its
+    # sign is read again in log space
+    slope_flat = ~(dnu > 0.0)
+    underflow = dnu == 0.0
+    if np.any(underflow):
+        slope_flat[underflow] = ~(np.asarray(
+            gain_loss.log_dnu(grid[underflow]), dtype=float) > -np.inf)
     checks.append(CheckOutcome("gain_loss_slope_positive",
-                               bool(np.all(dnu > 0.0)),
-                               _first_failure(grid, dnu <= 0.0)))
+                               bool(not np.any(slope_flat)),
+                               _first_failure(grid, slope_flat)))
     slope_bad = dnu > gain_loss.k_minus
     checks.append(CheckOutcome("gain_loss_slope_at_most_k",
                                bool(not np.any(slope_bad)),
                                _first_failure(grid, slope_bad)))
-    pos = grid[grid > 0.0]
-    dnu_pos = np.asarray(gain_loss.dnu(pos), dtype=float)
-    mono_bad = np.diff(dnu_pos) > 1e-12
+    pos = grid[gains]
+    mono_bad = np.diff(dnu[gains]) > 1e-12
     checks.append(CheckOutcome("gain_loss_slope_nonincreasing_gains",
                                bool(not np.any(mono_bad)),
                                _first_failure(pos[1:], mono_bad)))
-    d2nu = np.abs(np.asarray(gain_loss.d2nu(grid), dtype=float))
     checks.append(CheckOutcome("gain_loss_curvature_bounded",
                                bool(np.all(d2nu <= gain_loss.c_nu)),
                                _first_failure(grid, d2nu > gain_loss.c_nu)))
-    nu_vals = np.asarray(gain_loss.nu(grid), dtype=float)
     checks.append(CheckOutcome("gain_loss_bounded",
                                bool(np.all(nu_vals <= gain_loss.c_nu)),
                                _first_failure(grid, nu_vals > gain_loss.c_nu)))
 
-    sample = grid[:: max(1, grid.size // 64)]
-    lip_ok, lip_witness = True, None
-    for i, xi in enumerate(sample):
-        gaps = np.abs(nu_vals[:: max(1, grid.size // 64)]
-                      - float(gain_loss.nu(xi)))
-        allowed = gain_loss.k_minus * np.abs(sample - xi) + 1e-12
-        # a NaN gap (inf - inf) fails
-        if not np.all(gaps <= allowed):
-            lip_ok, lip_witness = False, float(xi)
-            break
-    checks.append(CheckOutcome("gain_loss_lipschitz", lip_ok, lip_witness))
+    step = max(1, grid.size // 64)
+    sample, nu_sample = grid[::step], nu_vals[::step]
+    gaps = np.abs(nu_sample[:, None] - nu_sample)
+    allowed = gain_loss.k_minus * np.abs(sample[:, None] - sample) + 1e-12
+    # a NaN gap (inf - inf) fails
+    lip_bad = ~np.all(gaps <= allowed, axis=1)
+    checks.append(CheckOutcome("gain_loss_lipschitz",
+                               bool(not np.any(lip_bad)),
+                               _first_failure(sample, lip_bad)))
 
     checks.append(_elasticity_probe(utility, gain_loss, grid,
                                     elasticity_reference))

@@ -147,6 +147,23 @@ def test_solve_error_exits_cleanly_at_large_capital(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("capital", [1e153, 1e154, 1e200, 1e308])
+def test_gate_passes_capital_where_the_gain_slope_underflows(tmp_path, capsys,
+                                                            capital):
+    # from 1e154 up, (x / s)^2 overflows on the gate's probe grid and the
+    # arctan slope k / (1 + (x / s)^2) rounds to 0.0; the gate reads that
+    # sign in log space, so such capital reaches the solver and fails there
+    # (exit 1), as 1e153 does, instead of the gate (exit 4)
+    cfg = _patch_fixture(tmp_path, _assign(capital, "initial_capital"))
+    code, caught = _main_recording_warnings(["solve", "--config", cfg,
+                                             "--seed", "7", "--out",
+                                             str(tmp_path / "x")])
+    assert (code, caught) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: flat first-order condition")
+    assert err.count("\n") == 1
+
+
 def test_solve_error_exits_cleanly_on_degenerate_increments(tmp_path, capsys,
                                                             monkeypatch):
     # the edges out of node 1 carry no increment; a certificate forged for

@@ -134,6 +134,97 @@ def test_no_arbitrage_rechecked_by_exact_summation(symmetric_market):
         assert up >= a and down >= a
 
 
+def _scanned_node_alpha(increments, probs):
+    # the exact candidate scan, node by node: every |increment| and 1, and
+    # the tail masses at those levels
+    def up_mass(a):
+        return math.fsum(p for f, p in zip(increments, probs) if f >= a)
+
+    def down_mass(a):
+        return math.fsum(p for f, p in zip(increments, probs) if f <= -a)
+
+    candidates = {1.0}
+    for f in increments:
+        if f != 0.0:
+            candidates.add(abs(f))
+    for a in list(candidates):
+        candidates.add(up_mass(a))
+        candidates.add(down_mass(a))
+    best = 0.0
+    for a in candidates:
+        if 0.0 < a <= 1.0 and up_mass(a) >= a and down_mass(a) >= a:
+            best = max(best, a)
+    return best
+
+
+def _per_node_certificate(tree, prices):
+    node_alphas, alpha_star, violating = {}, 1.0, None
+    for node in tree.interior:
+        a = _scanned_node_alpha(*prices.row(node))
+        node_alphas[node.id] = a
+        if a <= 0.0 and violating is None:
+            violating = node.id
+        alpha_star = min(alpha_star, a)
+    return (0.0 if violating is not None else alpha_star), node_alphas, \
+        violating
+
+
+_INCREMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificate_equals_the_per_node_scan(data):
+    # random trees of 2-4 atoms a period whose edge rows repeat, hold zero
+    # increments or move one way only: the certificate scans each distinct
+    # row once and must equal the node-by-node scan bit for bit
+    horizon = data.draw(st.integers(1, 3))
+    factors = []
+    for _ in range(horizon):
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=2,
+                                     max_size=4))
+        total = math.fsum(weights)
+        factors.append(FactorDistribution.from_atoms(
+            [(float(k), w / total) for k, w in enumerate(weights)]))
+    tree = ScenarioTree(factors)
+    table, rows = {}, []
+    for node in tree.interior:
+        atoms = len(node.children)
+        reusable = [row for row in rows if len(row) == atoms]
+        kind = data.draw(st.sampled_from(["repeat", "one-sided", "free"]))
+        if kind == "repeat" and reusable:
+            row = data.draw(st.sampled_from(reusable))
+        else:
+            row = data.draw(st.lists(_INCREMENTS, min_size=atoms,
+                                     max_size=atoms))
+            if kind == "one-sided":
+                sign = data.draw(st.sampled_from([1.0, -1.0]))
+                row = [sign * abs(f) for f in row]
+            rows.append(row)
+        for child, f in zip(node.children, row):
+            table[child.path] = f
+    prices = TablePriceModel(1.0, 1.0, 1.0, table=table)
+    cert = check_uniform_no_arbitrage(tree, prices)
+    alpha_star, node_alphas, violating = _per_node_certificate(tree, prices)
+    assert cert.violating_node == violating
+    assert cert.alpha_star.hex() == alpha_star.hex()
+    assert list(cert.node_alphas) == list(node_alphas)
+    assert [a.hex() for a in cert.node_alphas.values()] == \
+        [a.hex() for a in node_alphas.values()]
+
+
+def test_bound_violation_names_the_first_offending_node():
+    tree = ScenarioTree([fair_coin(), fair_coin()])
+    table = {(0,): 0.5, (1,): -0.5, (0, 0): 0.5, (0, 1): -0.75,
+             (1, 0): 0.75, (1, 1): -0.5}
+    prices = TablePriceModel(1.0, 0.5, 1.0, table=table)
+    with pytest.raises(MarketError, match=r"^increment -0\.75 at node 4 "
+                       r"exceeds the stated bound c_f=0\.5$"):
+        check_uniform_no_arbitrage(tree, prices)
+
+
 # ---------------------------------------------------------------------------
 # the drift/volatility builder
 # ---------------------------------------------------------------------------

@@ -728,6 +728,103 @@ def test_validator_flags_unbounded_utility():
     assert "utility_bounded" in {c.name for c in report.failed()}
 
 
+_GATE_CHECKS = (
+    "utility_increasing", "utility_strictly_concave", "utility_bounded",
+    "gain_loss_zero_at_zero", "gain_loss_linear_losses",
+    "gain_loss_slope_positive", "gain_loss_slope_at_most_k",
+    "gain_loss_slope_nonincreasing_gains", "gain_loss_curvature_bounded",
+    "gain_loss_bounded", "gain_loss_lipschitz", "elasticity_probe")
+
+
+class _KinkedGainLoss(ArctanGainLoss):
+    """Not k_minus-Lipschitz: the arctan arm plus a step of height
+    ``jump`` at ``at``; its slope methods are the arctan family's."""
+
+    def __init__(self, k_minus, scale, at, jump):
+        super().__init__(k_minus, scale)
+        self.at, self.jump = at, jump
+
+    def nu(self, x):
+        x = np.asarray(x, dtype=float)
+        return super().nu(x) + np.where(x > self.at, self.jump, 0.0)
+
+
+def _looped_lipschitz(gain_loss, probe_grid):
+    # the per-point loop over the gate's sample: one nu call per sample
+    # point, the first point with a failing pair is the witness
+    grid = np.asarray(sorted(probe_grid), dtype=float)
+    step = max(1, grid.size // 64)
+    sample = grid[::step]
+    nu_sample = np.asarray(gain_loss.nu(grid), dtype=float)[::step]
+    for xi in sample:
+        gaps = np.abs(nu_sample - float(gain_loss.nu(xi)))
+        allowed = gain_loss.k_minus * np.abs(sample - xi) + 1e-12
+        if not np.all(gaps <= allowed):
+            return False, float(xi)
+    return True, None
+
+
+_PROBE_POINTS = st.one_of(
+    st.floats(-200.0, 200.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -5.0, 60.0, 1e6, -1e6]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=st.lists(_PROBE_POINTS, min_size=3, max_size=300),
+       k=st.one_of(st.floats(0.01, 5.0), st.just(1e308)),
+       scale=st.floats(0.05, 5.0),
+       kink=st.one_of(st.none(), st.tuples(st.floats(-10.0, 100.0),
+                                           st.floats(-2.0, 2.0))))
+def test_lipschitz_check_equals_the_per_point_loop(grid, k, scale, kink):
+    # random, unsorted grids with repeats and signed zeros; the kinked
+    # double fails wherever the sample straddles its step, and k = 1e308
+    # overflows the loss arm into inf - inf gaps, which must fail too
+    gain_loss = (ArctanGainLoss(k, scale) if kink is None
+                 else _KinkedGainLoss(k, scale, *kink))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _looped_lipschitz(gain_loss, grid)
+    report = validate_preferences(EXP_U, gain_loss, grid)
+    assert tuple(c.name for c in report.checks) == _GATE_CHECKS
+    lipschitz = report.checks[_GATE_CHECKS.index("gain_loss_lipschitz")]
+    assert (lipschitz.passed, lipschitz.witness) == expected
+
+
+def test_kinked_gain_loss_fails_with_the_loop_witness():
+    kinked = _KinkedGainLoss(0.5, 1.0, 10.0, -0.75)
+    grid = np.linspace(-5.0, 60.0, 801)
+    expected = _looped_lipschitz(kinked, grid)
+    assert expected[0] is False
+    report = validate_preferences(EXP_U, kinked, grid)
+    lipschitz = next(c for c in report.checks
+                     if c.name == "gain_loss_lipschitz")
+    assert (lipschitz.passed, lipschitz.witness) == expected
+    assert [c.name for c in report.failed()] == ["gain_loss_lipschitz"]
+
+
+def test_arctan_log_slope_survives_underflow():
+    gain_loss = ArctanGainLoss(0.1, 0.6)
+    xs = np.array([-3.0, 0.0, 0.3, 0.6, 2.0, 1e100])
+    assert np.allclose(gain_loss.log_dnu(xs), np.log(gain_loss.dnu(xs)),
+                       rtol=1e-14, atol=0.0)
+    # (x / s)^2 overflows: the linear slope is 0.0, its log is finite
+    huge = np.array([1e154, 1e200, 1e308])
+    with np.errstate(over="ignore"):
+        assert np.all(gain_loss.dnu(huge) == 0.0)
+    logs = gain_loss.log_dnu(huge)
+    assert np.all(np.isfinite(logs))
+    assert np.allclose(logs, math.log(0.1) - 2.0 * (np.log(huge)
+                                                     - math.log(0.6)))
+    assert gain_loss.log_dnu(math.inf) == -math.inf
+
+
+def test_validator_passes_gain_slope_that_underflows():
+    # the CLI probe grid at capital 1e200: every gain past about 1e154 has
+    # an arctan slope that rounds to 0.0
+    grid = np.linspace(-5.0, 1e200 + 60.0, 801)
+    report = validate_preferences(EXP_U, WIDE_NU, grid)
+    assert report.passed, [c.name for c in report.failed()]
+
+
 # ---------------------------------------------------------------------------
 # Hoelder folding
 # ---------------------------------------------------------------------------
