@@ -51,10 +51,10 @@ print("skewed level (down-mass binds):", cert.alpha_star)
 # drift/volatility variant with an a-priori level: tails of the factor law
 # must reach past (C + beta) / c with mass at least beta
 wide = FactorDistribution.from_atoms([(-2.5, 0.4), (0.0, 0.2), (2.5, 0.4)])
-model, apriori = build_eex_model(mu=[0.1], sigma=[1.0], factor_dists=[wide],
-                                 beta=0.4, c=1.0, C=1.1)
-print("drift/vol certificate level:", apriori.alpha_star,
-      "recorded increment bound:", model.c_f)
+eex = build_eex_model(mu=[0.1], sigma=[1.0], factor_dists=[wide],
+                      beta=0.4, c=1.0, C=1.1)
+print("drift/vol certificate level:", eex.certificate.alpha_star,
+      "recorded increment bound:", eex.prices.c_f)
 
 # increments sampled on a finite set extend to the whole space with the
 # same modulus: an inf-convolution against the sample, projected onto the

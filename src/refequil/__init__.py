@@ -48,6 +48,7 @@ from .preferences import (
     GainLoss,
     LogFamilies,
     Preferences,
+    PropagatedEnvelopes,
     ReferenceDistribution,
     StageEnvelopes,
     TabulatedUtility,
@@ -55,7 +56,6 @@ from .preferences import (
     Utility,
     build_envelope_stack,
     fold_hoelder,
-    propagate_envelopes,
     satisfaction,
     strategy_bound,
     validate_preferences,

@@ -345,9 +345,10 @@ class _StageValue:
     """A memoized stage-t evaluator: ``solution(node, x)`` gives the
     :class:`OneStepSolution` there, ``evaluate(node, x)`` the value and
     its wealth derivatives (v, v', v''), ``evaluate_many(nodes, xs)`` their
-    columns.  Both memos are keyed by (node id, x); ``_solve`` fills them
-    for a list of distinct new pairs.  ``bracket_fn`` maps a wealth, or an
-    array of them, to the radius of the optimizer bracket."""
+    columns.  The memo maps (node id, x) to the (solution, value) pair;
+    ``_solve`` fills it for a list of distinct new pairs.  ``bracket_fn``
+    maps a wealth, or an array of them, to the radius of the optimizer
+    bracket."""
 
     def __init__(self, bracket_fn: Callable[..., float | np.ndarray],
                  foc_tolerance: float = 1e-10, stage: int | None = None,
@@ -356,16 +357,16 @@ class _StageValue:
         self.foc_tolerance = foc_tolerance
         self.stage = stage
         self.stats = stats if stats is not None else SolveStats()
-        self._solutions: dict[tuple[int, float], OneStepSolution] = {}
-        self._values: dict[tuple[int, float], tuple[float, float, float]] = {}
+        self._memo: dict[tuple[int, float],
+                         tuple[OneStepSolution, tuple[float, float, float]]] = {}
 
     def solution(self, node: TreeNode, x: float) -> OneStepSolution:
         key = (node.id, float(x))
-        if key in self._solutions:
+        if key in self._memo:
             self.stats.memo_hits += 1
         else:
             self._solve([(node, key[1])])
-        return self._solutions[key]
+        return self._memo[key][0]
 
     def evaluate(self, node: TreeNode, x: float) -> tuple[float, float, float]:
         v, v1, v2 = self.evaluate_many([node], [x])
@@ -375,11 +376,11 @@ class _StageValue:
                       ) -> tuple[Sequence[float], ...]:
         keys = [(node.id, float(x)) for node, x in zip(nodes, xs)]
         fresh = {key: node for node, key in zip(nodes, keys)
-                 if key not in self._values}
+                 if key not in self._memo}
         self.stats.memo_hits += len(keys) - len(fresh)
         if fresh:
             self._solve([(node, x) for (_, x), node in fresh.items()])
-        return tuple(zip(*[self._values[key] for key in keys])) or ((), (), ())
+        return tuple(zip(*[self._memo[key][1] for key in keys])) or ((), (), ())
 
 
 class NewtonValue(_StageValue):
@@ -447,8 +448,7 @@ class NewtonValue(_StageValue):
                 slope.tolist(), curve.tolist()):
             solution = OneStepSolution(hi, r, (-b, b), n, clamped=abs(hi) > b,
                                        exhausted=e and r > target)
-            self._solutions[(node.id, x)] = solution
-            self._values[(node.id, x)] = tuple(value)
+            self._memo[(node.id, x)] = (solution, tuple(value))
             if solved:
                 self.stats.record(solution, self.stage)
             else:
@@ -497,15 +497,13 @@ class RecursiveValue(_StageValue):
                 dgam_dx += p * a2 * f
                 dgam_dh += p * a2 * f * f
             if dgam_dh == 0.0:
-                raise SolveError(f"flat first-order condition at node "
-                                 f"{node.id}; the increment law is degenerate")
+                raise _flat_foc(node.id, increments, x)
             dh_dx = -dgam_dx / dgam_dh
-            self._values[(node.id, x)] = (
+            self._memo[(node.id, x)] = (solution, (
                 math.fsum(p * a for a, p in zip(v, probs)),
                 math.fsum(p * a1 for a1, p in zip(v1, probs)),
                 math.fsum(p * a2 * (1.0 + f * dh_dx)
-                          for a2, f, p in zip(v2, increments, probs)))
-            self._solutions[(node.id, x)] = solution
+                          for a2, f, p in zip(v2, increments, probs))))
             self.stats.record(solution, self.stage)
 
 
@@ -536,6 +534,15 @@ def terminal_wealth_law(tree: ScenarioTree, prices: PriceModel, strategy,
     return ReferenceDistribution.from_weights(path.leaf_law(tree))
 
 
+def envelope_stack(market: Market, preferences: Preferences
+                   ) -> list[StageEnvelopes]:
+    """The envelope stack of ``preferences`` on a certified market: at its
+    no-arbitrage level, increment bound, price exponent and horizon."""
+    return build_envelope_stack(preferences, market.certificate.alpha_star,
+                                market.prices.c_f, market.prices.chi,
+                                market.horizon)
+
+
 def best_response(market: Market, preferences: Preferences,
                   reference_strategy, x0: float,
                   stack: Sequence[StageEnvelopes] | None = None,
@@ -553,9 +560,7 @@ def best_response(market: Market, preferences: Preferences,
     market.require_certified()
     tree, prices = market.tree, market.prices
     if stack is None:
-        stack = build_envelope_stack(preferences,
-                                     market.certificate.alpha_star,
-                                     prices.c_f, prices.chi, tree.horizon)
+        stack = envelope_stack(market, preferences)
     reference = terminal_wealth_law(tree, prices, reference_strategy, x0)
     terminal = TerminalValue(preferences, reference)
     start = np.zeros(len(tree.interior))
@@ -720,9 +725,23 @@ def _check(trees: _Subtrees, point: _Point) -> None:
     for k in reversed(range(len(rows))):
         bad = ~(rows[k][1] < 0.0)
         if bad.any():
-            raise SolveError("flat first-order condition at node "
-                             f"{trees.ids[k].flat[np.argmax(bad)]}; the "
-                             "increment law is degenerate")
+            i = int(np.argmax(bad))
+            increments = trees.stages[k].increments
+            raise _flat_foc(int(trees.ids[k].flat[i]),
+                            increments.reshape(-1, increments.shape[-1])[i],
+                            float(point.wealths[k].ravel()[i]))
+
+
+def _flat_foc(node_id: int, increments, x: float) -> SolveError:
+    """The error of a first-order condition with no negative slope in the
+    position at ``node_id`` and wealth ``x``, naming its cause: a row of
+    increments that are all zero, or else a value curvature that vanishes
+    at the wealths the node reaches (U' and U'' underflow there)."""
+    if not np.any(increments):
+        return SolveError(f"flat first-order condition at node {node_id}; "
+                          "the increment law is degenerate")
+    return SolveError(f"flat first-order condition at node {node_id}, "
+                      f"x={x!r}; U' and U'' underflow near this wealth")
 
 
 def _merge(base: _Point, trial: _Point, rows: np.ndarray,

@@ -6,11 +6,11 @@ equilibrium certification of a candidate), ``verify`` (invariant suites)
 and ``report`` (re-render a previous run's summary).
 
 Exit codes: 0 success; 1 the command's own criterion failed (no start
-converged / a check failed / certification failed / a best response has a
-clamped or exhausted one-step solution) or a solve raised
-``SolveError``; 2 configuration parse
-or validation error; 3 market certification failure; 4 preference
-validation failure.
+converged, or a best response of the search has a clamped or exhausted
+on-path solution / a check failed / certification failed / a best
+response has a clamped or exhausted one-step solution) or a solve raised
+``SolveError``; 2 configuration parse or validation error; 3 market
+certification failure; 4 preference validation failure.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bestresponse import SolveError, Strategy, best_response
+from .bestresponse import SolveError, Strategy, best_response, envelope_stack
 from .config import CertificationError, ConfigError, RunConfig, load_config
 from .equilibrium import certify_equilibrium, evaluate_self_value, find_equilibria
 from .market import ScenarioTree, tree_rows
-from .preferences import (
-    build_envelope_stack,
-    envelope_rows,
-    validate_preferences,
-)
-from .verify import report_rows, run_suite
+from .preferences import envelope_rows, validate_preferences
+from .verify import SUITES, report_rows, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -80,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     common(p_verify)
-    p_verify.add_argument("--suite", default="all",
-                          choices=("all", "foc", "bounds", "hoelder",
-                                   "continuity", "equilibrium"))
+    p_verify.add_argument("--suite", default="all", choices=("all", *SUITES))
     p_verify.add_argument("--samples", type=int, default=400)
 
     p_report = sub.add_parser("report", help="re-render a run summary")
@@ -174,9 +168,7 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
     out = config.output_dir
     market, prefs = config.market, config.preferences
     x0 = config.initial_capital
-    stack = build_envelope_stack(prefs, market.certificate.alpha_star,
-                                 market.prices.c_f, market.prices.chi,
-                                 market.horizon)
+    stack = envelope_stack(market, prefs)
     result = find_equilibria(market, prefs, config.solver, x0,
                              seed=config.seed, stack=stack)
 
@@ -216,6 +208,13 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
         f"distinct equilibria: {len(result.distinct)}",
         f"damped fallbacks: {sum(r.fallbacks for r in result.reports)}",
     ]
+    clamped = sum(r.clamped for r in result.reports)
+    exhausted = sum(r.exhausted for r in result.reports)
+    flagged = ""
+    if clamped or exhausted:
+        flagged = (f"flagged best responses: {clamped} clamped, "
+                   f"{exhausted} exhausted")
+        lines.append(flagged)
     if result.preferred is not None:
         pref = result.preferred_report
         lines += [f"preferred start: {pref.start_id}",
@@ -226,6 +225,9 @@ def _cmd_solve(config: RunConfig, trace: bool) -> int:
                      "the search is heuristic)")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
+    if flagged:
+        print(flagged, file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK if result.converged_reports else EXIT_FAILED
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -23,7 +23,6 @@ from .market import (
     FactorDistribution,
     Market,
     MarketError,
-    PriceModel,
     ScenarioTree,
     TablePriceModel,
     build_eex_model,
@@ -37,6 +36,12 @@ from .preferences import (
     TabulatedUtility,
     Utility,
 )
+
+
+#: the ``solver`` section's keys: every search control but the starts given
+#: as strategies
+_SOLVER_KEYS = tuple(f.name for f in fields(EquilibriumConfig)
+                    if f.name != "explicit_starts")
 
 
 class ConfigError(ValueError):
@@ -138,7 +143,7 @@ def _build_market(section: dict) -> Market:
         for key, value in _require(price, "increments", "market.price").items():
             path = tuple(int(k) for k in key.split("/")) if key else ()
             table[path] = float(value)
-        model: PriceModel = TablePriceModel(
+        model = TablePriceModel(
             s0, float(_require(price, "c_f", "market.price")),
             float(price.get("chi", 1.0)), table=table)
         certificate = check_uniform_no_arbitrage(tree, model)
@@ -154,7 +159,7 @@ def _build_market(section: dict) -> Market:
                                   for t, spec in enumerate(specs)]
         mu, sigma = coefficients["mu"], coefficients["sigma"]
         try:
-            model, certificate = build_eex_model(
+            return build_eex_model(
                 mu, sigma, factors,
                 beta=float(_require(price, "beta", "market.price")),
                 c=float(_require(price, "c", "market.price")),
@@ -162,7 +167,6 @@ def _build_market(section: dict) -> Market:
                 s0=s0, delta=float(price.get("delta", 1.0)))
         except MarketError as exc:
             raise CertificationError(str(exc)) from exc
-        return Market(ScenarioTree(factors), model, certificate)
     raise ConfigError(f"unknown price variant {variant!r}")
 
 
@@ -192,13 +196,10 @@ def _build_gain_loss(spec: dict) -> GainLoss:
 
 
 def _build_solver(spec: dict) -> EquilibriumConfig:
-    known = {"damping", "tolerance", "max_iterations", "starts",
-             "start_radius", "foc_tolerance", "oracle_resolution",
-             "oracle_radius"}
-    unknown = set(spec) - known
+    unknown = set(spec) - set(_SOLVER_KEYS)
     if unknown:
         raise ConfigError(f"unknown solver keys {sorted(unknown)}")
-    kwargs = {k: spec[k] for k in known if k in spec and spec[k] is not None}
+    kwargs = {k: v for k, v in spec.items() if v is not None}
     try:
         return EquilibriumConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -259,8 +260,7 @@ def _merged(raw: dict, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in ("damping", "tolerance", "max_iterations", "starts",
-                   "foc_tolerance", "oracle_resolution"):
+        if key in _SOLVER_KEYS:
             out.setdefault("solver", {})[key] = value
         elif key == "output_directory":
             out.setdefault("output", {})["directory"] = value

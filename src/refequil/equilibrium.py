@@ -24,13 +24,13 @@ import numpy as np
 from .bestresponse import (
     Strategy,
     best_response,
+    envelope_stack,
     terminal_wealth_law,
 )
 from .market import Market, roll
 from .preferences import (
     Preferences,
     ReferenceDistribution,
-    build_envelope_stack,
     satisfaction,
 )
 
@@ -69,13 +69,13 @@ class EquilibriumConfig:
     max_iterations: int = 50
     starts: int = 8
     #: radius of the uniform multistart draws; None uses the stage-0
-    #: optimizer bracket at x0, capped at 50 so that wild references do not
-    #: burn the iteration budget
+    #: optimizer bracket at x0, capped at 50 (:func:`_default_radius`)
     start_radius: float | None = None
     explicit_starts: tuple = ()
     foc_tolerance: float = 1e-10
     #: oracle grid positions per node
     oracle_resolution: int = 41
+    #: half-width of the oracle grid; None as for ``start_radius``
     oracle_radius: float | None = None
 
     def __post_init__(self) -> None:
@@ -122,6 +122,10 @@ class EquilibriumReport:
     residual_trace: tuple[float, ...] = field(default=(), repr=False)
     #: rounds that blended at the damping instead of taking the full step
     fallbacks: int = 0
+    #: best responses with a clamped on-path solution
+    clamped: int = 0
+    #: best responses with an exhausted on-path solution
+    exhausted: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,10 +145,10 @@ class EquilibriumSet:
         return None if self.preferred is None else self.reports[self.preferred]
 
 
-def _default_stack(market: Market, preferences: Preferences):
-    return build_envelope_stack(preferences, market.certificate.alpha_star,
-                                market.prices.c_f, market.prices.chi,
-                                market.tree.horizon)
+def _default_radius(stack, x0: float) -> float:
+    """The stage-0 optimizer bracket at x0, capped at 50 so that wild
+    references do not burn the iteration budget."""
+    return min(float(stack[0].position_bound(x0)), 50.0)
 
 
 def iterate_fixed_point(market: Market, preferences: Preferences,
@@ -161,21 +165,24 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     lowest-residual iterate seen, with the converged flag telling the two
     outcomes apart.  Each best response after the first starts Newton at
     the previous one (:func:`~refequil.bestresponse.best_response`'s
-    ``initial``).
+    ``initial``).  The report counts the best responses with a clamped or
+    an exhausted on-path solution.
     """
     market.require_certified()
     if stack is None:
-        stack = _default_stack(market, preferences)
+        stack = envelope_stack(market, preferences)
     current = start
     response = None
     best: tuple[float, Strategy] | None = None
     trace: list[float] = []
     converged = False
-    fallbacks = 0
+    fallbacks = clamped = exhausted = 0
     for _ in range(config.max_iterations):
-        response, _ = best_response(
+        response, values = best_response(
             market, preferences, current, x0, stack=stack,
             foc_tolerance=config.foc_tolerance, initial=response)
+        clamped += values[0].stats.clamped > 0
+        exhausted += values[0].stats.exhausted > 0
         residual = response.sup_distance(current)
         trace.append(residual)
         if best is None or residual < best[0]:
@@ -191,7 +198,8 @@ def iterate_fixed_point(market: Market, preferences: Preferences,
     residual, strategy = best
     value = evaluate_self_value(market, preferences, strategy, x0)
     return EquilibriumReport(strategy, residual, value, len(trace),
-                             converged, start_id, tuple(trace), fallbacks)
+                             converged, start_id, tuple(trace), fallbacks,
+                             clamped, exhausted)
 
 
 @dataclass(frozen=True)
@@ -249,7 +257,7 @@ def certify_equilibrium(market: Market, preferences: Preferences,
     config = config or EquilibriumConfig()
     market.require_certified()
     if stack is None:
-        stack = _default_stack(market, preferences)
+        stack = envelope_stack(market, preferences)
     response, values = best_response(market, preferences, candidate, x0,
                                      stack=stack,
                                      foc_tolerance=config.foc_tolerance)
@@ -263,7 +271,7 @@ def certify_equilibrium(market: Market, preferences: Preferences,
 
     radius = config.oracle_radius
     if radius is None:
-        radius = min(float(stack[0].position_bound(x0)), 50.0)
+        radius = _default_radius(stack, x0)
     resolution = config.oracle_resolution
     spacing = 2.0 * radius / (resolution - 1)
     with np.errstate(over="ignore"):
@@ -291,7 +299,7 @@ def _starts(market: Market, config: EquilibriumConfig, x0: float,
     rng = np.random.default_rng(seed)
     radius = config.start_radius
     if radius is None:
-        radius = min(float(stack[0].position_bound(x0)), 50.0)
+        radius = _default_radius(stack, x0)
     starts: list[Strategy] = [Strategy.constant(tree, 0.0)]
     starts.extend(config.explicit_starts)
     while len(starts) < max(config.starts, len(starts)):
@@ -313,7 +321,7 @@ def find_equilibria(market: Market, preferences: Preferences,
     """
     market.require_certified()
     if stack is None:
-        stack = _default_stack(market, preferences)
+        stack = envelope_stack(market, preferences)
     reports = [iterate_fixed_point(market, preferences, config, start, x0,
                                    stack=stack, start_id=k)
                for k, start in enumerate(_starts(market, config, x0, seed,

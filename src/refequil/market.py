@@ -60,7 +60,8 @@ class FactorDistribution:
         dims = {len(v) for v in self.values}
         if len(dims) != 1:
             raise MarketError("all atoms must share one dimension")
-        if any(p <= 0.0 or p > 1.0 for p in self.probs):
+        # NaN fails every comparison, so each check states what passes
+        if not all(0.0 < p <= 1.0 for p in self.probs):
             raise MarketError("atom probabilities must lie in (0, 1]")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PROB_TOL:
@@ -250,7 +251,8 @@ class PriceModel:
         """Check |f_t| <= c_f on every tree node of depth >= 1."""
         incs = np.concatenate([s.increments.ravel()
                                for s in self.stages(tree)])
-        over = np.abs(incs) > self.c_f + 1e-12
+        # a NaN increment fails the bound too
+        over = ~(np.abs(incs) <= self.c_f + 1e-12)
         if over.any():
             # node ids run breadth first, so increment k is node k + 1's
             k = int(np.argmax(over))
@@ -291,16 +293,16 @@ class DriftVolPriceModel(PriceModel):
     (constants are accepted for convenience); factors must be scalar.
     The recorded constants are those of the drift/vol family: ``vol_floor``
     (the uniform lower bound on sigma), ``coeff_bound`` (bound on
-    |mu| + |sigma| and on their Hoelder modulus) and the exponent ``delta``.
+    |mu| + |sigma| and on their Hoelder modulus) and the exponent ``delta``,
+    which is also the price exponent ``chi``.
     """
 
     variant = "drift_vol"
 
     def __init__(self, s0: float, mu: Sequence[Callable | float],
                  sigma: Sequence[Callable | float], delta: float,
-                 vol_floor: float, coeff_bound: float,
-                 c_f: float, chi: float | None = None) -> None:
-        super().__init__(s0, c_f, delta if chi is None else chi)
+                 vol_floor: float, coeff_bound: float, c_f: float) -> None:
+        super().__init__(s0, c_f, delta)
         self.mu = [self._as_callable(m) for m in mu]
         self.sigma = [self._as_callable(s) for s in sigma]
         self.delta = float(delta)
@@ -414,13 +416,13 @@ def build_eex_model(mu: Sequence[Callable | float],
                     sigma: Sequence[Callable | float],
                     factor_dists: Sequence[FactorDistribution],
                     beta: float, c: float, C: float,
-                    s0: float = 100.0, delta: float = 1.0,
-                    ) -> tuple[DriftVolPriceModel, NoArbitrageCertificate]:
-    """Drift/volatility model with an a-priori no-arbitrage level ``beta``.
+                    s0: float = 100.0, delta: float = 1.0) -> Market:
+    """The market of a drift/volatility model on the tree of
+    ``factor_dists``, with an a-priori no-arbitrage level ``beta``.
 
     Requires scalar factors, ``sigma_t >= c > 0`` and ``|mu_t| + |sigma_t|
     <= C`` on every tree history, and per-period tail masses of at least
-    ``beta`` beyond ``+-(C + beta) / c``.  The returned certificate carries
+    ``beta`` beyond ``+-(C + beta) / c``.  The market's certificate carries
     alpha = beta at every node.  The recorded increment bound is
     ``5 C (1 + C_eps)`` with ``C_eps = max(1, factor bound)``, valid at
     exponent ``delta`` on the sampled compact.
@@ -450,14 +452,15 @@ def build_eex_model(mu: Sequence[Callable | float],
         t = node.depth
         m_val = model.mu[t](node.point)
         s_val = model.sigma[t](node.point)
-        if s_val < c:
+        # NaN fails every comparison: each check states what passes
+        if not s_val >= c:
             raise MarketError(f"sigma_{t + 1} = {s_val!r} at node {node.id} "
                               f"falls below the floor c={c}")
-        if abs(m_val) + abs(s_val) > C + 1e-12:
+        if not abs(m_val) + abs(s_val) <= C + 1e-12:
             raise MarketError(f"|mu| + |sigma| = {abs(m_val) + abs(s_val)!r} "
                               f"at node {node.id} exceeds C={C}")
         node_alphas[node.id] = beta
-    return model, NoArbitrageCertificate(beta, node_alphas, None)
+    return Market(tree, model, NoArbitrageCertificate(beta, node_alphas, None))
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +680,8 @@ class Market:
         return self.tree.horizon
 
 
-def tree_rows(tree: ScenarioTree, prices: PriceModel | None = None,
-              certificate: NoArbitrageCertificate | None = None,
+def tree_rows(tree: ScenarioTree, prices: PriceModel,
+              certificate: NoArbitrageCertificate,
               ) -> tuple[list[str], list[list]]:
     """Tabulate the tree for CSV export.
 
@@ -686,15 +689,15 @@ def tree_rows(tree: ScenarioTree, prices: PriceModel | None = None,
     root), per-node alpha (empty at terminal nodes).
     """
     header = ["node_id", "depth", "path", "probability", "increment", "alpha"]
-    incs = [] if prices is None else np.concatenate(
+    incs = np.concatenate(
         [s.increments.ravel() for s in prices.stages(tree)]).tolist()
     rows = []
     for node in tree.nodes:
         inc = ""
-        if incs and node.depth:
+        if node.depth:
             inc = repr(incs[node.id - 1])
         alpha = ""
-        if certificate is not None and node.id in certificate.node_alphas:
+        if node.id in certificate.node_alphas:
             alpha = repr(certificate.node_alphas[node.id])
         rows.append([node.id, node.depth,
                      "/".join(str(k) for k in node.path),

@@ -353,14 +353,14 @@ class ReferenceDistribution:
         return cls([(wealth, 1.0)])
 
     @classmethod
-    def from_weights(cls, pairs: Iterable[tuple[float, float]],
-                     merge_tol: float = 1e-12) -> "ReferenceDistribution":
+    def from_weights(cls, pairs: Iterable[tuple[float, float]]
+                     ) -> "ReferenceDistribution":
         """Build from possibly repeated (wealth, weight) pairs, merging
-        wealths that coincide within ``merge_tol``."""
+        wealths that coincide within 1e-12."""
         items = sorted((float(w), float(q)) for w, q in pairs)
         merged: list[tuple[float, float]] = []
         for w, q in items:
-            if merged and abs(w - merged[-1][0]) <= merge_tol:
+            if merged and abs(w - merged[-1][0]) <= 1e-12:
                 w_prev, q_prev = merged[-1]
                 merged[-1] = (w_prev, q_prev + q)
             else:
@@ -491,7 +491,7 @@ class StageEnvelopes:
     ``slope_cap`` sandwich its first derivative, ``curve_floor`` /
     ``curve_cap`` sandwich the negated second derivative, and
     ``past_coeff`` is the Hoelder coefficient in the history at
-    ``exponent``.  Stages produced by :func:`propagate_envelopes`
+    ``exponent``.  Propagated stages (:class:`PropagatedEnvelopes`)
     additionally expose the optimization-step quantities
     ``position_bound`` (the bracket containing the one-step optimizer),
     ``wealth_window`` (the wealth interval it can reach) and
@@ -564,19 +564,38 @@ class TerminalEnvelopes(StageEnvelopes):
 
 
 class PropagatedEnvelopes(StageEnvelopes):
-    """Envelopes of the value produced by one backward optimization step."""
+    """Envelopes of the value produced by one backward optimization step:
+    one step of the envelope recursion from ``prev``, at half its exponent.
+
+    Interval suprema/infima are taken over a ``scan_points``-point uniform
+    sub-grid of the wealth window (endpoints included): ``_SCAN_POINTS``
+    over a terminal stage, whose envelopes are closed forms, and
+    ``_DEEP_SCAN_POINTS`` deeper, to keep the nested evaluation cost
+    bounded.  Over a terminal stage whose utility declares decreasing
+    terminal families (``Utility.decreasing_terminal_families``) the
+    window's two ends suffice.  The scans are endpoint-inclusive and the
+    scanned families are tail-monotone, so the resolution mainly affects
+    interior detail.
+    """
 
     is_terminal = False
+    #: window sub-grid points over a terminal stage
+    _SCAN_POINTS = 512
+    #: window sub-grid points over a propagated stage
+    _DEEP_SCAN_POINTS = 64
 
-    def __init__(self, prev: StageEnvelopes, alpha: float, c_f: float,
-                 scan_points: int) -> None:
+    def __init__(self, prev: StageEnvelopes, alpha: float, c_f: float
+                 ) -> None:
         super().__init__(prev.cap, prev.exponent / 2.0)
         if not 0.0 < alpha <= 1.0:
             raise EnvelopeError("alpha must lie in (0, 1]")
+        if not c_f > 0.0:
+            raise EnvelopeError("c_f must be positive")
         self.prev = prev
         self.alpha = alpha
         self.c_f = c_f
-        self.scan_points = int(scan_points)
+        self.scan_points = (self._SCAN_POINTS if prev.is_terminal
+                            else self._DEEP_SCAN_POINTS)
         decreasing = (prev.is_terminal and prev.preferences.utility
                       .decreasing_terminal_families)
         #: wealths read per window: its two ends over a terminal stage with
@@ -687,82 +706,32 @@ class PropagatedEnvelopes(StageEnvelopes):
         return LogFamilies(*(f.reshape(x.shape) for f in families))
 
 
-def propagate_envelopes(prev: StageEnvelopes, alpha: float, c_f: float,
-                        chi: float | None = None,
-                        x_grid: Sequence[float] | None = None,
-                        scan_points: int = 512) -> PropagatedEnvelopes:
-    """One backward step of the envelope recursion.
-
-    Interval suprema/infima are taken over a ``scan_points``-point uniform
-    sub-grid of the wealth window (endpoints included), or at the window's
-    two ends alone when ``prev`` is a terminal stage whose utility declares
-    decreasing terminal families (``Utility.decreasing_terminal_families``);
-    the exponent halves.
-    ``chi`` (the price modulus exponent) is only a consistency witness: the
-    chain must start from a terminal stage built at that exponent.  When
-    ``x_grid`` is given the produced curvature floor is validated there: a
-    non-positive floor signals broken preconditions upstream (a utility
-    that is not strictly concave, or alpha outside (0, 1]).
-    """
-    if c_f <= 0.0:
-        raise EnvelopeError("c_f must be positive")
-    if chi is not None and prev.exponent > chi + 1e-15:
-        raise EnvelopeError(
-            f"stage exponent {prev.exponent!r} exceeds the price exponent "
-            f"{chi!r}; the chain was built for a different price model")
-    stage = PropagatedEnvelopes(prev, alpha, c_f, scan_points)
-    if x_grid is not None:
-        grid = np.asarray(list(x_grid), dtype=float)
-        if grid.size == 0:
-            raise EnvelopeError("the validation grid must be non-empty")
-        logs = stage.log_curve_floor(grid)
-        bad = ~np.isfinite(logs) & ~np.isneginf(logs) | np.isneginf(logs)
-        if np.any(bad):
-            witness = grid[np.argmax(bad)]
-            raise EnvelopeError(
-                f"curvature floor is not positive at x={witness!r}; "
-                "check strict concavity of the utility and alpha in (0, 1]")
-    return stage
-
-
 def build_envelope_stack(preferences: Preferences, alpha: float, c_f: float,
-                         chi: float, horizon: int,
-                         x_grid: Sequence[float] | None = None,
-                         scan_points: int = 512,
-                         deep_scan_points: int = 64,
-                         ) -> list[StageEnvelopes]:
+                         chi: float, horizon: int) -> list[StageEnvelopes]:
     """Envelope bundles for stages 0..T, index t = stage t.
 
     ``stack[T]`` is the terminal bundle; ``stack[t]`` for t < T is produced
-    by one propagation and bounds the optimizer held at depth-t nodes.  The
-    first propagation resolves its windows against closed-form terminal
-    envelopes: at the two window ends when the utility declares decreasing
-    terminal families (the exponential utility), else at ``scan_points``
-    points.  Deeper propagations scan at ``deep_scan_points`` to keep the
-    nested evaluation cost bounded.  The scans are endpoint-inclusive and
-    the scanned families are tail-monotone, so the resolution mainly
-    affects interior detail.
+    by one propagation (:class:`PropagatedEnvelopes`) and bounds the
+    optimizer held at depth-t nodes.
     """
     stack: list[StageEnvelopes] = [TerminalEnvelopes(preferences, chi)]
-    for step in range(horizon):
-        points = scan_points if step == 0 else deep_scan_points
-        stack.append(propagate_envelopes(stack[-1], alpha, c_f,
-                                         x_grid=x_grid if step == 0 else None,
-                                         scan_points=points))
+    for _ in range(horizon):
+        stack.append(PropagatedEnvelopes(stack[-1], alpha, c_f))
     stack.reverse()
     return stack
 
 
 def strategy_bound(stack: Sequence[StageEnvelopes], c_f: float,
-                   x0: float, scan_points: int = 512) -> float:
+                   x0: float) -> float:
     """Uniform bound on the backward-induction strategy from capital x0.
 
     Chains the per-stage optimizer brackets through the reachable wealth
-    intervals; the result bounds every position of every best response,
-    independently of the reference.  May saturate to inf for deep stacks.
+    intervals, each read on a 512-point sub-grid; the result bounds every
+    position of every best response, independently of the reference.  May
+    saturate to inf for deep stacks.
     """
     horizon = len(stack) - 1
-    ticks = np.linspace(0.0, 1.0, scan_points)
+    ticks = np.linspace(0.0, 1.0, 512)
     reach = 0.0
     best = 0.0
     for t in range(horizon):
@@ -861,9 +830,7 @@ def _first_failure(grid, mask) -> float | None:
 # instead of numpy printing warnings
 @np.errstate(over="ignore", invalid="ignore")
 def validate_preferences(utility: Utility, gain_loss: GainLoss,
-                         probe_grid: Sequence[float],
-                         elasticity_reference: ReferenceDistribution | None = None,
-                         ) -> ValidationReport:
+                         probe_grid: Sequence[float]) -> ValidationReport:
     """Check the structural preference assumptions on a probe grid.
 
     Utility: increasing, strictly concave, bounded by c_u.  Gain-loss:
@@ -871,7 +838,8 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
     nonincreasing on gains, curvature and value bounded by c_nu, globally
     k_minus-Lipschitz on grid pairs.  Finally the asymptotic-elasticity
     probe locates the smallest grid point beyond which
-    y V'(y) < V(y) / 2 for the shifted satisfaction (exponent 1/2).
+    y V'(y) < V(y) / 2 for the shifted satisfaction (exponent 1/2),
+    against a reference at the grid's middle point.
 
     The gain-loss checks read nu, nu' and nu'' once each, on the grid,
     and the Lipschitz check compares every pair of an (at most 127-point)
@@ -951,22 +919,20 @@ def validate_preferences(utility: Utility, gain_loss: GainLoss,
                                bool(not np.any(lip_bad)),
                                _first_failure(sample, lip_bad)))
 
-    checks.append(_elasticity_probe(utility, gain_loss, grid,
-                                    elasticity_reference))
+    checks.append(_elasticity_probe(utility, gain_loss, grid))
     return ValidationReport(tuple(checks))
 
 
 def _elasticity_probe(utility: Utility, gain_loss: GainLoss,
-                      grid: np.ndarray,
-                      reference: ReferenceDistribution | None) -> CheckOutcome:
+                      grid: np.ndarray) -> CheckOutcome:
     """Locate where the shifted satisfaction loses elasticity 1/2.
 
-    The shifted satisfaction subtracts (its value at +infinity minus one),
-    making it >= 1 eventually; the probe reports the smallest grid point
-    beyond which y V'(y) < V(y) / 2 on the whole remaining grid.
+    The shifted satisfaction, against a degenerate reference at the grid's
+    middle point, subtracts (its value at +infinity minus one), making it
+    >= 1 eventually; the probe reports the smallest grid point beyond which
+    y V'(y) < V(y) / 2 on the whole remaining grid.
     """
-    if reference is None:
-        reference = ReferenceDistribution.degenerate(float(grid[len(grid) // 2]))
+    reference = ReferenceDistribution.degenerate(float(grid[len(grid) // 2]))
     if utility.upper_limit is not None:
         u_inf = utility.upper_limit
     else:

@@ -12,7 +12,7 @@ byte-for-byte identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .bestresponse import (
     Strategy,
     best_response,
+    envelope_stack,
     one_step_objective,
 )
 from .equilibrium import (
@@ -34,7 +35,6 @@ from .preferences import (
     LogFamilies,
     Preferences,
     ReferenceDistribution,
-    build_envelope_stack,
     satisfaction,
     strategy_bound,
     validate_preferences,
@@ -124,8 +124,8 @@ def _fmt_witness(**kv) -> str:
     return " ".join(f"{k}={v!r}" for k, v in kv.items())
 
 
-def _derivative_scale_radius(utility, x0: float, decades: float = 4.0) -> float:
-    """Largest radius keeping the utility slope within 10**decades of centre.
+def _derivative_scale_radius(utility, x0: float) -> float:
+    """Largest radius keeping the utility slope within 10**4 of centre.
 
     Absolute first-order-condition targets (1e-10) and finite-difference
     relative tolerances are meaningful only while value/derivative scales
@@ -133,7 +133,7 @@ def _derivative_scale_radius(utility, x0: float, decades: float = 4.0) -> float:
     round-off, not the solver.
     """
     du0 = float(utility.du(float(x0)))
-    cap = 10.0 ** decades
+    cap = 1e4
 
     def ok(r: float) -> bool:
         lo = float(utility.du(float(x0 - r)))
@@ -163,7 +163,7 @@ class _Session:
 
     def __init__(self, market: Market, preferences: Preferences, x0: float,
                  seed: int, samples: int, config: EquilibriumConfig,
-                 stack, wealth_radius: float | None) -> None:
+                 stack) -> None:
         market.require_certified()
         self.market = market
         self.preferences = preferences
@@ -173,18 +173,18 @@ class _Session:
         self.rng = np.random.default_rng(seed)
         self.tree = market.tree
         self.prices = market.prices
-        self.stack = stack if stack is not None else build_envelope_stack(
-            preferences, market.certificate.alpha_star, self.prices.c_f,
-            self.prices.chi, self.tree.horizon)
-        ball = strategy_bound(self.stack, self.prices.c_f, self.x0)
+        self.stack = (stack if stack is not None
+                      else envelope_stack(market, preferences))
+        #: the certified bound on every best-response position
+        self.ball = strategy_bound(self.stack, self.prices.c_f, self.x0)
         #: practical position scale: the certified ball clipped to a range
         #: where double precision keeps the absolute FOC target meaningful
-        self.position_scale = min(ball, 2.0)
-        if wealth_radius is None:
-            wealth_radius = min(
-                self.tree.horizon * self.prices.c_f * self.position_scale,
-                _derivative_scale_radius(preferences.utility, x0))
-        self.wealth_radius = float(wealth_radius)
+        self.position_scale = min(self.ball, 2.0)
+        #: sampled wealths lie in x0 +- this radius: the reachable-wealth
+        #: window of the position scale, clipped to four decades of slope
+        self.wealth_radius = float(min(
+            self.tree.horizon * self.prices.c_f * self.position_scale,
+            _derivative_scale_radius(preferences.utility, x0)))
         self.reference_strategy = Strategy(self.rng.uniform(
             -self.position_scale, self.position_scale,
             size=len(self.tree.interior)))
@@ -593,8 +593,7 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
         reports.append(CheckReport("preferred_dominance", 0, math.inf,
                                    "no converged start"))
 
-    ball = strategy_bound(s.stack, s.prices.c_f, s.x0)
-    worst = min((ball - rep.strategy.max_abs() for rep in converged),
+    worst = min((s.ball - rep.strategy.max_abs() for rep in converged),
                 default=math.inf)
     reports.append(CheckReport("certified_ball", len(converged), worst))
 
@@ -607,10 +606,7 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
             # run at another one would repeat its best responses exactly
             rep = zero
         else:
-            sub = EquilibriumConfig(damping=damping, tolerance=cfg.tolerance,
-                                    max_iterations=cfg.max_iterations,
-                                    starts=1,
-                                    foc_tolerance=cfg.foc_tolerance)
+            sub = replace(cfg, damping=damping)
             rep = iterate_fixed_point(s.market, s.preferences, sub,
                                       Strategy.constant(s.tree, 0.0), s.x0,
                                       stack=s.stack)
@@ -649,14 +645,13 @@ def _equilibrium_checks(s: _Session) -> list[CheckReport]:
 
 def run_suite(market: Market, preferences: Preferences, x0: float,
               suite: str = "all", samples: int = 1000, seed: int = 0,
-              config: EquilibriumConfig | None = None, stack=None,
-              wealth_radius: float | None = None) -> list[CheckReport]:
+              config: EquilibriumConfig | None = None,
+              stack=None) -> list[CheckReport]:
     """Run the selected invariant suite and report worst margins.
 
-    ``suite`` is one of ``all``, ``foc``, ``bounds``, ``hoelder``,
-    ``continuity``, ``equilibrium``.  Sampling is deterministic in the
-    seed.  Wealths are sampled inside ``x0 +- wealth_radius``; the default
-    radius is the reachable-wealth window of the certified position ball,
+    ``suite`` is ``all`` or a key of :data:`SUITES`.  Sampling is
+    deterministic in the seed.  Wealths are sampled inside x0 plus or
+    minus the reachable-wealth window of the certified position ball,
     clipped to the range where the absolute first-order-condition target is
     meaningful in double precision.
     """
@@ -664,8 +659,7 @@ def run_suite(market: Market, preferences: Preferences, x0: float,
         raise ValueError(f"unknown suite {suite!r}; pick from "
                          f"{'all|' + '|'.join(SUITES)}")
     config = config or EquilibriumConfig(starts=4, max_iterations=60)
-    session = _Session(market, preferences, x0, seed, samples, config, stack,
-                       wealth_radius)
+    session = _Session(market, preferences, x0, seed, samples, config, stack)
     reports: list[CheckReport] = []
     for owner, check, _ in _CHECKS:
         if suite in ("all", owner):

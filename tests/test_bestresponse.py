@@ -633,7 +633,7 @@ def test_newton_best_responses_in_sequence_equal_single_runs():
             stack=stack)
         assert psi.positions.tolist() == ref_psi.positions.tolist()
         assert values[0].stats == ref_values[0].stats
-        assert values[0]._values == ref_values[0]._values
+        assert values[0]._memo == ref_values[0]._memo
 
 
 @pytest.mark.parametrize("horizon,atoms", [(1, 2), (1, 3), (2, 2), (2, 3),
@@ -829,7 +829,7 @@ def test_solve_stats_count_unbounded_brackets():
                               Strategy.constant(market.tree, 0.0),
                               config.initial_capital, stack=_stack(market,
                                                                    prefs))
-    assert len(values[0]._solutions) == 1
+    assert len(values[0]._memo) == 1
     assert values[0].stats.unbounded == 0
 
 
@@ -903,7 +903,7 @@ def test_recursion_rejects_non_positive_bracket(skewed_market, desk_prefs):
     value = _oracle_value(skewed_market, vt, bracket=lambda x: 0.0 * x)
     with pytest.raises(SolveError, match="degenerate position bracket"):
         value.evaluate(skewed_market.tree.root, 0.1)
-    assert value._values == {} and value._solutions == {}
+    assert value._memo == {}
     assert value.stats.solves == 0
 
 
@@ -923,7 +923,7 @@ def test_recursion_rejects_non_finite_foc(skewed_market):
     value = _oracle_value(skewed_market, FiniteAtStart())
     with pytest.raises(SolveError, match="not finite"):
         value.evaluate(skewed_market.tree.root, 0.3)
-    assert value._values == {} and value._solutions == {}
+    assert value._memo == {}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -937,7 +937,7 @@ def test_stage_values_reject_flat_foc(desk_prefs, engine):
     with pytest.raises(SolveError, match="flat first-order condition at "
                                          "node 0"):
         value.evaluate(tree.root, 0.1)
-    assert value._values == {} and value._solutions == {}
+    assert value._memo == {}
 
 
 def test_newton_value_rejects_nodes_of_another_stage(skewed_market,
@@ -950,7 +950,7 @@ def test_newton_value_rejects_nodes_of_another_stage(skewed_market,
     with pytest.raises(SolveError, match="not the evaluator's stage 0"):
         value.evaluate_many([skewed_market.tree.root,
                              skewed_market.tree.leaves[0]], [0.1, 0.1])
-    assert value._values == {} and value.stats.solves == 0
+    assert value._memo == {} and value.stats.solves == 0
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,7 @@ def test_solve_error_exits_cleanly_at_large_capital(tmp_path, capsys):
                  str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "solve failed: flat first-order condition" in err
+    assert "U' and U'' underflow" in err and "increment law" not in err
     assert "Traceback" not in err
 
 
@@ -161,6 +162,7 @@ def test_gate_passes_capital_where_the_gain_slope_underflows(tmp_path, capsys,
     assert (code, caught) == (1, [])
     err = capsys.readouterr().err
     assert err.startswith("solve failed: flat first-order condition")
+    assert "increment law" not in err
     assert err.count("\n") == 1
 
 
@@ -182,6 +184,24 @@ def test_solve_error_exits_cleanly_on_degenerate_increments(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("solve failed: flat first-order condition at node 1; "
                    "the increment law is degenerate\n")
+
+
+def test_solve_exits_1_when_a_search_best_response_is_flagged(
+        tmp_path, capsys, monkeypatch):
+    # one Newton iteration leaves best responses of the search exhausted:
+    # the search still converges, but solve names the flags and exits 1
+    import refequil.bestresponse as bestresponse
+
+    monkeypatch.setattr(bestresponse, "_NEWTON_ITERATIONS", 1)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(fixture_path("asymmetric_eex_t2")),
+                 "--seed", "7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    flagged = [line for line in (out / "summary.txt").read_text().splitlines()
+               if line.startswith("flagged best responses: 0 clamped, ")]
+    assert len(flagged) == 1 and not flagged[0].endswith(" 0 exhausted")
+    assert "converged: 8\n" in captured.out
+    assert captured.err == flagged[0] + "\n"
 
 
 def _main_recording_warnings(argv):
@@ -247,6 +267,16 @@ def _assign(value, *keys):
     return mutate
 
 
+def _nan_increment_in_three_atom_row(raw):
+    # the row keeps a finite move of each sign, so the no-arbitrage scan
+    # certifies it; only the increment bound can refuse the NaN
+    raw["market"]["factors"] = [[{"value": 1.0, "prob": 0.4},
+                                 {"value": 0.0, "prob": 0.2},
+                                 {"value": -1.0, "prob": 0.4}]]
+    raw["market"]["price"]["increments"] = {"0": 0.5, "1": math.nan,
+                                            "2": -0.5}
+
+
 @pytest.mark.parametrize("fixture,mutate,code,message", [
     ("symmetric_t2", _assign(1.0, "market", "factors", 0, 0), 2,
      "configuration error"),
@@ -289,13 +319,30 @@ def _assign(value, *keys):
      "unknown solver keys ['dedup_factor']"),
     ("symmetric_t2", _assign(-5, "solver", "oracle_cap"), 2,
      "unknown solver keys ['oracle_cap']"),
+    # NaN fails every comparison, so each gate states what passes
+    ("symmetric_t2", _nan_increment_in_three_atom_row, 2,
+     "increment nan at node 2"),
+    ("symmetric_t2", _assign(math.nan, "market", "factors", 0, 0, "prob"), 2,
+     "atom probabilities must lie in (0, 1]"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "factors", 1, 2,
+                                  "prob"), 2,
+     "atom probabilities must lie in (0, 1]"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "mu", 0), 3,
+     "|mu| + |sigma| = nan at node 0"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "mu", 1,
+                                  "coeffs", 0), 3,
+     "|mu| + |sigma| = nan at node 1"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "sigma", 1),
+     3, "sigma_2 = nan at node 1"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
         "capital_infinite", "seed_infinite", "sigma_short",
         "max_iterations_zero", "gain_scale_square_overflows",
         "resolution_zero", "resolution_one", "resolution_float",
         "resolution_bool", "max_iterations_float", "max_iterations_bool",
-        "starts_float", "dedup_factor_removed", "oracle_cap_removed"])
+        "starts_float", "dedup_factor_removed", "oracle_cap_removed",
+        "increment_nan", "prob_nan", "eex_prob_nan", "mu_nan",
+        "mu_coeff_nan", "sigma_nan"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)

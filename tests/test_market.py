@@ -235,11 +235,11 @@ def three_point(width=2.5, tail=0.4):
 
 
 def test_eex_zero_drift_certificate():
-    model, cert = build_eex_model([0.0], [1.0], [three_point()],
-                                  beta=0.4, c=1.0, C=1.0)
+    market = build_eex_model([0.0], [1.0], [three_point()],
+                             beta=0.4, c=1.0, C=1.0)
+    model, cert, tree = market.prices, market.certificate, market.tree
     assert cert.certified
     assert cert.alpha_star == 0.4
-    tree = ScenarioTree([three_point()])
     incs = sorted(model.increment(c) for c in tree.root.children)
     assert incs == pytest.approx([-2.5, 0.0, 2.5])
     # the a-priori level is confirmed by the exact scan
@@ -248,9 +248,9 @@ def test_eex_zero_drift_certificate():
 
 
 def test_eex_with_drift_keeps_level():
-    model, cert = build_eex_model([0.1], [1.0], [three_point()],
-                                  beta=0.4, c=1.0, C=1.1)
-    tree = ScenarioTree([three_point()])
+    market = build_eex_model([0.1], [1.0], [three_point()],
+                             beta=0.4, c=1.0, C=1.1)
+    model, cert, tree = market.prices, market.certificate, market.tree
     incs = sorted(model.increment(c) for c in tree.root.children)
     assert incs == pytest.approx([-2.4, 0.1, 2.6])
     assert cert.alpha_star == 0.4
@@ -272,8 +272,8 @@ def test_eex_rejects_vol_floor_violation():
 
 
 def test_eex_records_conservative_increment_bound():
-    model, _ = build_eex_model([0.0], [1.0], [three_point()],
-                               beta=0.4, c=1.0, C=1.0)
+    model = build_eex_model([0.0], [1.0], [three_point()],
+                            beta=0.4, c=1.0, C=1.0).prices
     # 5 C (1 + C_eps) with C_eps = max(1, atom bound)
     assert model.c_f == pytest.approx(5.0 * 1.0 * 3.5)
 

@@ -23,7 +23,6 @@ from refequil.preferences import (
     build_envelope_stack,
     envelope_rows,
     fold_hoelder,
-    propagate_envelopes,
     satisfaction,
     strategy_bound,
     validate_preferences,
@@ -332,7 +331,7 @@ def test_terminal_envelope_values():
 
 def test_position_bound_matches_hand_formula():
     term = TerminalEnvelopes(PREFS, chi=1.0)
-    stage = propagate_envelopes(term, alpha=0.5, c_f=1.0, x_grid=[0.0])
+    stage = PropagatedEnvelopes(term, alpha=0.5, c_f=1.0)
     assert stage.position_bound(0.0) == pytest.approx(28.0 + 8.0 * math.pi,
                                                       rel=1e-12)
 
@@ -351,13 +350,13 @@ def test_value_floor_propagates_identically():
         assert np.allclose(stage.value_floor(xs), stack[-1].value_floor(xs))
 
 
-def _random_stack(seed, horizon, atoms, **scan_points):
+def _random_stack(seed, horizon, atoms):
     """Envelope stack and capital of one random certified instance."""
     market, prefs, x0 = random_certified_instance(
         np.random.default_rng(seed), horizon, atoms)
     stack = build_envelope_stack(prefs, market.certificate.alpha_star,
                                  market.prices.c_f, market.prices.chi,
-                                 horizon, **scan_points)
+                                 horizon)
     return stack, x0
 
 
@@ -366,7 +365,7 @@ def _assert_no_nan(logs, where):
         assert vals is None or not np.any(np.isnan(vals)), (where, name)
 
 
-def test_envelope_families_positive_in_log_space(desk_prefs):
+def test_envelope_families_positive_in_log_space(desk_prefs, monkeypatch):
     # saturated families may reach +-inf, never NaN.  On random stacks up
     # to T = 8: position_bound and the unscanned slope families at every
     # stage, every family at the last two propagated stages (a stage-0
@@ -379,8 +378,10 @@ def test_envelope_families_positive_in_log_space(desk_prefs):
     for horizon in range(1, 9):
         for atoms in (2, 3):
             full, x0 = _random_stack(1, horizon, atoms)
-            coarse, _ = _random_stack(1, horizon, atoms, scan_points=5,
-                                      deep_scan_points=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(PropagatedEnvelopes, "_SCAN_POINTS", 5)
+                patch.setattr(PropagatedEnvelopes, "_DEEP_SCAN_POINTS", 3)
+                coarse, _ = _random_stack(1, horizon, atoms)
             cases.append((full, coarse, x0 + np.linspace(-3.0, 3.0, 7)))
     for full, coarse, xs in cases:
         horizon = len(full) - 1
@@ -533,8 +534,9 @@ def test_log_families_equal_per_family_reference(horizon, atoms, chunk,
     # deep scans are coarse: the reference's repeated scans take ~10 s at
     # full resolution.
     monkeypatch.setattr(PropagatedEnvelopes, "_SCAN_CHUNK", chunk)
-    coarse = {"deep_scan_points": 16} if horizon == 3 else {}
-    stack, x0 = _random_stack(horizon * 10 + atoms, horizon, atoms, **coarse)
+    if horizon == 3:
+        monkeypatch.setattr(PropagatedEnvelopes, "_DEEP_SCAN_POINTS", 16)
+    stack, x0 = _random_stack(horizon * 10 + atoms, horizon, atoms)
     inputs = (x0 + 0.7, x0 + np.array([[-1.5, 0.0], [0.4, 2.5]]))
     for stage in stack:
         ref = per_family(stage)
@@ -636,27 +638,19 @@ def test_exponential_window_extrema_sit_at_window_ends(a, k, c_u, lo, width):
 
 def test_wealth_window_brackets_centre():
     term = TerminalEnvelopes(PREFS, chi=1.0)
-    stage = propagate_envelopes(term, alpha=0.5, c_f=1.0)
+    stage = PropagatedEnvelopes(term, alpha=0.5, c_f=1.0)
     lo, hi = stage.wealth_window(0.4)
     assert lo < 0.4 < hi
     k = stage.position_bound(0.4)
     assert hi - 0.4 == pytest.approx(k * 1.0, rel=1e-12)
 
 
-def test_propagation_rejects_convex_utility():
-    x = np.linspace(-2.0, 2.0, 41)
-    convex = TabulatedUtility(x, x ** 2, 2 * x, np.full_like(x, 2.0), c_u=9.0)
-    term = TerminalEnvelopes(Preferences(convex, WIDE_NU), chi=1.0)
-    with pytest.raises(EnvelopeError, match="curvature floor"):
-        propagate_envelopes(term, alpha=0.5, c_f=1.0, x_grid=[0.0])
-
-
 def test_propagation_rejects_bad_alpha_and_cf():
     term = TerminalEnvelopes(PREFS, chi=1.0)
     with pytest.raises(EnvelopeError):
-        propagate_envelopes(term, alpha=0.0, c_f=1.0)
+        PropagatedEnvelopes(term, alpha=0.0, c_f=1.0)
     with pytest.raises(EnvelopeError):
-        propagate_envelopes(term, alpha=0.5, c_f=-1.0)
+        PropagatedEnvelopes(term, alpha=0.5, c_f=-1.0)
 
 
 def test_strategy_bound_is_positive_and_monotone_in_horizon(desk_prefs):
@@ -891,10 +885,3 @@ def test_envelope_rows_schema():
     propagated_row = rows[0]
     assert propagated_row[0] == 0 and propagated_row[2] != ""
 
-
-def test_propagation_checks_exponent_against_price_modulus():
-    term = TerminalEnvelopes(PREFS, chi=0.5)
-    with pytest.raises(EnvelopeError, match="price exponent"):
-        propagate_envelopes(term, alpha=0.5, c_f=1.0, chi=0.25)
-    stage = propagate_envelopes(term, alpha=0.5, c_f=1.0, chi=0.5)
-    assert stage.exponent == 0.25
