@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -37,7 +38,10 @@ EXIT_CERTIFICATION = 3
 EXIT_PREFERENCES = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it (no action appends to a shared default)."""
     parser = argparse.ArgumentParser(
         prog="refequil",
         description="Personal equilibria for reference-dependent investors "

@@ -77,10 +77,22 @@ def _factor(spec: list, period: int) -> FactorDistribution:
         atoms.append((_require(entry, "value", f"factor atom (period {period})"),
                       _require(entry, "prob", f"factor atom (period {period})")))
     try:
-        return FactorDistribution.from_atoms(atoms)
+        dist = FactorDistribution.from_atoms(atoms)
     except ValueError as exc:
         raise ConfigError(f"invalid factor law for period {period}: {exc}") \
             from exc
+    # a non-finite atom passes the bound check: its norm is the bound
+    for k, value in enumerate(dist.values):
+        for c in value:
+            _finite(c, f"market.factors[{period - 1}][{k}].value")
+    return dist
+
+
+def _finite(value: Any, path: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite, not {number!r}")
+    return number
 
 
 def _coefficient(spec: Any, name: str, factors=None, period: int = 0):
@@ -136,7 +148,7 @@ def _build_market(section: dict) -> Market:
                for t, spec in enumerate(_require(section, "factors", "market"))]
     price = _require(section, "price", "market")
     variant = _require(price, "variant", "market.price")
-    s0 = float(price.get("s0", 100.0))
+    s0 = _finite(price.get("s0", 100.0), "market.price.s0")
     if variant == "table":
         tree = ScenarioTree(factors)
         table = {}
@@ -144,7 +156,8 @@ def _build_market(section: dict) -> Market:
             path = tuple(int(k) for k in key.split("/")) if key else ()
             table[path] = float(value)
         model = TablePriceModel(
-            s0, float(_require(price, "c_f", "market.price")),
+            s0, _finite(_require(price, "c_f", "market.price"),
+                        "market.price.c_f"),
             float(price.get("chi", 1.0)), table=table)
         certificate = check_uniform_no_arbitrage(tree, model)
         return Market(tree, model, certificate)
@@ -235,9 +248,8 @@ def load_config(path: str | Path,
             _build_gain_loss(_require(prefs_spec, "gain_loss",
                                       "preferences")))
         solver = _build_solver(dict(raw.get("solver", {})))
-        initial_capital = float(raw.get("initial_capital", 0.0))
-        if not math.isfinite(initial_capital):
-            raise ConfigError("initial_capital must be finite")
+        initial_capital = _finite(raw.get("initial_capital", 0.0),
+                                  "initial_capital")
         output = raw.get("output", {})
         return RunConfig(
             market=market,

@@ -219,23 +219,42 @@ def _oracle_sweep(market: Market, preferences: Preferences,
                   reference: ReferenceDistribution, x0: float,
                   radius: float, resolution: int):
     """Best self-value over the full grid of strategies, or None if it has
-    more than ``_ORACLE_CAP`` of them."""
+    more than ``_ORACLE_CAP`` of them.
+
+    A leaf's terminal wealth depends only on the T positions on its path,
+    so the kernel runs once per distinct leaf wealth: on the path grid,
+    resolution^T strategies that hold every node of depth t at the t-th
+    grid coordinate.  Each leaf's column is then broadcast over the
+    positions off its path into the (resolution^N x leaves) matrix of the
+    full grid, whose entries equal the kernel's on every grid strategy.
+    """
     tree = market.tree
     interior = tree.interior
     if resolution ** len(interior) > _ORACLE_CAP:
         return None
-    grids = [np.linspace(-radius, radius, resolution) for _ in interior]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    positions = np.stack([m.ravel() for m in mesh], axis=-1)  # (combos, N)
+    grid = np.linspace(-radius, radius, resolution)
+    mesh = np.meshgrid(*[grid] * tree.horizon, indexing="ij")
+    path = np.stack([m.ravel() for m in mesh], axis=-1)  # (res^T, T)
+    positions = path[:, [node.depth for node in interior]]
     leaf_wealth = roll(market.prices.stages(tree), positions, float(x0))[-1]
-    probs = np.asarray([leaf.prob for leaf in tree.leaves])
     # row blocks bound the (strategies, leaves, atoms) gap array of the
     # kernel; each row's sum is independent of the blocking
     rows = max(1, _ORACLE_BLOCK // (len(tree.leaves) * len(reference)))
-    values = np.concatenate([
+    kernel = np.concatenate([
         satisfaction(preferences.utility, preferences.gain_loss,
                      leaf_wealth[k:k + rows], reference)
-        for k in range(0, len(leaf_wealth), rows)]) @ probs
+        for k in range(0, len(leaf_wealth), rows)])
+    full = np.empty((resolution,) * len(interior) + (len(tree.leaves),))
+    for j, leaf in enumerate(tree.leaves):
+        # ids run breadth first, so the ancestors' axes come in path order
+        shape = [1] * len(interior)
+        node = leaf.parent
+        while node is not None:
+            shape[node.id] = resolution
+            node = node.parent
+        full[..., j] = kernel[:, j].reshape(shape)
+    probs = np.asarray([leaf.prob for leaf in tree.leaves])
+    values = full.reshape(-1, len(tree.leaves)) @ probs
     return float(np.max(values))
 
 

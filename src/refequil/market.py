@@ -256,7 +256,11 @@ class PriceModel:
         if over.any():
             # node ids run breadth first, so increment k is node k + 1's
             k = int(np.argmax(over))
-            raise MarketError(f"increment {float(incs[k])!r} at node {k + 1} "
+            inc = float(incs[k])
+            if not math.isfinite(inc):
+                raise MarketError(f"increment {inc!r} at node {k + 1} is "
+                                  "not a finite number")
+            raise MarketError(f"increment {inc!r} at node {k + 1} "
                               f"exceeds the stated bound c_f={self.c_f}")
 
 

@@ -352,6 +352,33 @@ def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
     assert message in err and err.count("\n") == 1
 
 
+_NON_FINITE_KEYS = [
+    (fixture, keys, value)
+    for fixture in ("symmetric_t2", "asymmetric_eex_t2", "stress_t3")
+    for keys in [("market", "price", "s0"),
+                 ("market", "factors", 0, 0, "value"),
+                 ("market", "factors", 1, 1, "value"),
+                 *[("market", "price", "c_f")] * (fixture == "symmetric_t2")]
+    for value in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize(
+    "fixture,keys,value", _NON_FINITE_KEYS,
+    ids=[f"{f}-{'.'.join(map(str, k))}-{v}" for f, k, v in _NON_FINITE_KEYS])
+def test_non_finite_market_value_is_refused_at_load(tmp_path, capsys, fixture,
+                                                    keys, value):
+    # each of these once loaded: the table model never reads a factor
+    # value, and nothing read s0, so solve exited 0 or failed later
+    cfg = _patch_fixture(tmp_path, _assign(value, *keys), fixture)
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    path = ("market.factors[{}][{}].value".format(*keys[2:4])
+            if keys[1] == "factors" else f"market.price.{keys[-1]}")
+    assert err == (f"configuration error: {path} must be finite, "
+                   f"not {value!r}\n")
+
+
 @pytest.mark.parametrize("command", [["solve", "--seed", "7"],
                                      ["certify", "--candidate", "c.csv"]],
                          ids=["solve", "certify"])

@@ -4,8 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refequil.bestresponse as bestresponse
+import refequil.equilibrium as equilibrium
 from refequil.bestresponse import (
     SolveError,
     SolveStats,
@@ -23,8 +26,12 @@ from refequil.equilibrium import (
     find_equilibria,
     iterate_fixed_point,
 )
-from refequil.market import MarketError, wealth
-from refequil.preferences import build_envelope_stack, satisfaction
+from refequil.market import MarketError, roll, wealth
+from refequil.preferences import (
+    ReferenceDistribution,
+    build_envelope_stack,
+    satisfaction,
+)
 
 from conftest import random_certified_instance, zero_strategy
 
@@ -158,7 +165,6 @@ def _oscillating(monkeypatch, center=0.0):
     so the safeguard must act.  Its stage-0 evaluator carries only
     unflagged stats, which is all ``certify_equilibrium`` reads of it.
     """
-    import refequil.equilibrium as equilibrium
 
     def response(market, preferences, current, x0, **kwargs):
         return (Strategy(center - 0.9 * (current.positions - center)),
@@ -232,7 +238,6 @@ def test_dampings_take_different_paths_to_the_oscillating_limit(
 
     # the search's zero start falls back, so verify reruns it at the two
     # other dampings: its Picard loops make every report's best responses
-    import refequil.equilibrium as equilibrium
     calls = []
     response = equilibrium.best_response
 
@@ -304,6 +309,66 @@ def test_oracle_sweep_equals_rolling_each_grid_strategy():
                               reference) @ probs
         assert _oracle_sweep(market, prefs, reference, x0, radius,
                              resolution) == float(np.max(values)), k
+
+
+def _full_grid_sweep(market, prefs, reference, x0, radius, resolution):
+    """The sweep over every grid strategy: roll the whole mesh, apply the
+    kernel in row blocks, then weight by the leaf probabilities."""
+    tree = market.tree
+    grids = [np.linspace(-radius, radius, resolution) for _ in tree.interior]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    positions = np.stack([m.ravel() for m in mesh], axis=-1)
+    leaf_wealth = roll(market.prices.stages(tree), positions, float(x0))[-1]
+    probs = np.asarray([leaf.prob for leaf in tree.leaves])
+    rows = max(1, equilibrium._ORACLE_BLOCK
+               // (len(tree.leaves) * len(reference)))
+    values = np.concatenate([
+        satisfaction(prefs.utility, prefs.gain_loss, leaf_wealth[k:k + rows],
+                     reference)
+        for k in range(0, len(leaf_wealth), rows)]) @ probs
+    return float(np.max(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), horizon=st.integers(1, 3),
+       atoms=st.integers(2, 3), data=st.data())
+def test_oracle_sweep_on_the_path_grid_equals_the_full_grid(seed, horizon,
+                                                            atoms, data):
+    # the kernel runs on the path grid only, and each leaf's column is
+    # broadcast over the off-path positions: the optimum is bit-equal to
+    # the one over every grid strategy
+    rng = np.random.default_rng(seed)
+    market, prefs, x0 = random_certified_instance(rng, horizon, atoms)
+    nodes = len(market.tree.interior)
+    top = max(r for r in range(2, 42)
+              if r ** nodes <= equilibrium._ORACLE_CAP)
+    resolution = data.draw(st.integers(2, top), label="resolution")
+    size = data.draw(st.integers(1, 4), label="reference atoms")
+    weights = rng.uniform(0.1, 1.0, size)
+    reference = ReferenceDistribution(zip(rng.uniform(-3.0, 3.0, size),
+                                          weights / weights.sum()))
+    radius = float(rng.uniform(0.5, 3.0))
+    assert _oracle_sweep(market, prefs, reference, x0, radius, resolution) \
+        == _full_grid_sweep(market, prefs, reference, x0, radius, resolution)
+
+
+def test_oracle_sweep_evaluates_each_leaf_wealth_once(monkeypatch):
+    # a leaf's wealth depends on the positions on its path alone, so the
+    # kernel sees at most leaves x resolution^T wealths, not one per leaf
+    # of every grid strategy (4 x 41^3 = 275,684 on symmetric_t2)
+    config = load_config(fixture_path("symmetric_t2"))
+    market, prefs = config.market, config.preferences
+    reference = terminal_wealth_law(market.tree, market.prices,
+                                    Strategy.constant(market.tree, 0.3), 0.0)
+    kernel, sizes = equilibrium.satisfaction, []
+
+    def counted(utility, gain_loss, x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return kernel(utility, gain_loss, x, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "satisfaction", counted)
+    _oracle_sweep(market, prefs, reference, 0.0, 2.0, 41)
+    assert 0 < sum(sizes) <= len(market.tree.leaves) * 41 ** 2
 
 
 def test_certify_oracle_margin_within_quadratic_slack(skewed_market,
@@ -541,7 +606,6 @@ def test_search_equals_sequential_on_random_trees(horizon, atoms,
 def test_search_runs_each_start_once_in_order(monkeypatch):
     # the search calls iterate_fixed_point through the module global, once
     # per start and in start order, so a tracer wrapping it sees every run
-    import refequil.equilibrium as equilibrium
     market, prefs, x0 = random_certified_instance(
         np.random.default_rng(43), 2, 2)
     config = EquilibriumConfig(starts=5, max_iterations=6)

@@ -225,6 +225,19 @@ def test_bound_violation_names_the_first_offending_node():
         check_uniform_no_arbitrage(tree, prices)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_bound_violation_by_a_non_finite_increment_says_so(value):
+    # NaN exceeds no bound, so the message names the value's kind instead
+    tree = ScenarioTree([fair_coin(), fair_coin()])
+    table = {(0,): 0.5, (1,): -0.5, (0, 0): 0.5, (0, 1): value,
+             (1, 0): 0.75, (1, 1): -0.5}
+    prices = TablePriceModel(1.0, 0.5, 1.0, table=table)
+    with pytest.raises(MarketError, match=rf"^increment {value!r} at node 4 "
+                       r"is not a finite number$"):
+        prices.validate_bounds(tree)
+
+
 # ---------------------------------------------------------------------------
 # the drift/volatility builder
 # ---------------------------------------------------------------------------
