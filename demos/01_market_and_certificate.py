@@ -18,7 +18,6 @@ from refequil import (
     TablePriceModel,
     build_eex_model,
     check_uniform_no_arbitrage,
-    estimate_hoelder_constant,
     hoelder_extend,
 )
 from refequil.market import tree_rows
@@ -64,9 +63,3 @@ extension = hoelder_extend(points, np.sin(points), c_f=1.0, chi=1.0,
                            radius=1.5)
 print("extended value at 3.0 (projected):", extension(3.0))
 print("uniform bound after extension:", extension.bound)
-
-# and the smallest modulus constant consistent with sampled pairs is a
-# one-line validation aid for user-supplied constants
-pairs = [(a, b) for a in points for b in points if a < b]
-print("fitted modulus of sin:",
-      estimate_hoelder_constant(lambda e: float(np.sin(e[0])), pairs, 1.0))

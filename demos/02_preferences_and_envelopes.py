@@ -19,7 +19,6 @@ from refequil import (
     Preferences,
     ReferenceDistribution,
     build_envelope_stack,
-    fold_hoelder,
     satisfaction,
     strategy_bound,
     validate_preferences,
@@ -60,6 +59,3 @@ for row in rows:
 
 # the chained bracket bounds every best-response position from capital 0
 print("uniform strategy bound:", strategy_bound(stack, c_f=0.5, x0=0.0))
-
-# folding several Hoelder terms into one modulus at the smallest exponent
-print("folded:", fold_hoelder([(1.0, 0.5), (1.0, 1.0)], uniform_bound=3.0))

@@ -38,7 +38,6 @@ from .market import (
     WealthPath,
     build_eex_model,
     check_uniform_no_arbitrage,
-    estimate_hoelder_constant,
     hoelder_extend,
     wealth,
 )
@@ -55,7 +54,6 @@ from .preferences import (
     TerminalEnvelopes,
     Utility,
     build_envelope_stack,
-    fold_hoelder,
     satisfaction,
     strategy_bound,
     validate_preferences,

@@ -96,9 +96,6 @@ class Strategy:
     def at(self, node: TreeNode) -> float:
         return float(self.positions[node.id])
 
-    def __getitem__(self, node_id: int) -> float:
-        return float(self.positions[node_id])
-
     def __len__(self) -> int:
         return len(self.positions)
 

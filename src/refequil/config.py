@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -62,7 +62,6 @@ class RunConfig:
     initial_capital: float
     seed: int
     output_dir: Path
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _require(section: dict, key: str, context: str) -> Any:
@@ -76,16 +75,17 @@ def _factor(spec: list, period: int) -> FactorDistribution:
     for entry in spec:
         atoms.append((_require(entry, "value", f"factor atom (period {period})"),
                       _require(entry, "prob", f"factor atom (period {period})")))
+    # a non-finite atom is refused here, by its key, before the law would
+    # refuse it unnamed; other types meet the law's own conversion
+    for k, (value, _) in enumerate(atoms):
+        for c in value if isinstance(value, list) else [value]:
+            if isinstance(c, (int, float)):
+                _finite(c, f"market.factors[{period - 1}][{k}].value")
     try:
-        dist = FactorDistribution.from_atoms(atoms)
+        return FactorDistribution.from_atoms(atoms)
     except ValueError as exc:
         raise ConfigError(f"invalid factor law for period {period}: {exc}") \
             from exc
-    # a non-finite atom passes the bound check: its norm is the bound
-    for k, value in enumerate(dist.values):
-        for c in value:
-            _finite(c, f"market.factors[{period - 1}][{k}].value")
-    return dist
 
 
 def _finite(value: Any, path: str) -> float:
@@ -106,8 +106,6 @@ def _coefficient(spec: Any, name: str, factors=None, period: int = 0):
     if isinstance(spec, (int, float)):
         return float(spec)
     kind = _require(spec, "type", name)
-    if kind == "constant":
-        return float(_require(spec, "value", name))
     if kind == "poly_sum":
         coeffs = [float(c) for c in _require(spec, "coeffs", name)]
 
@@ -258,7 +256,6 @@ def load_config(path: str | Path,
             initial_capital=initial_capital,
             seed=int(raw.get("seed", 0)),
             output_dir=Path(output.get("directory", "out")),
-            raw=raw,
         )
     except (ConfigError, CertificationError):
         raise

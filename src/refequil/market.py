@@ -66,8 +66,10 @@ class FactorDistribution:
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PROB_TOL:
             raise MarketError(f"atom probabilities sum to {total!r}, not 1")
-        if self.bound < 0.0:
-            raise MarketError("factor bound must be nonnegative")
+        if not all(math.isfinite(c) for v in self.values for c in v):
+            raise MarketError("atom values must be finite")
+        if not 0.0 <= self.bound < math.inf:
+            raise MarketError("factor bound must be nonnegative and finite")
         for v in self.values:
             if math.sqrt(math.fsum(c * c for c in v)) > self.bound + 1e-12:
                 raise MarketError(f"atom {v} lies outside the stated bound "
@@ -295,23 +297,16 @@ class DriftVolPriceModel(PriceModel):
 
     ``mu`` and ``sigma`` are per-period callables on the flattened history
     (constants are accepted for convenience); factors must be scalar.
-    The recorded constants are those of the drift/vol family: ``vol_floor``
-    (the uniform lower bound on sigma), ``coeff_bound`` (bound on
-    |mu| + |sigma| and on their Hoelder modulus) and the exponent ``delta``,
-    which is also the price exponent ``chi``.
     """
 
     variant = "drift_vol"
 
     def __init__(self, s0: float, mu: Sequence[Callable | float],
                  sigma: Sequence[Callable | float], delta: float,
-                 vol_floor: float, coeff_bound: float, c_f: float) -> None:
+                 c_f: float) -> None:
         super().__init__(s0, c_f, delta)
         self.mu = [self._as_callable(m) for m in mu]
         self.sigma = [self._as_callable(s) for s in sigma]
-        self.delta = float(delta)
-        self.vol_floor = float(vol_floor)
-        self.coeff_bound = float(coeff_bound)
 
     @staticmethod
     def _as_callable(spec: Callable | float) -> Callable[[np.ndarray], float]:
@@ -431,8 +426,13 @@ def build_eex_model(mu: Sequence[Callable | float],
     ``5 C (1 + C_eps)`` with ``C_eps = max(1, factor bound)``, valid at
     exponent ``delta`` on the sampled compact.
     """
-    if beta <= 0.0 or c <= 0.0 or C <= 0.0:
-        raise MarketError("beta, c and C must be positive")
+    # NaN fails every comparison: each check states what passes
+    for name, value in (("beta", beta), ("c", c), ("C", C)):
+        if not 0.0 < value < math.inf:
+            raise MarketError(f"{name} must be positive and finite, "
+                              f"not {value!r}")
+    if not 0.0 < delta <= 1.0:
+        raise MarketError(f"delta must lie in (0, 1], not {delta!r}")
     if any(d.dim != 1 for d in factor_dists):
         raise MarketError("the drift/vol builder requires scalar factors")
     threshold = (C + beta) / c
@@ -448,7 +448,7 @@ def build_eex_model(mu: Sequence[Callable | float],
 
     c_eps = max(1.0, max(d.bound for d in factor_dists))
     c_f = 5.0 * C * (1.0 + c_eps)
-    model = DriftVolPriceModel(s0, mu, sigma, delta, c, C, c_f)
+    model = DriftVolPriceModel(s0, mu, sigma, delta, c_f)
 
     tree = ScenarioTree(factor_dists)
     node_alphas: dict[int, float] = {}
@@ -456,7 +456,6 @@ def build_eex_model(mu: Sequence[Callable | float],
         t = node.depth
         m_val = model.mu[t](node.point)
         s_val = model.sigma[t](node.point)
-        # NaN fails every comparison: each check states what passes
         if not s_val >= c:
             raise MarketError(f"sigma_{t + 1} = {s_val!r} at node {node.id} "
                               f"falls below the floor c={c}")
@@ -542,25 +541,6 @@ def hoelder_extend(points: Sequence[Sequence[float] | float],
                     f"sample violates the stated modulus between {pts[a]} "
                     f"and {pts[b]}")
     return HoelderExtension(pts, vals, c_f, chi, radius)
-
-
-def estimate_hoelder_constant(f: Callable[[float | Sequence[float]], float],
-                              sample_pairs: Sequence[tuple],
-                              chi: float) -> float:
-    """Smallest modulus constant consistent with the sampled pairs.
-
-    Returns ``max |f(e) - f(e')| / |e - e'|^chi`` over the pairs; a
-    validation aid for user-supplied constants.
-    """
-    worst = 0.0
-    for e, e_bar in sample_pairs:
-        a = np.atleast_1d(np.asarray(e, dtype=float))
-        b = np.atleast_1d(np.asarray(e_bar, dtype=float))
-        gap = float(np.linalg.norm(a - b))
-        if gap == 0.0:
-            raise MarketError(f"duplicate sample pair at {e!r}")
-        worst = max(worst, abs(float(f(a)) - float(f(b))) / gap ** chi)
-    return worst
 
 
 # ---------------------------------------------------------------------------

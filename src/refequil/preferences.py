@@ -775,27 +775,6 @@ def envelope_rows(stack: Sequence[StageEnvelopes],
     return header, rows
 
 
-def fold_hoelder(constants: Sequence[tuple[float, float]],
-                 uniform_bound: float) -> tuple[float, float]:
-    """Collapse a sum of Hoelder terms into a single modulus.
-
-    A bounded function with |f(e) - f(e')| <= sum_i C_i |e - e'|^theta_i
-    and |f| <= B satisfies a single-term bound with constant
-    n max_i C_i + 2 B at the smallest exponent.
-    """
-    if not constants:
-        raise PreferenceError("need at least one (constant, exponent) pair")
-    if uniform_bound < 0.0:
-        raise PreferenceError("the uniform bound must be nonnegative")
-    for c, theta in constants:
-        if not 0.0 < theta <= 1.0:
-            raise PreferenceError(f"exponent {theta!r} outside (0, 1]")
-    n = len(constants)
-    c_max = max(c for c, _ in constants)
-    theta_min = min(theta for _, theta in constants)
-    return n * c_max + 2.0 * uniform_bound, theta_min
-
-
 # ---------------------------------------------------------------------------
 # preference validation
 # ---------------------------------------------------------------------------
@@ -805,7 +784,6 @@ class CheckOutcome:
     name: str
     passed: bool
     witness: float | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -943,16 +921,13 @@ def _elasticity_probe(utility: Utility, gain_loss: GainLoss,
 
     pos = grid[grid > 0.0]
     if pos.size == 0:
-        return CheckOutcome("elasticity_probe", False, None,
-                            "probe grid has no positive points")
+        return CheckOutcome("elasticity_probe", False)
     values, slopes, _ = satisfaction(utility, gain_loss, pos, reference,
                                      derivatives=True)
     values = values - shift
     ok = pos * slopes < 0.5 * values
     holds_beyond = np.logical_and.accumulate(ok[::-1])[::-1]
     if not holds_beyond.any():
-        return CheckOutcome("elasticity_probe", False, None,
-                            "elasticity condition never holds on the grid")
+        return CheckOutcome("elasticity_probe", False)
     x_tilde = float(pos[np.argmax(holds_beyond)])
-    return CheckOutcome("elasticity_probe", True, x_tilde,
-                        f"condition holds on the grid beyond {x_tilde!r}")
+    return CheckOutcome("elasticity_probe", True, x_tilde)

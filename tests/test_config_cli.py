@@ -334,6 +334,19 @@ def _nan_increment_in_three_atom_row(raw):
      "|mu| + |sigma| = nan at node 1"),
     ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "sigma", 1),
      3, "sigma_2 = nan at node 1"),
+    ("asymmetric_eex_t2", _assign({"type": "constant", "value": 1.0},
+                                  "market", "price", "sigma", 0), 2,
+     "unknown coefficient type 'constant'"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "beta"), 3,
+     "beta must be positive and finite, not nan"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "c"), 3,
+     "c must be positive and finite, not nan"),
+    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "C"), 3,
+     "C must be positive and finite, not inf"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "delta"), 3,
+     "delta must lie in (0, 1], not nan"),
+    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "delta"), 3,
+     "delta must lie in (0, 1], not inf"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
         "capital_infinite", "seed_infinite", "sigma_short",
@@ -342,7 +355,8 @@ def _nan_increment_in_three_atom_row(raw):
         "resolution_bool", "max_iterations_float", "max_iterations_bool",
         "starts_float", "dedup_factor_removed", "oracle_cap_removed",
         "increment_nan", "prob_nan", "eex_prob_nan", "mu_nan",
-        "mu_coeff_nan", "sigma_nan"])
+        "mu_coeff_nan", "sigma_nan", "constant_coefficient", "beta_nan",
+        "c_nan", "C_inf", "delta_nan", "delta_inf"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
@@ -697,3 +711,40 @@ def test_config_fuzz_exits_with_documented_code(fixture, data):
                          str(Path(tmp) / "out")])
     assert code in range(5), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _numeric_leaf_paths(fixture):
+    raw = json.loads(fixture_path(fixture).read_text())
+    for path in _leaf_paths(raw):
+        leaf = raw
+        for key in path:
+            leaf = leaf[key]
+        if type(leaf) in (int, float):
+            yield path
+
+
+_NON_FINITE_LEAVES = [
+    (fixture, keys, value)
+    for fixture in ("symmetric_t2", "asymmetric_eex_t2", "stress_t3")
+    for keys in _numeric_leaf_paths(fixture)
+    for value in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize(
+    "fixture,keys,value", _NON_FINITE_LEAVES,
+    ids=[f"{f}-{'.'.join(map(str, k))}-{v}" for f, k, v in _NON_FINITE_LEAVES])
+def test_non_finite_leaf_ends_at_load_or_certification(tmp_path, capsys,
+                                                       fixture, keys, value):
+    # every numeric leaf of a bundled fixture, seed included; report never
+    # solves, so any exit past the gate would be a value that got through
+    cfg = _patch_fixture(tmp_path, _assign(value, *keys), fixture)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["report", "--config", cfg, "--out",
+                     str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert err.startswith(("configuration error: ",
+                           "market certification failed: ")), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert caught == []

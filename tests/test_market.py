@@ -16,7 +16,6 @@ from refequil.market import (
     TablePriceModel,
     build_eex_model,
     check_uniform_no_arbitrage,
-    estimate_hoelder_constant,
     hoelder_extend,
     tree_rows,
     wealth,
@@ -91,6 +90,23 @@ def test_factor_needs_two_atoms_and_bound():
         FactorDistribution.from_atoms([(1.0, 1.0)])
     with pytest.raises(MarketError):
         FactorDistribution(((1.0,), (-3.0,)), (0.5, 0.5), bound=1.0)
+
+
+@pytest.mark.parametrize("atoms,bound", [
+    ([(math.nan, 0.5), (-1.0, 0.5)], None),
+    ([(math.inf, 0.5), (-1.0, 0.5)], None),
+    ([(1.0, 0.5), (-math.inf, 0.5)], None),
+    ([((0.0, math.nan), 0.5), ((1.0, 0.0), 0.5)], None),
+    ([(math.nan, 0.5), (-1.0, 0.5)], 2.0),
+    ([(1.0, 0.5), (-1.0, 0.5)], math.nan),
+    ([(1.0, 0.5), (-1.0, 0.5)], math.inf),
+], ids=["nan_atom", "inf_atom", "minus_inf_atom", "nan_coordinate",
+        "nan_atom_stated_bound", "nan_bound", "inf_bound"])
+def test_factor_refuses_non_finite_atoms_and_bounds(atoms, bound):
+    # the default bound is the largest atom norm, so a non-finite atom
+    # makes a non-finite bound that no atom norm exceeds
+    with pytest.raises(MarketError, match="finite"):
+        FactorDistribution.from_atoms(atoms, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +293,23 @@ def test_eex_rejects_thin_tails():
         build_eex_model([0.0], [1.0], [thin], beta=0.4, c=1.0, C=1.0)
 
 
-def test_eex_rejects_vol_floor_violation():
+def test_eex_rejects_volatility_below_its_floor():
     dist = three_point(width=3.0)
     with pytest.raises(MarketError, match="sigma"):
         build_eex_model([0.0, 0.0], [1.0, lambda h: 0.05], [dist, dist],
                         beta=0.4, c=0.5, C=1.05)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("beta", math.nan), ("beta", math.inf), ("c", math.nan), ("c", math.inf),
+    ("C", math.nan), ("C", -math.inf), ("delta", math.nan),
+    ("delta", math.inf), ("delta", 0.0)])
+def test_eex_names_each_constant_it_refuses(name, value):
+    # NaN fails every comparison, so each check states what passes; delta
+    # is checked by its own name before the price model checks it as chi
+    constants = {"beta": 0.4, "c": 1.0, "C": 1.0, "delta": 1.0, name: value}
+    with pytest.raises(MarketError, match=f"^{name} must "):
+        build_eex_model([0.0], [1.0], [three_point()], **constants)
 
 
 def test_eex_records_conservative_increment_bound():
@@ -342,19 +370,6 @@ def test_extension_reproduces_sample_and_keeps_modulus():
         for b in range(a + 1, 400, 17):
             gap = abs(gvals[a] - gvals[b])
             assert gap <= c_f * abs(samples[a] - samples[b]) ** chi + 1e-10
-
-
-def test_estimate_hoelder_constant_examples():
-    pts = [-1.0, 0.0, 1.0]
-    pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
-    assert estimate_hoelder_constant(lambda e: float(e[0]), pairs, 1.0) == \
-        pytest.approx(1.0)
-    assert estimate_hoelder_constant(lambda e: 3.0, pairs, 1.0) == 0.0
-    sq_pairs = [(0.0, 1.0), (0.0, 2.0), (1.0, 2.0)]
-    assert estimate_hoelder_constant(lambda e: float(e[0]) ** 2, sq_pairs,
-                                     1.0) == pytest.approx(3.0)
-    with pytest.raises(MarketError, match="duplicate"):
-        estimate_hoelder_constant(lambda e: 0.0, [(1.0, 1.0)], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from refequil.preferences import (
     _row_dots,
     build_envelope_stack,
     envelope_rows,
-    fold_hoelder,
     satisfaction,
     strategy_bound,
     validate_preferences,
@@ -817,33 +816,6 @@ def test_validator_passes_gain_slope_that_underflows():
     grid = np.linspace(-5.0, 1e200 + 60.0, 801)
     report = validate_preferences(EXP_U, WIDE_NU, grid)
     assert report.passed, [c.name for c in report.failed()]
-
-
-# ---------------------------------------------------------------------------
-# Hoelder folding
-# ---------------------------------------------------------------------------
-
-def test_fold_single_term_is_identity():
-    assert fold_hoelder([(2.0, 0.7)], 0.0) == (2.0, 0.7)
-
-
-def test_fold_two_terms_with_uniform_bound():
-    # two exponents, uniform bound 3: constant n*maxC + 2*bound at the
-    # smaller exponent
-    assert fold_hoelder([(1.0, 0.5), (1.0, 1.0)], 3.0) == (8.0, 0.5)
-
-
-def test_fold_three_resolves_to_smallest_exponent():
-    assert fold_hoelder([(2.0, 0.25), (5.0, 1.0)], 1.0) == (12.0, 0.25)
-
-
-def test_fold_rejects_empty_and_bad_exponents():
-    with pytest.raises(PreferenceError):
-        fold_hoelder([], 1.0)
-    with pytest.raises(PreferenceError):
-        fold_hoelder([(1.0, 1.5)], 1.0)
-    with pytest.raises(PreferenceError):
-        fold_hoelder([(1.0, 0.5)], -1.0)
 
 
 # ---------------------------------------------------------------------------
