@@ -9,8 +9,6 @@ conditional increment moves up and down by a uniform amount with uniform
 probability.
 """
 
-import numpy as np
-
 from refequil import (
     FactorDistribution,
     Market,
@@ -18,7 +16,6 @@ from refequil import (
     TablePriceModel,
     build_eex_model,
     check_uniform_no_arbitrage,
-    hoelder_extend,
 )
 from refequil.market import tree_rows
 
@@ -54,12 +51,3 @@ eex = build_eex_model(mu=[0.1], sigma=[1.0], factor_dists=[wide],
                       beta=0.4, c=1.0, C=1.1)
 print("drift/vol certificate level:", eex.certificate.alpha_star,
       "recorded increment bound:", eex.prices.c_f)
-
-# increments sampled on a finite set extend to the whole space with the
-# same modulus: an inf-convolution against the sample, projected onto the
-# sampling ball
-points = np.linspace(-1.0, 1.0, 9)
-extension = hoelder_extend(points, np.sin(points), c_f=1.0, chi=1.0,
-                           radius=1.5)
-print("extended value at 3.0 (projected):", extension(3.0))
-print("uniform bound after extension:", extension.bound)

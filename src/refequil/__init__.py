@@ -38,7 +38,6 @@ from .market import (
     WealthPath,
     build_eex_model,
     check_uniform_no_arbitrage,
-    hoelder_extend,
     wealth,
 )
 from .preferences import (

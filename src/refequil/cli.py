@@ -301,6 +301,8 @@ def _cmd_certify(config: RunConfig, candidate_path: str) -> int:
 
 
 def _cmd_verify(config: RunConfig, suite: str, samples: int) -> int:
+    if samples < 1:  # run_suite refuses it too, as a ValueError
+        raise ConfigError(f"--samples must be at least 1, not {samples}")
     reports = run_suite(config.market, config.preferences,
                         config.initial_capital, suite=suite, samples=samples,
                         seed=config.seed, config=config.solver)

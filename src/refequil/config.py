@@ -152,7 +152,8 @@ def _build_market(section: dict) -> Market:
         table = {}
         for key, value in _require(price, "increments", "market.price").items():
             path = tuple(int(k) for k in key.split("/")) if key else ()
-            table[path] = float(value)
+            table[path] = _finite(value,
+                                  f'market.price.increments["{key}"]')
         model = TablePriceModel(
             s0, _finite(_require(price, "c_f", "market.price"),
                         "market.price.c_f"),
@@ -248,13 +249,18 @@ def load_config(path: str | Path,
         solver = _build_solver(dict(raw.get("solver", {})))
         initial_capital = _finite(raw.get("initial_capital", 0.0),
                                   "initial_capital")
+        seed = raw.get("seed", 0)
+        # JSON true is a bool, which Python takes as 1; NaN is a float
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not "
+                              f"{seed!r}")
         output = raw.get("output", {})
         return RunConfig(
             market=market,
             preferences=preferences,
             solver=solver,
             initial_capital=initial_capital,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             output_dir=Path(output.get("directory", "out")),
         )
     except (ConfigError, CertificationError):

@@ -157,9 +157,13 @@ class ScenarioTree:
         self.levels: list[list[TreeNode]] = [[root]]
         frontier = [root]
         for dist in self.distributions:
+            # each law over its exact sum, so PROB_TOL does not compound
+            # with depth; a law summing to exactly 1.0 is unchanged
+            total = math.fsum(dist.probs)
+            probs = [p / total for p in dist.probs]
             next_frontier = []
             for parent in frontier:
-                for k, (value, prob) in enumerate(zip(dist.values, dist.probs)):
+                for k, (value, prob) in enumerate(zip(dist.values, probs)):
                     point = np.concatenate([parent.point, np.asarray(value)])
                     node = TreeNode(len(self.nodes), parent.depth + 1,
                                     parent.path + (k,), point,
@@ -464,83 +468,6 @@ def build_eex_model(mu: Sequence[Callable | float],
                               f"at node {node.id} exceeds C={C}")
         node_alphas[node.id] = beta
     return Market(tree, model, NoArbitrageCertificate(beta, node_alphas, None))
-
-
-# ---------------------------------------------------------------------------
-# Hoelder extension of functions sampled on a finite set
-# ---------------------------------------------------------------------------
-
-class HoelderExtension:
-    """Extension of a Hoelder function from a finite sample to all of R^d.
-
-    Inside the ball of radius ``radius`` the value is the inf-convolution
-    ``min_k (f_k + c |e - e_k|^chi)`` over the sample; outside, the point is
-    first projected onto the ball.  The extension reproduces the sample
-    exactly, keeps the same modulus everywhere, and is bounded by
-    ``c (1 + (2 radius)^chi)``.
-    """
-
-    def __init__(self, points: np.ndarray, values: np.ndarray,
-                 holder_constant: float, exponent: float,
-                 radius: float) -> None:
-        self.points = points
-        self.values = values
-        self.holder_constant = float(holder_constant)
-        self.exponent = float(exponent)
-        self.radius = float(radius)
-
-    @property
-    def bound(self) -> float:
-        """Uniform bound after extension: c (1 + (2 radius)^chi)."""
-        return self.holder_constant * (1.0 + (2.0 * self.radius) ** self.exponent)
-
-    def __call__(self, point: float | Sequence[float]) -> float:
-        e = np.atleast_1d(np.asarray(point, dtype=float))
-        norm = np.linalg.norm(e)
-        if norm > self.radius:
-            e = e * (self.radius / norm)
-        gaps = np.linalg.norm(self.points - e, axis=1)
-        return float(np.min(self.values
-                            + self.holder_constant * gaps ** self.exponent))
-
-
-def hoelder_extend(points: Sequence[Sequence[float] | float],
-                   values: Sequence[float], c_f: float, chi: float,
-                   radius: float) -> HoelderExtension:
-    """Extend sampled values to the whole space with the same modulus.
-
-    ``points`` must lie inside the ball of radius ``radius`` and the sampled
-    values must already satisfy the stated modulus (verified here, because
-    the extension reproduces the sample only then).  The post-extension
-    uniform bound additionally assumes |values| <= c_f on the sample.
-    """
-    pts = np.asarray([[p] if np.isscalar(p) else list(p) for p in points],
-                     dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if len(pts) == 0:
-        raise MarketError("the sample set must be non-empty")
-    if len(pts) != len(vals):
-        raise MarketError("points and values must have equal length")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(norms > radius + 1e-12):
-        worst = int(np.argmax(norms))
-        raise MarketError(f"sample point {pts[worst]} lies outside the ball "
-                          f"of radius {radius}")
-    # only the modulus is enforced: the extension reproduces the sample iff
-    # the sampled values already satisfy it; the uniform bound merely feeds
-    # the post-extension bound and is reported, not enforced
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            gap = np.linalg.norm(pts[a] - pts[b])
-            if gap == 0.0:
-                if vals[a] != vals[b]:
-                    raise MarketError("inconsistent values at a repeated point")
-                continue
-            if abs(vals[a] - vals[b]) > c_f * gap ** chi + 1e-12:
-                raise MarketError(
-                    f"sample violates the stated modulus between {pts[a]} "
-                    f"and {pts[b]}")
-    return HoelderExtension(pts, vals, c_f, chi, radius)
 
 
 # ---------------------------------------------------------------------------

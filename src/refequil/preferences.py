@@ -443,12 +443,6 @@ def _row_dots(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
 # envelope constants
 # ---------------------------------------------------------------------------
 
-def _clamped_window(lo, hi):
-    lo = np.where(np.isfinite(lo), lo, -_HUGE)
-    hi = np.where(np.isfinite(hi), hi, _HUGE)
-    return lo, hi
-
-
 class LogFamilies(NamedTuple):
     """The log-space envelope families of one stage at the same wealths.
 
@@ -487,24 +481,17 @@ def _family(field: str, log: bool):
 class StageEnvelopes:
     """Envelope functions of one stage's value function.
 
-    ``value_floor`` bounds the value from below; ``slope_floor`` /
-    ``slope_cap`` sandwich its first derivative, ``curve_floor`` /
-    ``curve_cap`` sandwich the negated second derivative, and
-    ``past_coeff`` is the Hoelder coefficient in the history at
-    ``exponent``.  Propagated stages (:class:`PropagatedEnvelopes`)
-    additionally expose the optimization-step quantities
-    ``position_bound`` (the bracket containing the one-step optimizer),
-    ``wealth_window`` (the wealth interval it can reach) and
-    ``position_past_coeff`` (the Hoelder coefficient of the optimizer in
-    the history, at the exponent of the stage being optimized).
-
-    Every positive family comes from one record in log space:
-    ``log_families(x, scanned=True)`` gives a :class:`LogFamilies` at the
-    wealths ``x`` (an array); with ``scanned`` False only the two slope
-    families, which need no window scan and cost a few operations per
-    stage, are filled.  Each ``log_*`` accessor picks one field of it and
-    each linear accessor exponentiates that field with saturation.  A
-    scalar gives a float, an array an array of its shape.
+    ``value_floor`` bounds the value from below; every positive family
+    comes from one log-space record, ``log_families(x, scanned=True)``, a
+    :class:`LogFamilies` at the wealths ``x`` (an array): the first and
+    negated second derivative sandwiches, the Hoelder coefficient in the
+    history at ``exponent`` and, on a propagated stage, that of the
+    one-step optimizer, whose bracket is ``position_bound``.  With
+    ``scanned`` False only the two slope families, which need no window
+    scan, are filled.  The three families the library reads one at a time
+    have accessors (``log_slope_floor``, and ``curve_cap`` and
+    ``position_past_coeff`` exponentiated with saturation); a scalar gives
+    a float, an array an array of its shape.
     """
 
     is_terminal = True
@@ -516,16 +503,7 @@ class StageEnvelopes:
         self.exponent = exponent
 
     log_slope_floor = _family("slope_floor", log=True)
-    log_slope_cap = _family("slope_cap", log=True)
-    log_curve_floor = _family("curve_floor", log=True)
-    log_curve_cap = _family("curve_cap", log=True)
-    log_past_coeff = _family("past_coeff", log=True)
-    log_position_past_coeff = _family("position_past_coeff", log=True)
-    slope_floor = _family("slope_floor", log=False)
-    slope_cap = _family("slope_cap", log=False)
-    curve_floor = _family("curve_floor", log=False)
     curve_cap = _family("curve_cap", log=False)
-    past_coeff = _family("past_coeff", log=False)
     position_past_coeff = _family("position_past_coeff", log=False)
 
 
@@ -625,14 +603,6 @@ class PropagatedEnvelopes(StageEnvelopes):
                    + np.exp(log_num - self._log_j0 - 2.0 * self._log_alpha))
         return out if x.ndim else float(out)
 
-    def wealth_window(self, x):
-        """Interval of wealths reachable from x inside the bracket."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = self.position_bound(x) * self.c_f
-            lo, hi = _clamped_window(x - half, x + half)
-        return (lo, hi) if x.ndim else (float(lo), float(hi))
-
     #: wealths per previous-stage call of a window scan; nested scans hold
     #: one chunk per stage, so this bounds their memory, and at 2^15 each
     #: float64 array of a chunk (256 KiB) stays in cache.  The families do
@@ -668,7 +638,9 @@ class PropagatedEnvelopes(StageEnvelopes):
             if not scanned:
                 return LogFamilies(*(f.reshape(x.shape) for f in families))
 
-            lo, hi = _clamped_window(flat - half, flat + half)
+            lo, hi = flat - half, flat + half
+            lo = np.where(np.isfinite(lo), lo, -_HUGE)
+            hi = np.where(np.isfinite(hi), hi, _HUGE)
             ticks = np.linspace(0.0, 1.0, self.window_points)
             rows = max(1, self._SCAN_CHUNK // ticks.size)
             pieces = []

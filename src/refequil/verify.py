@@ -658,6 +658,8 @@ def run_suite(market: Market, preferences: Preferences, x0: float,
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from "
                          f"{'all|' + '|'.join(SUITES)}")
+    if not samples >= 1:
+        raise ValueError(f"samples must be at least 1, not {samples!r}")
     config = config or EquilibriumConfig(starts=4, max_iterations=60)
     session = _Session(market, preferences, x0, seed, samples, config, stack)
     reports: list[CheckReport] = []

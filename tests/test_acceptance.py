@@ -6,6 +6,7 @@ instances with horizons up to 3 and at most 3 factor atoms.
 """
 
 import csv
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from refequil.market import (
     FactorDistribution,
     ScenarioTree,
     TablePriceModel,
-    hoelder_extend,
 )
 from refequil.preferences import (
     ArctanGainLoss,
@@ -40,6 +40,7 @@ from refequil.preferences import (
     ReferenceDistribution,
     build_envelope_stack,
 )
+from refequil.verify import CheckReport, run_suite
 
 from conftest import random_certified_instance
 
@@ -108,11 +109,11 @@ def _sweep_instance(rng, horizon, n_atoms, run_oracle) -> SweepRecord:
             record.position_margins.append(
                 float(stage.position_bound(x)) - abs(sol.position))
             v, v1, v2 = values[node.depth].evaluate(node, x)
+            floor_j, cap_j, floor_l, cap_l = (
+                float(np.exp(f))
+                for f in stage.log_families(np.asarray(x))[:4])
             record.sandwich_margins.append(min(
-                v1 - float(stage.slope_floor(x)),
-                float(stage.slope_cap(x)) - v1,
-                (-v2) - float(stage.curve_floor(x)),
-                float(stage.curve_cap(x)) - (-v2)))
+                v1 - floor_j, cap_j - v1, (-v2) - floor_l, cap_l - (-v2)))
 
     node, x = states[0]
     step = 1e-5
@@ -138,9 +139,10 @@ def _sweep_instance(rng, horizon, n_atoms, run_oracle) -> SweepRecord:
             gap_v = abs(values[t].evaluate(a, x)[0]
                         - values[t].evaluate(b, x)[0])
             log_dist = math.log(dist)
+            families = stage.log_families(np.asarray(x))
             for gap, log_coeff in (
-                    (gap_h, float(stage.log_position_past_coeff(x))),
-                    (gap_v, float(stage.log_past_coeff(x)))):
+                    (gap_h, float(families.position_past_coeff)),
+                    (gap_v, float(families.past_coeff))):
                 if gap == 0.0:
                     record.pair_margins.append(math.inf)
                     continue
@@ -311,43 +313,33 @@ def test_criterion_7_best_response_continuity():
     assert passed
 
 
-def test_criterion_8_hoelder_extension():
-    rng = np.random.default_rng(8)
-    worst_repro = 0.0
-    violations = 0
-    fixtures = [
-        # (points, values, c_f, chi, radius)
-        (np.linspace(-1, 1, 9), None, 1.0, 1.0, 1.5),
-        (rng.uniform(-2, 2, size=12), None, 1.5, 1.0, 2.0),
-        (rng.uniform(-1, 1, size=7), None, 2.0, 0.5, 1.0),
-    ]
-    for points, _, c_f, chi, radius in fixtures:
-        # a function satisfying the stated modulus exactly: a c_f-scaled
-        # smooth wave for chi=1, a square-root profile for chi=1/2
-        if chi == 1.0:
-            values = c_f * np.sin(points)
-        else:
-            values = np.sqrt(np.abs(points) + 0.1)
-        g = hoelder_extend(points, values, c_f, chi, radius)
-        worst_repro = max(worst_repro,
-                          max(abs(g(p) - v) for p, v in zip(points, values)))
-        samples = rng.uniform(-2.5 * radius, 2.5 * radius, size=201)
-        gvals = np.asarray([g(e) for e in samples])
-        bound = c_f * (1.0 + (2.0 * radius) ** chi)
-        violations += int(np.sum(np.abs(gvals) > bound + 1e-12))
-        pair_count = 0
-        for i in range(201):
-            for j in range(i + 1, 201):
-                pair_count += 1
-                gap = abs(gvals[i] - gvals[j])
-                allowed = c_f * abs(samples[i] - samples[j]) ** chi
-                if gap > allowed + 1e-10:
-                    violations += 1
-        assert pair_count >= 10_000
-    passed = worst_repro <= 1e-12 and violations == 0
-    verdict(8, "Hoelder extension reproduces samples and keeps its modulus",
-            passed, f"worst reproduction={worst_repro:.2e} "
-            f"violations={violations}")
+def _price_modulus(config) -> CheckReport:
+    reports = run_suite(config.market, config.preferences,
+                        config.initial_capital, suite="hoelder", samples=20,
+                        seed=8, config=config.solver)
+    return next(r for r in reports if r.name == "price_modulus")
+
+
+def test_criterion_8_price_modulus(tmp_path):
+    # the extension lemma of the existence argument rests on increments
+    # that keep their stated modulus c_f dist^chi between same-depth
+    # histories; verify's price_modulus row checks every such pair, and
+    # it fails a market whose stated exponent the increments break
+    rows = {name: _price_modulus(load_config(fixture_path(name)))
+            for name in FIXTURES}
+    raw = json.loads(fixture_path("symmetric_t2").read_text())
+    raw["market"]["price"]["chi"] = 0.5
+    broken = tmp_path / "chi_half.json"
+    broken.write_text(json.dumps(raw))
+    row = _price_modulus(load_config(broken))
+    passed = (all(r.passed and r.instances > 0 for r in rows.values())
+              and not row.passed and row.witness == "a=1 b=2"
+              and row.worst_margin == pytest.approx(
+                  0.5 * math.sqrt(2.0) - 1.0, abs=1e-15))
+    verdict(8, "increments keep their stated Hoelder modulus in the history",
+            passed, "pairs=" + " ".join(f"{name}:{r.instances}"
+                                        for name, r in rows.items())
+            + f"; chi=0.5 copy margin={row.worst_margin:.4f}")
     assert passed
 
 

@@ -353,12 +353,13 @@ def test_curvature_floor_at_sampled_positions(symmetric_market, desk_prefs,
         h = float(rng.uniform(-k, k))
         slope = one_step_objective(values[node.depth + 1], prices, node, x,
                                    h)[2]
-        stage = symmetric_stack[node.depth]
-        floor = prices.c_f ** 2 * float(stage.curve_floor(x))
+        log_floor = float(symmetric_stack[node.depth]
+                          .log_families(np.asarray(x)).curve_floor)
+        floor = prices.c_f ** 2 * math.exp(log_floor)
         # the floor may saturate to zero far down the stack; its log form
         # must still be a number (positivity holds in log space)
         assert -slope >= floor >= 0.0
-        assert not math.isnan(float(stage.log_curve_floor(x)))
+        assert not math.isnan(log_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from refequil.bestresponse import Strategy, best_response
 from refequil.cli import build_parser, main
 from refequil.config import ConfigError, bundled_fixtures, fixture_path, load_config
+from refequil.verify import run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -269,7 +271,8 @@ def _assign(value, *keys):
 
 def _nan_increment_in_three_atom_row(raw):
     # the row keeps a finite move of each sign, so the no-arbitrage scan
-    # certifies it; only the increment bound can refuse the NaN
+    # would certify it; the load refuses the NaN by its key before the
+    # increment bound would
     raw["market"]["factors"] = [[{"value": 1.0, "prob": 0.4},
                                  {"value": 0.0, "prob": 0.2},
                                  {"value": -1.0, "prob": 0.4}]]
@@ -293,7 +296,8 @@ def _nan_increment_in_three_atom_row(raw):
      "configuration error"),
     ("symmetric_t2", _assign(math.inf, "initial_capital"), 2,
      "configuration error"),
-    ("symmetric_t2", _assign(math.inf, "seed"), 2, "configuration error"),
+    ("symmetric_t2", _assign(math.inf, "seed"), 2,
+     "seed must be a non-negative integer, not inf"),
     ("asymmetric_eex_t2", _assign([1.0], "market", "price", "sigma"), 2,
      "configuration error"),
     ("symmetric_t2", _assign(0, "solver", "max_iterations"), 2,
@@ -321,7 +325,27 @@ def _nan_increment_in_three_atom_row(raw):
      "unknown solver keys ['oracle_cap']"),
     # NaN fails every comparison, so each gate states what passes
     ("symmetric_t2", _nan_increment_in_three_atom_row, 2,
-     "increment nan at node 2"),
+     'market.price.increments["1"] must be finite, not nan'),
+    ("symmetric_t2", _assign(math.nan, "market", "price", "increments",
+                             "0/1"), 2,
+     'market.price.increments["0/1"] must be finite, not nan'),
+    ("symmetric_t2", _assign(-math.inf, "market", "price", "increments",
+                             "1"), 2,
+     'market.price.increments["1"] must be finite, not -inf'),
+    # the seed is a non-negative integer: int() truncated a float or a
+    # bool, and a negative seed reached numpy's generator
+    ("symmetric_t2", _assign(-1, "seed"), 2,
+     "seed must be a non-negative integer, not -1"),
+    ("symmetric_t2", _assign(1.5, "seed"), 2,
+     "seed must be a non-negative integer, not 1.5"),
+    ("symmetric_t2", _assign(7.0, "seed"), 2,
+     "seed must be a non-negative integer, not 7.0"),
+    ("symmetric_t2", _assign(True, "seed"), 2,
+     "seed must be a non-negative integer, not True"),
+    ("symmetric_t2", _assign(math.nan, "seed"), 2,
+     "seed must be a non-negative integer, not nan"),
+    ("symmetric_t2", _assign(-math.inf, "seed"), 2,
+     "seed must be a non-negative integer, not -inf"),
     ("symmetric_t2", _assign(math.nan, "market", "factors", 0, 0, "prob"), 2,
      "atom probabilities must lie in (0, 1]"),
     ("asymmetric_eex_t2", _assign(math.nan, "market", "factors", 1, 2,
@@ -354,9 +378,11 @@ def _nan_increment_in_three_atom_row(raw):
         "resolution_zero", "resolution_one", "resolution_float",
         "resolution_bool", "max_iterations_float", "max_iterations_bool",
         "starts_float", "dedup_factor_removed", "oracle_cap_removed",
-        "increment_nan", "prob_nan", "eex_prob_nan", "mu_nan",
-        "mu_coeff_nan", "sigma_nan", "constant_coefficient", "beta_nan",
-        "c_nan", "C_inf", "delta_nan", "delta_inf"])
+        "increment_nan", "increment_nan_deep", "increment_minus_inf",
+        "seed_negative", "seed_float", "seed_whole_float", "seed_bool",
+        "seed_nan", "seed_minus_infinite", "prob_nan", "eex_prob_nan",
+        "mu_nan", "mu_coeff_nan", "sigma_nan", "constant_coefficient",
+        "beta_nan", "c_nan", "C_inf", "delta_nan", "delta_inf"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
@@ -364,6 +390,64 @@ def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                  str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def test_negative_seed_flag_is_a_configuration_error(symmetric_cfg, tmp_path,
+                                                     capsys):
+    assert main(["solve", "--config", str(symmetric_cfg), "--seed", "-1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be a non-negative integer, not -1\n")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_count_below_one_is_refused(symmetric_cfg, tmp_path, capsys,
+                                           samples):
+    # both once ended in a numpy traceback from the session's sampling
+    config = load_config(symmetric_cfg)
+    with pytest.raises(ValueError, match=r"^samples must be at least 1, "):
+        run_suite(config.market, config.preferences, config.initial_capital,
+                  samples=samples)
+    assert main(["verify", "--config", str(symmetric_cfg), "--samples",
+                 str(samples), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --samples must be at least 1, not {samples}\n")
+    assert not (tmp_path / "x").exists()
+
+
+def _three_period_table(raw):
+    # symmetric_t2's coin over three periods, each increment half the
+    # latest move
+    coin = raw["market"]["factors"][0]
+    raw["market"]["factors"] = [[dict(atom) for atom in coin]
+                                for _ in range(3)]
+    raw["market"]["price"]["increments"] = {
+        "/".join(map(str, path)): 0.5 - path[-1]
+        for t in (1, 2, 3) for path in itertools.product((0, 1), repeat=t)}
+
+
+@pytest.mark.parametrize("fixture,horizon", [
+    ("symmetric_t2", 2), ("symmetric_t2", 3), ("asymmetric_eex_t2", 2),
+    ("stress_t3", 3)], ids=["table_t2", "table_t3", "drift_vol_t2",
+                            "drift_vol_t3"])
+def test_law_tolerance_does_not_compound_with_depth(tmp_path, fixture,
+                                                    horizon):
+    # every law sums to 1 + 9e-13, within the factor law's tolerance; the
+    # unnormalised path sums reached 1 + 1.8e-12 at depth 2, past it
+    def mutate(raw):
+        if horizon > len(raw["market"]["factors"]):
+            _three_period_table(raw)
+        for law in raw["market"]["factors"]:
+            law[0]["prob"] += 9e-13
+
+    cfg = _patch_fixture(tmp_path, mutate, fixture)
+    tree = load_config(cfg).market.tree
+    assert tree.horizon == horizon
+    for level in tree.levels[1:]:
+        assert math.fsum(n.prob for n in level) == pytest.approx(1.0,
+                                                                 abs=1e-15)
+    assert main(["solve", "--config", cfg, "--starts", "2", "--out",
+                 str(tmp_path / "x")]) == 0
 
 
 _NON_FINITE_KEYS = [

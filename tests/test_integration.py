@@ -1,5 +1,8 @@
 """Cross-module paths not covered by the per-module suites."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,3 +125,33 @@ def test_commands_never_build_the_exact_recursion(fixture, tmp_path,
                  ["verify", "--suite", "all", "--samples", "50"],
                  ["best-response", "--reference", preferred]):
         assert main([*args, "--config", cfg, "--out", str(out)]) == 0, args
+
+
+def _console_writes(tree: ast.AST) -> list[int]:
+    """Lines of ``print`` calls and of any use of sys.stdout / sys.stderr."""
+    streams = {"stdout", "stderr", "__stdout__", "__stderr__"}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in streams
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "sys"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "sys"
+              and any(alias.name in streams for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_library_code_never_prints():
+    # only the command-line interface writes to the console; the library
+    # reports through return values and exceptions
+    package = Path(bestresponse.__file__).resolve().parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "cli.py")
+    assert len(modules) >= 7
+    found = {str(p.relative_to(package)): lines for p in modules
+             if (lines := _console_writes(ast.parse(p.read_text())))}
+    assert found == {}
+    assert _console_writes(ast.parse((package / "cli.py").read_text()))

@@ -16,7 +16,6 @@ from refequil.market import (
     TablePriceModel,
     build_eex_model,
     check_uniform_no_arbitrage,
-    hoelder_extend,
     tree_rows,
     wealth,
 )
@@ -317,59 +316,6 @@ def test_eex_records_conservative_increment_bound():
                             beta=0.4, c=1.0, C=1.0).prices
     # 5 C (1 + C_eps) with C_eps = max(1, atom bound)
     assert model.c_f == pytest.approx(5.0 * 1.0 * 3.5)
-
-
-# ---------------------------------------------------------------------------
-# Hoelder extension
-# ---------------------------------------------------------------------------
-
-def test_extension_of_identity_clamps():
-    g = hoelder_extend([-1.0, 1.0], [-1.0, 1.0], c_f=1.0, chi=1.0, radius=1.0)
-    for e in (-3.0, -1.0, -0.4, 0.0, 0.7, 1.0, 9.0):
-        assert g(e) == pytest.approx(max(-1.0, min(1.0, e)), abs=1e-12)
-
-
-def test_single_point_extension():
-    g = hoelder_extend([0.0], [5.0], c_f=2.0, chi=0.5, radius=1.0)
-    for e in (-2.0, -0.5, 0.0, 0.25, 1.0, 4.0):
-        expected = 5.0 + 2.0 * min(abs(e), 1.0) ** 0.5
-        assert g(e) == pytest.approx(expected, abs=1e-12)
-
-
-def test_three_candidate_minimum():
-    g = hoelder_extend([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0],
-                       c_f=2.0, chi=1.0, radius=1.0)
-    # candidates at 0.5: 1 + 2*1.5, 0 + 2*0.5, 1 + 2*0.5
-    assert g(0.5) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_extension_rejects_point_outside_ball():
-    with pytest.raises(MarketError, match="outside the ball"):
-        hoelder_extend([0.0, 2.0], [0.0, 0.5], c_f=1.0, chi=1.0, radius=1.0)
-
-
-def test_extension_rejects_modulus_violation():
-    with pytest.raises(MarketError, match="modulus"):
-        hoelder_extend([0.0, 0.1], [0.0, 1.0], c_f=1.0, chi=1.0, radius=1.0)
-
-
-def test_extension_reproduces_sample_and_keeps_modulus():
-    rng = np.random.default_rng(11)
-    radius = 2.0
-    points = rng.uniform(-radius, radius, size=12)
-    c_f, chi = 1.5, 1.0
-    values = c_f * np.sin(points)
-    g = hoelder_extend(points, values, c_f, chi, radius)
-    for p, v in zip(points, values):
-        assert g(p) == pytest.approx(v, abs=1e-12)
-    samples = rng.uniform(-2.5 * radius, 2.5 * radius, size=400)
-    gvals = np.asarray([g(e) for e in samples])
-    bound = c_f * (1.0 + (2.0 * radius) ** chi)
-    assert np.all(np.abs(gvals) <= bound + 1e-12)
-    for a in range(0, 400, 7):
-        for b in range(a + 1, 400, 17):
-            gap = abs(gvals[a] - gvals[b])
-            assert gap <= c_f * abs(samples[a] - samples[b]) ** chi + 1e-10
 
 
 # ---------------------------------------------------------------------------

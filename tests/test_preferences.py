@@ -19,6 +19,7 @@ from refequil.preferences import (
     ReferenceDistribution,
     TabulatedUtility,
     TerminalEnvelopes,
+    _HUGE,
     _row_dots,
     build_envelope_stack,
     envelope_rows,
@@ -318,14 +319,15 @@ def test_arctan_accepts_smallest_scale_with_normal_square():
 def test_terminal_envelope_values():
     term = TerminalEnvelopes(PREFS, chi=1.0)
     assert term.value_floor(0.0) == pytest.approx(-5.0)
-    assert term.slope_floor(0.0) == pytest.approx(1.0)
-    assert term.slope_cap(0.0) == pytest.approx(3.0)
+    at_zero = term.log_families(np.zeros(1))
+    assert math.exp(at_zero.slope_floor[0]) == pytest.approx(1.0)
+    assert math.exp(at_zero.slope_cap[0]) == pytest.approx(3.0)
     # curvature floor is -U'' and must be positive wherever sampled
-    for x in np.linspace(-3, 3, 11):
-        assert term.curve_floor(float(x)) > 0.0
-        assert term.curve_cap(float(x)) >= term.curve_floor(float(x))
+    logs = term.log_families(np.linspace(-3, 3, 11))
+    assert np.all(np.exp(logs.curve_floor) > 0.0)
+    assert np.all(logs.curve_cap >= logs.curve_floor)
     assert term.exponent == 1.0
-    assert np.isneginf(term.log_past_coeff(0.3))
+    assert np.all(np.isneginf(logs.past_coeff))
 
 
 def test_position_bound_matches_hand_formula():
@@ -427,7 +429,8 @@ class PerFamilyTerminal:
 
 
 class PerFamilyPropagated:
-    """position_bound, wealth_window and value_floor are the stage's own."""
+    """position_bound and value_floor are the stage's own; the wealth
+    window is the bracket times c_f, clamped like the engine's."""
 
     def __init__(self, stage):
         self.stage = stage
@@ -436,8 +439,11 @@ class PerFamilyPropagated:
     def _scan(self, log_fn, x, reduce_fn):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
-        lo, hi = self.stage.wealth_window(flat)
-        lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = self.stage.position_bound(flat) * self.stage.c_f
+            lo, hi = flat - half, flat + half
+        lo = np.where(np.isfinite(lo), lo, -_HUGE)
+        hi = np.where(np.isfinite(hi), hi, _HUGE)
         ticks = np.linspace(0.0, 1.0, self.stage.scan_points)
         rows = max(1, (1 << 21) // self.stage.scan_points)
         pieces = []
@@ -528,34 +534,36 @@ FAMILIES = ("slope_floor", "slope_cap", "curve_floor", "curve_cap",
                                            (3, 2), (3, 3)])
 def test_log_families_equal_per_family_reference(horizon, atoms, chunk,
                                                  monkeypatch):
-    # equal bit for bit, whatever the chunking of the scans; a scalar
-    # gives a float and an array an array of its shape.  At T = 3 the
-    # deep scans are coarse: the reference's repeated scans take ~10 s at
-    # full resolution.
+    # equal bit for bit, whatever the chunking of the scans; each field
+    # has the shape of the wealths, and an accessor gives a scalar a
+    # float.  At T = 3 the deep scans are coarse: the reference's repeated
+    # scans take ~10 s at full resolution.
     monkeypatch.setattr(PropagatedEnvelopes, "_SCAN_CHUNK", chunk)
     if horizon == 3:
         monkeypatch.setattr(PropagatedEnvelopes, "_DEEP_SCAN_POINTS", 16)
     stack, x0 = _random_stack(horizon * 10 + atoms, horizon, atoms)
-    inputs = (x0 + 0.7, x0 + np.array([[-1.5, 0.0], [0.4, 2.5]]))
+    inputs = (np.asarray(x0 + 0.7), x0 + np.array([[-1.5, 0.0], [0.4, 2.5]]))
     for stage in stack:
         ref = per_family(stage)
-        for name in FAMILIES:
-            if not hasattr(ref, "log_" + name):
-                continue
-            for x in inputs:
+        for x in inputs:
+            record = stage.log_families(x)
+            for name in FAMILIES:
+                if not hasattr(ref, "log_" + name):
+                    continue
                 want = getattr(ref, "log_" + name)(x)
-                with np.errstate(over="ignore"):
-                    want_linear = np.exp(want)
-                for got, expected in ((getattr(stage, "log_" + name)(x), want),
-                                      (getattr(stage, name)(x), want_linear)):
-                    if np.ndim(x) == 0:
-                        assert type(got) is float and np.ndim(expected) == 0
-                        assert got == float(expected), (stage.exponent, name)
-                    else:
-                        assert type(got) is np.ndarray
-                        assert got.shape == np.shape(expected) == x.shape
-                        assert np.array_equal(got, expected), name
-    assert stack[-1].log_position_past_coeff(x0) == -math.inf
+                got = getattr(record, name)
+                assert np.shape(got) == np.shape(want) == x.shape, name
+                assert np.array_equal(got, want), (stage.exponent, name)
+            # the accessors the library reads pick, or exponentiate, a field
+            with np.errstate(over="ignore"):
+                for got, want in (
+                        (stage.log_slope_floor(x), record.slope_floor),
+                        (stage.curve_cap(x), np.exp(record.curve_cap)),
+                        (stage.position_past_coeff(x),
+                         np.exp(record.position_past_coeff))):
+                    assert type(got) is (np.ndarray if x.ndim else float)
+                    assert np.array_equal(got, want)
+    assert stack[-1].log_families(x0).position_past_coeff == -math.inf
 
 
 def _assert_scans_each_window_grid_once(preferences, market, x0,
@@ -633,15 +641,6 @@ def test_exponential_window_extrema_sit_at_window_ends(a, k, c_u, lo, width):
 
     assert extrema(np.array([0.0, 1.0])) == extrema(
         np.linspace(0.0, 1.0, 4096))
-
-
-def test_wealth_window_brackets_centre():
-    term = TerminalEnvelopes(PREFS, chi=1.0)
-    stage = PropagatedEnvelopes(term, alpha=0.5, c_f=1.0)
-    lo, hi = stage.wealth_window(0.4)
-    assert lo < 0.4 < hi
-    k = stage.position_bound(0.4)
-    assert hi - 0.4 == pytest.approx(k * 1.0, rel=1e-12)
 
 
 def test_propagation_rejects_bad_alpha_and_cf():
