@@ -316,8 +316,9 @@ class SolveStats:
 class TerminalValue:
     """Stage-T value: expected satisfaction against a fixed reference law,
     with its first two wealth derivatives, as exact sums over the reference
-    atoms.  A list of wealths gives the three columns (v, v', v'') from one
-    kernel call, each element equal to its single-wealth evaluation."""
+    atoms.  A list (an array) of wealths gives the three columns (v, v',
+    v'') as lists (arrays) from one kernel call, each element equal to its
+    single-wealth evaluation."""
 
     def __init__(self, preferences: Preferences,
                  reference: ReferenceDistribution) -> None:
@@ -326,12 +327,10 @@ class TerminalValue:
         self._ref_u = np.asarray(preferences.utility.u(reference.wealths),
                                  dtype=float)
 
-    def evaluate(self, node: TreeNode | None, x: float | list[float]):
+    def evaluate(self, node: TreeNode | None, x):
         return satisfaction(self.preferences.utility,
-                            self.preferences.gain_loss,
-                            x if type(x) is list else float(x),
-                            self.reference, derivatives=True,
-                            ref_u=self._ref_u)
+                            self.preferences.gain_loss, x, self.reference,
+                            derivatives=True, ref_u=self._ref_u)
 
     def evaluate_many(self, nodes: Sequence[TreeNode], xs: Sequence[float]
                       ) -> tuple[list[float], list[float], list[float]]:
@@ -797,7 +796,7 @@ def _tree_newton(trees: _Subtrees, terminal: TerminalValue, x0: np.ndarray,
         xs = roll(part.stages, h, x0 if rows is None else x0[rows])
         calls += 1
         return _Point(h, xs, *_sweep(part.stages, terminal.evaluate(
-            None, xs[-1].ravel().tolist())))
+            None, xs[-1].ravel())))
 
     current = point(positions)
     _check(trees, current)

@@ -9,8 +9,9 @@ Exit codes: 0 success; 1 the command's own criterion failed (no start
 converged, or a best response of the search has a clamped or exhausted
 on-path solution / a check failed / certification failed / a best
 response has a clamped or exhausted one-step solution) or a solve raised
-``SolveError``; 2 configuration parse or validation error; 3 market
-certification failure; 4 preference validation failure.
+``SolveError``; 2 configuration parse or validation error, or an output
+directory (``--out``) that cannot be created; 3 market certification
+failure; 4 preference validation failure.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -301,8 +301,6 @@ def _cmd_certify(config: RunConfig, candidate_path: str) -> int:
 
 
 def _cmd_verify(config: RunConfig, suite: str, samples: int) -> int:
-    if samples < 1:  # run_suite refuses it too, as a ValueError
-        raise ConfigError(f"--samples must be at least 1, not {samples}")
     reports = run_suite(config.market, config.preferences,
                         config.initial_capital, suite=suite, samples=samples,
                         seed=config.seed, config=config.solver)
@@ -341,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         return gate
     try:
         return _dispatch(args, config)
-    except ConfigError as exc:  # a malformed strategy CSV
+    except ConfigError as exc:  # a malformed strategy CSV or --out
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SolveError as exc:
@@ -350,6 +348,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.command == "verify" and args.samples < 1:
+        # run_suite refuses it too, as a ValueError
+        raise ConfigError(f"--samples must be at least 1, not {args.samples}")
+    if args.command != "report":  # before any solve
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory "
+                              f"{config.output_dir}: {exc}") from exc
     if args.command == "solve":
         return _cmd_solve(config, args.trace)
     if args.command == "best-response":

@@ -75,12 +75,6 @@ def _factor(spec: list, period: int) -> FactorDistribution:
     for entry in spec:
         atoms.append((_require(entry, "value", f"factor atom (period {period})"),
                       _require(entry, "prob", f"factor atom (period {period})")))
-    # a non-finite atom is refused here, by its key, before the law would
-    # refuse it unnamed; other types meet the law's own conversion
-    for k, (value, _) in enumerate(atoms):
-        for c in value if isinstance(value, list) else [value]:
-            if isinstance(c, (int, float)):
-                _finite(c, f"market.factors[{period - 1}][{k}].value")
     try:
         return FactorDistribution.from_atoms(atoms)
     except ValueError as exc:
@@ -89,10 +83,31 @@ def _factor(spec: list, period: int) -> FactorDistribution:
 
 
 def _finite(value: Any, path: str) -> float:
+    # also refuses a quoted "nan", which the walk of JSON numbers skips
     number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"{path} must be finite, not {number!r}")
     return number
+
+
+def _finite_leaves(node: dict | list, path: str = "") -> None:
+    """Refuse a NaN or infinite number anywhere below ``node`` by its key
+    path, such as ``market.price.mu[1].coeffs[0]`` or
+    ``market.price.increments["0/1"]``."""
+    for key, value in (node.items() if isinstance(node, dict)
+                       else enumerate(node)):
+        if type(value) is float and not math.isfinite(value):
+            _finite(value, _key_path(path, key))
+        elif isinstance(value, (dict, list)):
+            _finite_leaves(value, _key_path(path, key))
+
+
+def _key_path(path: str, key: str | int) -> str:
+    if type(key) is int:
+        return f"{path}[{key}]"
+    if key.isidentifier():
+        return f"{path}.{key}" if path else key
+    return f"{path}[{json.dumps(key)}]"
 
 
 def _coefficient(spec: Any, name: str, factors=None, period: int = 0):
@@ -240,6 +255,7 @@ def load_config(path: str | Path,
     try:
         if overrides:
             raw = _merged(raw, overrides)
+        _finite_leaves(raw)
         market = _build_market(_require(raw, "market", "configuration"))
         prefs_spec = _require(raw, "preferences", "configuration")
         preferences = Preferences(

@@ -36,8 +36,6 @@ from .preferences import (
 
 #: resolution of self-value comparisons (exact double sums of unit-scale terms)
 VALUE_TOL = 1e-12
-#: gap entries per oracle row block (8 MB of float64)
-_ORACLE_BLOCK = 1 << 20
 #: skip the brute-force oracle above this many grid strategies
 _ORACLE_CAP = 300_000
 #: converged strategies closer than this many tolerances count as one
@@ -237,13 +235,8 @@ def _oracle_sweep(market: Market, preferences: Preferences,
     path = np.stack([m.ravel() for m in mesh], axis=-1)  # (res^T, T)
     positions = path[:, [node.depth for node in interior]]
     leaf_wealth = roll(market.prices.stages(tree), positions, float(x0))[-1]
-    # row blocks bound the (strategies, leaves, atoms) gap array of the
-    # kernel; each row's sum is independent of the blocking
-    rows = max(1, _ORACLE_BLOCK // (len(tree.leaves) * len(reference)))
-    kernel = np.concatenate([
-        satisfaction(preferences.utility, preferences.gain_loss,
-                     leaf_wealth[k:k + rows], reference)
-        for k in range(0, len(leaf_wealth), rows)])
+    kernel = satisfaction(preferences.utility, preferences.gain_loss,
+                          leaf_wealth, reference)
     full = np.empty((resolution,) * len(interior) + (len(tree.leaves),))
     for j, leaf in enumerate(tree.leaves):
         # ids run breadth first, so the ancestors' axes come in path order

@@ -32,6 +32,8 @@ LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 #: windows with non-finite endpoints are clamped here before scanning
 _HUGE = 1e290
+#: gap-matrix cells (wealths x atoms) per satisfaction block (8 MiB)
+_KERNEL_CELLS = 1 << 20
 
 
 class PreferenceError(ValueError):
@@ -71,13 +73,14 @@ class Utility:
     def d2u(self, x):
         raise NotImplementedError
 
-    def scalar_terms(self, xs: Sequence[float]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scalar_terms(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U, U', U'' at each wealth of ``xs`` as three float64 arrays, each
-        element equal bit for bit to the scalar methods at that wealth."""
-        return (np.array([float(self.u(float(w))) for w in xs], dtype=float),
-                np.array([float(self.du(float(w))) for w in xs], dtype=float),
-                np.array([float(self.d2u(float(w))) for w in xs], dtype=float))
+        element equal bit for bit to the float calls at that wealth: one
+        array call of each method, which a family overrides where the two
+        round differently."""
+        xs = np.asarray(xs, dtype=float)
+        return tuple(np.asarray(f(xs), dtype=float)
+                     for f in (self.u, self.du, self.d2u))
 
     def log_du(self, x):
         with np.errstate(divide="ignore"):
@@ -110,39 +113,36 @@ class ExponentialUtility(Utility):
         self.c_u = float(c_u)
         self.upper_limit = 0.0
 
-    @staticmethod
-    def _exp(z):
-        if type(z) is float:
+    def _exp(self, x):
+        """exp(-a x): one math.exp for a float, np.exp (which may round
+        differently in the last bit) elementwise otherwise; an overflow
+        gives inf."""
+        if type(x) is float:
             try:
-                return math.exp(z)
+                return math.exp(-self.a * x)
             except OverflowError:
                 return math.inf
         with np.errstate(over="ignore"):
-            return np.exp(np.asarray(z, dtype=float))
+            return np.exp(-self.a * np.asarray(x, dtype=float))
 
     def u(self, x):
-        return -self._exp(-self.a * x) if type(x) is float \
-            else -self._exp(-self.a * np.asarray(x, dtype=float))
+        return -self._exp(x)
 
     def du(self, x):
-        return self.a * self._exp(-self.a * x) if type(x) is float \
-            else self.a * self._exp(-self.a * np.asarray(x, dtype=float))
+        return self.a * self._exp(x)
 
     def d2u(self, x):
-        return -self.a ** 2 * self._exp(-self.a * x) if type(x) is float \
-            else -self.a ** 2 * self._exp(-self.a * np.asarray(x, dtype=float))
+        return -self.a ** 2 * self._exp(x)
 
     def scalar_terms(self, xs):
-        # one math.exp per wealth, as the scalar methods take: np.exp may
-        # round differently in the last bit.  Only a batch with an
-        # overflowing exponential goes through _exp's overflow rule.  The
-        # products below are the scalar methods' own roundings.
-        neg_a = -self.a
+        # one math.exp per wealth, as the float calls take.  Only a batch
+        # with an overflowing exponential goes through _exp's overflow
+        # rule.  The products below are the float calls' own roundings.
+        neg_a, xs = -self.a, np.asarray(xs, dtype=float).tolist()
         try:
             e = np.array([math.exp(neg_a * w) for w in xs], dtype=float)
         except OverflowError:
-            e = np.array([self._exp(neg_a * float(w)) for w in xs],
-                         dtype=float)
+            e = np.array([self._exp(w) for w in xs], dtype=float)
         with np.errstate(over="ignore"):
             return -e, self.a * e, -self.a ** 2 * e
 
@@ -165,19 +165,18 @@ class TabulatedUtility(Utility):
                  c_u: float) -> None:
         from scipy.interpolate import PchipInterpolator
 
-        x_arr = np.asarray(x_knots, dtype=float)
+        tables = [np.asarray(t, dtype=float) for t in (x_knots, u, du, d2u)]
+        x_arr = tables[0]
         if x_arr.ndim != 1 or len(x_arr) < 4:
             raise PreferenceError("need at least 4 knots")
+        if not all(np.isfinite(t).all() for t in tables):
+            raise PreferenceError("tabulated utility entries must be finite")
         if np.any(np.diff(x_arr) <= 0.0):
             raise PreferenceError("knots must be strictly increasing")
         if not 0.0 < c_u < math.inf:
             raise PreferenceError("the upper bound c_u must be positive")
-        self._u = PchipInterpolator(x_arr, np.asarray(u, float),
-                                    extrapolate=True)
-        self._du = PchipInterpolator(x_arr, np.asarray(du, float),
-                                     extrapolate=True)
-        self._d2u = PchipInterpolator(x_arr, np.asarray(d2u, float),
-                                      extrapolate=True)
+        self._u, self._du, self._d2u = (
+            PchipInterpolator(x_arr, t, extrapolate=True) for t in tables[1:])
         self.c_u = float(c_u)
         self.upper_limit = float(u[-1])
 
@@ -264,24 +263,15 @@ class ArctanGainLoss(GainLoss):
         return np.where(x > 0.0, gains, self.k_minus * x)
 
     def dnu(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            # a huge gap takes the slope's limit 0, as in terms
-            gains = self.k_minus / (1.0 + (x / self.scale) ** 2)
-        return np.where(x > 0.0, gains, self.k_minus)
+        return self.terms(x)[1]
 
     def d2nu(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gains = (-2.0 * self.k_minus * x / self.scale ** 2
-                     / (1.0 + (x / self.scale) ** 2) ** 2)
-        # the gain-arm curvature decays to 0; an infinite gap is its limit
-        gains = np.where(np.isinf(x), 0.0, gains)
-        return np.where(x > 0.0, gains, 0.0)
+        return self.terms(x)[2]
 
     def terms(self, x):
-        # the three methods' expressions with x / scale, 1 + (x / scale)^2
-        # and the gain mask formed once
+        # the one copy of nu' and nu'', which dnu and d2nu read; nu keeps
+        # its own for the kernel's value-only blocks.  A huge gap takes the
+        # slope's limit 0, and an infinite one the curvature's limit 0.
         x = np.asarray(x, dtype=float)
         k, s = self.k_minus, self.scale
         gain = x > 0.0
@@ -291,7 +281,6 @@ class ArctanGainLoss(GainLoss):
             nu = np.where(gain, k * s * np.arctan(r), k * x)
             dnu = np.where(gain, k / q, k)
             curve = -2.0 * k * x / s ** 2 / q ** 2
-        # an infinite gap takes the curvature's limit 0, as in d2nu
         d2nu = np.where(gain & (x < math.inf), curve, 0.0)
         return nu, dnu, d2nu
 
@@ -382,51 +371,45 @@ def satisfaction(utility: Utility, gain_loss: GainLoss, x,
     Direct utility plus the expected gain-loss comparison of utilities,
     U(x) + sum_j q_j nu(U(x) - U(b_j)); the expectation over the finitely
     supported reference is an exact sum.  ``x`` is a float, a list of
-    floats (one result per element) or an array of any shape (evaluated
-    elementwise).  With ``derivatives`` the result is the triple
-    (value, U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu''); for a list or an
-    array each member of the triple is a column, a list or an array shaped
-    like ``x``.  ``ref_u`` passes the precomputed reference utilities
-    U(b_j).
+    floats (or of such lists) or an array of any shape, and the result
+    comes back in that form: a float, a list or an array shaped like
+    ``x``.  With ``derivatives`` the result is the triple (value,
+    U'(1 + E nu'), U''(1 + E nu') + U'^2 E nu''), each member in the form
+    of ``x``.  ``ref_u`` passes the precomputed reference utilities U(b_j).
 
-    A float or a list (the terminal evaluator sends all wealths of a
-    round as one list) takes a fixed number of numpy calls for any
-    length, and every element equals the float call bit for bit: U, U', U''
-    come from :meth:`Utility.scalar_terms`, the gain-loss terms from one
-    :meth:`GainLoss.terms` call on the (elements x atoms) gap matrix, and
-    every row is reduced by its own dot product (:func:`_row_dots`).  An
-    array sums over the atoms in one matrix-vector product instead, which
-    may differ from the float call in the last bits.  Gaps between
-    overflowed utilities (inf - inf) are NaN and raise no warning.
+    Every input takes one path, so each element equals the float call bit
+    for bit.  The flattened wealths run in blocks of at most
+    ``_KERNEL_CELLS`` (2^20) gap-matrix cells, which bound the memory for
+    any input: U, U', U'' from :meth:`Utility.scalar_terms`, then one
+    :meth:`GainLoss.nu` or :meth:`GainLoss.terms` call on the (wealths x
+    atoms) gaps, each row reduced by its own dot product (:func:`_row_dots`).
+    Gaps between overflowed utilities (inf - inf) are NaN, without warning.
     """
     if ref_u is None:
         ref_u = utility.u(reference.wealths)
     probs = reference.probs
-    if type(x) is float or type(x) is list:
-        ux, dux, d2ux = utility.scalar_terms(x if type(x) is list else [x])
+    wealths = np.asarray(x, dtype=float)
+    flat = wealths.reshape(-1)
+    rows = max(1, _KERNEL_CELLS // len(probs))
+    blocks = []
+    for k in range(0, max(flat.size, 1), rows):
+        ux, dux, d2ux = utility.scalar_terms(flat[k:k + rows])
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = ux[:, None] - ref_u
             if not derivatives:
-                values = (ux + _row_dots(gain_loss.nu(gaps), probs)).tolist()
-                return values if type(x) is list else values[0]
+                blocks.append((ux + _row_dots(gain_loss.nu(gaps), probs),))
+                continue
             nu, dnu, d2nu = gain_loss.terms(gaps)
             factor = 1.0 + _row_dots(dnu, probs)
             curve = _row_dots(d2nu, probs)
-            columns = ((ux + _row_dots(nu, probs)).tolist(),
-                       (dux * factor).tolist(),
-                       (d2ux * factor + dux * dux * curve).tolist())
-        return columns if type(x) is list else tuple(c[0] for c in columns)
-    ux = np.asarray(utility.u(x), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = ux[..., None] - ref_u
-        value = ux + gain_loss.nu(gaps) @ probs
-        if not derivatives:
-            return value
-        dux = np.asarray(utility.du(x), dtype=float)
-        d2ux = np.asarray(utility.d2u(x), dtype=float)
-        factor = 1.0 + gain_loss.dnu(gaps) @ probs
-        curve = gain_loss.d2nu(gaps) @ probs
-        return value, dux * factor, d2ux * factor + dux * dux * curve
+            blocks.append((ux + _row_dots(nu, probs), dux * factor,
+                           d2ux * factor + dux * dux * curve))
+    columns = [np.concatenate(parts).reshape(wealths.shape)
+               for parts in zip(*blocks)]
+    if not isinstance(x, np.ndarray):
+        # a float's 0-d column gives a float, a list's a list of its nesting
+        columns = [c.tolist() for c in columns]
+    return tuple(columns) if derivatives else columns[0]
 
 
 def _row_dots(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -412,8 +412,8 @@ def _check_satisfaction_derivative(s: _Session) -> CheckReport:
 
     def cases():
         for ref, x in _satisfaction_draws(s):
-            fd = (satisfaction(u, nu, x + FD_STEP, ref)
-                  - satisfaction(u, nu, x - FD_STEP, ref)) / (2.0 * FD_STEP)
+            up, down = satisfaction(u, nu, [x + FD_STEP, x - FD_STEP], ref)
+            fd = (up - down) / (2.0 * FD_STEP)
             du = float(u.du(x))
             slack = FD_FIRST_TOL * (1.0 + nu.k_minus) * du
             yield (min(fd - du + slack, (1.0 + nu.k_minus) * du - fd + slack),
@@ -426,9 +426,9 @@ def _check_satisfaction_concavity(s: _Session) -> CheckReport:
 
     def cases():
         for ref, x in _satisfaction_draws(s):
-            second = (satisfaction(u, nu, x + FD_STEP, ref)
-                      - 2.0 * satisfaction(u, nu, x, ref)
-                      + satisfaction(u, nu, x - FD_STEP, ref)) / FD_STEP ** 2
+            up, mid, down = satisfaction(u, nu, [x + FD_STEP, x, x - FD_STEP],
+                                         ref)
+            second = (up - 2.0 * mid + down) / FD_STEP ** 2
             yield -second, dict(x=x)
     return _fold("satisfaction_concavity", cases())
 

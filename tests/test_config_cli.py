@@ -280,6 +280,17 @@ def _nan_increment_in_three_atom_row(raw):
                                             "2": -0.5}
 
 
+def _tabulated_utility(du_last):
+    # -exp(-x) tabulated on five knots, with the last slope replaced
+    def mutate(raw):
+        x = [-4.0, -2.0, 0.0, 2.0, 4.0]
+        du = [math.exp(-v) for v in x[:-1]] + [du_last]
+        raw["preferences"]["utility"] = {
+            "family": "table", "x": x, "u": [-math.exp(-v) for v in x],
+            "du": du, "d2u": [-math.exp(-v) for v in x], "c_u": 1.0}
+    return mutate
+
+
 @pytest.mark.parametrize("fixture,mutate,code,message", [
     ("symmetric_t2", _assign(1.0, "market", "factors", 0, 0), 2,
      "configuration error"),
@@ -297,7 +308,7 @@ def _nan_increment_in_three_atom_row(raw):
     ("symmetric_t2", _assign(math.inf, "initial_capital"), 2,
      "configuration error"),
     ("symmetric_t2", _assign(math.inf, "seed"), 2,
-     "seed must be a non-negative integer, not inf"),
+     "configuration error: seed must be finite, not inf"),
     ("asymmetric_eex_t2", _assign([1.0], "market", "price", "sigma"), 2,
      "configuration error"),
     ("symmetric_t2", _assign(0, "solver", "max_iterations"), 2,
@@ -323,7 +334,6 @@ def _nan_increment_in_three_atom_row(raw):
      "unknown solver keys ['dedup_factor']"),
     ("symmetric_t2", _assign(-5, "solver", "oracle_cap"), 2,
      "unknown solver keys ['oracle_cap']"),
-    # NaN fails every comparison, so each gate states what passes
     ("symmetric_t2", _nan_increment_in_three_atom_row, 2,
      'market.price.increments["1"] must be finite, not nan'),
     ("symmetric_t2", _assign(math.nan, "market", "price", "increments",
@@ -343,34 +353,49 @@ def _nan_increment_in_three_atom_row(raw):
     ("symmetric_t2", _assign(True, "seed"), 2,
      "seed must be a non-negative integer, not True"),
     ("symmetric_t2", _assign(math.nan, "seed"), 2,
-     "seed must be a non-negative integer, not nan"),
+     "configuration error: seed must be finite, not nan"),
     ("symmetric_t2", _assign(-math.inf, "seed"), 2,
-     "seed must be a non-negative integer, not -inf"),
+     "configuration error: seed must be finite, not -inf"),
+    # every non-finite number is refused at load by its key path
     ("symmetric_t2", _assign(math.nan, "market", "factors", 0, 0, "prob"), 2,
-     "atom probabilities must lie in (0, 1]"),
+     "configuration error: market.factors[0][0].prob must be finite, "
+     "not nan"),
     ("asymmetric_eex_t2", _assign(math.nan, "market", "factors", 1, 2,
                                   "prob"), 2,
-     "atom probabilities must lie in (0, 1]"),
-    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "mu", 0), 3,
-     "|mu| + |sigma| = nan at node 0"),
+     "configuration error: market.factors[1][2].prob must be finite, "
+     "not nan"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "mu", 0), 2,
+     "configuration error: market.price.mu[0] must be finite, not nan"),
     ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "mu", 1,
-                                  "coeffs", 0), 3,
-     "|mu| + |sigma| = nan at node 1"),
+                                  "coeffs", 0), 2,
+     "configuration error: market.price.mu[1].coeffs[0] must be finite, "
+     "not nan"),
     ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "sigma", 1),
-     3, "sigma_2 = nan at node 1"),
+     2, "configuration error: market.price.sigma[1] must be finite, "
+     "not nan"),
     ("asymmetric_eex_t2", _assign({"type": "constant", "value": 1.0},
                                   "market", "price", "sigma", 0), 2,
      "unknown coefficient type 'constant'"),
-    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "beta"), 3,
-     "beta must be positive and finite, not nan"),
-    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "c"), 3,
-     "c must be positive and finite, not nan"),
-    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "C"), 3,
-     "C must be positive and finite, not inf"),
-    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "delta"), 3,
-     "delta must lie in (0, 1], not nan"),
-    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "delta"), 3,
-     "delta must lie in (0, 1], not inf"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "beta"), 2,
+     "configuration error: market.price.beta must be finite, not nan"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "c"), 2,
+     "configuration error: market.price.c must be finite, not nan"),
+    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "C"), 2,
+     "configuration error: market.price.C must be finite, not inf"),
+    ("asymmetric_eex_t2", _assign(math.nan, "market", "price", "delta"), 2,
+     "configuration error: market.price.delta must be finite, not nan"),
+    ("asymmetric_eex_t2", _assign(math.inf, "market", "price", "delta"), 2,
+     "configuration error: market.price.delta must be finite, not inf"),
+    ("symmetric_t2", _tabulated_utility(du_last=math.nan), 2,
+     "configuration error: preferences.utility.du[4] must be finite, "
+     "not nan"),
+    ("symmetric_t2", _assign(-math.inf, "solver", "damping"), 2,
+     "configuration error: solver.damping must be finite, not -inf"),
+    # finite values out of range keep their own gates and exit codes
+    ("asymmetric_eex_t2", _assign(-0.5, "market", "price", "delta"), 3,
+     "delta must lie in (0, 1], not -0.5"),
+    ("symmetric_t2", _tabulated_utility(du_last=-1.0), 4,
+     "preference validation failed: utility_increasing"),
 ], ids=["bare_atom", "damping_text", "utility_text", "utility_negative",
         "output_number", "eex_tail_beta", "utility_square_overflows",
         "capital_infinite", "seed_infinite", "sigma_short",
@@ -382,7 +407,9 @@ def _nan_increment_in_three_atom_row(raw):
         "seed_negative", "seed_float", "seed_whole_float", "seed_bool",
         "seed_nan", "seed_minus_infinite", "prob_nan", "eex_prob_nan",
         "mu_nan", "mu_coeff_nan", "sigma_nan", "constant_coefficient",
-        "beta_nan", "c_nan", "C_inf", "delta_nan", "delta_inf"])
+        "beta_nan", "c_nan", "C_inf", "delta_nan", "delta_inf",
+        "table_du_nan", "damping_minus_inf", "delta_negative",
+        "table_du_negative"])
 def test_malformed_config_exit_codes(tmp_path, capsys, fixture, mutate, code,
                                      message):
     cfg = _patch_fixture(tmp_path, mutate, fixture)
@@ -398,6 +425,29 @@ def test_negative_seed_flag_is_a_configuration_error(symmetric_cfg, tmp_path,
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == (
         "configuration error: seed must be a non-negative integer, not -1\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["best-response", "--reference", "zero.csv"],
+    ["certify", "--candidate", "zero.csv"], ["verify", "--samples", "20"]],
+    ids=["solve", "best-response", "certify", "verify"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+def test_unusable_output_directory_is_a_configuration_error(
+        symmetric_cfg, tmp_path, capsys, monkeypatch, command, below):
+    # a regular file as --out, or a directory below one: the output
+    # directory is made before any solve, and its failure is one line
+    monkeypatch.chdir(tmp_path)
+    Path("zero.csv").write_text("node_id,depth,position\n0,0,0.0\n"
+                                "1,1,0.0\n2,1,0.0\n")
+    Path("taken").write_text("")
+    out = str(Path("taken", below))
+    assert main([*command, "--config", str(symmetric_cfg), "--out",
+                 out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: cannot create output directory {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -819,16 +869,29 @@ _NON_FINITE_LEAVES = [
     ids=[f"{f}-{'.'.join(map(str, k))}-{v}" for f, k, v in _NON_FINITE_LEAVES])
 def test_non_finite_leaf_ends_at_load_or_certification(tmp_path, capsys,
                                                        fixture, keys, value):
-    # every numeric leaf of a bundled fixture, seed included; report never
-    # solves, so any exit past the gate would be a value that got through
+    # every numeric leaf of a bundled fixture, seed included, ends at load
+    # with its key path; report never solves, so any exit past the gate
+    # would be a value that got through
     cfg = _patch_fixture(tmp_path, _assign(value, *keys), fixture)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["report", "--config", cfg, "--out",
                      str(tmp_path / "x")])
     err = capsys.readouterr().err
-    assert code in (2, 3), err
-    assert err.startswith(("configuration error: ",
-                           "market certification failed: ")), err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert code == 2, err
+    assert err == (f"configuration error: {_key_path(keys)} must be finite, "
+                   f"not {value!r}\n")
     assert caught == []
+
+
+def _key_path(keys) -> str:
+    """``market.price.mu[1].coeffs[0]``, ``increments["0/1"]``."""
+    path = ""
+    for key in keys:
+        if isinstance(key, int):
+            path += f"[{key}]"
+        elif key.isidentifier():
+            path += f".{key}" if path else key
+        else:
+            path += f'["{key}"]'
+    return path

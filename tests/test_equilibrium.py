@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import refequil.bestresponse as bestresponse
 import refequil.equilibrium as equilibrium
+import refequil.preferences as preferences
 from refequil.bestresponse import (
     SolveError,
     SolveStats,
@@ -313,19 +314,15 @@ def test_oracle_sweep_equals_rolling_each_grid_strategy():
 
 def _full_grid_sweep(market, prefs, reference, x0, radius, resolution):
     """The sweep over every grid strategy: roll the whole mesh, apply the
-    kernel in row blocks, then weight by the leaf probabilities."""
+    kernel, then weight by the leaf probabilities."""
     tree = market.tree
     grids = [np.linspace(-radius, radius, resolution) for _ in tree.interior]
     mesh = np.meshgrid(*grids, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=-1)
     leaf_wealth = roll(market.prices.stages(tree), positions, float(x0))[-1]
     probs = np.asarray([leaf.prob for leaf in tree.leaves])
-    rows = max(1, equilibrium._ORACLE_BLOCK
-               // (len(tree.leaves) * len(reference)))
-    values = np.concatenate([
-        satisfaction(prefs.utility, prefs.gain_loss, leaf_wealth[k:k + rows],
-                     reference)
-        for k in range(0, len(leaf_wealth), rows)]) @ probs
+    values = satisfaction(prefs.utility, prefs.gain_loss, leaf_wealth,
+                          reference) @ probs
     return float(np.max(values))
 
 
@@ -369,6 +366,23 @@ def test_oracle_sweep_evaluates_each_leaf_wealth_once(monkeypatch):
     monkeypatch.setattr(equilibrium, "satisfaction", counted)
     _oracle_sweep(market, prefs, reference, 0.0, 2.0, 41)
     assert 0 < sum(sizes) <= len(market.tree.leaves) * 41 ** 2
+
+
+def test_self_value_and_best_response_are_blocked_by_the_kernel(
+        monkeypatch):
+    # the kernel alone bounds its gap matrix: with blocks of 40 cells the
+    # self-value (27 leaves against 27 atoms) and a cold best response
+    # split their kernel calls and still equal the unblocked ones bit for
+    # bit
+    rng = np.random.default_rng(41)
+    market, prefs, x0 = random_certified_instance(rng, 3, 3)
+    strategy = Strategy(rng.uniform(-1.0, 1.0, len(market.tree.interior)))
+    value = evaluate_self_value(market, prefs, strategy, x0)
+    response = best_response(market, prefs, strategy, x0)[0]
+    monkeypatch.setattr(preferences, "_KERNEL_CELLS", 40)
+    assert evaluate_self_value(market, prefs, strategy, x0) == value
+    assert best_response(market, prefs, strategy, x0)[0].positions.tolist() \
+        == response.positions.tolist()
 
 
 def test_certify_oracle_margin_within_quadratic_slack(skewed_market,

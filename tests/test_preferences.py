@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refequil import preferences
 from refequil.config import fixture_path, load_config
 from refequil.preferences import (
     LOG2,
@@ -95,18 +96,62 @@ def test_satisfaction_derivative_sandwich_fd():
         assert fd == pytest.approx(analytic, rel=1e-4)
 
 
-def test_satisfaction_array_path_matches_scalar_path():
-    # the array path sums over the atoms in another order than the scalar
-    # path, so the two agree to a few ulps of the three-term sums
-    ref = ReferenceDistribution([(-0.4, 0.25), (0.1, 0.35), (0.9, 0.4)])
-    xs = np.linspace(-3.0, 4.0, 24).reshape(4, 6)
-    assert satisfaction(EXP_U, WIDE_NU, xs, ref).shape == xs.shape
-    arrays = satisfaction(EXP_U, WIDE_NU, xs, ref, derivatives=True)
-    for k, x in np.ndenumerate(xs):
-        scalars = satisfaction(EXP_U, WIDE_NU, float(x), ref,
-                               derivatives=True)
-        for got, want in zip(arrays, scalars):
-            assert got[k] == pytest.approx(want, rel=1e-14, abs=1e-15)
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 1.0)),
+                      min_size=1, max_size=40),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       data=st.data(), as_list=st.booleans(), derivatives=st.booleans(),
+       utility=st.sampled_from([EXP_U, TAB_U]))
+def test_satisfaction_every_form_equals_the_float_call(
+        atoms, shape, data, as_list, derivatives, utility):
+    # lists and arrays of one to three dimensions come back in their own
+    # form, and every element equals the float call bit for bit, wealths
+    # where U overflows (x = -800) included
+    total = math.fsum(q for _, q in atoms)
+    ref = ReferenceDistribution([(w, q / total) for w, q in atoms])
+    size = math.prod(shape)
+    xs = np.array(data.draw(st.lists(
+        st.floats(-8.0, 8.0) | st.sampled_from([800.0, -800.0, -0.0]),
+        min_size=size, max_size=size))).reshape(shape)
+    got = satisfaction(utility, WIDE_NU, xs.tolist() if as_list else xs,
+                       ref, derivatives)
+    columns = got if derivatives else (got,)
+    assert len(columns) == (3 if derivatives else 1)
+    for column in columns:
+        assert type(column) is (list if as_list else np.ndarray)
+        assert np.shape(column) == xs.shape
+    for index, x in np.ndenumerate(xs):
+        alone = satisfaction(utility, WIDE_NU, float(x), ref, derivatives)
+        assert repr(tuple(float(np.asarray(c)[index]) for c in columns)) \
+            == repr(alone if derivatives else (alone,))
+
+
+def test_blocked_kernel_equals_one_block(monkeypatch):
+    # 7 reference atoms against a block of 20 cells: two wealths per block
+    rng = np.random.default_rng(3)
+    ref = ReferenceDistribution.from_weights(
+        zip(rng.uniform(-2.0, 2.0, 7), np.full(7, 1.0 / 7.0)))
+    xs = rng.uniform(-3.0, 4.0, (3, 11))
+    utility = ExponentialUtility(1.0)
+    whole = [satisfaction(utility, WIDE_NU, xs, ref, derivatives)
+             for derivatives in (False, True)]
+    cells = []
+    terms = utility.scalar_terms
+
+    def counted(block):
+        cells.append(len(block) * len(ref))
+        return terms(block)
+
+    monkeypatch.setattr(preferences, "_KERNEL_CELLS", 20)
+    monkeypatch.setattr(utility, "scalar_terms", counted)
+    blocked = [satisfaction(utility, WIDE_NU, xs, ref, derivatives)
+               for derivatives in (False, True)]
+    assert len(cells) == 2 * 17 and max(cells) <= 20
+    assert _bits(blocked[0]) == _bits(whole[0])
+    assert _bits(blocked[1]) == _bits(whole[1])
+    # a list splits alike and keeps its form
+    assert satisfaction(utility, WIDE_NU, xs[0].tolist(), ref) \
+        == whole[0][0].tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,11 +263,26 @@ def test_exponential_scalar_terms_equal_scalar_methods(a, xs):
         assert _bits(got) == _bits([method(float(x)) for x in xs])
 
 
-def test_tabulated_scalar_terms_equal_scalar_methods():
-    xs = np.concatenate([np.linspace(-4.0, 4.0, 33), _KNOTS,
-                         [-9.0, -4.5, 4.5, 12.0]]).tolist()
-    terms = TAB_U.scalar_terms(xs)
-    for method, got in zip((TAB_U.u, TAB_U.du, TAB_U.d2u), terms):
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(-10.0, 10.0),
+       steps=st.lists(st.floats(0.05, 3.0), min_size=3, max_size=11),
+       data=st.data())
+def test_tabulated_scalar_terms_equal_scalar_methods(start, steps, data):
+    # the default scalar_terms calls u, du and d2u once on the array: PCHIP
+    # evaluation is exact per point, so on a random monotone table (U
+    # increasing, U' positive and falling, U'' negative) every element
+    # equals the float call, at the knots and inside and beyond them
+    knots = start + np.cumsum([0.0] + steps)
+    n = len(knots)
+    positive = st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)
+    u = np.cumsum(data.draw(positive)) - 10.0
+    du = np.sort(data.draw(positive))[::-1]
+    d2u = -np.asarray(data.draw(positive))
+    utility = TabulatedUtility(knots, u, du, d2u, c_u=1.0)
+    xs = data.draw(st.lists(st.floats(knots[0] - 20.0, knots[-1] + 20.0),
+                            max_size=40)) + knots.tolist()
+    terms = utility.scalar_terms(xs)
+    for method, got in zip((utility.u, utility.du, utility.d2u), terms):
         assert _bits(got) == _bits([float(method(x)) for x in xs])
 
 
@@ -238,11 +298,27 @@ def test_gain_loss_terms_equal_separate_calls(k, scale, xs):
     gaps = np.asarray(xs, dtype=float)
     for x in (gaps, gaps.reshape(1, -1), gaps[0]):
         nu, dnu, d2nu = gain_loss.terms(x)
-        # nu and dnu warn on overflowing gaps; terms is silent
+        # nu warns on overflowing gaps; terms is silent
         with np.errstate(over="ignore"):
             assert _bits(nu) == _bits(gain_loss.nu(x))
-            assert _bits(dnu) == _bits(gain_loss.dnu(x))
+        assert _bits(dnu) == _bits(gain_loss.dnu(x))
         assert _bits(d2nu) == _bits(gain_loss.d2nu(x))
+        want_dnu, want_d2nu = _arctan_slope_and_curvature(gain_loss, x)
+        assert _bits(dnu) == _bits(want_dnu)
+        assert _bits(d2nu) == _bits(want_d2nu)
+
+
+def _arctan_slope_and_curvature(gain_loss, x):
+    # nu' and nu'' of the arctan family written out term by term, as two
+    # separate expressions: k / (1 + (x/s)^2) and -2 k x / s^2 / (1 +
+    # (x/s)^2)^2 on gains, with the limit 0 at an infinite gap
+    x = np.asarray(x, dtype=float)
+    k, s = gain_loss.k_minus, gain_loss.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = k / (1.0 + (x / s) ** 2)
+        curve = -2.0 * k * x / s ** 2 / (1.0 + (x / s) ** 2) ** 2
+    curve = np.where(np.isinf(x), 0.0, curve)
+    return (np.where(x > 0.0, slope, k), np.where(x > 0.0, curve, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +891,17 @@ def test_validator_passes_gain_slope_that_underflows():
     grid = np.linspace(-5.0, 1e200 + 60.0, 801)
     report = validate_preferences(EXP_U, WIDE_NU, grid)
     assert report.passed, [c.name for c in report.failed()]
+
+
+@pytest.mark.parametrize("table", range(4), ids=["x", "u", "du", "d2u"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tabulated_utility_refuses_non_finite_entries(table, value):
+    # scipy's interpolator refuses them too, but only for the ordinates
+    columns = [_KNOTS.copy(), -np.exp(-_KNOTS), np.exp(-_KNOTS),
+               -np.exp(-_KNOTS)]
+    columns[table][-1] = value
+    with pytest.raises(PreferenceError, match="must be finite"):
+        TabulatedUtility(*columns, c_u=1.0)
 
 
 # ---------------------------------------------------------------------------
